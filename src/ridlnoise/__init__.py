@@ -1,13 +1,13 @@
 """Noise index of randomized consensus with randomly induced discretized
 Laplacian (RIDL) update matrices.
 
-Exact values via the lifted second-moment operator, spectral and
-effective-resistance bounds, and Monte Carlo estimation, specialized to
-update matrices sampled by Bernoulli node activation on an underlying
-graph.
+Exact values via a matrix-free solve of the second-moment (Stein)
+equation, spectral and effective-resistance bounds, and Monte Carlo
+estimation, specialized to update matrices sampled by Bernoulli node
+activation on an underlying graph.
 """
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import NumericalError
 from .graphs import (
     ErdosRenyiDraw,
     UndirectedGraph,
@@ -24,16 +24,10 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .linalg import (
-    SpectralData,
-    kron,
-    pseudoinverse_psd,
-    solve,
-    sym_eigen,
-    symmetric_spectral_norm,
-)
+from .linalg import SpectralData, pseudoinverse_psd, sym_eigen
 from .noise_index import (
     FAMILIES,
+    ExactIndex,
     NoiseReport,
     PredictedScaling,
     ResistanceBounds,
@@ -48,22 +42,17 @@ from .noise_index import (
     star_closed_form_bounds,
 )
 from .ridl import (
-    K_VARIANTS,
     ConsensusReport,
-    ExpectedOperators,
     RidlConfig,
     StochasticMatrixSample,
     check_consensus_conditions,
-    expected_l_kron_l,
-    expected_operators,
     expected_p,
     expected_p_squared,
     induced_laplacian,
-    k_operator_enumeration,
-    k_operator_moments,
     omega_projector,
     sample_activation,
     sample_ridl,
+    stein_operator,
 )
 from .simulator import (
     NOISE_DISTRIBUTIONS,

@@ -11,10 +11,10 @@ Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every flag can also be supplied through an
 environment variable with the ``RIDLNOISE_`` prefix, e.g.
 ``RIDLNOISE_BOUNDS_SIGMA2``. Exit codes: 0 success, 2 validation error,
-3 numerical failure, 4 I/O failure. Invalid graph input, such as a
-malformed or disconnected ``--graph-file`` edge list or an Erdos-Renyi
-draw that never comes out connected, is a validation error: exit 2 with
-a one-line message on stderr.
+3 numerical failure, 4 I/O failure. A validation error, whether a bad
+option value or invalid graph input such as a malformed or disconnected
+``--graph-file`` edge list or an Erdos-Renyi draw that never comes out
+connected, exits 2 with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -46,7 +46,6 @@ from .graphs import (
 from .noise_index import compute_noise_report
 from .ridl import RidlConfig
 from .simulator import SimConfig, default_horizon, estimate_noise_index
-from .tolerances import TOL
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -99,7 +98,7 @@ class ExperimentSpec:
     output: str | None
     fmt: str
     strict: bool
-    exact_cap: int
+    exact_cap: int | None  # exact index for N up to this; None: every N
     exact_n: int
     workers: int
     p_grid: tuple[float, ...] = ()
@@ -290,7 +289,7 @@ def _config_for(job: GraphJob, spec: ExperimentSpec) -> RidlConfig:
         raise click.UsageError(f"invalid configuration for n={job.graph.n}: {exc}")
 
 
-def _single_row(job: GraphJob, spec: ExperimentSpec, exact_cap: int) -> dict:
+def _single_row(job: GraphJob, spec: ExperimentSpec, exact_cap: int | None) -> dict:
     cfg = _config_for(job, spec)
     rep = compute_noise_report(job.graph, cfg, exact_cap=exact_cap)
     row = {
@@ -325,7 +324,7 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, exact_cap: int) -> dict:
     return row
 
 
-def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact_cap: int) -> dict:
+def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact_cap: int | None) -> dict:
     row = _single_row(job, spec, exact_cap)
     if not job.siblings:
         if job.family == "erdos-renyi":
@@ -348,7 +347,7 @@ def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact_cap: int) -> dict:
     return agg
 
 
-def _compute_rows(spec: ExperimentSpec, exact_cap: int) -> list[dict]:
+def _compute_rows(spec: ExperimentSpec, exact_cap: int | None) -> list[dict]:
     jobs = _jobs_for_spec(spec)
     if spec.workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
@@ -434,9 +433,10 @@ def _guard(fn):
         except OSError as exc:
             click.echo(f"I/O failure: {exc}", err=True)
             sys.exit(EXIT_IO)
-        except (ValueError, RuntimeError) as exc:
-            # library input rejections, e.g. a disconnected graph or an
-            # Erdos-Renyi resampling budget that runs out
+        except (click.UsageError, ValueError, RuntimeError) as exc:
+            # option checks, and library input rejections such as a
+            # disconnected graph or an Erdos-Renyi resampling budget that
+            # runs out
             click.echo(f"invalid input: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
 
@@ -525,7 +525,7 @@ def _build_spec(command: str, params: dict) -> ExperimentSpec:
         output=params.get("output"),
         fmt=params.get("fmt", "csv"),
         strict=params.get("strict", False),
-        exact_cap=params.get("exact_cap", TOL.exact_n_cap),
+        exact_cap=params.get("exact_cap"),
         exact_n=params.get("exact_n", 16),
         workers=max(1, params.get("workers", 1)),
         p_grid=params.get("p_grid", ()),
@@ -557,19 +557,11 @@ def bounds_cmd(**params) -> None:
 @_graph_options
 @_config_options
 @_output_options
-@click.option("--exact-cap", type=int, default=TOL.exact_n_cap, show_default=True,
-              help="Largest N for the exact N^2-dimensional solve.")
 @_guard
 def exact_cmd(**params) -> None:
-    """Exact index plus bound relative errors (N within the solve cap)."""
+    """Exact index plus bound relative errors."""
     spec = _build_spec("exact", params)
-    too_big = [n for n in spec.n_values if n > spec.exact_cap]
-    if too_big:
-        raise click.UsageError(
-            f"n={max(too_big)} exceeds the exact cap {spec.exact_cap}; "
-            "use 'bounds' or 'sweep-n' for bounds-only output"
-        )
-    rows = _compute_rows(spec, exact_cap=spec.exact_cap)
+    rows = _compute_rows(spec, exact_cap=None)
     _emit(render_rows(rows, COMMAND_COLUMNS["exact"], spec.fmt), spec.output)
 
 
@@ -610,30 +602,31 @@ def sweep_p_cmd(**params) -> None:
     params["families"] = tuple(
         f.strip() for f in (params.get("families") or "").split(",") if f.strip()
     )
-    if params.get("n") is None and params.get("n_range") is None and params.get("dims") is None:
+    sized = any(params.get(key) is not None for key in ("n", "n_range", "dims"))
+    if not sized and params["graph"] != "file":
         params["n"] = 100
     spec = _build_spec("sweep-p", params)
     n_fixed = spec.n_values[0]
+    rows = _sweep_p_rows(spec, [(fam, n_fixed) for fam in spec.families or (spec.family,)])
+    _emit(render_rows(rows, COMMAND_COLUMNS["sweep-p"], spec.fmt), spec.output)
+
+
+def _sweep_p_rows(spec: ExperimentSpec, sizes: list[tuple[str, int]]) -> list[dict]:
+    """One row per (family, p) at the family's given N; the exact columns
+    come from the same family at min(N, --exact-n), recorded in n_exact."""
     rows = []
-    for family in spec.families or (spec.family,):
+    for family, n in sizes:
         for p in spec.p_grid:
-            fam_spec = _replace_spec(spec, family=family, p=p, n_values=(n_fixed,))
-            job = _jobs_for_spec(fam_spec)[0]
-            row = _row_for_job(job, fam_spec, exact_cap=0)
-            n_exact = min(n_fixed, spec.exact_n)
+            fam_spec = replace(spec, family=family, p=p, n_values=(n,))
+            row = _row_for_job(_jobs_for_spec(fam_spec)[0], fam_spec, exact_cap=0)
+            n_exact = min(n, spec.exact_n)
             if n_exact >= _family_min_n(family):
-                exact_spec = _replace_spec(fam_spec, n_values=(n_exact,))
+                exact_spec = replace(fam_spec, n_values=(n_exact,))
                 exact_job = _jobs_for_spec(exact_spec)[0]
                 exact_row = _row_for_job(exact_job, exact_spec, exact_cap=spec.exact_n)
                 row.update({c: exact_row[c] for c in _EXACT_COLUMNS})
             rows.append(row)
-    _emit(render_rows(rows, COMMAND_COLUMNS["sweep-p"], spec.fmt), spec.output)
-
-
-def _replace_spec(spec: ExperimentSpec, **changes) -> ExperimentSpec:
-    from dataclasses import replace
-
-    return replace(spec, **changes)
+    return rows
 
 
 @cli.command("simulate")
@@ -731,22 +724,10 @@ def report_cmd(**params) -> None:
     t0 = time.time()
     sweep_params = dict(base, n=params["sweep_p_n"], n_range=None)
     sweep_params["p_grid"] = _parse_p_grid("0.1:0.9:0.1")
-    sweep_params["families"] = SWEEP_FAMILIES
     spec = _build_spec("sweep-p", sweep_params)
-    rows = []
-    for family in SWEEP_FAMILIES:
-        for p in spec.p_grid:
-            n_req = max(params["sweep_p_n"], _family_min_n(family))
-            fam_spec = _replace_spec(spec, family=family, p=p, n_values=(n_req,))
-            job = _jobs_for_spec(fam_spec)[0]
-            row = _row_for_job(job, fam_spec, exact_cap=0)
-            n_exact = min(n_req, spec.exact_n)
-            if n_exact >= _family_min_n(family):
-                exact_spec = _replace_spec(fam_spec, n_values=(n_exact,))
-                exact_job = _jobs_for_spec(exact_spec)[0]
-                exact_row = _row_for_job(exact_job, exact_spec, exact_cap=spec.exact_n)
-                row.update({c: exact_row[c] for c in _EXACT_COLUMNS})
-            rows.append(row)
+    rows = _sweep_p_rows(
+        spec, [(fam, max(params["sweep_p_n"], _family_min_n(fam))) for fam in SWEEP_FAMILIES]
+    )
     text = render_rows(rows, COMMAND_COLUMNS["sweep-p"], "csv")
     (out_dir / "sweep_p.csv").write_text(text)
     manifest_files["sweep_p.csv"] = {

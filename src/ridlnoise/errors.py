@@ -3,7 +3,3 @@
 
 class NumericalError(RuntimeError):
     """A computation failed numerically (near-singular system, bad spectrum)."""
-
-
-class SingularMatrixError(NumericalError):
-    """Linear solve rejected; carries the condition-number diagnostic."""

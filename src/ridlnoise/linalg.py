@@ -1,10 +1,11 @@
-"""Dense numerical substrate: symmetric eigensolver, Kronecker products,
-linear solves, and the PSD pseudoinverse.
+"""Dense numerical substrate: the symmetric eigensolver and the PSD
+pseudoinverse.
 
 Matrices are plain float64 ``numpy.ndarray`` values. Eigen decompositions
 return a :class:`SpectralData` record that carries a residual certificate,
-so downstream spectral formulas can trust the ordering and accuracy of the
-eigenvalues they consume. Public solves never form explicit inverses.
+checked against ``TOL.eigen_residual``, so downstream spectral formulas
+and the exact solve's preconditioner can trust the eigenpairs they
+consume.
 """
 from __future__ import annotations
 
@@ -12,19 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack as _lapack
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import SingularMatrixError
+from .errors import NumericalError
 from .tolerances import TOL
 
 __all__ = [
     "SpectralData",
     "sym_eigen",
-    "kron",
-    "solve",
     "pseudoinverse_psd",
-    "symmetric_spectral_norm",
 ]
 
 
@@ -59,7 +55,8 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
 
 def sym_eigen(a: np.ndarray, compute_vectors: bool = True) -> SpectralData:
     """Full spectrum of a symmetric matrix, ascending, with a residual
-    certificate.
+    certificate; raises :class:`NumericalError` when the certificate
+    exceeds ``TOL.eigen_residual``.
 
     Parameters
     ----------
@@ -76,59 +73,15 @@ def sym_eigen(a: np.ndarray, compute_vectors: bool = True) -> SpectralData:
     norm_a = float(np.abs(w).max(initial=0.0))
     res_cols = np.linalg.norm(a @ v - v * w, axis=0)
     residual = float(res_cols.max(initial=0.0) / max(norm_a, 1.0))
+    if not residual <= TOL.eigen_residual:
+        raise NumericalError(
+            f"eigensolver residual {residual:.3e} exceeds {TOL.eigen_residual:.0e}"
+        )
     return SpectralData(
         eigenvalues=w,
         eigenvectors=v if compute_vectors else None,
         residual=residual,
     )
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = TOL.kron_dim_cap) -> np.ndarray:
-    """Kronecker product with an output-size guard.
-
-    Uses the column-stacking convention throughout the package:
-    vec(A B C) = (C^T (x) A) vec(B) with vec = ravel(order="F").
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("kron inputs must be finite")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > dim_cap or cols > dim_cap:
-        raise ValueError(
-            f"kron output {rows}x{cols} exceeds the dimension cap {dim_cap}"
-        )
-    return np.kron(a, b)
-
-
-def solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = rhs`` with an LU factorization and a reciprocal
-    condition estimate; rejects systems with condition above 1/rcond_min.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the condition estimate exceeds the configured floor.
-    """
-    a = _as_square_float(a)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    anorm = np.linalg.norm(a, 1)
-    lu, piv, info = _lapack.dgetrf(a)
-    if info > 0:
-        raise SingularMatrixError(
-            f"exact zero pivot at position {info - 1} during LU factorization"
-        )
-    rcond, info = _lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < TOL.rcond_min:
-        raise SingularMatrixError(
-            f"matrix is numerically singular: rcond estimate {rcond:.3e} "
-            f"below {TOL.rcond_min:.0e}"
-        )
-    x, info = _lapack.dgetrs(lu, piv, rhs)
-    if info != 0:
-        raise SingularMatrixError(f"triangular solve failed (info={info})")
-    return x
 
 
 def pseudoinverse_psd(a: np.ndarray) -> np.ndarray:
@@ -144,22 +97,3 @@ def pseudoinverse_psd(a: np.ndarray) -> np.ndarray:
     inv_w = np.zeros_like(w)
     inv_w[keep] = 1.0 / w[keep]
     return (v * inv_w) @ v.T
-
-
-def symmetric_spectral_norm(a: np.ndarray, dense_threshold: int = 512) -> float:
-    """Spectral norm (largest |eigenvalue|) of a symmetric matrix.
-
-    Dense path for small matrices; Lanczos (``eigsh``) above the
-    threshold, which is how the N^2-dimensional second-moment operator
-    gets its norm certificate without a full decomposition.
-    """
-    a = _as_square_float(a)
-    _require_symmetric(a)
-    n = a.shape[0]
-    if n <= dense_threshold:
-        w = scipy.linalg.eigh(a, eigvals_only=True)
-        return float(np.abs(w).max())
-    op = LinearOperator((n, n), matvec=lambda x: a @ x, dtype=np.float64)
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    w = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    return float(abs(w[0]))

@@ -4,8 +4,9 @@ Additive noise keeps the node states from agreeing; the index is the
 steady-state expected squared distance from the consensus projection,
 normalized by the node count. This module evaluates it three ways:
 
-* ``exact_noise_index``  via a single N^2-dimensional linear solve
-  against the second-moment operator,
+* ``exact_noise_index``  from the steady-state disagreement covariance,
+  the solution of the Stein equation Sigma = E[P Sigma P] + Omega,
+  found by preconditioned conjugate gradients on N x N matrices,
 * ``generic_bounds``     lower/upper bounds from the spectra of E[P]
   and E[P^2] (any symmetric i.i.d. update sequence),
 * ``ridl_bounds``        the same bounds specialized to RIDL updates,
@@ -19,16 +20,18 @@ behavior are provided as independent evaluators for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import NumericalError
 from .graphs import UndirectedGraph, average_effective_resistance, laplacian_spectrum
-from .linalg import SpectralData, solve, sym_eigen, symmetric_spectral_norm
-from .ridl import ExpectedOperators, RidlConfig, expected_operators
+from .linalg import SpectralData, sym_eigen
+from .ridl import RidlConfig, omega_projector, stein_operator
 from .tolerances import TOL
 
 __all__ = [
+    "ExactIndex",
     "NoiseReport",
     "ResistanceBounds",
     "PredictedScaling",
@@ -45,6 +48,14 @@ __all__ = [
 ]
 
 FAMILIES = ("star", "path", "grid2d", "grid3d", "complete")
+
+# Conjugate-gradient stopping rule of the exact solve: the residual
+# target is relative to ||Omega||_F + a ||X||_F, with a = 2 eps p^2
+# lambda_max the size of X -> X - E[P X P]. It is a backward error, so
+# it stays above the rounding floor of the operator apply however large
+# the index grows.
+_CG_RTOL = 1e-13
+_CG_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -74,8 +85,8 @@ class PredictedScaling:
 class NoiseReport:
     """All computed index values for one (graph, config) pair.
 
-    ``j_exact`` is absent when the graph exceeds the exact-solve cap;
-    the bounds are always present. ``method_tags`` records how each
+    ``j_exact`` is absent when the caller capped N below the graph's
+    size; the bounds are always present. ``method_tags`` records how each
     number was produced, ``config`` echoes the inputs.
     """
 
@@ -91,35 +102,92 @@ class NoiseReport:
     config: dict
 
 
-def exact_noise_index(ops: ExpectedOperators, sigma2: float, n: int) -> float:
-    """Exact index: (sigma^2/N) * (vec(I)^T (I - K)^{-1} vec(I) - 1).
+class ExactIndex(NamedTuple):
+    """The exact index and the certificate of the solve behind it:
+    the conjugate-gradient iteration count and the final residual
+    ||Omega - X + E[P X P]||_F / (||Omega||_F + a ||X||_F), with
+    a = 2 eps p^2 lambda_max."""
 
-    Evaluated as a linear solve, never an explicit inverse. A
-    near-singular system means the second-moment operator has norm at
-     1 (slow mixing / failed consensus conditions); the error carries
-    the operator-norm estimate.
+    j: float
+    iterations: int
+    residual: float
+
+
+def exact_noise_index(
+    g: UndirectedGraph, cfg: RidlConfig, spectrum: SpectralData | None = None
+) -> ExactIndex:
+    """Exact index J = sigma^2 tr(Sigma) / N.
+
+    Sigma, the steady-state disagreement covariance per unit noise
+    variance, solves the Stein equation Sigma = E[P Sigma P] + Omega.
+    X -> X - E[P X P] is self-adjoint in the trace inner product and
+    positive definite on the disagreement subspace of a connected graph,
+    so conjugate gradients on N x N matrices solve it. The preconditioner
+    is the mean-field inverse R -> V [(V^T R V) / (1 - mu_i mu_j)] V^T,
+    with V the Laplacian eigenvectors and mu = 1 - eps p^2 lambda the
+    eigenvalues of E[P]; it drops the consensus direction and is exact
+    at p = 1.
+
+    ``spectrum`` is the Laplacian spectrum of ``g`` with eigenvectors
+    (``laplacian_spectrum(g, compute_vectors=True)``), computed when not
+    given. Raises :class:`NumericalError` for a disconnected graph (the
+    equation is singular) and when the residual target is not met within
+    the iteration budget.
     """
-    if sigma2 < 0.0:
-        raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-    n_sq = n * n
-    k_op = ops.k_op
-    if k_op.shape != (n_sq, n_sq):
-        raise ValueError(f"operator shape {k_op.shape} does not match n={n}")
-    a = -k_op.copy()
-    a[np.diag_indices_from(a)] += 1.0
-    rhs = np.eye(n).ravel()
-    try:
-        y = solve(a, rhs)
-    except SingularMatrixError as exc:
-        norm = symmetric_spectral_norm(k_op)
+    if spectrum is None:
+        spectrum = laplacian_spectrum(g, compute_vectors=True)
+    lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    n = g.n
+    if n < 2 or lam[1] <= TOL.connectivity_rtol * max(float(lam[-1]), 1.0):
         raise NumericalError(
-            f"I - K is numerically singular (||K||_2 ~= {norm:.6g}); "
-            "the configuration mixes too slowly for the exact solve"
-        ) from exc
-    j = (sigma2 / n) * (float(rhs @ y) - 1.0)
-    if not np.isfinite(j) or (sigma2 > 0.0 and j <= 0.0):
+            "the Stein equation is singular: the graph is disconnected, so "
+            "disagreement does not decay"
+        )
+    # 1 - mu_i mu_j with mu = 1 - delta, written without cancellation
+    delta = cfg.epsilon * cfg.p**2 * lam[1:]
+    gain = np.zeros((n, n))
+    gain[1:, 1:] = 1.0 / (delta[:, None] + delta[None, :] - np.outer(delta, delta))
+    a_norm = 2.0 * float(delta[-1])  # bounds max_ij (1 - mu_i mu_j)
+    apply = stein_operator(g, cfg)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return vecs @ ((vecs.T @ r @ vecs) * gain) @ vecs.T
+
+    omega = omega_projector(n)
+    omega_norm = np.linalg.norm(omega)
+
+    def relative(r: np.ndarray, x: np.ndarray) -> float:
+        return float(np.linalg.norm(r) / (omega_norm + a_norm * np.linalg.norm(x)))
+
+    x = np.zeros((n, n))
+    r = omega
+    direction = None
+    for iterations in range(1, _CG_MAX_ITER + 1):
+        z = precondition(r)
+        rz_next = float(np.vdot(r, z))
+        direction = z if direction is None else z + (rz_next / rz) * direction
+        rz = rz_next
+        q = apply(direction)
+        alpha = rz / float(np.vdot(direction, q))
+        x = x + alpha * direction
+        r = r - alpha * q
+        if relative(r, x) <= _CG_RTOL:
+            # the recurrence drifts from the true residual: confirm it,
+            # and restart from the true one if it falls short
+            r = omega - apply(x)
+            residual = relative(r, x)
+            if residual <= _CG_RTOL:
+                break
+            direction = None
+    else:
+        raise NumericalError(
+            f"conjugate gradients missed the residual target {_CG_RTOL:.0e} in "
+            f"{_CG_MAX_ITER} iterations (residual {relative(r, x):.3e})"
+        )
+    j = cfg.sigma2 * float(np.trace(x)) / n
+    if not np.isfinite(j) or (cfg.sigma2 > 0.0 and j <= 0.0):
         raise NumericalError(f"exact index evaluated to {j}, outside (0, inf)")
-    return j
+    return ExactIndex(j=j, iterations=iterations, residual=residual)
 
 
 def _perron_excluded(eigenvalues: np.ndarray, label: str) -> np.ndarray:
@@ -287,18 +355,19 @@ def family_asymptotics(family: str, n: int, cfg: RidlConfig) -> PredictedScaling
 def compute_noise_report(
     g: UndirectedGraph,
     cfg: RidlConfig,
-    exact_cap: int = TOL.exact_n_cap,
-    variant: str = "pop",
+    exact_cap: int | None = None,
     validate: bool = True,
 ) -> NoiseReport:
     """Assemble every index value for one configuration.
 
-    The exact index is computed only when N is within the solve cap;
-    bounds are always present. With ``validate`` the report enforces the
-    sandwich inequalities (to the configured absolute slack) before it
-    is returned.
+    The exact index is computed unless ``exact_cap`` is given and N
+    exceeds it; bounds are always present. One Laplacian eigensolve
+    serves the bounds and the exact solve's preconditioner. With
+    ``validate`` the report enforces the sandwich inequalities (to the
+    configured absolute slack) before it is returned.
     """
-    spec = laplacian_spectrum(g)
+    want_exact = exact_cap is None or g.n <= exact_cap
+    spec = laplacian_spectrum(g, compute_vectors=want_exact)
     j_lb, j_ub = ridl_bounds(spec, cfg)
     r_ave = average_effective_resistance(g, spec)
     res = resistance_bounds(r_ave, cfg)
@@ -308,10 +377,12 @@ def compute_noise_report(
         "j_res_lb": "effective-resistance",
         "j_res_ub": "effective-resistance",
     }
-    if g.n <= exact_cap:
-        ops = expected_operators(g, cfg, method="moments", variant=variant, n_cap=exact_cap)
-        j_exact = exact_noise_index(ops, cfg.sigma2, g.n)
-        tags["j_exact"] = f"moment-operator-solve[{variant}]"
+    if want_exact:
+        exact = exact_noise_index(g, cfg, spec)
+        j_exact = exact.j
+        tags["j_exact"] = (
+            f"stein-pcg[iterations={exact.iterations}, residual={exact.residual:.2e}]"
+        )
     else:
         j_exact = None
         tags["j_exact"] = f"absent (n={g.n} beyond cap {exact_cap})"

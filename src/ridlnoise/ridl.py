@@ -7,28 +7,24 @@ computes the expected operators that drive the noise-index formulas:
 
 * ``expected_p``          P_bar  = E[P]      = I - eps p^2 L_bar
 * ``expected_p_squared``  P_bbar = E[P^2]    (closed form in Bernoulli moments)
-* ``k_operator_moments``  the N^2 x N^2 second-moment operator E[P Omega (x) P]
-* ``k_operator_enumeration``  the same operator by summing all 2^N patterns
+* ``stein_operator``      X -> X - E[P X P] on N x N matrices, applied
+  without forming the N^2 x N^2 second-moment operator E[P (x) P]
 
-The moment and enumeration forms are independent code paths; their
-agreement is the package's primary correctness oracle.
+The tests check all three against sums over the 2^N activation patterns.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import UndirectedGraph, is_connected, laplacian
-from .linalg import kron
-from .tolerances import TOL
 
 __all__ = [
     "RidlConfig",
     "StochasticMatrixSample",
-    "ExpectedOperators",
     "ConsensusReport",
-    "K_VARIANTS",
     "omega_projector",
     "sample_activation",
     "induced_laplacian",
@@ -36,16 +32,8 @@ __all__ = [
     "check_consensus_conditions",
     "expected_p",
     "expected_p_squared",
-    "expected_l_kron_l",
-    "k_operator_moments",
-    "k_operator_enumeration",
-    "expected_operators",
+    "stein_operator",
 ]
-
-# The three algebraically equivalent placements of the disagreement
-# projector inside the second-moment operator; all yield the same noise
-# index.
-K_VARIANTS = ("pop", "popo", "ppo")
 
 
 @dataclass(frozen=True)
@@ -125,16 +113,6 @@ class ConsensusReport:
     messages: tuple[str, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class ExpectedOperators:
-    """The expected matrices consumed by the noise-index formulas."""
-
-    p_bar: np.ndarray
-    p_bbar: np.ndarray
-    k_op: np.ndarray
-    omega: np.ndarray
-
-
 def omega_projector(n: int) -> np.ndarray:
     """Projector onto the disagreement subspace: I - (1/n) * ones."""
     return np.eye(n) - np.full((n, n), 1.0 / n)
@@ -210,161 +188,63 @@ def expected_p_squared(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
     return np.eye(g.n) + 2.0 * e * p**2 * (e - e * p - 1.0) * lbar + e**2 * p**3 * (lbar @ lbar)
 
 
-def expected_l_kron_l(g: UndirectedGraph, p: float) -> np.ndarray:
-    """E[L (x) L] computed exactly from Bernoulli activation moments.
+def stein_operator(
+    g: UndirectedGraph, cfg: RidlConfig
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map X -> X - E[P X P] on symmetric N x N matrices, applied in
+    O(N^3) without forming the N^2 x N^2 operator E[P (x) P].
 
     Writing L = sum_e gamma_a gamma_b M_e over edges e = {a, b} with
     elementary Laplacians M_e, each pair (e, f) contributes
-    p^(distinct nodes in e and f) * M_e (x) M_f. Grouping pairs by how
+    p^(distinct nodes in e and f) * M_e X M_f. Grouping pairs by how
     many nodes they share (2, 3, or 4 distinct) gives
 
-        E[L (x) L] = p^4 L_bar (x) L_bar
-                   + p^2 (1-p)^2 * sum_e M_e (x) M_e
-                   + p^3 (1-p)   * sum_v B_v (x) B_v
+        X - E[P X P] = eps p^2 (L_bar X + X L_bar)
+                     - eps^2 [ p^4 L_bar X L_bar
+                             + p^2 (1-p)^2 sum_e (x_aa + x_bb - 2 x_ab) M_e
+                             + p^3 (1-p)   sum_v B_v X B_v ]
 
     where B_v is the Laplacian of the star of edges around node v. The
-    elementary terms are assembled sparsely (16 and (3d+1)^2 nonzeros).
+    map is evaluated in this form rather than as X minus E[P X P], which
+    would lose digits when P mixes slowly and E[P X P] is close to X.
+
+    The edge sum is the Laplacian with edge weights x_aa + x_bb - 2 x_ab.
+    For the node sum, B_v = diag(c_v) - (e_v a_v^T + a_v e_v^T) with a_v
+    the adjacency column of v and c_v = d_v e_v + a_v, the columns of
+    C = D + A; expanding the product and summing over v gives
+
+        sum_v B_v X B_v = X o C^2 - (Y + Y^T) + diag(s) A + A diag(s)
+                          + diag(q) + A diag(x) A,
+        Y = (C o X) A + C o (X A),
+
+    with o the entrywise product, x = diag(X), s and q the column sums
+    of A o X and A o (X A).
     """
-    n = g.n
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"activation probability must be in (0, 1], got {p}")
     lbar = laplacian(g)
-    out = (p**4) * np.kron(lbar, lbar)
-    flat = out.reshape(-1)
-    n_sq = n * n
-
-    def _add_self_kron(rows, cols, vals, weight):
-        # accumulate weight * (M (x) M) for the sparse matrix given in
-        # triplet form; kron index of ((r1, c1), (r2, c2)) is
-        # (r1 n + r2, c1 n + c2)
-        kr = (rows[:, None] * n + rows[None, :]).ravel()
-        kc = (cols[:, None] * n + cols[None, :]).ravel()
-        kv = (vals[:, None] * vals[None, :]).ravel()
-        np.add.at(flat, kr * n_sq + kc, weight * kv)
-
-    w_edge = p**2 * (1.0 - p) ** 2
-    w_node = p**3 * (1.0 - p)
-    if w_edge != 0.0:
-        for a, b in g.edges:
-            rows = np.array([a, a, b, b])
-            cols = np.array([a, b, a, b])
-            vals = np.array([1.0, -1.0, -1.0, 1.0])
-            _add_self_kron(rows, cols, vals, w_edge)
-    if w_node != 0.0:
-        nbrs = g.neighbor_lists()
-        for v in range(n):
-            deg = len(nbrs[v])
-            if deg == 0:
-                continue
-            us = np.array(nbrs[v])
-            rows = np.concatenate(([v], us, np.full(deg, v), us))
-            cols = np.concatenate(([v], us, us, np.full(deg, v)))
-            vals = np.concatenate(([float(deg)], np.ones(deg), -np.ones(2 * deg)))
-            _add_self_kron(rows, cols, vals, w_node)
-    return out
-
-
-def _expected_p_kron_p(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
-    """E[P (x) P] = I - eps p^2 (I (x) L + L (x) I) + eps^2 E[L (x) L]."""
-    n = g.n
-    lbar = laplacian(g)
+    adj = g.adjacency
+    c = np.diag(g.degrees.astype(np.float64)) + adj
+    c_sq = c @ c
     e, p = cfg.epsilon, cfg.p
-    out = cfg.epsilon**2 * expected_l_kron_l(g, p)
-    out -= e * p**2 * (np.kron(np.eye(n), lbar) + np.kron(lbar, np.eye(n)))
-    out[np.diag_indices_from(out)] += 1.0
-    return out
+    w_edge = e**2 * p**2 * (1.0 - p) ** 2
+    w_node = e**2 * p**3 * (1.0 - p)
 
-
-def _apply_variant(
-    e_pp: np.ndarray, p_bar: np.ndarray, n: int, variant: str
-) -> np.ndarray:
-    """Insert the disagreement projector into E[P (x) P].
-
-    Uses P H = H for doubly stochastic P, so right-multiplying by
-    (Omega (x) I), (Omega (x) Omega), or (I (x) Omega) reduces to cheap
-    Kronecker subtractions.
-    """
-    h = np.full((n, n), 1.0 / n)
-    if variant == "pop":  # E[P Omega (x) P]
-        return e_pp - np.kron(h, p_bar)
-    if variant == "ppo":  # E[P (x) P Omega]
-        return e_pp - np.kron(p_bar, h)
-    if variant == "popo":  # E[P Omega (x) P Omega]
-        return e_pp - np.kron(h, p_bar) - np.kron(p_bar, h) + np.kron(h, h)
-    raise ValueError(f"unknown operator variant {variant!r}; use one of {K_VARIANTS}")
-
-
-def k_operator_moments(
-    g: UndirectedGraph,
-    cfg: RidlConfig,
-    variant: str = "pop",
-    n_cap: int = TOL.exact_n_cap,
-) -> np.ndarray:
-    """Second-moment operator from exact Bernoulli moments.
-
-    Scales to the configured cap (default 64, a 4096-dimensional
-    operator); cross-checked against :func:`k_operator_enumeration`.
-    """
-    if g.n > n_cap:
-        raise ValueError(
-            f"n={g.n} exceeds the exact-operator cap {n_cap}; "
-            "use the spectral bounds instead"
+    def apply(x: np.ndarray) -> np.ndarray:
+        lx = lbar @ x
+        xd = np.diag(x)
+        xa = x @ adj
+        wt = adj * (xd[:, None] + xd[None, :] - 2.0 * x)
+        y = (c * x) @ adj + c * xa
+        s = (adj * x).sum(axis=0)
+        q = (adj * xa).sum(axis=0)
+        node_sum = (
+            x * c_sq - (y + y.T) + s[:, None] * adj + adj * s[None, :]
+            + np.diag(q) + (adj * xd) @ adj
         )
-    e_pp = _expected_p_kron_p(g, cfg)
-    return _apply_variant(e_pp, expected_p(g, cfg), g.n, variant)
+        return (
+            e * p**2 * (lx + lx.T)
+            - e**2 * p**4 * (lx @ lbar)
+            - w_edge * (np.diag(wt.sum(axis=1)) - wt)
+            - w_node * node_sum
+        )
 
-
-def k_operator_enumeration(
-    g: UndirectedGraph, cfg: RidlConfig, variant: str = "pop"
-) -> np.ndarray:
-    """Second-moment operator by enumerating all 2^N activation patterns.
-
-    Exact up to floating point; the weights p^a (1-p)^(N-a) sum to one.
-    Limited to N <= 14. Independent of the moment-form code path by
-    construction, which makes the pair a mutual oracle.
-    """
-    n = g.n
-    if n > TOL.enum_n_cap:
-        raise ValueError(f"enumeration needs n <= {TOL.enum_n_cap}, got {n}")
-    if variant not in K_VARIANTS:
-        raise ValueError(f"unknown operator variant {variant!r}; use one of {K_VARIANTS}")
-    omega = omega_projector(n)
-    eye = np.eye(n)
-    acc = np.zeros((n * n, n * n))
-    for bits in range(1 << n):
-        pattern = np.array([(bits >> i) & 1 for i in range(n)], dtype=np.float64)
-        active = int(pattern.sum())
-        weight = cfg.p**active * (1.0 - cfg.p) ** (n - active)
-        if weight == 0.0:
-            continue
-        p_mat = eye - cfg.epsilon * induced_laplacian(g, pattern)
-        pw = p_mat @ omega
-        if variant == "pop":
-            acc += weight * kron(pw, p_mat)
-        elif variant == "popo":
-            acc += weight * kron(pw, pw)
-        else:
-            acc += weight * kron(p_mat, pw)
-    return acc
-
-
-def expected_operators(
-    g: UndirectedGraph,
-    cfg: RidlConfig,
-    method: str = "moments",
-    variant: str = "pop",
-    n_cap: int = TOL.exact_n_cap,
-) -> ExpectedOperators:
-    """Bundle P_bar, P_bbar, and the second-moment operator."""
-    if method == "moments":
-        k_op = k_operator_moments(g, cfg, variant=variant, n_cap=n_cap)
-    elif method == "enumeration":
-        k_op = k_operator_enumeration(g, cfg, variant=variant)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'moments' or 'enumeration'")
-    return ExpectedOperators(
-        p_bar=expected_p(g, cfg),
-        p_bbar=expected_p_squared(g, cfg),
-        k_op=k_op,
-        omega=omega_projector(g.n),
-    )
+    return apply

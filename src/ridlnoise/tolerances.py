@@ -1,7 +1,7 @@
-"""Central numerical tolerances and size caps.
+"""Central numerical tolerances and budgets.
 
-Every threshold used by the library (and referenced by the test suite)
-lives in this single record so that code, tests, and docs agree.
+Every threshold the library uses lives in this single record, so that
+the code and its documentation cite one value.
 """
 from __future__ import annotations
 
@@ -14,27 +14,18 @@ class Tolerances:
     symmetry_rtol: float = 1e-12      # max |A - A^T| relative to max |A|
     stochastic_atol: float = 1e-9     # row sums of a doubly stochastic matrix
 
-    # eigensolver certificates
-    eigen_residual: float = 1e-8      # max_i ||A v_i - lam_i v_i|| / ||A||
-    orthonormality: float = 1e-8      # ||V^T V - I||
+    # eigensolver certificate
+    eigen_residual: float = 1e-8      # max_i ||A v_i - lam_i v_i|| / max(||A||, 1)
 
     # spectral decision thresholds
     connectivity_rtol: float = 1e-9   # lambda_2 threshold, relative to lambda_N
     perron_gap: float = 1e-9          # second-largest eigenvalue must be < 1 - gap
     pinv_cutoff_rtol: float = 1e-9    # eigenvalue cutoff relative to lambda_max
 
-    # linear solves
-    rcond_min: float = 1e-12          # reject solves with condition estimate > 1e12
-
-    # agreement targets (used by tests and runtime sanity checks)
+    # agreement target (runtime sanity check of every report)
     sandwich_slack: float = 1e-9      # absolute slack on bound inequalities
-    spectral_match: float = 1e-10     # closed form vs eigensolver
-    oracle_match: float = 1e-12       # moment form vs enumeration form
 
-    # size caps
-    kron_dim_cap: int = 16384         # max rows/cols of a Kronecker product
-    exact_n_cap: int = 64             # largest N for the N^2-dimensional solve
-    enum_n_cap: int = 14              # largest N for 2^N pattern enumeration
+    # random graph generation
     er_max_resamples: int = 1000      # connectivity resampling budget
 
 

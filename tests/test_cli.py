@@ -120,11 +120,6 @@ class TestValidationErrors:
         assert res.exit_code == 0
         assert "slowly" in res.output
 
-    def test_exact_cap_exceeded_suggests_bounds(self):
-        res = invoke("exact", "--graph", "path", "--n", "200", "--k", "0.8")
-        assert res.exit_code == 2
-        assert "bounds" in res.output
-
     def test_disconnected_graph_file(self, tmp_path):
         path = tmp_path / "dis.edges"
         path.write_text("4 2\n0 1\n2 3\n")
@@ -133,20 +128,36 @@ class TestValidationErrors:
         assert res.stderr.strip().count("\n") == 0
         assert "disconnected" in res.stderr
 
-    def test_graph_file_above_exact_cap(self, tmp_path):
-        path = tmp_path / "p70.edges"
-        write_edge_list(make_path(70), path)
-        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8",
-                     "--exact-cap", "64")
-        assert res.exit_code == 2
-        assert "n=70 exceeds the exact cap 64" in res.output
-
     def test_exhausted_erdos_renyi_draw(self):
         res = invoke("bounds", "--graph", "erdos-renyi", "--n", "30", "--p-er", "0.01",
                      "--k", "0.8")
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
         assert "no connected Erdos-Renyi draw" in res.stderr
+
+    @pytest.mark.parametrize("args,message", [
+        (("bounds", "--graph", "star", "--n", "10", "--eps", "0.5"),
+         "invalid configuration for n=10"),
+        (("bounds", "--graph", "path", "--n", "5"), "exactly one of --eps or --k"),
+        (("bounds", "--graph", "path", "--n-range", "3-9", "--k", "0.8"),
+         "--n-range must look like A:B"),
+        (("bounds", "--graph", "path", "--n-range", "9:3", "--k", "0.8"),
+         "--n-range must satisfy A <= B"),
+        (("bounds", "--graph", "grid2d", "--dims", "3by3", "--k", "0.8"),
+         "--dims must look like AxB"),
+        (("bounds", "--graph", "grid3d", "--dims", "2x2x2x2", "--k", "0.8"),
+         "--dims supports 1 to 3 sides"),
+        (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.1-0.9"),
+         "--p-grid must look like LO:HI:STEP"),
+        (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.9:0.1:0.1"),
+         "--p-grid bounds are inconsistent"),
+    ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
+            "p-grid-form", "p-grid-order"])
+    def test_usage_errors_are_one_line(self, args, message):
+        res = invoke(*args)
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert message in res.stderr
 
 
 class TestExactCommand:
@@ -172,6 +183,23 @@ class TestExactCommand:
                      ("j_res_lb", "j_lb", "j_exact", "j_ub", "j_res_ub")]
             for lo, hi in zip(chain, chain[1:]):
                 assert lo <= hi + 1e-9
+
+    def test_large_n_within_sandwich(self):
+        res = invoke("exact", "--graph", "path", "--n", "200", "--k", "0.8")
+        assert res.exit_code == 0
+        row = parse_csv(res.output)[0]
+        assert int(row["n"]) == int(row["n_exact"]) == 200
+        chain = [as_float(row[c]) for c in ("j_res_lb", "j_lb", "j_exact", "j_ub", "j_res_ub")]
+        for lo, hi in zip(chain, chain[1:]):
+            assert lo <= hi + 1e-9
+
+    def test_graph_file_n70(self, tmp_path):
+        path = tmp_path / "p70.edges"
+        write_edge_list(make_path(70), path)
+        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        assert res.exit_code == 0
+        row = parse_csv(res.output)[0]
+        assert int(row["n"]) == int(row["n_exact"]) == 70
 
     def test_sparse_family_lower_bound_tighter(self):
         # Both star bounds share the large-N slope sigma^2/(2 k p^2), so
@@ -233,6 +261,18 @@ class TestSweepP:
             assert int(row["n"]) == 50
             assert int(row["n_exact"]) == 10
             assert row["j_exact"] != ""
+
+    def test_graph_file(self, tmp_path):
+        path = tmp_path / "g.edges"
+        write_edge_list(make_grid([3, 4]), path)
+        res = invoke("sweep-p", "--graph", "file", "--graph-file", str(path), "--k", "0.8",
+                     "--families", "")
+        assert res.exit_code == 0
+        rows = parse_csv(res.output)
+        assert len(rows) == 9
+        for row in rows:
+            assert row["family"] == "file"
+            assert int(row["n"]) == int(row["n_exact"]) == 12
 
     def test_endpoint_matches_sweep_n_row(self):
         res_p = invoke("sweep-p", "--families", "star", "--n", "40", "--k", "0.8",

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ridlnoise import (
-    SingularMatrixError,
-    kron,
-    pseudoinverse_psd,
-    solve,
-    sym_eigen,
-    symmetric_spectral_norm,
-)
+from ridlnoise import NumericalError, pseudoinverse_psd, sym_eigen
 from ridlnoise.graphs import laplacian, make_complete, make_path, make_star
+
+# the dense oracle's Kronecker product and LU solve
+from oracles import SingularMatrixError, kron, solve
 
 
 class TestSymEigen:
@@ -44,6 +41,19 @@ class TestSymEigen:
         assert spec.residual <= 1e-8
         v = spec.eigenvectors
         assert np.abs(v.T @ v - np.eye(30)).max() <= 1e-8
+
+    def test_residual_certificate_enforced(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def perturbed(a):
+            w, v = eigh(a)
+            return w, v + 1e-6 * np.random.default_rng(0).standard_normal(v.shape)
+
+        lap = laplacian(make_path(6))
+        assert sym_eigen(lap).residual <= 1e-12
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalError, match="residual"):
+            sym_eigen(lap)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reconstruction_random(self, seed):
@@ -161,19 +171,3 @@ class TestPseudoinversePsd:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             pseudoinverse_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSpectralNorm:
-    def test_matches_dense(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((40, 40))
-        a = (a + a.T) / 2
-        w = np.linalg.eigvalsh(a)
-        assert abs(symmetric_spectral_norm(a) - np.abs(w).max()) <= 1e-10
-
-    def test_lanczos_path(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((600, 600))
-        a = (a + a.T) / 2
-        w = np.linalg.eigvalsh(a)
-        assert abs(symmetric_spectral_norm(a) - np.abs(w).max()) <= 1e-6 * np.abs(w).max()

@@ -7,7 +7,6 @@ from ridlnoise import (
     complete_closed_form_bounds,
     compute_noise_report,
     exact_noise_index,
-    expected_operators,
     expected_p,
     expected_p_squared,
     family_asymptotics,
@@ -23,15 +22,17 @@ from ridlnoise import (
     star_closed_form_bounds,
     sym_eigen,
 )
+from ridlnoise import noise_index
 from ridlnoise.graphs import _build, average_effective_resistance
-from ridlnoise.ridl import K_VARIANTS
+
+from oracles import K_VARIANTS, dense_exact
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
 
 
-def exact_for(g, cfg, **kw):
-    return exact_noise_index(expected_operators(g, cfg, **kw), cfg.sigma2, g.n)
+def exact_for(g, cfg):
+    return exact_noise_index(g, cfg).j
 
 
 class TestExactIndex:
@@ -50,15 +51,34 @@ class TestExactIndex:
     def test_star5_moments_vs_enumeration(self):
         g = make_star(5)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        j_m = exact_for(g, cfg, method="moments")
-        j_e = exact_for(g, cfg, method="enumeration")
+        j_m = dense_exact(g, cfg, method="moments")
+        j_e = dense_exact(g, cfg, method="enumeration")
         assert j_m == pytest.approx(j_e, abs=1e-10)
+        assert exact_for(g, cfg) == pytest.approx(j_e, abs=1e-10)
 
     def test_variant_invariance(self):
         g = make_grid([2, 3])
         cfg = RidlConfig.for_graph(g, p=0.7, sigma2=2.0, k=0.6)
-        values = [exact_for(g, cfg, variant=v) for v in K_VARIANTS]
+        values = [dense_exact(g, cfg, variant=v) for v in K_VARIANTS]
+        values.append(exact_for(g, cfg))
         assert max(values) - min(values) <= 1e-10
+
+    @pytest.mark.parametrize("p,k", [(0.1, 0.2), (0.5, 0.99), (0.9, 0.8), (1.0, 0.2)])
+    @pytest.mark.parametrize(
+        "g", [make_star(25), make_path(25), make_grid([4, 4]), make_complete(16)],
+        ids=["star25", "path25", "grid44", "complete16"],
+    )
+    def test_matches_dense_operator(self, g, p, k):
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
+        assert exact_for(g, cfg) == pytest.approx(dense_exact(g, cfg), rel=1e-10)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        g = make_grid([3, 3])
+        cfg = RidlConfig.for_graph(g, p=0.5, sigma2=1.0, k=0.8)
+        assert exact_noise_index(g, cfg).iterations > 1
+        monkeypatch.setattr(noise_index, "_CG_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="residual target"):
+            exact_noise_index(g, cfg)
 
     def test_scales_linearly_in_sigma2(self):
         g = make_path(5)
@@ -74,9 +94,8 @@ class TestExactIndex:
     def test_disconnected_graph_is_singular(self):
         g = _build(4, [(0, 1), (2, 3)])
         cfg = RidlConfig(p=0.9, epsilon=0.4, sigma2=1.0, d_max=1)
-        ops = expected_operators(g, cfg)
         with pytest.raises(NumericalError, match="singular"):
-            exact_noise_index(ops, 1.0, 4)
+            exact_noise_index(g, cfg)
 
     def test_monotone_growth_for_sparse_families(self):
         for maker in (make_star, make_path):
@@ -252,6 +271,16 @@ class TestNoiseReport:
                 assert rep.j_lb <= rep.j_exact + slack
                 assert rep.j_exact <= rep.j_ub + slack
                 assert rep.j_ub <= rep.j_res_ub + slack
+
+    def test_exact_tag_records_the_solve(self):
+        g = make_path(12)
+        cfg = RidlConfig.for_graph(g, p=0.6, sigma2=1.0, k=0.8)
+        exact = exact_noise_index(g, cfg)
+        assert 1 <= exact.iterations and exact.residual <= noise_index._CG_RTOL
+        tag = compute_noise_report(g, cfg).method_tags["j_exact"]
+        assert tag == (
+            f"stein-pcg[iterations={exact.iterations}, residual={exact.residual:.2e}]"
+        )
 
     def test_exact_absent_beyond_cap(self):
         g = make_path(12)

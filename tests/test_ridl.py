@@ -4,12 +4,9 @@ import pytest
 from ridlnoise import (
     RidlConfig,
     check_consensus_conditions,
-    expected_operators,
     expected_p,
     expected_p_squared,
     induced_laplacian,
-    k_operator_enumeration,
-    k_operator_moments,
     laplacian,
     make_complete,
     make_grid,
@@ -18,12 +15,29 @@ from ridlnoise import (
     omega_projector,
     sample_activation,
     sample_ridl,
-    symmetric_spectral_norm,
+    stein_operator,
 )
 from ridlnoise.graphs import _build
-from ridlnoise.ridl import K_VARIANTS
 
-from oracles import enum_expected_p, enum_expected_p_squared, enumerate_patterns, pattern_weight
+from oracles import (
+    K_VARIANTS,
+    apply_dense,
+    enum_expected_p,
+    enum_expected_p_squared,
+    enumerate_patterns,
+    k_operator_enumeration,
+    k_operator_moments,
+    pattern_weight,
+)
+
+
+def disagreement_matrix(n, seed):
+    """A random symmetric X on the disagreement subspace (X = Omega X Omega),
+    where every projector variant of the dense operator acts as E[P X P]."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, n))
+    omega = omega_projector(n)
+    return omega @ (y + y.T) @ omega
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
@@ -258,6 +272,8 @@ class TestKOperator:
         expected = np.kron(p_mat @ omega, p_mat)
         assert np.abs(k_operator_enumeration(g, cfg) - expected).max() <= 1e-13
         assert np.abs(k_operator_moments(g, cfg) - expected).max() <= 1e-12
+        x = disagreement_matrix(4, 0)
+        assert np.abs(stein_operator(g, cfg)(x) - (x - p_mat @ x @ p_mat)).max() <= 1e-12
 
     def test_k2_against_two_pattern_form(self):
         # only the all-active pattern induces the edge; the rest give P = I
@@ -277,6 +293,8 @@ class TestKOperator:
         km = k_operator_moments(g, cfg)
         ke = k_operator_enumeration(g, cfg)
         assert np.abs(km - ke).max() <= 1e-12
+        x = disagreement_matrix(g.n, 1)
+        assert np.abs(stein_operator(g, cfg)(x) - (x - apply_dense(ke, x))).max() <= 1e-12
 
     @pytest.mark.parametrize("variant", K_VARIANTS)
     def test_variants_match_enumeration(self, variant):
@@ -285,6 +303,8 @@ class TestKOperator:
         km = k_operator_moments(g, cfg, variant=variant)
         ke = k_operator_enumeration(g, cfg, variant=variant)
         assert np.abs(km - ke).max() <= 1e-12
+        x = disagreement_matrix(5, 2)
+        assert np.abs(stein_operator(g, cfg)(x) - (x - apply_dense(ke, x))).max() <= 1e-12
 
     def test_operator_is_symmetric_and_contractive(self):
         for g in (make_path(6), make_star(6), make_complete(6)):
@@ -292,7 +312,7 @@ class TestKOperator:
                 cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
                 k_op = k_operator_moments(g, cfg)
                 assert np.abs(k_op - k_op.T).max() <= 1e-12
-                assert symmetric_spectral_norm(k_op) < 1.0
+                assert np.abs(np.linalg.eigvalsh(k_op)).max() < 1.0
 
     def test_size_caps(self):
         g = make_path(20)
@@ -301,12 +321,3 @@ class TestKOperator:
             k_operator_enumeration(g, cfg)
         with pytest.raises(ValueError, match="cap"):
             k_operator_moments(g, cfg, n_cap=10)
-
-    def test_expected_operators_bundle(self):
-        g = make_path(5)
-        cfg = RidlConfig.for_graph(g, p=0.8, sigma2=1.0, k=0.8)
-        ops = expected_operators(g, cfg)
-        assert np.abs(ops.p_bar - expected_p(g, cfg)).max() == 0.0
-        assert np.abs(ops.p_bbar - expected_p_squared(g, cfg)).max() == 0.0
-        assert ops.k_op.shape == (25, 25)
-        assert np.abs(ops.omega - omega_projector(5)).max() == 0.0

@@ -8,7 +8,6 @@ from ridlnoise import (
     disagreement,
     estimate_noise_index,
     exact_noise_index,
-    expected_operators,
     make_complete,
     make_path,
     sample_ridl,
@@ -127,7 +126,7 @@ class TestEstimator:
             results[dist] = estimate_noise_index(
                 g, cfg, SimConfig(horizon=t, ensemble=8000, noise_dist=dist, seed=17)
             )
-        j_exact = exact_noise_index(expected_operators(g, cfg), cfg.sigma2, g.n)
+        j_exact = exact_noise_index(g, cfg).j
         names = list(results)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
