@@ -61,7 +61,8 @@ _COMMON_COLUMNS = [
 ]
 _BOUND_COLUMNS = ["j_lb", "j_ub", "j_res_lb", "j_res_ub", "j_lb_std", "j_ub_std"]
 _EXACT_COLUMNS = ["n_exact", "j_exact", "rel_lb", "rel_ub", "j_exact_std"]
-_SIM_COLUMNS = ["horizon", "ensemble", "noise", "seed", "j_hat", "std_error", "converged"]
+_SIM_COLUMNS = ["horizon", "ensemble", "noise", "seed", "j_hat", "std_error", "converged",
+                "drift"]
 
 #: stable per-command CSV schemas (header order is part of the contract)
 COMMAND_COLUMNS = {
@@ -371,6 +372,7 @@ def _simulate_row(job: GraphJob, spec: ExperimentSpec) -> dict:
         j_hat=est.j_hat,
         std_error=est.std_error,
         converged=est.converged,
+        drift=est.drift,
     )
     return row
 

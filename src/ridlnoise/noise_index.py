@@ -411,7 +411,6 @@ def compute_noise_report(
 
 
 def _validate_report(report: NoiseReport) -> None:
-    slack = TOL.sandwich_slack
     values = [report.j_lb, report.j_ub, report.j_res_lb, report.j_res_ub]
     if report.j_exact is not None:
         values.append(report.j_exact)
@@ -421,6 +420,7 @@ def _validate_report(report: NoiseReport) -> None:
         raise NumericalError(f"nonpositive index values in report: {values}")
     if report.j_exact is not None:
         j = report.j_exact
+        slack = TOL.sandwich_slack * max(1.0, abs(j))
         if not (report.j_lb - slack <= j <= report.j_ub + slack):
             raise NumericalError(
                 f"spectral sandwich violated: {report.j_lb} <= {j} <= {report.j_ub}"

@@ -23,7 +23,7 @@ class Tolerances:
     pinv_cutoff_rtol: float = 1e-9    # eigenvalue cutoff relative to lambda_max
 
     # agreement target (runtime sanity check of every report)
-    sandwich_slack: float = 1e-9      # absolute slack on bound inequalities
+    sandwich_slack: float = 1e-9      # slack on bound inequalities, times max(1, |J|)
 
     # random graph generation
     er_max_resamples: int = 1000      # connectivity resampling budget

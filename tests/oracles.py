@@ -7,9 +7,13 @@ pattern enumeration instead of the closed forms, and the exact index
 comes from the dense N^2 x N^2 second-moment operator (assembled from
 Bernoulli moments or by summing all 2^N activation patterns, with the
 disagreement projector in any of three places) and an LU solve, instead
-of the library's matrix-free Stein solve.
+of the library's matrix-free Stein solve. The Monte Carlo reference runs
+the noisy dynamics with two dense N x N products per step instead of
+the library's sparse step.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -17,6 +21,7 @@ from scipy.linalg import lapack as _lapack
 from ridlnoise import NumericalError, UndirectedGraph, laplacian, pseudoinverse_psd
 from ridlnoise.linalg import _as_square_float
 from ridlnoise.ridl import RidlConfig, expected_p, induced_laplacian, omega_projector
+from ridlnoise.simulator import SimConfig
 
 # The three algebraically equivalent placements of the disagreement
 # projector inside the second-moment operator; all yield the same noise
@@ -291,3 +296,63 @@ def apply_dense(k_op: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K acting on an N x N matrix through the column-stacking vec."""
     n = x.shape[0]
     return (k_op @ x.ravel(order="F")).reshape((n, n), order="F")
+
+
+def _dense_draws(seed: np.random.SeedSequence, t: int, n: int, p: float, dist: str,
+                 sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Activations then noise for one replication, from its own stream."""
+    rng = np.random.default_rng(seed)
+    acts = rng.random((t, n)) < p
+    if dist == "gaussian":
+        unit = rng.standard_normal((t, n))
+    elif dist == "rademacher":
+        unit = np.where(rng.random((t, n)) < 0.5, -1.0, 1.0)
+    else:
+        unit = math.sqrt(3.0) * (2.0 * rng.random((t, n)) - 1.0)
+    return acts, sigma * unit
+
+
+def _dense_dynamics(seeds, adj: np.ndarray, cfg: RidlConfig, sim: SimConfig):
+    """Final disagreement per replication and the per-step disagreement
+    summed over replications, all replications stacked at once."""
+    draws = [_dense_draws(s, sim.horizon, adj.shape[0], cfg.p, sim.noise_dist,
+                          math.sqrt(cfg.sigma2)) for s in seeds]
+    acts = np.stack([a for a, _ in draws])
+    noise = np.stack([w for _, w in draws])
+    x = np.zeros((len(seeds), adj.shape[0]))
+    series = np.empty(sim.horizon)
+    for t in range(sim.horizon):
+        gam = acts[:, t, :].astype(np.float64)
+        s1 = gam @ adj
+        s2 = (gam * x) @ adj
+        x = x - cfg.epsilon * gam * (x * s1 - s2) + noise[:, t, :]
+        dev = x - x.mean(axis=1, keepdims=True)
+        series[t] = (dev * dev).sum()
+    dev = x - x.mean(axis=1, keepdims=True)
+    return (dev * dev).sum(axis=1), series
+
+
+def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig,
+                   pilot_size: int = 64) -> dict:
+    """Monte Carlo estimate with the dense dynamics: the same seeds, draw
+    order, pilot ensemble and drift rule as the library estimator.
+    Returns ``j_hat``, ``std_error``, ``drift`` and ``converged``."""
+    n, m = g.n, sim.ensemble
+    n_pilot = min(pilot_size, m)
+    seeds = np.random.SeedSequence(sim.seed).spawn(m + n_pilot)
+    d_final, _ = _dense_dynamics(seeds[:m], g.adjacency, cfg, sim)
+    per_rep = d_final / n
+    std_error = float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    _, series = _dense_dynamics(seeds[m:], g.adjacency, cfg, sim)
+    series /= n * n_pilot
+    running = np.cumsum(series) / np.arange(1, sim.horizon + 1)
+    scale = abs(running[-1])
+    if scale == 0.0:
+        drift = 0.0
+    elif sim.horizon < 2:
+        drift = math.inf
+    else:
+        window = running[-max(2, sim.horizon // 10):]
+        drift = float((window.max() - window.min()) / scale)
+    return {"j_hat": float(per_rep.mean()), "std_error": std_error, "drift": drift,
+            "converged": bool(drift < sim.burn_in_check)}

@@ -193,6 +193,15 @@ class TestExactCommand:
         for lo, hi in zip(chain, chain[1:]):
             assert lo <= hi + 1e-9
 
+    def test_large_index_at_tight_bound(self):
+        # J = j_ub for N = 2; at J ~ 1.3e5 they differ by more than an
+        # absolute 1e-9 through rounding alone
+        res = invoke("exact", "--graph", "complete", "--n", "2", "--p", "0.01",
+                     "--k", "0.99")
+        assert res.exit_code == 0
+        row = parse_csv(res.stdout)[0]
+        assert as_float(row["j_exact"]) == pytest.approx(as_float(row["j_ub"]), rel=1e-12)
+
     def test_graph_file_n70(self, tmp_path):
         path = tmp_path / "p70.edges"
         write_edge_list(make_path(70), path)
@@ -295,6 +304,18 @@ class TestSimulateCommand:
         assert abs(j_hat - 25.0 / 12.0) <= 3.0 * se
         assert row["converged"] == "true"
         assert as_float(row["j_exact"]) == pytest.approx(25.0 / 12.0, rel=1e-11)
+
+    def test_drift_column_last(self):
+        res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
+                     "--horizon", "40", "--ensemble", "100")
+        assert res.output.splitlines()[0].split(",")[-1] == "drift"
+        row = parse_csv(res.output)[0]
+        assert row["converged"] == ("true" if as_float(row["drift"]) < 0.05 else "false")
+        res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
+                     "--horizon", "40", "--ensemble", "100", "--format", "json")
+        record = json.loads(res.output)[0]
+        assert list(record)[-1] == "drift"
+        assert record["converged"] == (record["drift"] < 0.05)
 
     def test_zero_variance(self):
         res = invoke("simulate", "--graph", "path", "--n", "4", "--k", "0.8",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,24 @@ class TestNoiseReport:
         assert tag == (
             f"stein-pcg[iterations={exact.iterations}, residual={exact.residual:.2e}]"
         )
+
+    def test_sandwich_slack_scales_with_large_index(self):
+        g = make_complete(2)
+        cfg = RidlConfig.for_graph(g, p=0.01, sigma2=1.0, k=0.99)
+        rep = compute_noise_report(g, cfg)
+        assert rep.j_exact > 1e5
+        noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-12)))
+        with pytest.raises(NumericalError, match="spectral sandwich"):
+            noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-8)))
+
+    def test_sandwich_slack_absolute_for_small_index(self):
+        g = make_path(5)
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=0.1, k=0.8)
+        rep = compute_noise_report(g, cfg)
+        assert rep.j_ub < 1.0
+        noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 0.5e-9))
+        with pytest.raises(NumericalError, match="spectral sandwich"):
+            noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 2e-9))
 
     def test_exact_absent_beyond_cap(self):
         g = make_path(12)

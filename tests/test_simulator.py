@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,18 @@ from ridlnoise import (
     estimate_noise_index,
     exact_noise_index,
     make_complete,
+    make_erdos_renyi,
+    make_grid,
     make_path,
+    make_star,
     sample_ridl,
     step,
 )
+from ridlnoise import simulator
 from ridlnoise.graphs import _build
 from ridlnoise.ridl import StochasticMatrixSample
+
+from oracles import dense_estimate
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
@@ -160,3 +168,83 @@ class TestEstimator:
             SimConfig(horizon=10, ensemble=0)
         with pytest.raises(ValueError):
             SimConfig(horizon=10, ensemble=10, noise_dist="poisson")
+
+
+ORACLE_GRAPHS = {
+    "star": make_star(7),
+    "path": make_path(8),
+    "complete": make_complete(5),
+    "grid": make_grid((3, 4)),
+    "erdos-renyi": make_erdos_renyi(10, 0.35, 11),
+}
+
+
+# every graph with every noise distribution, plus short horizons where
+# both loops flag the run as unconverged
+ORACLE_CASES = [(name, dist, 60) for name in ORACLE_GRAPHS
+                for dist in ("gaussian", "rademacher", "uniform")]
+ORACLE_CASES += [("path", "gaussian", 1), ("path", "gaussian", 3)]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("name,dist,horizon", ORACLE_CASES)
+    def test_matches_dense_dynamics(self, name, dist, horizon):
+        g = ORACLE_GRAPHS[name]
+        cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.8)
+        sim = SimConfig(horizon=horizon, ensemble=90, noise_dist=dist, seed=23)
+        est = estimate_noise_index(g, cfg, sim)
+        ref = dense_estimate(g, cfg, sim)
+        assert est.j_hat == pytest.approx(ref["j_hat"], rel=1e-12)
+        assert est.std_error == pytest.approx(ref["std_error"], rel=1e-12)
+        assert est.converged == ref["converged"]
+        assert est.drift == pytest.approx(ref["drift"], rel=1e-9, abs=1e-15)
+        if horizon < 10:
+            assert not est.converged
+
+
+class TestChunking:
+    @pytest.mark.parametrize("chunk", [1, 7, "ensemble"])
+    def test_chunk_size_does_not_change_the_estimate(self, monkeypatch, chunk):
+        g = make_grid((3, 3))
+        cfg = RidlConfig.for_graph(g, p=0.8, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=40, ensemble=50, seed=8)
+        base = estimate_noise_index(g, cfg, sim)
+        size = sim.ensemble if chunk == "ensemble" else chunk
+        monkeypatch.setattr(simulator, "_chunk_size", lambda t, n: size)
+        est = estimate_noise_index(g, cfg, sim)
+        assert est.j_hat == base.j_hat
+        assert est.std_error == base.std_error
+
+    def test_peak_memory_within_chunk_budget(self):
+        # 64 replications of a 10x10 grid over 700 steps need 40 MB of
+        # draws, more than one chunk holds; the main and the pilot
+        # ensemble both have to be chunked to stay near the budget
+        g = make_grid((10, 10))
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=700, ensemble=64, seed=2)
+        budget = 1 << 25
+        assert simulator._chunk_size(sim.horizon, g.n) < sim.ensemble
+        tracemalloc.start()
+        try:
+            estimate_noise_index(g, cfg, sim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * budget
+
+
+class TestDrift:
+    @pytest.mark.parametrize(
+        "horizon,sigma2,drift",
+        [(1, 1.0, np.inf), (3, 1.0, None), (40, 1.0, None), (40, 0.0, 0.0)],
+    )
+    def test_converged_is_drift_below_threshold(self, horizon, sigma2, drift):
+        g = make_path(6)
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=sigma2, k=0.8)
+        sim = SimConfig(horizon=horizon, ensemble=100, seed=6)
+        est = estimate_noise_index(g, cfg, sim)
+        assert isinstance(est.drift, float)
+        assert est.drift >= 0.0
+        if drift is not None:
+            assert est.drift == drift
+        assert est.converged == (est.drift < sim.burn_in_check)
