@@ -7,6 +7,14 @@ estimates), ``sweep-n`` (bound/exact curves over a node range),
 ``sweep-p`` (relative errors over the activation probability), and
 ``report`` (the full suite as a directory of CSVs plus a JSON manifest).
 
+Which rows carry the exact index follows one fixed rule, with no option
+to change it: ``bounds`` never solves, ``exact`` always solves, and a
+``sweep-n``, ``simulate`` or ``report`` row gets ``j_exact`` when its
+built graph has N <= ``EXACT_MAX_N`` (24). A ``sweep-p`` row above that
+size takes its exact columns from the same family at 24 requested nodes
+(a grid rounds that to 25 or 27), recorded in ``n_exact``. For exact
+values at larger N, run ``exact --n N`` or ``exact --n-range A:B``.
+
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every flag can also be supplied through an
 environment variable with the ``RIDLNOISE_`` prefix, e.g.
@@ -21,10 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -54,6 +60,10 @@ EXIT_IO = 4
 GRAPH_CHOICES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi", "file")
 SWEEP_FAMILIES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi")
 
+#: largest built graph whose sweep-n, simulate and report rows get the
+#: exact index, and the size sweep-p computes its exact columns at
+EXACT_MAX_N = 24
+
 _COMMON_COLUMNS = [
     "family", "n_requested", "n", "dims", "p", "eps", "k", "sigma2",
     "d_max", "lambda2", "lambda_n", "r_ave",
@@ -81,7 +91,6 @@ _STD_SOURCES = {"j_lb_std": "j_lb", "j_ub_std": "j_ub", "j_exact_std": "j_exact"
 class ExperimentSpec:
     """Validated run description shared by all subcommands."""
 
-    command: str
     family: str
     n_values: tuple[int, ...]
     dims: tuple[int, ...] | None
@@ -94,14 +103,11 @@ class ExperimentSpec:
     sigma2: float
     seed: int
     horizon: int | None
-    ensemble: int
-    noise: str
+    ensemble: int | None  # simulate only
+    noise: str | None  # simulate only
     output: str | None
     fmt: str
     strict: bool
-    exact_cap: int | None  # exact index for N up to this; None: every N
-    exact_n: int
-    workers: int
     p_grid: tuple[float, ...] = ()
     families: tuple[str, ...] = ()
 
@@ -115,7 +121,6 @@ class GraphJob:
     p_er: float | None = None
     er_seed: int | None = None
     er_resamples: int | None = None
-    p_override: float | None = None
     siblings: list["GraphJob"] = field(default_factory=list)
 
 
@@ -192,7 +197,9 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise click.UsageError("--realizations must be >= 1")
     if spec.realizations > 1 and spec.family != "erdos-renyi":
         raise click.UsageError("--realizations only applies to erdos-renyi graphs")
-    if spec.ensemble < 1 or (spec.horizon is not None and spec.horizon < 1):
+    if (spec.ensemble is not None and spec.ensemble < 1) or (
+        spec.horizon is not None and spec.horizon < 1
+    ):
         raise click.UsageError("--ensemble and --horizon must be >= 1")
     for fam in spec.families:
         if fam not in SWEEP_FAMILIES:
@@ -281,18 +288,17 @@ def _jobs_for_spec(spec: ExperimentSpec) -> list[GraphJob]:
 
 
 def _config_for(job: GraphJob, spec: ExperimentSpec) -> RidlConfig:
-    p = job.p_override if job.p_override is not None else spec.p
     try:
         return RidlConfig.for_graph(
-            job.graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k
+            job.graph, p=spec.p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k
         )
     except ValueError as exc:
         raise click.UsageError(f"invalid configuration for n={job.graph.n}: {exc}")
 
 
-def _single_row(job: GraphJob, spec: ExperimentSpec, exact_cap: int | None) -> dict:
+def _single_row(job: GraphJob, spec: ExperimentSpec, exact: bool) -> dict:
     cfg = _config_for(job, spec)
-    rep = compute_noise_report(job.graph, cfg, exact_cap=exact_cap)
+    rep = compute_noise_report(job.graph, cfg, exact=exact)
     row = {
         "family": job.family,
         "n_requested": job.n_requested,
@@ -325,16 +331,17 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, exact_cap: int | None) -> d
     return row
 
 
-def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact_cap: int | None) -> dict:
-    row = _single_row(job, spec, exact_cap)
+def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact: bool) -> dict:
+    row = _single_row(job, spec, exact)
     if not job.siblings:
         if job.family == "erdos-renyi":
             row["realizations"] = 1
         return row
-    sub_rows = [row] + [_single_row(s, spec, exact_cap) for s in job.siblings]
+    sub_rows = [row] + [_single_row(s, spec, exact) for s in job.siblings]
     agg = dict(row)
+    # every realization has the same n, so it is not averaged
     mean_fields = [
-        "lambda2", "lambda_n", "r_ave", "d_max", "n",
+        "lambda2", "lambda_n", "r_ave", "d_max",
         "j_lb", "j_ub", "j_res_lb", "j_res_ub", "j_exact", "rel_lb", "rel_ub", "eps", "k",
     ]
     for name in mean_fields:
@@ -348,16 +355,14 @@ def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact_cap: int | None) -> 
     return agg
 
 
-def _compute_rows(spec: ExperimentSpec, exact_cap: int | None) -> list[dict]:
-    jobs = _jobs_for_spec(spec)
-    if spec.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            return list(pool.map(lambda j: _row_for_job(j, spec, exact_cap), jobs))
-    return [_row_for_job(j, spec, exact_cap) for j in jobs]
+def _compute_rows(spec: ExperimentSpec, exact_max_n: float) -> list[dict]:
+    """One row per job, with the exact index where the built graph has
+    N <= ``exact_max_n``."""
+    return [_row_for_job(j, spec, j.graph.n <= exact_max_n) for j in _jobs_for_spec(spec)]
 
 
 def _simulate_row(job: GraphJob, spec: ExperimentSpec) -> dict:
-    row = _row_for_job(job, spec, spec.exact_cap)
+    row = _row_for_job(job, spec, job.graph.n <= EXACT_MAX_N)
     cfg = _config_for(job, spec)
     horizon = spec.horizon or default_horizon(job.graph, cfg)
     sim = SimConfig(
@@ -495,41 +500,35 @@ def _output_options(fn):
                      default="csv", show_default=True),
         click.option("--strict", is_flag=True,
                      help="Exit 3 when a Monte Carlo run fails the drift test."),
-        click.option("--workers", type=int, default=min(4, os.cpu_count() or 1),
-                     show_default=True, help="Worker threads for sweep points."),
     ]
     for dec in reversed(decorators):
         fn = dec(fn)
     return fn
 
 
-def _build_spec(command: str, params: dict) -> ExperimentSpec:
+def _build_spec(params: dict) -> ExperimentSpec:
     n_values, dims = _resolve_n_values(
-        params["graph"], params.get("n"), params.get("n_range"), params.get("dims"),
-        params.get("graph_file"),
+        params["graph"], params["n"], params["n_range"], params["dims"],
+        params["graph_file"],
     )
     spec = ExperimentSpec(
-        command=command,
         family=params["graph"],
         n_values=n_values,
         dims=dims,
-        graph_file=params.get("graph_file"),
-        p_er=params.get("p_er"),
-        realizations=params.get("realizations", 1),
+        graph_file=params["graph_file"],
+        p_er=params["p_er"],
+        realizations=params["realizations"],
         p=params["p"],
-        epsilon=params.get("eps"),
-        k=params.get("k"),
+        epsilon=params["eps"],
+        k=params["k"],
         sigma2=params["sigma2"],
-        seed=params.get("seed", 0),
+        seed=params["seed"],
         horizon=params.get("horizon"),
-        ensemble=params.get("ensemble", 10000),
-        noise=params.get("noise", "gaussian"),
-        output=params.get("output"),
-        fmt=params.get("fmt", "csv"),
-        strict=params.get("strict", False),
-        exact_cap=params.get("exact_cap"),
-        exact_n=params.get("exact_n", 16),
-        workers=max(1, params.get("workers", 1)),
+        ensemble=params.get("ensemble"),
+        noise=params.get("noise"),
+        output=params["output"],
+        fmt=params["fmt"],
+        strict=params["strict"],
         p_grid=params.get("p_grid", ()),
         families=params.get("families", ()),
     )
@@ -550,8 +549,8 @@ def cli() -> None:
 @_guard
 def bounds_cmd(**params) -> None:
     """Spectral and resistance bounds for each configuration."""
-    spec = _build_spec("bounds", params)
-    rows = _compute_rows(spec, exact_cap=0)
+    spec = _build_spec(params)
+    rows = _compute_rows(spec, exact_max_n=0)
     _emit(render_rows(rows, COMMAND_COLUMNS["bounds"], spec.fmt), spec.output)
 
 
@@ -562,8 +561,8 @@ def bounds_cmd(**params) -> None:
 @_guard
 def exact_cmd(**params) -> None:
     """Exact index plus bound relative errors."""
-    spec = _build_spec("exact", params)
-    rows = _compute_rows(spec, exact_cap=None)
+    spec = _build_spec(params)
+    rows = _compute_rows(spec, exact_max_n=math.inf)
     _emit(render_rows(rows, COMMAND_COLUMNS["exact"], spec.fmt), spec.output)
 
 
@@ -571,13 +570,11 @@ def exact_cmd(**params) -> None:
 @_graph_options
 @_config_options
 @_output_options
-@click.option("--exact-cap", type=int, default=24, show_default=True,
-              help="Exact index computed for rows with N up to this cap.")
 @_guard
 def sweep_n_cmd(**params) -> None:
-    """Bound curves over a node range; exact columns filled within the cap."""
-    spec = _build_spec("sweep-n", params)
-    rows = _compute_rows(spec, exact_cap=spec.exact_cap)
+    """Bound curves over a node range; exact columns filled for N <= 24."""
+    spec = _build_spec(params)
+    rows = _compute_rows(spec, exact_max_n=EXACT_MAX_N)
     _emit(render_rows(rows, COMMAND_COLUMNS["sweep-n"], spec.fmt), spec.output)
 
 
@@ -589,15 +586,15 @@ def sweep_n_cmd(**params) -> None:
               help="Comma-separated families to sweep.")
 @click.option("--p-grid", default="0.1:0.9:0.1", show_default=True,
               help="Activation probability grid LO:HI:STEP.")
-@click.option("--exact-n", type=int, default=16, show_default=True,
-              help="Reduced N used for the exact index when N exceeds it.")
 @_guard
 def sweep_p_cmd(**params) -> None:
     """Relative bound errors vs activation probability at fixed N.
 
-    When the requested N exceeds --exact-n, the exact index (and the
-    relative errors) are computed on the same family at the reduced
-    size, recorded in the n_exact column.
+    When the requested N exceeds 24, the exact index (and the relative
+    errors) are computed on the same family at 24 requested nodes, which
+    a grid rounds to 25 (grid2d) or 27 (grid3d); the size used is
+    recorded in the n_exact column. A --graph file above 24 nodes cannot
+    be shrunk, so its exact columns stay blank.
     """
     params = dict(params)
     params["p_grid"] = _parse_p_grid(params.get("p_grid") or "0.1:0.9:0.1")
@@ -607,25 +604,26 @@ def sweep_p_cmd(**params) -> None:
     sized = any(params.get(key) is not None for key in ("n", "n_range", "dims"))
     if not sized and params["graph"] != "file":
         params["n"] = 100
-    spec = _build_spec("sweep-p", params)
+    spec = _build_spec(params)
     n_fixed = spec.n_values[0]
     rows = _sweep_p_rows(spec, [(fam, n_fixed) for fam in spec.families or (spec.family,)])
     _emit(render_rows(rows, COMMAND_COLUMNS["sweep-p"], spec.fmt), spec.output)
 
 
 def _sweep_p_rows(spec: ExperimentSpec, sizes: list[tuple[str, int]]) -> list[dict]:
-    """One row per (family, p) at the family's given N; the exact columns
-    come from the same family at min(N, --exact-n), recorded in n_exact."""
+    """One row per (family, p) at the family's given N. The exact columns
+    come from the same family at min(N, EXACT_MAX_N) requested nodes,
+    always solved and recorded in n_exact; a file graph above the cap
+    cannot be shrunk and keeps them blank."""
     rows = []
     for family, n in sizes:
         for p in spec.p_grid:
             fam_spec = replace(spec, family=family, p=p, n_values=(n,))
-            row = _row_for_job(_jobs_for_spec(fam_spec)[0], fam_spec, exact_cap=0)
-            n_exact = min(n, spec.exact_n)
-            if n_exact >= _family_min_n(family):
-                exact_spec = replace(fam_spec, n_values=(n_exact,))
-                exact_job = _jobs_for_spec(exact_spec)[0]
-                exact_row = _row_for_job(exact_job, exact_spec, exact_cap=spec.exact_n)
+            own_exact = n <= EXACT_MAX_N
+            row = _row_for_job(_jobs_for_spec(fam_spec)[0], fam_spec, exact=own_exact)
+            if not own_exact and family != "file":
+                exact_spec = replace(fam_spec, n_values=(EXACT_MAX_N,), dims=None)
+                exact_row = _row_for_job(_jobs_for_spec(exact_spec)[0], exact_spec, exact=True)
                 row.update({c: exact_row[c] for c in _EXACT_COLUMNS})
             rows.append(row)
     return rows
@@ -641,12 +639,11 @@ def _sweep_p_rows(spec: ExperimentSpec, sizes: list[tuple[str, int]]) -> list[di
               help="Independent replications.")
 @click.option("--noise", type=click.Choice(("gaussian", "rademacher", "uniform")),
               default="gaussian", show_default=True)
-@click.option("--exact-cap", type=int, default=24, show_default=True,
-              help="Exact/bound reference columns filled for N up to this cap.")
 @_guard
 def simulate_cmd(**params) -> None:
-    """Monte Carlo estimate with standard error and convergence flag."""
-    spec = _build_spec("simulate", params)
+    """Monte Carlo estimate with standard error and convergence flag; the
+    exact reference columns are filled for N <= 24."""
+    spec = _build_spec(params)
     jobs = _jobs_for_spec(spec)
     rows = [_simulate_row(job, spec) for job in jobs]
     _emit(render_rows(rows, COMMAND_COLUMNS["simulate"], spec.fmt), spec.output)
@@ -668,14 +665,16 @@ def simulate_cmd(**params) -> None:
 @click.option("--n-range", default="3:100", show_default=True)
 @click.option("--sweep-p-n", type=int, default=100, show_default=True,
               help="Fixed N for the activation-probability sweeps.")
-@click.option("--exact-cap", type=int, default=24, show_default=True)
-@click.option("--exact-n", type=int, default=16, show_default=True)
 @click.option("--realizations", type=int, default=1, show_default=True)
-@click.option("--workers", type=int, default=min(4, os.cpu_count() or 1), show_default=True)
 @_guard
 def report_cmd(**params) -> None:
     """Full reproduction suite: per-family sweep-n and sweep-p CSVs plus a
     JSON manifest with seeds, versions, and wall-clock times.
+
+    A sweep-n row gets the exact index when its graph has N <= 24. The
+    sweep-p rows take theirs from the same family at min(--sweep-p-n, 24)
+    requested nodes (25 for grid2d and 27 for grid3d at the default),
+    recorded in n_exact.
 
     A family whose smallest graph is larger than the top of --n-range has
     no rows in the range: its sweep-n file is not written, the family is
@@ -695,8 +694,7 @@ def report_cmd(**params) -> None:
         graph="path", graph_file=None, n=None, n_range=params["n_range"], dims=None,
         p_er=params["p_er"], realizations=1, seed=params["seed"], p=params["p"],
         eps=None, k=params["k"], sigma2=params["sigma2"], output=None, fmt="csv",
-        strict=False, workers=params["workers"], exact_cap=params["exact_cap"],
-        exact_n=params["exact_n"],
+        strict=False,
     )
     for family in SWEEP_FAMILIES:
         t0 = time.time()
@@ -713,8 +711,8 @@ def report_cmd(**params) -> None:
             )
             continue
         fam_params["n_range"] = f"{lo}:{n_hi}"
-        spec = _build_spec("sweep-n", fam_params)
-        rows = _compute_rows(spec, exact_cap=spec.exact_cap)
+        spec = _build_spec(fam_params)
+        rows = _compute_rows(spec, exact_max_n=EXACT_MAX_N)
         text = render_rows(rows, COMMAND_COLUMNS["sweep-n"], "csv")
         name = f"{family}_sweep_n.csv"
         (out_dir / name).write_text(text)
@@ -726,7 +724,7 @@ def report_cmd(**params) -> None:
     t0 = time.time()
     sweep_params = dict(base, n=params["sweep_p_n"], n_range=None)
     sweep_params["p_grid"] = _parse_p_grid("0.1:0.9:0.1")
-    spec = _build_spec("sweep-p", sweep_params)
+    spec = _build_spec(sweep_params)
     rows = _sweep_p_rows(
         spec, [(fam, max(params["sweep_p_n"], _family_min_n(fam))) for fam in SWEEP_FAMILIES]
     )
@@ -742,9 +740,9 @@ def report_cmd(**params) -> None:
         "version": __version__,
         "seed": params["seed"],
         "parameters": {
-            key: params[key]
-            for key in ("p", "k", "sigma2", "p_er", "n_range", "sweep_p_n",
-                        "exact_cap", "exact_n", "realizations")
+            **{key: params[key] for key in ("p", "k", "sigma2", "p_er", "n_range", "sweep_p_n")},
+            "exact_cap": EXACT_MAX_N,
+            "realizations": params["realizations"],
         },
         "files": manifest_files,
         "skipped": skipped,

@@ -180,9 +180,9 @@ def laplacian(g: UndirectedGraph) -> np.ndarray:
     return np.diag(g.degrees.astype(np.float64)) - g.adjacency
 
 
-def laplacian_spectrum(g: UndirectedGraph, compute_vectors: bool = False) -> SpectralData:
-    """Ascending Laplacian spectrum with residual certificate."""
-    return sym_eigen(laplacian(g), compute_vectors=compute_vectors)
+def laplacian_spectrum(g: UndirectedGraph) -> SpectralData:
+    """Ascending Laplacian eigenpairs with residual certificate."""
+    return sym_eigen(laplacian(g))
 
 
 def is_connected(g: UndirectedGraph) -> bool:

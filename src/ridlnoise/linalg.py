@@ -26,11 +26,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues sorted ascending, optional orthonormal eigenvectors
-    (as columns), and the max relative eigenpair residual."""
+    """Eigenvalues sorted ascending, orthonormal eigenvectors (as
+    columns), and the max relative eigenpair residual."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     residual: float
 
 
@@ -53,19 +53,11 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         )
 
 
-def sym_eigen(a: np.ndarray, compute_vectors: bool = True) -> SpectralData:
-    """Full spectrum of a symmetric matrix, ascending, with a residual
-    certificate; raises :class:`NumericalError` when the certificate
-    exceeds ``TOL.eigen_residual``.
-
-    Parameters
-    ----------
-    a : ndarray
-        Square symmetric matrix (validated to relative tolerance 1e-12).
-    compute_vectors : bool
-        If False, only eigenvalues are kept; the residual is still
-        certified internally before the vectors are dropped.
-    """
+def sym_eigen(a: np.ndarray) -> SpectralData:
+    """Full eigendecomposition of a symmetric matrix (validated to
+    relative tolerance 1e-12), ascending, with a residual certificate;
+    raises :class:`NumericalError` when the certificate exceeds
+    ``TOL.eigen_residual``."""
     a = _as_square_float(a)
     _require_symmetric(a)
     w, v = scipy.linalg.eigh(a)
@@ -77,11 +69,7 @@ def sym_eigen(a: np.ndarray, compute_vectors: bool = True) -> SpectralData:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds {TOL.eigen_residual:.0e}"
         )
-    return SpectralData(
-        eigenvalues=w,
-        eigenvectors=v if compute_vectors else None,
-        residual=residual,
-    )
+    return SpectralData(eigenvalues=w, eigenvectors=v, residual=residual)
 
 
 def pseudoinverse_psd(a: np.ndarray) -> np.ndarray:

@@ -85,8 +85,8 @@ class PredictedScaling:
 class NoiseReport:
     """All computed index values for one (graph, config) pair.
 
-    ``j_exact`` is absent when the caller capped N below the graph's
-    size; the bounds are always present. ``method_tags`` records how each
+    ``j_exact`` is absent when the caller asked for the bounds only;
+    the bounds are always present. ``method_tags`` records how each
     number was produced, ``config`` echoes the inputs.
     """
 
@@ -128,14 +128,13 @@ def exact_noise_index(
     eigenvalues of E[P]; it drops the consensus direction and is exact
     at p = 1.
 
-    ``spectrum`` is the Laplacian spectrum of ``g`` with eigenvectors
-    (``laplacian_spectrum(g, compute_vectors=True)``), computed when not
+    ``spectrum`` is the Laplacian spectrum of ``g``, computed when not
     given. Raises :class:`NumericalError` for a disconnected graph (the
     equation is singular) and when the residual target is not met within
     the iteration budget.
     """
     if spectrum is None:
-        spectrum = laplacian_spectrum(g, compute_vectors=True)
+        spectrum = laplacian_spectrum(g)
     lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     n = g.n
     if n < 2 or lam[1] <= TOL.connectivity_rtol * max(float(lam[-1]), 1.0):
@@ -353,21 +352,17 @@ def family_asymptotics(family: str, n: int, cfg: RidlConfig) -> PredictedScaling
 
 
 def compute_noise_report(
-    g: UndirectedGraph,
-    cfg: RidlConfig,
-    exact_cap: int | None = None,
-    validate: bool = True,
+    g: UndirectedGraph, cfg: RidlConfig, exact: bool = True
 ) -> NoiseReport:
     """Assemble every index value for one configuration.
 
-    The exact index is computed unless ``exact_cap`` is given and N
-    exceeds it; bounds are always present. One Laplacian eigensolve
-    serves the bounds and the exact solve's preconditioner. With
-    ``validate`` the report enforces the sandwich inequalities (to the
-    configured absolute slack) before it is returned.
+    The exact index is computed when ``exact`` is true; bounds are always
+    present. One Laplacian eigensolve serves the bounds and the exact
+    solve's preconditioner. The report is checked (finite, positive
+    values and the sandwich inequalities, to the configured slack scaled
+    by max(1, J)) before it is returned.
     """
-    want_exact = exact_cap is None or g.n <= exact_cap
-    spec = laplacian_spectrum(g, compute_vectors=want_exact)
+    spec = laplacian_spectrum(g)
     j_lb, j_ub = ridl_bounds(spec, cfg)
     r_ave = average_effective_resistance(g, spec)
     res = resistance_bounds(r_ave, cfg)
@@ -377,15 +372,15 @@ def compute_noise_report(
         "j_res_lb": "effective-resistance",
         "j_res_ub": "effective-resistance",
     }
-    if want_exact:
-        exact = exact_noise_index(g, cfg, spec)
-        j_exact = exact.j
+    if exact:
+        solve = exact_noise_index(g, cfg, spec)
+        j_exact = solve.j
         tags["j_exact"] = (
-            f"stein-pcg[iterations={exact.iterations}, residual={exact.residual:.2e}]"
+            f"stein-pcg[iterations={solve.iterations}, residual={solve.residual:.2e}]"
         )
     else:
         j_exact = None
-        tags["j_exact"] = f"absent (n={g.n} beyond cap {exact_cap})"
+        tags["j_exact"] = "absent (bounds only)"
     report = NoiseReport(
         j_exact=j_exact,
         j_lb=j_lb,
@@ -405,8 +400,7 @@ def compute_noise_report(
             "sigma2": cfg.sigma2,
         },
     )
-    if validate:
-        _validate_report(report)
+    _validate_report(report)
     return report
 
 

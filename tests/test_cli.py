@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from ridlnoise import make_grid, make_path, write_edge_list
-from ridlnoise.cli import COMMAND_COLUMNS, cli
+from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli
 
 runner = CliRunner()
 
@@ -228,29 +228,34 @@ class TestExactCommand:
 
 class TestSweepN:
     def test_exact_fades_beyond_cap(self):
-        res = invoke("sweep-n", "--graph", "path", "--n-range", "3:30", "--k", "0.8",
-                     "--exact-cap", "12")
+        assert EXACT_MAX_N == 24
+        res = invoke("sweep-n", "--graph", "path", "--n-range", "3:30", "--k", "0.8")
         rows = parse_csv(res.output)
+        assert {int(r["n"]) for r in rows} == set(range(3, 31))
         for row in rows:
-            if int(row["n"]) <= 12:
+            if int(row["n"]) <= 24:
                 assert row["j_exact"] != ""
             else:
                 assert row["j_exact"] == ""
                 assert row["j_lb"] != ""
 
     def test_grid_rows_record_actual_n(self):
-        res = invoke("sweep-n", "--graph", "grid2d", "--n-range", "4:12", "--k", "0.8",
-                     "--exact-cap", "0")
+        res = invoke("sweep-n", "--graph", "grid2d", "--n-range", "4:30", "--k", "0.8")
         for row in parse_csv(res.output):
             side = round(int(row["n_requested"]) ** 0.5)
             assert int(row["n"]) == max(2, side) ** 2
             assert row["dims"].count("x") == 1
+            # the cap applies to the built N: requests 21..30 round to 5x5
+            if int(row["n"]) <= 24:
+                assert int(row["n_exact"]) == int(row["n"])
+            else:
+                assert row["j_exact"] == ""
 
 
 class TestSweepP:
     def test_grid_and_monotone_lower_bound(self):
         res = invoke("sweep-p", "--families", "star,complete", "--n", "100",
-                     "--k", "0.8", "--exact-n", "8")
+                     "--k", "0.8")
         rows = parse_csv(res.output)
         by_family = {}
         for row in rows:
@@ -265,11 +270,21 @@ class TestSweepP:
 
     def test_reduced_exact_recorded(self):
         res = invoke("sweep-p", "--families", "path", "--n", "50", "--k", "0.8",
-                     "--exact-n", "10", "--p-grid", "0.5:0.9:0.4")
+                     "--p-grid", "0.5:0.9:0.4")
         for row in parse_csv(res.output):
             assert int(row["n"]) == 50
-            assert int(row["n_exact"]) == 10
+            assert int(row["n_exact"]) == EXACT_MAX_N
             assert row["j_exact"] != ""
+
+    def test_reduced_grid3d_exact_filled(self):
+        # 24 requested nodes round to a 3x3x3 grid, above the cap; the
+        # reduced job still solves it
+        res = invoke("sweep-p", "--families", "grid3d", "--n", "100", "--k", "0.8",
+                     "--p-grid", "0.5:0.5:0.1")
+        row = parse_csv(res.output)[0]
+        assert int(row["n"]) == 125
+        assert int(row["n_exact"]) == 27
+        assert row["j_exact"] != "" and row["rel_lb"] != "" and row["rel_ub"] != ""
 
     def test_graph_file(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -285,7 +300,7 @@ class TestSweepP:
 
     def test_endpoint_matches_sweep_n_row(self):
         res_p = invoke("sweep-p", "--families", "star", "--n", "40", "--k", "0.8",
-                       "--p-grid", "0.9:0.9:0.1", "--exact-n", "0")
+                       "--p-grid", "0.9:0.9:0.1")
         res_n = invoke("bounds", "--graph", "star", "--n", "40", "--k", "0.8",
                        "--p", "0.9")
         row_p = parse_csv(res_p.output)[0]
@@ -356,8 +371,13 @@ class TestErdosRenyiRows:
                      "--p-er", "0.6", "--seed", "7", "--realizations", "4")
         row = parse_csv(res.output)[0]
         assert int(row["realizations"]) == 4
+        assert row["n"] == "15"
         assert as_float(row["j_lb_std"]) >= 0.0
         assert as_float(row["j_ub_std"]) >= 0.0
+        res = invoke("bounds", "--graph", "erdos-renyi", "--n", "15", "--k", "0.8",
+                     "--p-er", "0.6", "--seed", "7", "--realizations", "4",
+                     "--format", "json")
+        assert json.loads(res.output)[0]["n"] == 15
 
     def test_deterministic_for_fixed_seed(self):
         args = ("bounds", "--graph", "erdos-renyi", "--n", "18", "--k", "0.8",
@@ -367,11 +387,12 @@ class TestErdosRenyiRows:
 
 class TestReportCommand:
     def test_report_determinism_and_manifest(self, tmp_path):
+        # the range straddles the exact cap and --sweep-p-n lies above it,
+        # so the reduced-size exact columns are covered too
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
-            res = invoke("report", "--output", str(out), "--n-range", "3:12",
-                         "--sweep-p-n", "10", "--exact-cap", "8", "--exact-n", "6",
-                         "--seed", "11")
+            res = invoke("report", "--output", str(out), "--n-range", "22:26",
+                         "--sweep-p-n", "26", "--seed", "11")
             assert res.exit_code == 0
         csvs = sorted(p.name for p in out1.glob("*.csv"))
         assert csvs == sorted(p.name for p in out2.glob("*.csv"))
@@ -381,6 +402,12 @@ class TestReportCommand:
         manifest = json.loads((out1 / "manifest.json").read_text())
         assert manifest["seed"] == 11
         assert manifest["skipped"] == []
+        assert manifest["parameters"]["exact_cap"] == EXACT_MAX_N
+        assert "exact_n" not in manifest["parameters"]
+        for row in parse_csv((out1 / "path_sweep_n.csv").read_text()):
+            assert (row["j_exact"] != "") == (int(row["n"]) <= EXACT_MAX_N)
+        for row in parse_csv((out1 / "sweep_p.csv").read_text()):
+            assert int(row["n_exact"]) in (24, 25, 27) and row["j_exact"] != ""
         assert set(manifest["files"]) == set(csvs)
         for name, entry in manifest["files"].items():
             assert entry["rows"] >= 1
@@ -389,7 +416,7 @@ class TestReportCommand:
     def test_creates_missing_directory(self, tmp_path):
         out = tmp_path / "a" / "b" / "c"
         res = invoke("report", "--output", str(out), "--n-range", "3:5",
-                     "--sweep-p-n", "5", "--exact-cap", "5", "--exact-n", "4")
+                     "--sweep-p-n", "5")
         assert res.exit_code == 0
         assert (out / "manifest.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -400,7 +427,7 @@ class TestReportCommand:
     def test_every_output_parses_with_stable_schema(self, tmp_path):
         out = tmp_path / "rep"
         invoke("report", "--output", str(out), "--n-range", "3:8",
-               "--sweep-p-n", "6", "--exact-cap", "6", "--exact-n", "4")
+               "--sweep-p-n", "6")
         for path in out.glob("*_sweep_n.csv"):
             rows = parse_csv(path.read_text())
             assert list(rows[0]) == COMMAND_COLUMNS["sweep-n"]
@@ -437,3 +464,51 @@ class TestNumberFormatting:
         assert row["n"] == "5"
         assert row["dims"] == ""
         assert row["p_er"] == ""
+
+
+class TestRemovedOptions:
+    # the options each command had before the exact-size rule became fixed
+    REMOVED = [
+        ("bounds", "--workers"), ("exact", "--workers"), ("sweep-n", "--workers"),
+        ("sweep-p", "--workers"), ("simulate", "--workers"), ("report", "--workers"),
+        ("sweep-n", "--exact-cap"), ("simulate", "--exact-cap"), ("report", "--exact-cap"),
+        ("sweep-p", "--exact-n"), ("report", "--exact-n"),
+    ]
+    @pytest.mark.parametrize("command,option", REMOVED,
+                             ids=[f"{c}{o}" for c, o in REMOVED])
+    def test_removed_option_exits_2(self, command, option):
+        res = invoke(command, option, "2")
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr
+        assert option not in invoke(command, "--help").output
+
+
+class TestBenchCommandsParse:
+    """Every command the benchmark runs parses against the CLI's options,
+    so an option change that would break a benchmark run fails here."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        import importlib.util
+        import sys
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        # its dataclass resolves annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_benchmark_argv_parses(self, workloads, tmp_path):
+        parsed = 0
+        for workload in workloads.WORKLOADS:
+            for size in workloads.SIZES:
+                for command in workloads.commands(workload, 7, size, tmp_path):
+                    name, *rest = command.argv
+                    assert name in cli.commands, command.argv
+                    # parse and convert every option without running the command
+                    ctx = cli.commands[name].make_context(name, list(rest))
+                    assert ctx.params
+                    parsed += 1
+        assert parsed >= len(workloads.WORKLOADS) * len(workloads.SIZES)

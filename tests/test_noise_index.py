@@ -302,10 +302,10 @@ class TestNoiseReport:
         with pytest.raises(NumericalError, match="spectral sandwich"):
             noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 2e-9))
 
-    def test_exact_absent_beyond_cap(self):
+    def test_exact_absent_when_not_requested(self):
         g = make_path(12)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        rep = compute_noise_report(g, cfg, exact_cap=10)
+        rep = compute_noise_report(g, cfg, exact=False)
         assert rep.j_exact is None
         assert "absent" in rep.method_tags["j_exact"]
         assert rep.j_lb > 0 and rep.j_ub > 0
