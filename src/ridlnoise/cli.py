@@ -10,10 +10,9 @@ estimates), ``sweep-n`` (bound/exact curves over a node range),
 Which rows carry the exact index follows one fixed rule, with no option
 to change it: ``bounds`` never solves, ``exact`` always solves, and a
 ``sweep-n``, ``simulate`` or ``report`` row gets ``j_exact`` when its
-built graph has N <= ``EXACT_MAX_N`` (24). A ``sweep-p`` row above that
-size takes its exact columns from the same family at 24 requested nodes
-(a grid rounds that to 25 or 27), recorded in ``n_exact``. For exact
-values at larger N, run ``exact --n N`` or ``exact --n-range A:B``.
+built graph has N <= ``EXACT_MAX_N`` (24). ``sweep-p`` rows are exact at
+their own N, whatever its size. For exact values at larger N on the
+other commands, run ``exact --n N`` or ``exact --n-range A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every flag can also be supplied through an
@@ -31,6 +30,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,8 +60,8 @@ EXIT_IO = 4
 GRAPH_CHOICES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi", "file")
 SWEEP_FAMILIES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi")
 
-#: largest built graph whose sweep-n, simulate and report rows get the
-#: exact index, and the size sweep-p computes its exact columns at
+#: largest built graph whose sweep-n, simulate and report sweep-n rows
+#: get the exact index; sweep-p rows are exact at their own N
 EXACT_MAX_N = 24
 
 _COMMON_COLUMNS = [
@@ -272,10 +272,10 @@ def _make_family_graph(
     raise click.UsageError(f"unknown graph family {family!r}")
 
 
-def _jobs_for_spec(spec: ExperimentSpec) -> list[GraphJob]:
-    """One job per output row; Erdos-Renyi realizations ride along as
-    siblings and are aggregated into their row."""
-    jobs = []
+def _jobs_for_spec(spec: ExperimentSpec) -> Iterator[GraphJob]:
+    """One job per output row, built as it is consumed, so only one graph
+    and its spectrum are alive at a time; Erdos-Renyi realizations ride
+    along as siblings and are aggregated into their row."""
     for n in spec.n_values:
         job = _make_family_graph(spec.family, n, spec.dims, spec, realization=0)
         if spec.family == "erdos-renyi" and spec.realizations > 1:
@@ -283,8 +283,7 @@ def _jobs_for_spec(spec: ExperimentSpec) -> list[GraphJob]:
                 _make_family_graph(spec.family, n, spec.dims, spec, realization=r)
                 for r in range(1, spec.realizations)
             ]
-        jobs.append(job)
-    return jobs
+        yield job
 
 
 def _config_for(job: GraphJob, spec: ExperimentSpec) -> RidlConfig:
@@ -590,11 +589,9 @@ def sweep_n_cmd(**params) -> None:
 def sweep_p_cmd(**params) -> None:
     """Relative bound errors vs activation probability at fixed N.
 
-    When the requested N exceeds 24, the exact index (and the relative
-    errors) are computed on the same family at 24 requested nodes, which
-    a grid rounds to 25 (grid2d) or 27 (grid3d); the size used is
-    recorded in the n_exact column. A --graph file above 24 nodes cannot
-    be shrunk, so its exact columns stay blank.
+    Every row is exact at its own N: each family's graph is built once
+    and solved at every p of the grid, so n_exact equals n. A large
+    --graph file is solved at its own N too, as with exact.
     """
     params = dict(params)
     params["p_grid"] = _parse_p_grid(params.get("p_grid") or "0.1:0.9:0.1")
@@ -611,21 +608,13 @@ def sweep_p_cmd(**params) -> None:
 
 
 def _sweep_p_rows(spec: ExperimentSpec, sizes: list[tuple[str, int]]) -> list[dict]:
-    """One row per (family, p) at the family's given N. The exact columns
-    come from the same family at min(N, EXACT_MAX_N) requested nodes,
-    always solved and recorded in n_exact; a file graph above the cap
-    cannot be shrunk and keeps them blank."""
+    """One row per (family, p), exact at its own N: each family's graph
+    and its one spectrum serve every p of the grid."""
     rows = []
     for family, n in sizes:
-        for p in spec.p_grid:
-            fam_spec = replace(spec, family=family, p=p, n_values=(n,))
-            own_exact = n <= EXACT_MAX_N
-            row = _row_for_job(_jobs_for_spec(fam_spec)[0], fam_spec, exact=own_exact)
-            if not own_exact and family != "file":
-                exact_spec = replace(fam_spec, n_values=(EXACT_MAX_N,), dims=None)
-                exact_row = _row_for_job(_jobs_for_spec(exact_spec)[0], exact_spec, exact=True)
-                row.update({c: exact_row[c] for c in _EXACT_COLUMNS})
-            rows.append(row)
+        fam_spec = replace(spec, family=family, n_values=(n,))
+        job = next(_jobs_for_spec(fam_spec))
+        rows.extend(_row_for_job(job, replace(fam_spec, p=p), exact=True) for p in spec.p_grid)
     return rows
 
 
@@ -644,8 +633,7 @@ def simulate_cmd(**params) -> None:
     """Monte Carlo estimate with standard error and convergence flag; the
     exact reference columns are filled for N <= 24."""
     spec = _build_spec(params)
-    jobs = _jobs_for_spec(spec)
-    rows = [_simulate_row(job, spec) for job in jobs]
+    rows = [_simulate_row(job, spec) for job in _jobs_for_spec(spec)]
     _emit(render_rows(rows, COMMAND_COLUMNS["simulate"], spec.fmt), spec.output)
     if spec.strict and any(not r["converged"] for r in rows):
         click.echo(
@@ -672,9 +660,8 @@ def report_cmd(**params) -> None:
     JSON manifest with seeds, versions, and wall-clock times.
 
     A sweep-n row gets the exact index when its graph has N <= 24. The
-    sweep-p rows take theirs from the same family at min(--sweep-p-n, 24)
-    requested nodes (25 for grid2d and 27 for grid3d at the default),
-    recorded in n_exact.
+    sweep-p rows are exact at their own N (--sweep-p-n, or the nearest
+    grid), so n_exact equals n.
 
     A family whose smallest graph is larger than the top of --n-range has
     no rows in the range: its sweep-n file is not written, the family is

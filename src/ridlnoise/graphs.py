@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,8 @@ class UndirectedGraph:
 
     ``edges`` is a lexicographically sorted tuple of (i, j) pairs with
     i < j; ``adjacency`` is the symmetric 0/1 matrix, ``degrees`` its row
-    sums, and ``d_max`` the maximum degree.
+    sums, and ``d_max`` the maximum degree. The Laplacian spectrum is
+    computed on first use and kept, so a graph is eigensolved once.
     """
 
     n: int
@@ -57,6 +59,10 @@ class UndirectedGraph:
             nbrs[i].append(j)
             nbrs[j].append(i)
         return nbrs
+
+    @cached_property
+    def _spectrum(self) -> SpectralData:
+        return sym_eigen(laplacian(self))
 
 
 @dataclass(frozen=True)
@@ -181,8 +187,9 @@ def laplacian(g: UndirectedGraph) -> np.ndarray:
 
 
 def laplacian_spectrum(g: UndirectedGraph) -> SpectralData:
-    """Ascending Laplacian eigenpairs with residual certificate."""
-    return sym_eigen(laplacian(g))
+    """Ascending Laplacian eigenpairs with residual certificate; the same
+    record on every call for the same graph."""
+    return g._spectrum
 
 
 def is_connected(g: UndirectedGraph) -> bool:
@@ -206,20 +213,10 @@ def is_connected(g: UndirectedGraph) -> bool:
     return count == g.n
 
 
-def average_effective_resistance(
-    g: UndirectedGraph, spectrum: SpectralData | None = None
-) -> float:
+def average_effective_resistance(g: UndirectedGraph) -> float:
     """Average effective resistance (1/N) * sum_{i>=2} 1/lambda_i of the
-    Laplacian; requires a connected graph.
-
-    ``spectrum`` may be supplied to reuse an existing decomposition;
-    it must be the ascending Laplacian spectrum of ``g``.
-    """
-    if spectrum is None:
-        spectrum = laplacian_spectrum(g)
-    lam = spectrum.eigenvalues
-    if lam.shape[0] != g.n:
-        raise ValueError("spectrum size does not match the graph")
+    Laplacian; requires a connected graph."""
+    lam = laplacian_spectrum(g).eigenvalues
     thresh = TOL.connectivity_rtol * max(float(lam[-1]), 1.0)
     if g.n < 2 or lam[1] <= thresh:
         raise ValueError(

@@ -113,9 +113,7 @@ class ExactIndex(NamedTuple):
     residual: float
 
 
-def exact_noise_index(
-    g: UndirectedGraph, cfg: RidlConfig, spectrum: SpectralData | None = None
-) -> ExactIndex:
+def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     """Exact index J = sigma^2 tr(Sigma) / N.
 
     Sigma, the steady-state disagreement covariance per unit noise
@@ -128,13 +126,11 @@ def exact_noise_index(
     eigenvalues of E[P]; it drops the consensus direction and is exact
     at p = 1.
 
-    ``spectrum`` is the Laplacian spectrum of ``g``, computed when not
-    given. Raises :class:`NumericalError` for a disconnected graph (the
-    equation is singular) and when the residual target is not met within
-    the iteration budget.
+    Raises :class:`NumericalError` for a disconnected graph (the equation
+    is singular) and when the residual target is not met within the
+    iteration budget.
     """
-    if spectrum is None:
-        spectrum = laplacian_spectrum(g)
+    spectrum = laplacian_spectrum(g)
     lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     n = g.n
     if n < 2 or lam[1] <= TOL.connectivity_rtol * max(float(lam[-1]), 1.0):
@@ -357,14 +353,14 @@ def compute_noise_report(
     """Assemble every index value for one configuration.
 
     The exact index is computed when ``exact`` is true; bounds are always
-    present. One Laplacian eigensolve serves the bounds and the exact
-    solve's preconditioner. The report is checked (finite, positive
+    present. The graph's one Laplacian spectrum serves the bounds and the
+    exact solve's preconditioner. The report is checked (finite, positive
     values and the sandwich inequalities, to the configured slack scaled
     by max(1, J)) before it is returned.
     """
     spec = laplacian_spectrum(g)
     j_lb, j_ub = ridl_bounds(spec, cfg)
-    r_ave = average_effective_resistance(g, spec)
+    r_ave = average_effective_resistance(g)
     res = resistance_bounds(r_ave, cfg)
     tags = {
         "j_lb": "laplacian-spectrum",
@@ -373,7 +369,7 @@ def compute_noise_report(
         "j_res_ub": "effective-resistance",
     }
     if exact:
-        solve = exact_noise_index(g, cfg, spec)
+        solve = exact_noise_index(g, cfg)
         j_exact = solve.j
         tags["j_exact"] = (
             f"stein-pcg[iterations={solve.iterations}, residual={solve.residual:.2e}]"

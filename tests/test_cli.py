@@ -269,26 +269,26 @@ class TestSweepP:
             assert all(a > b for a, b in zip(lbs, lbs[1:]))
 
     def test_reduced_exact_recorded(self):
+        # above EXACT_MAX_N, sweep-p rows are still exact at their own N
         res = invoke("sweep-p", "--families", "path", "--n", "50", "--k", "0.8",
                      "--p-grid", "0.5:0.9:0.4")
         for row in parse_csv(res.output):
-            assert int(row["n"]) == 50
-            assert int(row["n_exact"]) == EXACT_MAX_N
-            assert row["j_exact"] != ""
+            assert int(row["n"]) == int(row["n_exact"]) == 50
+            assert as_float(row["j_lb"]) <= as_float(row["j_exact"]) <= as_float(row["j_ub"])
 
     def test_reduced_grid3d_exact_filled(self):
-        # 24 requested nodes round to a 3x3x3 grid, above the cap; the
-        # reduced job still solves it
+        # 100 requested nodes round to a 5x5x5 grid, solved at that size
         res = invoke("sweep-p", "--families", "grid3d", "--n", "100", "--k", "0.8",
                      "--p-grid", "0.5:0.5:0.1")
         row = parse_csv(res.output)[0]
-        assert int(row["n"]) == 125
-        assert int(row["n_exact"]) == 27
+        assert int(row["n"]) == int(row["n_exact"]) == 125
         assert row["j_exact"] != "" and row["rel_lb"] != "" and row["rel_ub"] != ""
 
-    def test_graph_file(self, tmp_path):
+    @pytest.mark.parametrize("dims", [(3, 4), (5, 6)], ids=["3x4", "5x6"])
+    def test_graph_file(self, tmp_path, dims):
+        # 5x6 has 30 nodes, above EXACT_MAX_N: a file graph is solved at its own N
         path = tmp_path / "g.edges"
-        write_edge_list(make_grid([3, 4]), path)
+        write_edge_list(make_grid(list(dims)), path)
         res = invoke("sweep-p", "--graph", "file", "--graph-file", str(path), "--k", "0.8",
                      "--families", "")
         assert res.exit_code == 0
@@ -296,7 +296,8 @@ class TestSweepP:
         assert len(rows) == 9
         for row in rows:
             assert row["family"] == "file"
-            assert int(row["n"]) == int(row["n_exact"]) == 12
+            assert int(row["n"]) == int(row["n_exact"]) == dims[0] * dims[1]
+            assert row["j_exact"] != "" and row["rel_lb"] != "" and row["rel_ub"] != ""
 
     def test_endpoint_matches_sweep_n_row(self):
         res_p = invoke("sweep-p", "--families", "star", "--n", "40", "--k", "0.8",
@@ -387,8 +388,8 @@ class TestErdosRenyiRows:
 
 class TestReportCommand:
     def test_report_determinism_and_manifest(self, tmp_path):
-        # the range straddles the exact cap and --sweep-p-n lies above it,
-        # so the reduced-size exact columns are covered too
+        # the range straddles the exact cap, and --sweep-p-n lies above it,
+        # where sweep-p rows are still exact at their own N
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
             res = invoke("report", "--output", str(out), "--n-range", "22:26",
@@ -407,7 +408,7 @@ class TestReportCommand:
         for row in parse_csv((out1 / "path_sweep_n.csv").read_text()):
             assert (row["j_exact"] != "") == (int(row["n"]) <= EXACT_MAX_N)
         for row in parse_csv((out1 / "sweep_p.csv").read_text()):
-            assert int(row["n_exact"]) in (24, 25, 27) and row["j_exact"] != ""
+            assert int(row["n_exact"]) == int(row["n"]) and row["j_exact"] != ""
         assert set(manifest["files"]) == set(csvs)
         for name, entry in manifest["files"].items():
             assert entry["rows"] >= 1
@@ -512,3 +513,65 @@ class TestBenchCommandsParse:
                     assert ctx.params
                     parsed += 1
         assert parsed >= len(workloads.WORKLOADS) * len(workloads.SIZES)
+
+
+class TestOneSpectrumPerGraph:
+    """Each built graph is eigensolved once, however many rows and
+    estimates read its spectrum."""
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        import ridlnoise.graphs
+
+        calls = []
+        original = ridlnoise.graphs.sym_eigen
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return original(a)
+
+        monkeypatch.setattr(ridlnoise.graphs, "sym_eigen", counted)
+        return calls
+
+    def test_sweep_p_one_eigensolve_per_family(self, eigensolves):
+        res = invoke("sweep-p", "--families", "star,path", "--n", "40", "--k", "0.8")
+        assert res.exit_code == 0
+        assert len(parse_csv(res.output)) == 18
+        assert eigensolves == [40, 40]
+
+    def test_simulate_default_horizon_reuses_spectrum(self, eigensolves):
+        res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
+                     "--ensemble", "50")
+        assert res.exit_code == 0
+        assert parse_csv(res.output)[0]["j_exact"] != ""
+        assert eigensolves == [6]
+
+
+class TestBenchRowChecks:
+    """The benchmark's row checks, with their fixed absolute sandwich
+    slack, pass on every row of a report whose sweep-p rows lie above
+    EXACT_MAX_N."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        import importlib
+        import sys
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        yield importlib.import_module("checks")
+        for name in ("checks", "workloads"):
+            sys.modules.pop(name, None)
+
+    def test_report_rows_pass_bench_checks(self, checks, tmp_path):
+        out = tmp_path / "rep"
+        res = invoke("report", "--output", str(out), "--n-range", "22:30",
+                     "--sweep-p-n", "30")
+        assert res.exit_code == 0
+        checked = 0
+        for path in sorted(out.glob("*.csv")):
+            for row in parse_csv(path.read_text()):
+                assert checks.row_problems(row) == [], path.name
+                checked += 1
+        sweep_p = parse_csv((out / "sweep_p.csv").read_text())
+        assert all(row["n_exact"] == row["n"] for row in sweep_p)
+        assert checked == 6 * 9 + len(sweep_p)

@@ -176,6 +176,11 @@ class TestLaplacian:
         expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
         assert np.array_equal(laplacian(make_path(3)), expected)
 
+    def test_spectrum_computed_once_per_graph(self):
+        g = make_grid([3, 4])
+        assert laplacian_spectrum(g) is laplacian_spectrum(g)
+        assert laplacian_spectrum(make_grid([3, 4])) is not laplacian_spectrum(g)
+
     @pytest.mark.parametrize(
         "g", [make_star(9), make_path(11), make_grid([4, 3]), make_complete(8)],
         ids=["star", "path", "grid", "complete"],

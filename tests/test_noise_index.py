@@ -190,7 +190,7 @@ class TestResistanceBounds:
                 cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
                 spec = laplacian_spectrum(g)
                 j_lb, j_ub = ridl_bounds(spec, cfg)
-                rb = resistance_bounds(average_effective_resistance(g, spec), cfg)
+                rb = resistance_bounds(average_effective_resistance(g), cfg)
                 assert rb.lb <= j_lb + 1e-12
                 assert j_ub <= rb.ub + 1e-12
 
