@@ -59,9 +59,7 @@ from .simulator import (
     SimConfig,
     SimEstimate,
     default_horizon,
-    disagreement,
     estimate_noise_index,
-    step,
 )
 from .tolerances import TOL, Tolerances
 

@@ -2,25 +2,37 @@
 
 Runs an ensemble of independent trajectories of the noisy averaging
 dynamics x(t+1) = P(t) x(t) + n(t) from x(0) = 0 and reads the index off
-the final-state disagreement. Starting at zero makes the expected
-disagreement increase monotonically toward its limit, so a drift test on
-a pilot ensemble's running mean doubles as the steady-state check.
+the final-state disagreement d(x_T) = |x_T - mean(x_T)|^2. Starting at
+zero makes the expected disagreement increase monotonically toward its
+limit, so a drift test on the ensemble's running mean doubles as the
+steady-state check.
+
+Each trajectory carries a mean-field shadow x~(t+1) = E[P] x~(t) + n(t),
+E[P] = I - eps p^2 L, driven by the same noise. Its expected final
+disagreement is known in closed form from the Laplacian spectrum
+(as t grows it tends to N times the generic lower bound j_lb), so
+d(x_T) - d(x~_T) + E[d(x~_T)] is an unbiased per-replication value with
+far less spread than d(x_T): a control variate with coefficient one,
+nothing fitted.
 
 P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
 activation vector and A the sparse (CSR) adjacency,
 P(t) x = x - eps gamma * (x * (A gamma) - A (gamma * x)), so a step
-costs O(m) per replication on a graph with m edges and O(M m) for an
-ensemble of M, against O(M N^2) for dense products. The main and the
-pilot ensemble run through the same loop, a chunk of replications at a
-time: the state is an (N, chunk) array, and each chunk's activations and
-noise are drawn up front into (T, chunk, N) buffers kept within a fixed
-byte budget.
+costs O(m) per replication on a graph with m edges. Replications step
+together in chunks, and each chunk's draws are made a block of steps at
+a time into buffers kept within a fixed byte budget: chunks sized to
+keep the (N, chunk) state in cache with as long a block as fits, or,
+where that makes fewer numpy calls, the whole horizon in one block. The
+drift test reads this same ensemble; no second ensemble runs beside it.
 
 Each replication owns an independently spawned RNG stream derived from
-the master seed (activations drawn first, then noise), every
-replication's arithmetic is independent of the others in its chunk, and
-replications are reduced in fixed order, so estimates are reproducible
-bit for bit and the chunk size does not affect them.
+the master seed: its T N activations first, then its noise. A second
+generator on the same seed, advanced past the activations, reads the
+noise, so block-wise draws reproduce the whole-horizon stream value for
+value. Every replication's arithmetic is independent of the others in
+its chunk, and replications are reduced in fixed order, so estimates
+are reproducible bit for bit and neither the chunk size nor the block
+length affects them.
 """
 from __future__ import annotations
 
@@ -30,14 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import UndirectedGraph, laplacian_spectrum
-from .ridl import RidlConfig, StochasticMatrixSample, check_consensus_conditions
+from .ridl import RidlConfig, check_consensus_conditions
 
 __all__ = [
     "SimConfig",
     "SimEstimate",
     "NOISE_DISTRIBUTIONS",
-    "step",
-    "disagreement",
     "default_horizon",
     "estimate_noise_index",
 ]
@@ -47,8 +57,11 @@ __all__ = [
 # on the noise only through its variance.
 NOISE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
-# pilot ensemble size for the steady-state drift test
-_PILOT_SIZE = 64
+# bytes of draws held at once: float64 noise plus bool activations
+_DRAW_BUDGET = 1 << 25
+# bytes of one (N, chunk) state array; a step touches about ten of them,
+# and stepping is memory-bound once they spill out of a core's L2 cache
+_STATE_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Monte Carlo estimate with its across-replication standard error."""
+    """Monte Carlo estimate with its across-replication standard error.
+
+    ``mf_corr`` is the correlation of d(x_T) and d(x~_T) across
+    replications, which sets the control variate's variance reduction
+    (1 - rho^2 at best); nan with fewer than two replications or zero
+    variance.
+    """
 
     j_hat: float
     std_error: float
@@ -85,27 +104,8 @@ class SimEstimate:
     converged: bool
     drift: float
     seed: int
+    mf_corr: float
     mean_trace: np.ndarray | None = None
-
-
-def step(x: np.ndarray, p_sample: StochasticMatrixSample, noise: np.ndarray) -> np.ndarray:
-    """One update: P x + n."""
-    x = np.asarray(x, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    n = p_sample.matrix.shape[0]
-    if x.shape != (n,) or noise.shape != (n,):
-        raise ValueError(
-            f"dimension mismatch: matrix {p_sample.matrix.shape}, "
-            f"state {x.shape}, noise {noise.shape}"
-        )
-    return p_sample.matrix @ x + noise
-
-
-def disagreement(x: np.ndarray) -> float:
-    """Squared norm of the deviation from the state's own mean."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x - x.mean()
-    return float(d @ d)
 
 
 def default_horizon(
@@ -123,8 +123,30 @@ def default_horizon(
     return max(1, min(t, cap))
 
 
-def _draw_into(
-    seed: np.random.SeedSequence,
+def _mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
+    """E[d(x~_t)] for x~ <- E[P] x~ + n from x~(0) = 0:
+    sigma^2 sum_{i>=2} (1 - mu_i^(2t)) / (1 - mu_i^2), mu_i = 1 - a_i,
+    a_i = eps p^2 lambda_i."""
+    a = cfg.epsilon * cfg.p**2 * laplacian_spectrum(g).eigenvalues[1:]
+    # log|mu| without cancellation at small a; mu = 0 gives -inf, i.e. mu^(2t) = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs_mu = np.where(a < 1.0, np.log1p(-a), np.log(a - 1.0))
+    return cfg.sigma2 * float(np.sum(-np.expm1(2 * t * log_abs_mu) / (a * (2.0 - a))))
+
+
+def _streams(
+    seed: np.random.SeedSequence, n_acts: int
+) -> tuple[np.random.Generator, np.random.Generator]:
+    """A replication's activation generator and its noise generator: the
+    same stream, the second advanced past the ``n_acts`` activation draws
+    (``random`` takes one 64-bit output per double)."""
+    noise_bits = np.random.PCG64(seed)
+    noise_bits.advance(n_acts)
+    return np.random.Generator(np.random.PCG64(seed)), np.random.Generator(noise_bits)
+
+
+def _draw_block(
+    streams: tuple[np.random.Generator, np.random.Generator],
     p: float,
     dist: str,
     sigma: float,
@@ -132,30 +154,56 @@ def _draw_into(
     noise: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
-    """Activations then noise for one replication, from its own stream,
-    written into the (T, N) views ``acts`` and ``noise``; ``scratch`` is
-    a contiguous (T, N) float64 buffer for the raw draws."""
-    rng = np.random.default_rng(seed)
-    rng.random(out=scratch)
+    """The next (b, N) activations and noise of one replication, written
+    into the views ``acts`` and ``noise``; ``scratch`` is a contiguous
+    (b, N) float64 buffer for the raw draws."""
+    act_rng, noise_rng = streams
+    act_rng.random(out=scratch)
     np.less(scratch, p, out=acts)
     if dist == "gaussian":
-        rng.standard_normal(out=scratch)
+        noise_rng.standard_normal(out=scratch)
         np.multiply(scratch, sigma, out=noise)
     elif dist == "rademacher":
-        rng.random(out=scratch)
+        noise_rng.random(out=scratch)
         noise[...] = np.where(scratch < 0.5, -sigma, sigma)
     else:
         # uniform on [-sqrt(3), sqrt(3)] has unit variance
-        rng.random(out=scratch)
+        noise_rng.random(out=scratch)
         scratch *= 2.0
         scratch -= 1.0
         scratch *= math.sqrt(3.0)
         np.multiply(scratch, sigma, out=noise)
 
 
-def _chunk_size(t: int, n: int, budget_bytes: int = 1 << 25) -> int:
-    per_replication = t * n * 9  # float64 noise + bool activations
-    return max(1, min(1024, budget_bytes // max(1, per_replication)))
+def _block_shape(t: int, n: int, m: int) -> tuple[int, int]:
+    """Replications per chunk and steps per block of draws.
+
+    Both candidate shapes keep a chunk's draws within ``_DRAW_BUDGET``.
+    The first sizes a chunk so that its (N, chunk) state arrays stay near
+    ``_STATE_BYTES`` each, keeping a step's working set in a core's cache,
+    and takes the longest block of steps that fits. The second draws the
+    whole horizon in one block, with as many replications per chunk as
+    fit, up to the first's chunk. The shape that makes fewer numpy calls
+    wins: one step of a chunk makes four times as many as one block of a
+    replication's draws (16 against 4)."""
+    chunk = max(1, min(m, _STATE_BYTES // (8 * n)))
+    block = max(1, min(t, _DRAW_BUDGET // (9 * n * chunk)))  # float64 noise + bool activations
+    whole = min(chunk, _DRAW_BUDGET // (9 * n * t))
+    if whole < 1:
+        return chunk, block
+
+    def calls(c: int, b: int) -> int:
+        return 4 * -(-m // c) * t + m * -(-t // b)
+
+    return (whole, t) if calls(whole, t) <= calls(chunk, block) else (chunk, block)
+
+
+def _disagreements(x: np.ndarray) -> np.ndarray:
+    """d of each column of the (N, c) state, reduced along contiguous
+    rows so that a replication's value does not depend on its chunk."""
+    xr = np.ascontiguousarray(x.T)
+    dev = xr - xr.mean(axis=1, keepdims=True)
+    return (dev * dev).sum(axis=1)
 
 
 def _run_ensemble(
@@ -163,12 +211,12 @@ def _run_ensemble(
     g: UndirectedGraph,
     cfg: RidlConfig,
     sim: SimConfig,
-    series: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run one trajectory per seed from x(0) = 0 for ``sim.horizon`` steps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one trajectory and its mean-field shadow per seed from
+    x(0) = x~(0) = 0 for ``sim.horizon`` steps.
 
-    Returns the final disagreement of each replication and, with
-    ``series``, the per-step disagreement summed over replications.
+    Returns the final disagreement of each replication, that of each
+    shadow, and the per-step disagreement summed over replications.
     """
     from scipy import sparse
 
@@ -178,44 +226,55 @@ def _run_ensemble(
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adj = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
     eps = cfg.epsilon
+    # E[P] = I - a (D - A), a = eps p^2: a off the diagonal, 1 - a deg on it
+    a = eps * cfg.p**2
+    diag = np.arange(n)
+    p_bar = sparse.csr_array(
+        (np.concatenate([np.full(rows.size, a), 1.0 - a * g.degrees]),
+         (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+        shape=(n, n),
+    )
     sigma = math.sqrt(cfg.sigma2)
 
-    chunk = min(m, _chunk_size(t_steps, n))
-    acts = np.empty((t_steps, chunk, n), dtype=bool)
-    noise = np.empty((t_steps, chunk, n))
-    scratch = np.empty((t_steps, n))
+    chunk, block = _block_shape(t_steps, n, m)
+    acts = np.empty((block, chunk, n), dtype=bool)
+    noise = np.empty((block, chunk, n))
+    scratch = np.empty((block, n))
     d_final = np.empty(m)
-    trace_sum = np.zeros(t_steps) if series else None
+    d_shadow = np.empty(m)
+    series = np.zeros(t_steps)
     for start in range(0, m, chunk):
         c = min(chunk, m - start)
-        for j in range(c):
-            _draw_into(seeds[start + j], cfg.p, sim.noise_dist, sigma,
-                       acts[:, j, :], noise[:, j, :], scratch)
+        streams = [_streams(s, t_steps * n) for s in seeds[start:start + c]]
         x = np.zeros((n, c))
-        gam = np.empty((n, c))
-        gam_x = np.empty((n, c))
-        update = np.empty((n, c))
-        for t in range(t_steps):
-            np.copyto(gam, acts[t, :c].T)
-            np.multiply(gam, x, out=gam_x)
-            s1 = adj @ gam
-            s2 = adj @ gam_x
-            # x <- x - eps * gamma * (x * s1 - s2) + noise
-            np.multiply(x, s1, out=update)
-            update -= s2
-            update *= gam
-            update *= eps
-            x -= update
-            x += noise[t, :c].T
-            if series:
-                dev = x - x.mean(axis=0)
-                trace_sum[t] += (dev * dev).sum()
-        # per-replication reductions along contiguous rows, so each
-        # replication's value does not depend on the chunk it ran in
-        xr = np.ascontiguousarray(x.T)
-        dev = xr - xr.mean(axis=1, keepdims=True)
-        d_final[start:start + c] = (dev * dev).sum(axis=1)
-    return d_final, trace_sum
+        xs = np.zeros((n, c))
+        gam, gam_x, update, nt = (np.empty((n, c)) for _ in range(4))
+        for t0 in range(0, t_steps, block):
+            b = min(block, t_steps - t0)
+            for j, pair in enumerate(streams):
+                _draw_block(pair, cfg.p, sim.noise_dist, sigma,
+                            acts[:b, j, :], noise[:b, j, :], scratch[:b])
+            for t in range(b):
+                np.copyto(gam, acts[t, :c].T)
+                np.copyto(nt, noise[t, :c].T)
+                np.multiply(gam, x, out=gam_x)
+                s1 = adj @ gam
+                s2 = adj @ gam_x
+                # x <- x - eps * gamma * (x * s1 - s2) + noise
+                np.multiply(x, s1, out=update)
+                update -= s2
+                update *= gam
+                update *= eps
+                x -= update
+                x += nt
+                # x~ <- E[P] x~ + noise
+                np.add(p_bar @ xs, nt, out=xs)
+                # sum of d over the chunk: |x|^2 - |column sums|^2 / N
+                col = x.sum(axis=0)
+                series[t0 + t] += np.vdot(x, x) - np.vdot(col, col) / n
+        d_final[start:start + c] = _disagreements(x)
+        d_shadow[start:start + c] = _disagreements(xs)
+    return d_final, d_shadow, series
 
 
 def _drift(series: np.ndarray) -> float:
@@ -239,18 +298,25 @@ def estimate_noise_index(
     """Ensemble estimate of the noise index.
 
     Runs ``sim.ensemble`` independent trajectories from x(0) = 0 for
-    ``sim.horizon`` steps, each with fresh update matrices and noise;
-    returns the mean final-state disagreement over N together with its
-    standard error.
+    ``sim.horizon`` steps, each with fresh update matrices and noise and
+    each with its mean-field shadow x~ <- E[P] x~ + n on the same noise.
+    Every replication contributes
+    Y = d(x_T) - d(x~_T) + E[d(x~_T)], with the last term in closed form
+    from the Laplacian spectrum, so E[Y] = E[d(x_T)] exactly: ``j_hat`` is
+    the mean of Y over N and ``std_error`` comes from the spread of Y.
+    There is no second ensemble and no fitted coefficient. ``mf_corr`` is the
+    correlation of d(x_T) and d(x~_T) across replications.
 
-    ``drift`` is the pilot ensemble's steady-state statistic: the spread
-    of the running mean of its disagreement series over the final 10% of
-    steps, relative to its final value. The pilot is a small ensemble so
-    the series tracks the expectation rather than one trajectory's
-    fluctuations; with x(0) = 0 the expectation rises monotonically, so
-    residual drift means the horizon ended inside the transient.
-    ``converged`` is ``drift < sim.burn_in_check``; a False value is a
-    flag, not an error (raise the horizon).
+    ``drift`` is the steady-state statistic of the ensemble's per-step
+    mean disagreement: the spread of its running mean over the final 10%
+    of steps, relative to its final value. With x(0) = 0 the expectation
+    rises monotonically, so residual drift means the horizon ended inside
+    the transient. ``converged`` is ``drift < sim.burn_in_check``; a
+    False value is a flag, not an error (raise the horizon).
+
+    The draws are made in blocks of steps, advancing each replication's
+    noise generator past its activations, so the trajectories equal those
+    of whole-horizon draws from the same seeds.
 
     With ``track_mean`` the per-step ensemble mean of disagreement / N
     is recorded in ``mean_trace``.
@@ -261,22 +327,22 @@ def estimate_noise_index(
             "consensus conditions fail: " + "; ".join(report.messages)
         )
     n, m = g.n, sim.ensemble
-    n_pilot = min(_PILOT_SIZE, m)
-    seeds = np.random.SeedSequence(sim.seed).spawn(m + n_pilot)
-
-    d_final, trace_sum = _run_ensemble(seeds[:m], g, cfg, sim, track_mean)
-    per_rep = d_final / n
-    j_hat = float(per_rep.mean())
-    std_error = float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-
-    _, pilot_sum = _run_ensemble(seeds[m:], g, cfg, sim, True)
-    drift = _drift(pilot_sum / (n * n_pilot))
+    seeds = np.random.SeedSequence(sim.seed).spawn(m)
+    d_final, d_shadow, series = _run_ensemble(seeds, g, cfg, sim)
+    per_rep = (d_final - d_shadow + _mean_field_disagreement(g, cfg, sim.horizon)) / n
+    mean_trace = series / (n * m)
+    drift = _drift(mean_trace)
+    if m > 1 and d_final.std() > 0.0 and d_shadow.std() > 0.0:
+        mf_corr = float(np.corrcoef(d_final, d_shadow)[0, 1])
+    else:
+        mf_corr = math.nan
     return SimEstimate(
-        j_hat=j_hat,
-        std_error=std_error,
+        j_hat=float(per_rep.mean()),
+        std_error=float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
         samples_used=m,
         converged=bool(drift < sim.burn_in_check),
         drift=drift,
         seed=sim.seed,
-        mean_trace=trace_sum / (n * m) if track_mean else None,
+        mf_corr=mf_corr,
+        mean_trace=mean_trace if track_mean else None,
     )

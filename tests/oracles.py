@@ -9,7 +9,11 @@ Bernoulli moments or by summing all 2^N activation patterns, with the
 disagreement projector in any of three places) and an LU solve, instead
 of the library's matrix-free Stein solve. The Monte Carlo reference runs
 the noisy dynamics with two dense N x N products per step instead of
-the library's sparse step.
+the library's sparse step, draws each replication's whole horizon at
+once instead of in time blocks, and takes the mean-field control
+variate's known mean from the propagated noise covariance instead of
+the spectral sum. The single-sample ``step`` and ``disagreement`` are
+the dynamics and its statistic written out for one state vector.
 """
 from __future__ import annotations
 
@@ -20,7 +24,13 @@ from scipy.linalg import lapack as _lapack
 
 from ridlnoise import NumericalError, UndirectedGraph, laplacian, pseudoinverse_psd
 from ridlnoise.linalg import _as_square_float
-from ridlnoise.ridl import RidlConfig, expected_p, induced_laplacian, omega_projector
+from ridlnoise.ridl import (
+    RidlConfig,
+    StochasticMatrixSample,
+    expected_p,
+    induced_laplacian,
+    omega_projector,
+)
 from ridlnoise.simulator import SimConfig
 
 # The three algebraically equivalent placements of the disagreement
@@ -312,39 +322,66 @@ def _dense_draws(seed: np.random.SeedSequence, t: int, n: int, p: float, dist: s
     return acts, sigma * unit
 
 
-def _dense_dynamics(seeds, adj: np.ndarray, cfg: RidlConfig, sim: SimConfig):
-    """Final disagreement per replication and the per-step disagreement
-    summed over replications, all replications stacked at once."""
-    draws = [_dense_draws(s, sim.horizon, adj.shape[0], cfg.p, sim.noise_dist,
+def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
+    """Final disagreement per replication of the trajectory and of its
+    mean-field shadow x~ <- E[P] x~ + n on the same noise, and the
+    per-step disagreement summed over replications, all replications
+    stacked at once."""
+    adj = g.adjacency
+    draws = [_dense_draws(s, sim.horizon, g.n, cfg.p, sim.noise_dist,
                           math.sqrt(cfg.sigma2)) for s in seeds]
     acts = np.stack([a for a, _ in draws])
     noise = np.stack([w for _, w in draws])
-    x = np.zeros((len(seeds), adj.shape[0]))
+    p_bar = expected_p(g, cfg)
+    x = np.zeros((len(seeds), g.n))
+    x_mf = np.zeros_like(x)
     series = np.empty(sim.horizon)
     for t in range(sim.horizon):
         gam = acts[:, t, :].astype(np.float64)
         s1 = gam @ adj
         s2 = (gam * x) @ adj
         x = x - cfg.epsilon * gam * (x * s1 - s2) + noise[:, t, :]
+        x_mf = x_mf @ p_bar + noise[:, t, :]
         dev = x - x.mean(axis=1, keepdims=True)
         series[t] = (dev * dev).sum()
-    dev = x - x.mean(axis=1, keepdims=True)
-    return (dev * dev).sum(axis=1), series
+
+    def final(z):
+        dev = z - z.mean(axis=1, keepdims=True)
+        return (dev * dev).sum(axis=1)
+
+    return final(x), final(x_mf), series
 
 
-def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig,
-                   pilot_size: int = 64) -> dict:
+def mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
+    """E[d(x~_t)] = sigma^2 tr(Omega C_t) for x~ <- E[P] x~ + n from 0,
+    with the noise covariance propagated exactly:
+    C_0 = 0, C_{s+1} = E[P] C_s E[P] + I."""
+    p_bar = expected_p(g, cfg)
+    c = np.zeros((g.n, g.n))
+    for _ in range(t):
+        c = p_bar @ c @ p_bar + np.eye(g.n)
+    return cfg.sigma2 * float(np.trace(omega_projector(g.n) @ c))
+
+
+def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     """Monte Carlo estimate with the dense dynamics: the same seeds, draw
-    order, pilot ensemble and drift rule as the library estimator.
-    Returns ``j_hat``, ``std_error``, ``drift`` and ``converged``."""
+    order, mean-field control variate and drift rule as the library
+    estimator, with whole-horizon draws per replication. Returns the
+    control-variate ``j_hat`` and ``std_error``, the uncorrected
+    final-state ``j_hat_raw`` and ``std_error_raw``, ``drift``,
+    ``converged`` and ``mf_corr``."""
     n, m = g.n, sim.ensemble
-    n_pilot = min(pilot_size, m)
-    seeds = np.random.SeedSequence(sim.seed).spawn(m + n_pilot)
-    d_final, _ = _dense_dynamics(seeds[:m], g.adjacency, cfg, sim)
-    per_rep = d_final / n
-    std_error = float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    _, series = _dense_dynamics(seeds[m:], g.adjacency, cfg, sim)
-    series /= n * n_pilot
+    seeds = np.random.SeedSequence(sim.seed).spawn(m)
+    d_final, d_mf, series = _dense_dynamics(seeds, g, cfg, sim)
+
+    def mean_and_se(values):
+        se = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+        return float(values.mean()), se
+
+    j_hat, std_error = mean_and_se(
+        (d_final - d_mf + mean_field_disagreement(g, cfg, sim.horizon)) / n)
+    j_hat_raw, std_error_raw = mean_and_se(d_final / n)
+    series /= n * m
     running = np.cumsum(series) / np.arange(1, sim.horizon + 1)
     scale = abs(running[-1])
     if scale == 0.0:
@@ -354,5 +391,30 @@ def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig,
     else:
         window = running[-max(2, sim.horizon // 10):]
         drift = float((window.max() - window.min()) / scale)
-    return {"j_hat": float(per_rep.mean()), "std_error": std_error, "drift": drift,
-            "converged": bool(drift < sim.burn_in_check)}
+    if m > 1 and d_final.std() > 0.0 and d_mf.std() > 0.0:
+        mf_corr = float(np.corrcoef(d_final, d_mf)[0, 1])
+    else:
+        mf_corr = math.nan
+    return {"j_hat": j_hat, "std_error": std_error, "j_hat_raw": j_hat_raw,
+            "std_error_raw": std_error_raw, "drift": drift,
+            "converged": bool(drift < sim.burn_in_check), "mf_corr": mf_corr}
+
+
+def step(x: np.ndarray, p_sample: StochasticMatrixSample, noise: np.ndarray) -> np.ndarray:
+    """One update with a sampled dense matrix: P x + n."""
+    x = np.asarray(x, dtype=np.float64)
+    noise = np.asarray(noise, dtype=np.float64)
+    n = p_sample.matrix.shape[0]
+    if x.shape != (n,) or noise.shape != (n,):
+        raise ValueError(
+            f"dimension mismatch: matrix {p_sample.matrix.shape}, "
+            f"state {x.shape}, noise {noise.shape}"
+        )
+    return p_sample.matrix @ x + noise
+
+
+def disagreement(x: np.ndarray) -> float:
+    """Squared norm of the deviation from the state's own mean."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x - x.mean()
+    return float(d @ d)

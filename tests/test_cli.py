@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -322,16 +323,19 @@ class TestSimulateCommand:
         assert as_float(row["j_exact"]) == pytest.approx(25.0 / 12.0, rel=1e-11)
 
     def test_drift_column_last(self):
+        # the schema's tail is drift, then the control variate's correlation
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--horizon", "40", "--ensemble", "100")
-        assert res.output.splitlines()[0].split(",")[-1] == "drift"
+        assert res.output.splitlines()[0].split(",")[-2:] == ["drift", "mf_corr"]
         row = parse_csv(res.output)[0]
         assert row["converged"] == ("true" if as_float(row["drift"]) < 0.05 else "false")
+        assert 0.0 < as_float(row["mf_corr"]) <= 1.0
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--horizon", "40", "--ensemble", "100", "--format", "json")
         record = json.loads(res.output)[0]
-        assert list(record)[-1] == "drift"
+        assert list(record)[-2:] == ["drift", "mf_corr"]
         assert record["converged"] == (record["drift"] < 0.05)
+        assert record["mf_corr"] == pytest.approx(as_float(row["mf_corr"]), rel=1e-11)
 
     def test_zero_variance(self):
         res = invoke("simulate", "--graph", "path", "--n", "4", "--k", "0.8",
@@ -575,3 +579,13 @@ class TestBenchRowChecks:
         sweep_p = parse_csv((out / "sweep_p.csv").read_text())
         assert all(row["n_exact"] == row["n"] for row in sweep_p)
         assert checked == 6 * 9 + len(sweep_p)
+
+    def test_tiny_simulate_passes_bench_checks(self, checks, tmp_path):
+        workloads = sys.modules["workloads"]
+        (command,) = workloads.commands("simulate-grid16", 7, "tiny", tmp_path)
+        res = invoke(*command.argv)
+        assert res.exit_code == 0
+        (row,) = parse_csv(command.output.read_text())
+        assert row["converged"] == "true"
+        assert checks.row_problems(row) == []
+        assert checks.simulate_problems(row) == []

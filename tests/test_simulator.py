@@ -7,7 +7,6 @@ from ridlnoise import (
     RidlConfig,
     SimConfig,
     default_horizon,
-    disagreement,
     estimate_noise_index,
     exact_noise_index,
     make_complete,
@@ -16,13 +15,12 @@ from ridlnoise import (
     make_path,
     make_star,
     sample_ridl,
-    step,
 )
 from ridlnoise import simulator
 from ridlnoise.graphs import _build
 from ridlnoise.ridl import StochasticMatrixSample
 
-from oracles import dense_estimate
+from oracles import dense_estimate, disagreement, mean_field_disagreement, step
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
@@ -198,6 +196,7 @@ class TestDenseOracle:
         assert est.std_error == pytest.approx(ref["std_error"], rel=1e-12)
         assert est.converged == ref["converged"]
         assert est.drift == pytest.approx(ref["drift"], rel=1e-9, abs=1e-15)
+        assert est.mf_corr == pytest.approx(ref["mf_corr"], rel=1e-9)
         if horizon < 10:
             assert not est.converged
 
@@ -205,25 +204,28 @@ class TestDenseOracle:
 class TestChunking:
     @pytest.mark.parametrize("chunk", [1, 7, "ensemble"])
     def test_chunk_size_does_not_change_the_estimate(self, monkeypatch, chunk):
+        # every chunk size with time blocks of 1 step, 7 steps and the
+        # whole horizon gives the estimate bit for bit
         g = make_grid((3, 3))
         cfg = RidlConfig.for_graph(g, p=0.8, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=40, ensemble=50, seed=8)
         base = estimate_noise_index(g, cfg, sim)
         size = sim.ensemble if chunk == "ensemble" else chunk
-        monkeypatch.setattr(simulator, "_chunk_size", lambda t, n: size)
-        est = estimate_noise_index(g, cfg, sim)
-        assert est.j_hat == base.j_hat
-        assert est.std_error == base.std_error
+        for block in (1, 7, sim.horizon):
+            monkeypatch.setattr(simulator, "_block_shape",
+                                lambda t, n, m, block=block: (size, block))
+            est = estimate_noise_index(g, cfg, sim)
+            assert est.j_hat == base.j_hat, block
+            assert est.std_error == base.std_error, block
 
     def test_peak_memory_within_chunk_budget(self):
         # 64 replications of a 10x10 grid over 700 steps need 40 MB of
-        # draws, more than one chunk holds; the main and the pilot
-        # ensemble both have to be chunked to stay near the budget
+        # draws, more than one block of the budget holds
         g = make_grid((10, 10))
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=700, ensemble=64, seed=2)
         budget = 1 << 25
-        assert simulator._chunk_size(sim.horizon, g.n) < sim.ensemble
+        assert simulator._block_shape(sim.horizon, g.n, sim.ensemble)[1] < sim.horizon
         tracemalloc.start()
         try:
             estimate_noise_index(g, cfg, sim)
@@ -231,6 +233,53 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * budget
+
+    @pytest.mark.parametrize("t, n, m", [
+        (469, 10, 10000), (200, 2, 20000), (738, 256, 300), (603, 64, 3000),
+        (700, 100, 64), (100_000, 5000, 10),
+    ])
+    def test_block_shape_fits_the_budget(self, t, n, m):
+        chunk, block = simulator._block_shape(t, n, m)
+        assert 1 <= chunk <= m and 1 <= block <= t
+        assert 9 * n * chunk * block <= 1 << 25 or chunk == block == 1
+
+    def test_small_graph_draws_each_horizon_in_one_block(self):
+        # path(10) at the default 10000 replications: one draw call pair
+        # per replication, not one per block
+        assert simulator._block_shape(469, 10, 10000) == (794, 469)
+        # a 16x16 grid at 300 replications keeps 64-replication chunks,
+        # where whole-horizon draws would allow only 19
+        assert simulator._block_shape(738, 256, 300) == (64, 227)
+
+
+class TestControlVariate:
+    @pytest.mark.parametrize("horizon", [1, 5, 50])
+    def test_closed_form_mean_matches_propagated_covariance(self, horizon):
+        g = make_grid((4, 4))
+        cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.8)
+        assert simulator._mean_field_disagreement(g, cfg, horizon) == pytest.approx(
+            mean_field_disagreement(g, cfg, horizon), rel=1e-12)
+
+    def test_two_sigma_coverage(self):
+        g = make_grid((3, 3))
+        cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.0, k=0.8)
+        j_exact = exact_noise_index(g, cfg).j
+        horizon = default_horizon(g, cfg)
+        covered = 0
+        for seed in range(100):
+            est = estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=100,
+                                                         seed=seed))
+            covered += abs(est.j_hat - j_exact) <= 2.0 * est.std_error
+        assert covered >= 88
+
+    def test_standard_error_below_final_state_estimator(self):
+        g = make_grid((8, 8))
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=default_horizon(g, cfg), ensemble=200, seed=4)
+        est = estimate_noise_index(g, cfg, sim)
+        ref = dense_estimate(g, cfg, sim)
+        assert est.std_error * 4.0 <= ref["std_error_raw"]
+        assert est.mf_corr > 0.9
 
 
 class TestDrift:
