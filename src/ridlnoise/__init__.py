@@ -24,7 +24,7 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .linalg import SpectralData, pseudoinverse_psd, sym_eigen
+from .linalg import SpectralData, sym_eigen
 from .noise_index import (
     FAMILIES,
     ExactIndex,

@@ -1,14 +1,24 @@
 """Underlying interaction graphs: generators, Laplacians, spectra, and
 effective resistance.
 
-All graphs are simple and undirected (no self-loops, no multi-edges) and
-stored densely; the package targets desk-scale sizes where full spectra
-are cheap. Randomized generators take a caller-owned seeded generator so
+All graphs are simple and undirected (no self-loops, no multi-edges).
+The primary form is the integer edge array: an (m, 2) array of pairs
+(i, j) with i < j in lexicographic order, canonicalised with array
+operations when the graph is built. The dense adjacency, the degrees
+and d_max are derived from it once, at the same time; the package
+targets desk-scale sizes where a dense adjacency and full spectra are
+cheap. Randomized generators take a caller-owned seeded generator so
 repeated runs are reproducible.
+
+A graph keeps two Laplacian spectral records, each computed at most
+once: the eigenvalues (``laplacian_spectrum``), which are all the
+bounds and the effective resistance need, and the eigenpairs
+(``laplacian_eigenpairs``), which only the exact solve's
+preconditioner asks for. Once the eigenpairs exist, the eigenvalue
+record is taken from them, so a graph is eigensolved once.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import SpectralData, sym_eigen
+from .linalg import Eigenvalues, SpectralData, sym_eigen, sym_eigvals
 from .tolerances import TOL
 
 __all__ = [
@@ -30,6 +40,7 @@ __all__ = [
     "draw_erdos_renyi",
     "laplacian",
     "laplacian_spectrum",
+    "laplacian_eigenpairs",
     "is_connected",
     "average_effective_resistance",
     "read_edge_list",
@@ -41,28 +52,33 @@ __all__ = [
 class UndirectedGraph:
     """Simple undirected graph on nodes 0..n-1.
 
-    ``edges`` is a lexicographically sorted tuple of (i, j) pairs with
-    i < j; ``adjacency`` is the symmetric 0/1 matrix, ``degrees`` its row
-    sums, and ``d_max`` the maximum degree. The Laplacian spectrum is
-    computed on first use and kept, so a graph is eigensolved once.
+    ``edges`` is an (m, 2) int64 array of pairs (i, j) with i < j, rows
+    in lexicographic order; ``adjacency`` is the symmetric 0/1 matrix
+    derived from it, ``degrees`` its row sums, and ``d_max`` the maximum
+    degree. The Laplacian eigenvalues and eigenpairs are computed on
+    first use and kept.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     adjacency: np.ndarray
     degrees: np.ndarray
     d_max: int
 
-    def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return nbrs
+    @cached_property
+    def _eigenpairs(self) -> SpectralData:
+        return sym_eigen(laplacian(self))
 
     @cached_property
-    def _spectrum(self) -> SpectralData:
-        return sym_eigen(laplacian(self))
+    def _eigenvalues(self) -> Eigenvalues:
+        # the exact solve's eigenpairs, when already computed, serve here too
+        pairs = self.__dict__.get("_eigenpairs")
+        if pairs is not None:
+            return pairs
+        # tr L = sum d_i = 2m and ||L||_F^2 = sum d_i^2 + 2m
+        two_m = 2.0 * self.edges.shape[0]
+        deg = self.degrees.astype(np.float64)
+        return sym_eigvals(laplacian(self), two_m, float(deg @ deg) + two_m)
 
 
 @dataclass(frozen=True)
@@ -74,38 +90,46 @@ class ErdosRenyiDraw:
 
 
 def _build(n: int, edges) -> UndirectedGraph:
+    """Graph on n nodes from an array-like of (i, j) pairs in any order
+    and orientation, duplicates allowed."""
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
-    canon = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ValueError(f"self-loop at node {i} is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        canon.add((min(i, j), max(i, j)))
-    edge_tuple = tuple(sorted(canon))
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    bad = (i == j) | (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    if bad.any():
+        # report the first offending pair in input order
+        bi, bj = (int(v) for v in pairs[np.argmax(bad)])
+        if bi == bj:
+            raise ValueError(f"self-loop at node {bi} is not allowed")
+        raise ValueError(f"edge ({bi},{bj}) out of range for n={n}")
+    # one scalar key lo * n + hi per pair: sorted unique keys are the
+    # lexicographically sorted canonical edges
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    lo, hi = np.divmod(keys, n)
     adj = np.zeros((n, n), dtype=np.float64)
-    for i, j in edge_tuple:
-        adj[i, j] = 1.0
-        adj[j, i] = 1.0
-    degrees = adj.sum(axis=1).astype(np.int64)
+    adj[lo, hi] = 1.0
+    adj[hi, lo] = 1.0
+    degrees = np.bincount(np.concatenate((lo, hi)), minlength=n).astype(np.int64)
     d_max = int(degrees.max(initial=0))
-    return UndirectedGraph(n=n, edges=edge_tuple, adjacency=adj, degrees=degrees, d_max=d_max)
+    return UndirectedGraph(
+        n=n, edges=np.column_stack((lo, hi)), adjacency=adj, degrees=degrees, d_max=d_max
+    )
 
 
 def make_star(n: int) -> UndirectedGraph:
     """Star graph: node 0 is the hub, connected to every other node."""
     if n < 3:
         raise ValueError(f"star graph needs n >= 3, got {n}")
-    return _build(n, [(0, i) for i in range(1, n)])
+    leaves = np.arange(1, n)
+    return _build(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def make_path(n: int) -> UndirectedGraph:
     """Path graph with edges (i, i+1)."""
     if n < 2:
         raise ValueError(f"path graph needs n >= 2, got {n}")
-    return _build(n, [(i, i + 1) for i in range(n - 1)])
+    return _build(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
 
 def make_grid(dims: list[int] | tuple[int, ...]) -> UndirectedGraph:
@@ -120,22 +144,21 @@ def make_grid(dims: list[int] | tuple[int, ...]) -> UndirectedGraph:
     if any(d < 2 for d in dims):
         raise ValueError(f"grid sides must be >= 2, got {dims}")
     n = math.prod(dims)
+    index = np.arange(n).reshape(dims)
     edges = []
-    for coords in itertools.product(*(range(d) for d in dims)):
-        idx = int(np.ravel_multi_index(coords, dims))
-        for axis, side in enumerate(dims):
-            if coords[axis] + 1 < side:
-                nxt = list(coords)
-                nxt[axis] += 1
-                edges.append((idx, int(np.ravel_multi_index(nxt, dims))))
-    return _build(n, edges)
+    for axis in range(len(dims)):
+        # each node paired with its successor along this axis
+        src = np.delete(index, -1, axis=axis)
+        dst = np.delete(index, 0, axis=axis)
+        edges.append(np.column_stack((src.ravel(), dst.ravel())))
+    return _build(n, np.concatenate(edges))
 
 
 def make_complete(n: int) -> UndirectedGraph:
     """Complete graph on n >= 2 nodes."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    return _build(n, itertools.combinations(range(n), 2))
+    return _build(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def draw_erdos_renyi(
@@ -161,7 +184,7 @@ def draw_erdos_renyi(
     iu, ju = np.triu_indices(n, k=1)
     for attempt in range(1, max_resamples + 1):
         mask = rng.random(iu.shape[0]) < p_er
-        g = _build(n, zip(iu[mask], ju[mask]))
+        g = _build(n, np.column_stack((iu[mask], ju[mask])))
         if not require_connected or is_connected(g):
             return ErdosRenyiDraw(graph=g, attempts=attempt)
     raise RuntimeError(
@@ -186,31 +209,37 @@ def laplacian(g: UndirectedGraph) -> np.ndarray:
     return np.diag(g.degrees.astype(np.float64)) - g.adjacency
 
 
-def laplacian_spectrum(g: UndirectedGraph) -> SpectralData:
-    """Ascending Laplacian eigenpairs with residual certificate; the same
-    record on every call for the same graph."""
-    return g._spectrum
+def laplacian_spectrum(g: UndirectedGraph) -> Eigenvalues:
+    """Ascending Laplacian eigenvalues, certified; the same record on
+    every call for the same graph.
+
+    Bounds-only rows and Monte Carlo estimates get eigenvalues alone,
+    from a values-only solve certified by the power sums
+    sum(lambda) = 2m and sum(lambda^2) = sum(d_i^2) + 2m. Rows with the
+    exact index ask for :func:`laplacian_eigenpairs` first; this record
+    is then those eigenpairs, carrying their A V residual certificate,
+    and no second solve runs."""
+    return g._eigenvalues
+
+
+def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
+    """Ascending Laplacian eigenpairs with the residual certificate
+    max_i ||L v_i - lambda_i v_i|| / ||L||; the same record on every call
+    for the same graph. Only the exact solve's preconditioner needs the
+    eigenvectors."""
+    return g._eigenpairs
 
 
 def is_connected(g: UndirectedGraph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
-    if g.n == 1:
-        return True
-    nbrs = g.neighbor_lists()
+    """Reachability of every node from node 0, one frontier of the
+    breadth-first search at a time."""
     seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    return count == g.n
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = g.adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def average_effective_resistance(g: UndirectedGraph) -> float:
@@ -228,7 +257,7 @@ def average_effective_resistance(g: UndirectedGraph) -> float:
 def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
     """Serialize as text: first line "n m", then one "i j" line per edge."""
     lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
+    lines.extend(f"{i} {j}" for i, j in g.edges.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

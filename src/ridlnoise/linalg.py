@@ -1,11 +1,22 @@
-"""Dense numerical substrate: the symmetric eigensolver and the PSD
-pseudoinverse.
+"""Dense numerical substrate: the symmetric eigensolvers.
 
-Matrices are plain float64 ``numpy.ndarray`` values. Eigen decompositions
-return a :class:`SpectralData` record that carries a residual certificate,
-checked against ``TOL.eigen_residual``, so downstream spectral formulas
-and the exact solve's preconditioner can trust the eigenpairs they
-consume.
+Matrices are plain float64 ``numpy.ndarray`` values. There are two
+entry points, each returning a record that carries its own certificate:
+
+* ``sym_eigvals`` computes eigenvalues only. Its certificate is the
+  pair of power-sum identities sum(lambda) = tr(A) and
+  sum(lambda^2) = ||A||_F^2, checked against values the caller knows
+  from the matrix's structure (for a graph Laplacian, 2m and
+  sum(d_i^2) + 2m). It costs O(N) beyond the solve.
+* ``sym_eigen`` computes eigenpairs. Its certificate is the residual
+  max_i ||A v_i - lambda_i v_i|| / ||A||, from one product A V.
+
+Both certificates are relative to ``max(||A||_2, 1)`` and must stay
+within ``TOL.eigen_residual``; a failed check raises
+:class:`NumericalError`. Bounds-only rows and Monte Carlo estimates get
+the first, through ``graphs.laplacian_spectrum``; rows with the exact
+index get the second, through ``graphs.laplacian_eigenpairs``, because
+the exact solve's preconditioner needs the eigenvectors.
 """
 from __future__ import annotations
 
@@ -18,20 +29,28 @@ from .errors import NumericalError
 from .tolerances import TOL
 
 __all__ = [
+    "Eigenvalues",
     "SpectralData",
+    "sym_eigvals",
     "sym_eigen",
-    "pseudoinverse_psd",
 ]
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalues sorted ascending, orthonormal eigenvectors (as
-    columns), and the max relative eigenpair residual."""
+class Eigenvalues:
+    """Eigenvalues sorted ascending and the relative error of their
+    certificate."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     residual: float
+
+
+@dataclass(frozen=True)
+class SpectralData(Eigenvalues):
+    """Eigenpairs: ascending eigenvalues, orthonormal eigenvectors (as
+    columns), and the max relative eigenpair residual."""
+
+    eigenvectors: np.ndarray
 
 
 def _as_square_float(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -53,6 +72,30 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         )
 
 
+def sym_eigvals(a: np.ndarray, trace: float, frobenius_sq: float) -> Eigenvalues:
+    """Eigenvalues only of a symmetric matrix (validated to relative
+    tolerance 1e-12), ascending, certified by the power sums: the
+    errors |sum(lambda) - ``trace``| / (N s) and
+    |sum(lambda^2) - ``frobenius_sq``| / (N s^2), with s = max(||A||_2, 1),
+    must stay within ``TOL.eigen_residual``, else
+    :class:`NumericalError`. ``trace`` and ``frobenius_sq`` are tr(A)
+    and ||A||_F^2 as the caller knows them."""
+    a = _as_square_float(a)
+    _require_symmetric(a)
+    w = scipy.linalg.eigh(a, eigvals_only=True)
+    n = max(w.shape[0], 1)
+    scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
+    residual = max(
+        abs(float(w.sum()) - trace) / (n * scale),
+        abs(float(w @ w) - frobenius_sq) / (n * scale * scale),
+    )
+    if not residual <= TOL.eigen_residual:
+        raise NumericalError(
+            f"eigenvalue power-sum residual {residual:.3e} exceeds {TOL.eigen_residual:.0e}"
+        )
+    return Eigenvalues(eigenvalues=w, residual=residual)
+
+
 def sym_eigen(a: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a symmetric matrix (validated to
     relative tolerance 1e-12), ascending, with a residual certificate;
@@ -70,18 +113,3 @@ def sym_eigen(a: np.ndarray) -> SpectralData:
             f"eigensolver residual {residual:.3e} exceeds {TOL.eigen_residual:.0e}"
         )
     return SpectralData(eigenvalues=w, eigenvectors=v, residual=residual)
-
-
-def pseudoinverse_psd(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric PSD matrix via its
-    spectral decomposition, zeroing eigenvalues below 1e-9 * lambda_max."""
-    a = _as_square_float(a)
-    _require_symmetric(a)
-    spec = sym_eigen(a)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    lam_max = float(w.max(initial=0.0))
-    cutoff = TOL.pinv_cutoff_rtol * max(lam_max, 0.0)
-    keep = w > cutoff
-    inv_w = np.zeros_like(w)
-    inv_w[keep] = 1.0 / w[keep]
-    return (v * inv_w) @ v.T

@@ -25,8 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .graphs import UndirectedGraph, average_effective_resistance, laplacian_spectrum
-from .linalg import SpectralData, sym_eigen
+from .graphs import (
+    UndirectedGraph,
+    average_effective_resistance,
+    laplacian_eigenpairs,
+    laplacian_spectrum,
+)
+from .linalg import Eigenvalues, sym_eigen
 from .ridl import RidlConfig, omega_projector, stein_operator
 from .tolerances import TOL
 
@@ -130,7 +135,7 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     is singular) and when the residual target is not met within the
     iteration budget.
     """
-    spectrum = laplacian_spectrum(g)
+    spectrum = laplacian_eigenpairs(g)
     lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     n = g.n
     if n < 2 or lam[1] <= TOL.connectivity_rtol * max(float(lam[-1]), 1.0):
@@ -235,7 +240,7 @@ def generic_bounds(
 
 
 def ridl_bounds(
-    laplacian_spectrum: SpectralData, cfg: RidlConfig
+    laplacian_spectrum: Eigenvalues, cfg: RidlConfig
 ) -> tuple[float, float]:
     """Index bounds for RIDL updates written on the Laplacian spectrum:
 
@@ -353,12 +358,14 @@ def compute_noise_report(
     """Assemble every index value for one configuration.
 
     The exact index is computed when ``exact`` is true; bounds are always
-    present. The graph's one Laplacian spectrum serves the bounds and the
-    exact solve's preconditioner. The report is checked (finite, positive
-    values and the sandwich inequalities, to the configured slack scaled
-    by max(1, J)) before it is returned.
+    present. A bounds-only report reads the graph's Laplacian eigenvalues
+    alone; an exact one asks for the eigenpairs first, so that one
+    eigensolve serves the bounds and the exact solve's preconditioner.
+    The report is checked (finite, positive values and the sandwich
+    inequalities, to the configured slack scaled by max(1, J)) before it
+    is returned.
     """
-    spec = laplacian_spectrum(g)
+    spec = laplacian_eigenpairs(g) if exact else laplacian_spectrum(g)
     j_lb, j_ub = ridl_bounds(spec, cfg)
     r_ave = average_effective_resistance(g)
     res = resistance_bounds(r_ave, cfg)

@@ -20,7 +20,6 @@ class Tolerances:
     # spectral decision thresholds
     connectivity_rtol: float = 1e-9   # lambda_2 threshold, relative to lambda_N
     perron_gap: float = 1e-9          # second-largest eigenvalue must be < 1 - gap
-    pinv_cutoff_rtol: float = 1e-9    # eigenvalue cutoff relative to lambda_max
 
     # agreement target (runtime sanity check of every report)
     sandwich_slack: float = 1e-9      # slack on bound inequalities, times max(1, |J|)

@@ -14,6 +14,9 @@ once instead of in time blocks, and takes the mean-field control
 variate's known mean from the propagated noise covariance instead of
 the spectral sum. The single-sample ``step`` and ``disagreement`` are
 the dynamics and its statistic written out for one state vector.
+``reference_build`` is the set-based graph construction that the
+library's edge-array ``_build`` replaced, kept to check that both give
+the same graphs.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ import math
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from ridlnoise import NumericalError, UndirectedGraph, laplacian, pseudoinverse_psd
-from ridlnoise.linalg import _as_square_float
+from ridlnoise import NumericalError, UndirectedGraph, laplacian, sym_eigen
+from ridlnoise.linalg import _as_square_float, _require_symmetric
 from ridlnoise.ridl import (
     RidlConfig,
     StochasticMatrixSample,
@@ -31,7 +34,7 @@ from ridlnoise.ridl import (
     induced_laplacian,
     omega_projector,
 )
-from ridlnoise.simulator import SimConfig
+from ridlnoise.simulator import BURN_IN_CHECK, SimConfig
 
 # The three algebraically equivalent placements of the disagreement
 # projector inside the second-moment operator; all yield the same noise
@@ -42,10 +45,59 @@ KRON_DIM_CAP = 16384  # max rows/cols of a Kronecker product
 DENSE_N_CAP = 64      # largest N for the N^2 x N^2 operator (8 N^4 bytes)
 ENUM_N_CAP = 14       # largest N for 2^N pattern enumeration
 RCOND_MIN = 1e-12     # reject solves with condition estimate > 1e12
+PINV_CUTOFF_RTOL = 1e-9  # pseudoinverse eigenvalue cutoff relative to lambda_max
 
 
 class SingularMatrixError(NumericalError):
     """Linear solve rejected; carries the condition-number diagnostic."""
+
+
+def reference_build(n: int, edges) -> UndirectedGraph:
+    """The set-based graph construction that the edge-array ``_build``
+    replaced, kept as written: edges canonicalised one pair at a time
+    through a set and ``sorted``, and the adjacency filled per edge.
+    ``edges`` of the result is a tuple of (i, j) tuples."""
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    canon = set()
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-loop at node {i} is not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        canon.add((min(i, j), max(i, j)))
+    edge_tuple = tuple(sorted(canon))
+    adj = np.zeros((n, n), dtype=np.float64)
+    for i, j in edge_tuple:
+        adj[i, j] = 1.0
+        adj[j, i] = 1.0
+    degrees = adj.sum(axis=1).astype(np.int64)
+    d_max = int(degrees.max(initial=0))
+    return UndirectedGraph(n=n, edges=edge_tuple, adjacency=adj, degrees=degrees, d_max=d_max)
+
+
+def neighbor_lists(g: UndirectedGraph) -> list[list[int]]:
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return nbrs
+
+
+def pseudoinverse_psd(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a symmetric PSD matrix via its
+    spectral decomposition, zeroing eigenvalues below 1e-9 * lambda_max."""
+    a = _as_square_float(a)
+    _require_symmetric(a)
+    spec = sym_eigen(a)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    lam_max = float(w.max(initial=0.0))
+    cutoff = PINV_CUTOFF_RTOL * max(lam_max, 0.0)
+    keep = w > cutoff
+    inv_w = np.zeros_like(w)
+    inv_w[keep] = 1.0 / w[keep]
+    return (v * inv_w) @ v.T
 
 
 def pairwise_resistance_average(g: UndirectedGraph) -> float:
@@ -173,7 +225,7 @@ def expected_l_kron_l(g: UndirectedGraph, p: float) -> np.ndarray:
             vals = np.array([1.0, -1.0, -1.0, 1.0])
             _add_self_kron(rows, cols, vals, w_edge)
     if w_node != 0.0:
-        nbrs = g.neighbor_lists()
+        nbrs = neighbor_lists(g)
         for v in range(n):
             deg = len(nbrs[v])
             if deg == 0:
@@ -397,7 +449,7 @@ def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
         mf_corr = math.nan
     return {"j_hat": j_hat, "std_error": std_error, "j_hat_raw": j_hat_raw,
             "std_error_raw": std_error_raw, "drift": drift,
-            "converged": bool(drift < sim.burn_in_check), "mf_corr": mf_corr}
+            "converged": bool(drift < BURN_IN_CHECK), "mf_corr": mf_corr}
 
 
 def step(x: np.ndarray, p_sample: StochasticMatrixSample, noise: np.ndarray) -> np.ndarray:

@@ -521,34 +521,78 @@ class TestBenchCommandsParse:
 
 class TestOneSpectrumPerGraph:
     """Each built graph is eigensolved once, however many rows and
-    estimates read its spectrum."""
+    estimates read its spectrum: eigenvalues only for a bounds-only row
+    or a Monte Carlo estimate, eigenpairs only where the exact solve
+    runs."""
 
     @pytest.fixture
     def eigensolves(self, monkeypatch):
         import ridlnoise.graphs
 
-        calls = []
-        original = ridlnoise.graphs.sym_eigen
+        calls = {"values": [], "pairs": []}
 
-        def counted(a):
-            calls.append(a.shape[0])
-            return original(a)
+        def counting(kind, original):
+            def counted(a, *args):
+                calls[kind].append(a.shape[0])
+                return original(a, *args)
+            return counted
 
-        monkeypatch.setattr(ridlnoise.graphs, "sym_eigen", counted)
+        monkeypatch.setattr(ridlnoise.graphs, "sym_eigvals",
+                            counting("values", ridlnoise.graphs.sym_eigvals))
+        monkeypatch.setattr(ridlnoise.graphs, "sym_eigen",
+                            counting("pairs", ridlnoise.graphs.sym_eigen))
         return calls
 
     def test_sweep_p_one_eigensolve_per_family(self, eigensolves):
         res = invoke("sweep-p", "--families", "star,path", "--n", "40", "--k", "0.8")
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 18
-        assert eigensolves == [40, 40]
+        assert eigensolves == {"values": [], "pairs": [40, 40]}
 
     def test_simulate_default_horizon_reuses_spectrum(self, eigensolves):
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--ensemble", "50")
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["j_exact"] != ""
-        assert eigensolves == [6]
+        assert eigensolves == {"values": [], "pairs": [6]}
+
+    def test_bounds_rows_solve_eigenvalues_only(self, eigensolves):
+        res = invoke("bounds", "--graph", "path", "--n-range", "30:32", "--k", "0.8")
+        assert res.exit_code == 0
+        assert len(parse_csv(res.output)) == 3
+        assert eigensolves == {"values": [30, 31, 32], "pairs": []}
+
+    def test_exact_row_solves_eigenpairs_once(self, eigensolves):
+        res = invoke("exact", "--graph", "path", "--n", "30", "--k", "0.8")
+        assert res.exit_code == 0
+        assert parse_csv(res.output)[0]["j_exact"] != ""
+        assert eigensolves == {"values": [], "pairs": [30]}
+
+    def test_simulate_above_exact_cap_solves_eigenvalues_once(self, eigensolves):
+        n = EXACT_MAX_N + 6
+        res = invoke("simulate", "--graph", "path", "--n", str(n), "--k", "0.8",
+                     "--ensemble", "20")
+        assert res.exit_code == 0
+        row = parse_csv(res.output)[0]
+        assert row["j_exact"] == "" and int(row["horizon"]) > 1
+        assert eigensolves == {"values": [n], "pairs": []}
+
+
+class TestEigenvalueCertificate:
+    def test_perturbed_eigenvalues_exit_3(self, monkeypatch):
+        import scipy.linalg
+
+        eigh = scipy.linalg.eigh
+
+        def perturbed(a, eigvals_only=False):
+            out = eigh(a, eigvals_only=eigvals_only)
+            return out * (1.0 + 1e-6) if eigvals_only else out
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        res = invoke("bounds", "--graph", "path", "--n", "30", "--k", "0.8")
+        assert res.exit_code == 3
+        assert res.stderr.strip().count("\n") == 0
+        assert "power-sum residual" in res.stderr
 
 
 class TestBenchRowChecks:

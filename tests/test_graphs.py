@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ridlnoise import (
     average_effective_resistance,
@@ -17,9 +20,9 @@ from ridlnoise import (
     read_edge_list,
     write_edge_list,
 )
-from ridlnoise.graphs import _build
+from ridlnoise.graphs import _build, laplacian_eigenpairs
 
-from oracles import pairwise_resistance_average
+from oracles import pairwise_resistance_average, reference_build
 
 
 def star_spectrum(n):
@@ -66,7 +69,7 @@ class TestGenerators:
 
     def test_path_shapes(self):
         g = make_path(5)
-        assert g.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4]]
         assert g.d_max == 2
         assert np.allclose(
             laplacian_spectrum(g).eigenvalues, path_spectrum(5), atol=1e-10
@@ -93,7 +96,7 @@ class TestGenerators:
         )
 
     def test_grid_1d_is_path(self):
-        assert make_grid([3]).edges == make_path(3).edges
+        assert np.array_equal(make_grid([3]).edges, make_path(3).edges)
 
     @pytest.mark.parametrize("dims", [[3, 3], [2, 5], [4, 4], [2, 2, 2], [3, 3, 3]])
     def test_grid_cosine_spectrum(self, dims):
@@ -161,6 +164,137 @@ class TestGenerators:
             _build(3, [(0, 3)])
 
 
+def edge_digest(g):
+    """First 16 hex digits of the SHA-256 of the edges as little-endian
+    int64 (i, j) rows."""
+    rows = np.ascontiguousarray(np.asarray(g.edges).reshape(-1, 2), dtype="<i8")
+    return hashlib.sha256(rows.tobytes()).hexdigest()[:16]
+
+
+@st.composite
+def edge_lists(draw):
+    """Valid pairs on 1..12 nodes in either orientation, with repeats."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    base = draw(st.lists(pair, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=10)) if base else []
+    reversed_ = [(j, i) for i, j in draw(st.lists(st.sampled_from(base), max_size=10))] \
+        if base else []
+    return n, draw(st.permutations(base + repeats + reversed_))
+
+
+class TestEdgeArrayBuild:
+    """The edge-array construction gives the same graphs as the set-based
+    one it replaced (``oracles.reference_build``), and the generators and
+    seeded Erdos-Renyi draws give the same edges as before."""
+
+    @staticmethod
+    def assert_same_graph(new, old):
+        assert new.n == old.n
+        assert new.edges.dtype == np.int64 and new.edges.shape == (len(old.edges), 2)
+        assert new.edges.tolist() == [list(e) for e in old.edges]
+        assert np.array_equal(new.adjacency, old.adjacency)
+        assert new.adjacency.dtype == old.adjacency.dtype
+        assert np.array_equal(new.degrees, old.degrees)
+        assert new.degrees.dtype == old.degrees.dtype
+        assert new.d_max == old.d_max and type(new.d_max) is int
+
+    @given(edge_lists())
+    def test_matches_set_based_build(self, case):
+        n, edges = case
+        self.assert_same_graph(_build(n, edges), reference_build(n, edges))
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=8),
+    )
+    def test_same_outcome_on_any_pairs(self, n, edges):
+        try:
+            old = reference_build(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as new_exc:
+                _build(n, edges)
+            assert str(new_exc.value) == str(exc)
+        else:
+            self.assert_same_graph(_build(n, edges), old)
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, [(0, 1), (2, 2), (0, 5)], "self-loop at node 2 is not allowed"),
+        (3, [(0, 1), (0, 3), (1, 1)], "edge (0,3) out of range for n=3"),
+        (3, [(-1, 2)], "edge (-1,2) out of range for n=3"),
+        (3, [(4, 4)], "self-loop at node 4 is not allowed"),
+        (0, [], "node count must be positive, got 0"),
+    ])
+    def test_first_bad_pair_is_reported(self, n, edges, message):
+        with pytest.raises(ValueError) as exc:
+            _build(n, edges)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as old_exc:
+            reference_build(n, edges)
+        assert str(old_exc.value) == message
+
+    # (n, p_er, seed, attempts, edge count, edge digest), recorded from the
+    # set-based construction with the Python breadth-first connectivity check
+    ER_GOLDEN = [
+        (10, 0.1, 0, 41, 14, "647499ecfc328c47"),
+        (10, 0.1, 1, 6, 10, "e728bb238f76a19e"),
+        (10, 0.1, 2, 134, 11, "290f07a3e368202c"),
+        (10, 0.1, 3, 116, 9, "2669f36033360cdb"),
+        (10, 0.1, 4, 64, 9, "817e8fd59fec0540"),
+        (10, 0.8, 0, 1, 35, "9b8186d75101e7bb"),
+        (10, 0.8, 1, 1, 36, "887f8cf7f4c4ea94"),
+        (10, 0.8, 2, 1, 36, "5c9b3425047e2d73"),
+        (10, 0.8, 3, 1, 38, "32b12b2970212a56"),
+        (10, 0.8, 4, 1, 33, "5ce6c89b13d55a98"),
+        (30, 0.1, 0, 3, 49, "2c94e08420394aef"),
+        (30, 0.1, 1, 7, 50, "a772580850d619b4"),
+        (30, 0.1, 2, 5, 46, "8ed50ead729b3925"),
+        (30, 0.1, 3, 1, 39, "7b73dbb547753434"),
+        (30, 0.1, 4, 2, 41, "519967d4f4326b37"),
+        (30, 0.8, 0, 1, 328, "128b8890276c00df"),
+        (30, 0.8, 1, 1, 353, "a3a67e22b3eeb2b9"),
+        (30, 0.8, 2, 1, 349, "90e7302dcc39e9ac"),
+        (30, 0.8, 3, 1, 356, "d2477d8c8e7636a1"),
+        (30, 0.8, 4, 1, 330, "d7870b5cb50cfc85"),
+        (100, 0.1, 0, 1, 520, "bdb3a25aadd8c9fe"),
+        (100, 0.1, 1, 1, 500, "006126daf29247e5"),
+        (100, 0.1, 2, 1, 463, "402725243265665c"),
+        (100, 0.1, 3, 1, 561, "5d395f2619d4d177"),
+        (100, 0.1, 4, 1, 521, "3841c710d007c510"),
+        (100, 0.8, 0, 1, 3936, "908b03f30b83ba89"),
+        (100, 0.8, 1, 1, 3960, "8593f6adaff91ce9"),
+        (100, 0.8, 2, 1, 3902, "d27ed5f25447cd05"),
+        (100, 0.8, 3, 1, 3952, "cb81bc7d9145ce03"),
+        (100, 0.8, 4, 1, 3937, "5870e947f1c09d27"),
+    ]
+
+    def test_erdos_renyi_golden_draws(self):
+        assert any(attempts > 1 for _, _, _, attempts, _, _ in self.ER_GOLDEN)
+        for n, p_er, seed, attempts, m, digest in self.ER_GOLDEN:
+            draw = draw_erdos_renyi(n, p_er, seed)
+            assert (draw.attempts, len(draw.graph.edges), edge_digest(draw.graph)) == (
+                attempts, m, digest), (n, p_er, seed)
+
+    @pytest.mark.parametrize("dims,m,digest", [
+        ((2, 3), 7, "99de8d86d140dfd3"),
+        ((4, 4), 24, "c68aeb05b1d0601c"),
+        ((3, 3, 3), 54, "f71ca97d65c7d6c6"),
+    ])
+    def test_grid_golden_edges(self, dims, m, digest):
+        g = make_grid(dims)
+        assert (len(g.edges), edge_digest(g)) == (m, digest)
+
+    @pytest.mark.parametrize("maker,n", [
+        (make_star, 9), (make_path, 11), (make_complete, 8),
+    ])
+    def test_generators_match_set_based_build(self, maker, n):
+        g = maker(n)
+        self.assert_same_graph(g, reference_build(n, g.edges.tolist()[::-1]))
+
+
 class TestLaplacian:
     def test_k2(self):
         assert np.array_equal(
@@ -180,6 +314,26 @@ class TestLaplacian:
         g = make_grid([3, 4])
         assert laplacian_spectrum(g) is laplacian_spectrum(g)
         assert laplacian_spectrum(make_grid([3, 4])) is not laplacian_spectrum(g)
+
+    def test_eigenvalue_record_reuses_eigenpairs(self):
+        g = make_grid([3, 4])
+        pairs = laplacian_eigenpairs(g)
+        assert laplacian_spectrum(g) is pairs
+        assert laplacian_eigenpairs(g) is pairs
+        assert pairs.eigenvectors.shape == (12, 12)
+
+    @pytest.mark.parametrize(
+        "g", [make_star(9), make_path(40), make_grid([4, 5]), make_complete(8),
+              make_erdos_renyi(30, 0.3, 5)],
+        ids=["star", "path", "grid", "complete", "er"],
+    )
+    def test_values_only_record_matches_eigenpairs(self, g):
+        values = laplacian_spectrum(g)
+        assert not hasattr(values, "eigenvectors")
+        assert 0.0 <= values.residual <= 1e-12
+        pairs = laplacian_eigenpairs(g)
+        assert pairs is not values and laplacian_spectrum(g) is values
+        assert np.allclose(values.eigenvalues, pairs.eigenvalues, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "g", [make_star(9), make_path(11), make_grid([4, 3]), make_complete(8)],
@@ -221,12 +375,12 @@ class TestConnectivity:
 class TestErdosRenyi:
     def test_full_probability_is_complete(self):
         g = make_erdos_renyi(10, 1.0, 0)
-        assert g.edges == make_complete(10).edges
+        assert np.array_equal(g.edges, make_complete(10).edges)
 
     def test_seed_determinism(self):
         a = make_erdos_renyi(20, 0.8, 123)
         b = make_erdos_renyi(20, 0.8, 123)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_dense_draws_connect_first_try(self):
         for seed in range(100):
@@ -288,7 +442,7 @@ class TestEdgeListFormat:
         path = tmp_path / "grid.edges"
         write_edge_list(g, path)
         g2 = read_edge_list(path)
-        assert g2.n == g.n and g2.edges == g.edges
+        assert g2.n == g.n and np.array_equal(g2.edges, g.edges)
 
     def test_header_format(self, tmp_path):
         g = make_path(3)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ridlnoise import NumericalError, pseudoinverse_psd, sym_eigen
+from ridlnoise import NumericalError, sym_eigen
+from ridlnoise.linalg import sym_eigvals
 from ridlnoise.graphs import laplacian, make_complete, make_path, make_star
 
-# the dense oracle's Kronecker product and LU solve
-from oracles import SingularMatrixError, kron, solve
+# the dense oracle's Kronecker product and LU solve, and the pseudoinverse
+# behind the pairwise effective-resistance oracle
+from oracles import SingularMatrixError, kron, pseudoinverse_psd, solve
 
 
 class TestSymEigen:
@@ -142,6 +144,55 @@ class TestSolve:
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError, match="rcond|pivot"):
             solve(a, np.array([1.0, 1.0]))
+
+
+def power_sums(a):
+    return float(np.trace(a)), float(np.vdot(a, a))
+
+
+class TestSymEigvals:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_eigenpair_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 151))
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2
+        values = sym_eigvals(a, *power_sums(a))
+        assert np.all(np.diff(values.eigenvalues) >= 0)
+        assert values.residual <= 1e-12
+        scale = np.abs(values.eigenvalues).max()
+        assert np.abs(values.eigenvalues - sym_eigen(a).eigenvalues).max() <= 1e-12 * scale
+
+    def test_laplacian_power_sums(self):
+        # tr L = 2m and ||L||_F^2 = sum d^2 + 2m
+        g = make_star(6)
+        values = sym_eigvals(laplacian(g), 10.0, 25.0 + 5.0 + 10.0)
+        assert np.allclose(values.eigenvalues, [0, 1, 1, 1, 1, 6], atol=1e-12)
+
+    def test_wrong_power_sums_rejected(self):
+        lap = laplacian(make_path(6))
+        trace, frob = power_sums(lap)
+        assert sym_eigvals(lap, trace, frob).residual <= 1e-14
+        with pytest.raises(NumericalError, match="power-sum"):
+            sym_eigvals(lap, trace + 1e-5, frob)
+        with pytest.raises(NumericalError, match="power-sum"):
+            sym_eigvals(lap, trace, frob - 1e-5)
+
+    def test_perturbed_eigenvalues_rejected(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def perturbed(a, eigvals_only=False):
+            return eigh(a, eigvals_only=eigvals_only) * (1.0 + 1e-6)
+
+        lap = laplacian(make_path(30))
+        sums = power_sums(lap)
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        with pytest.raises(NumericalError, match="power-sum residual"):
+            sym_eigvals(lap, *sums)
+
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0)
 
 
 class TestPseudoinversePsd:

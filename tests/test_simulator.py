@@ -296,4 +296,4 @@ class TestDrift:
         assert est.drift >= 0.0
         if drift is not None:
             assert est.drift == drift
-        assert est.converged == (est.drift < sim.burn_in_check)
+        assert est.converged == (est.drift < simulator.BURN_IN_CHECK)
