@@ -17,7 +17,6 @@ from .graphs import (
     laplacian,
     laplacian_spectrum,
     make_complete,
-    make_erdos_renyi,
     make_grid,
     make_path,
     make_star,
@@ -26,34 +25,14 @@ from .graphs import (
 )
 from .linalg import SpectralData, sym_eigen
 from .noise_index import (
-    FAMILIES,
     ExactIndex,
     NoiseReport,
-    PredictedScaling,
-    ResistanceBounds,
-    complete_closed_form_bounds,
     compute_noise_report,
     exact_noise_index,
-    family_asymptotics,
-    generic_bounds,
-    path_closed_form_bounds,
     resistance_bounds,
     ridl_bounds,
-    star_closed_form_bounds,
 )
-from .ridl import (
-    ConsensusReport,
-    RidlConfig,
-    StochasticMatrixSample,
-    check_consensus_conditions,
-    expected_p,
-    expected_p_squared,
-    induced_laplacian,
-    omega_projector,
-    sample_activation,
-    sample_ridl,
-    stein_operator,
-)
+from .ridl import RidlConfig, omega_projector, stein_operator
 from .simulator import (
     NOISE_DISTRIBUTIONS,
     SimConfig,

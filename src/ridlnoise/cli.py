@@ -36,6 +36,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import NumericalError
@@ -197,6 +198,10 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise click.UsageError("--realizations must be >= 1")
     if spec.realizations > 1 and spec.family != "erdos-renyi":
         raise click.UsageError("--realizations only applies to erdos-renyi graphs")
+    if spec.realizations > 1 and spec.ensemble is not None:
+        # a simulate row would average the bounds over the draws but
+        # simulate only the first
+        raise click.UsageError("simulate takes one Erdos-Renyi draw per N; use --realizations 1")
     if (spec.ensemble is not None and spec.ensemble < 1) or (
         spec.horizon is not None and spec.horizon < 1
     ):
@@ -398,20 +403,25 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # JSON has no infinity or nan
+    return value
+
+
 def render_rows(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Render rows to CSV (header + 12-significant-digit cells) or to a
-    JSON array of row objects with the same field names."""
+    JSON array of row objects with the same field names, where a
+    non-finite number is null."""
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_format_cell(row.get(c)) for c in columns))
         return "\n".join(lines) + "\n"
-    payload = [
-        {c: (row.get(c) if not isinstance(row.get(c), np.integer) else int(row[c]))
-         for c in columns}
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    payload = [{c: _json_cell(row.get(c)) for c in columns} for row in rows]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -583,18 +593,27 @@ def sweep_n_cmd(**params) -> None:
 @_config_options
 @_output_options
 @click.option("--families", default=",".join(SWEEP_FAMILIES), show_default=True,
-              help="Comma-separated families to sweep.")
+              help="Comma-separated families to sweep (instead of --graph).")
 @click.option("--p-grid", default="0.1:0.9:0.1", show_default=True,
               help="Activation probability grid LO:HI:STEP.")
 @_guard
 def sweep_p_cmd(**params) -> None:
     """Relative bound errors vs activation probability at fixed N.
 
-    Every row is exact at its own N: each family's graph is built once
-    and solved at every p of the grid, so n_exact equals n. A large
-    --graph file is solved at its own N too, as with exact.
+    Sweeps the --families list, or the one --graph when that is given
+    instead; giving both is an error. Every row is exact at its own N:
+    each family's graph is built once and solved at every p of the grid,
+    so n_exact equals n. A large --graph file is solved at its own N too,
+    as with exact.
     """
     params = dict(params)
+    ctx = click.get_current_context()
+    given = {name for name in ("graph", "families")
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+    if given == {"graph", "families"}:
+        raise click.UsageError("give either --graph or --families, not both")
+    if "graph" in given:
+        params["families"] = ""
     params["p_grid"] = _parse_p_grid(params.get("p_grid") or "0.1:0.9:0.1")
     params["families"] = tuple(
         f.strip() for f in (params.get("families") or "").split(",") if f.strip()

@@ -36,7 +36,6 @@ __all__ = [
     "make_path",
     "make_grid",
     "make_complete",
-    "make_erdos_renyi",
     "draw_erdos_renyi",
     "laplacian",
     "laplacian_spectrum",
@@ -162,19 +161,15 @@ def make_complete(n: int) -> UndirectedGraph:
 
 
 def draw_erdos_renyi(
-    n: int,
-    p_er: float,
-    rng: np.random.Generator | int,
-    require_connected: bool = True,
-    max_resamples: int = TOL.er_max_resamples,
+    n: int, p_er: float, rng: np.random.Generator | int
 ) -> ErdosRenyiDraw:
-    """Sample G(n, p_er); optionally resample until connected.
+    """Sample G(n, p_er), resampling until connected.
 
     Each unordered pair is present independently with probability
     ``p_er``; fresh draws come from the same seeded stream, so a fixed
     seed yields the same sequence of attempts. Fails with a diagnostic
-    once the resampling budget is exhausted (p_er too small for
-    connectivity at this n).
+    once the ``TOL.er_max_resamples`` budget is exhausted (p_er too small
+    for connectivity at this n).
     """
     if n < 2:
         raise ValueError(f"Erdos-Renyi graph needs n >= 2, got {n}")
@@ -182,26 +177,15 @@ def draw_erdos_renyi(
         raise ValueError(f"edge probability must be in (0, 1], got {p_er}")
     rng = np.random.default_rng(rng)
     iu, ju = np.triu_indices(n, k=1)
-    for attempt in range(1, max_resamples + 1):
+    for attempt in range(1, TOL.er_max_resamples + 1):
         mask = rng.random(iu.shape[0]) < p_er
         g = _build(n, np.column_stack((iu[mask], ju[mask])))
-        if not require_connected or is_connected(g):
+        if is_connected(g):
             return ErdosRenyiDraw(graph=g, attempts=attempt)
     raise RuntimeError(
-        f"no connected Erdos-Renyi draw in {max_resamples} attempts "
+        f"no connected Erdos-Renyi draw in {TOL.er_max_resamples} attempts "
         f"(n={n}, p_er={p_er}); increase p_er or the resampling budget"
     )
-
-
-def make_erdos_renyi(
-    n: int,
-    p_er: float,
-    rng: np.random.Generator | int,
-    require_connected: bool = True,
-    max_resamples: int = TOL.er_max_resamples,
-) -> UndirectedGraph:
-    """Sample G(n, p_er), resampling to connectivity by default."""
-    return draw_erdos_renyi(n, p_er, rng, require_connected, max_resamples).graph
 
 
 def laplacian(g: UndirectedGraph) -> np.ndarray:

@@ -7,15 +7,15 @@ normalized by the node count. This module evaluates it three ways:
 * ``exact_noise_index``  from the steady-state disagreement covariance,
   the solution of the Stein equation Sigma = E[P Sigma P] + Omega,
   found by preconditioned conjugate gradients on N x N matrices,
-* ``generic_bounds``     lower/upper bounds from the spectra of E[P]
-  and E[P^2] (any symmetric i.i.d. update sequence),
-* ``ridl_bounds``        the same bounds specialized to RIDL updates,
-  written directly on the Laplacian spectrum of the underlying graph,
+* ``ridl_bounds``        lower/upper bounds from the spectra of E[P] and
+  E[P^2], written directly on the Laplacian spectrum of the underlying
+  graph,
 * ``resistance_bounds``  an outer sandwich in terms of the average
   effective resistance, which exposes the growth rate in N.
 
-Per-family closed forms (star, path, complete) and their large-N
-behavior are provided as independent evaluators for cross-checking.
+The generic bounds on any E[P] and E[P^2], the per-family closed forms
+(star, path, complete) and their large-N limits are independent
+cross-checks of these and live with the tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -31,28 +31,18 @@ from .graphs import (
     laplacian_eigenpairs,
     laplacian_spectrum,
 )
-from .linalg import Eigenvalues, sym_eigen
+from .linalg import Eigenvalues
 from .ridl import RidlConfig, omega_projector, stein_operator
 from .tolerances import TOL
 
 __all__ = [
     "ExactIndex",
     "NoiseReport",
-    "ResistanceBounds",
-    "PredictedScaling",
-    "FAMILIES",
     "exact_noise_index",
-    "generic_bounds",
     "ridl_bounds",
     "resistance_bounds",
-    "star_closed_form_bounds",
-    "path_closed_form_bounds",
-    "complete_closed_form_bounds",
-    "family_asymptotics",
     "compute_noise_report",
 ]
-
-FAMILIES = ("star", "path", "grid2d", "grid3d", "complete")
 
 # Conjugate-gradient stopping rule of the exact solve: the residual
 # target is relative to ||Omega||_F + a ||X||_F, with a = 2 eps p^2
@@ -61,29 +51,6 @@ FAMILIES = ("star", "path", "grid2d", "grid3d", "complete")
 # the index grows.
 _CG_RTOL = 1e-13
 _CG_MAX_ITER = 500
-
-
-@dataclass(frozen=True)
-class ResistanceBounds:
-    """Resistance-based sandwich, in both the eps form and the
-    equivalent d_max * R_ave form (they agree when eps = k / d_max)."""
-
-    lb: float
-    ub: float
-    lb_degree_form: float
-    ub_degree_form: float
-
-
-@dataclass(frozen=True)
-class PredictedScaling:
-    """Leading-order large-N behavior of the index for a graph family."""
-
-    family: str
-    growth: str  # "linear" or "bounded"
-    slope: float | None = None  # per-node slope when growth is linear (star)
-    predicted_value: float | None = None  # slope * n when a slope is known
-    lb_limit: float | None = None  # large-N limit of the lower bound
-    ub_limit: float | None = None  # large-N limit of the upper bound
 
 
 @dataclass(frozen=True)
@@ -190,55 +157,6 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     return ExactIndex(j=j, iterations=iterations, residual=residual)
 
 
-def _perron_excluded(eigenvalues: np.ndarray, label: str) -> np.ndarray:
-    """Drop the single consensus eigenvalue (the largest, equal to 1)
-    after an ascending sort; guard that it is simple."""
-    lam = eigenvalues
-    if abs(lam[-1] - 1.0) > 1e-8:
-        raise NumericalError(
-            f"largest eigenvalue of {label} is {lam[-1]:.12g}, expected 1"
-        )
-    if lam.shape[0] > 1 and lam[-2] >= 1.0 - TOL.perron_gap:
-        raise NumericalError(
-            f"second-largest eigenvalue of {label} is {lam[-2]:.12g}; "
-            "the consensus eigenvalue is not simple (disconnected expected graph)"
-        )
-    return lam[:-1]
-
-
-def generic_bounds(
-    p_bar: np.ndarray, p_bbar: np.ndarray, sigma2: float
-) -> tuple[float, float]:
-    """Bounds from the spectra of E[P] and E[P^2]:
-
-    (sigma^2/N) sum 1/(1 - lam_i^2(E[P]))  <=  J  <=
-    (sigma^2/N) sum 1/(1 - lam_i(E[P^2]))
-
-    summed over the N-1 non-consensus eigenvalues.
-    """
-    n = p_bar.shape[0]
-    if p_bbar.shape != (n, n):
-        raise ValueError("E[P] and E[P^2] must have the same shape")
-    for name, m in (("E[P]", p_bar), ("E[P^2]", p_bbar)):
-        row_err = np.abs(m.sum(axis=1) - 1.0).max()
-        if row_err > TOL.stochastic_atol:
-            raise ValueError(f"{name} is not doubly stochastic (row-sum error {row_err:.3e})")
-    lam_bar = _perron_excluded(sym_eigen(p_bar).eigenvalues, "E[P]")
-    lam_bbar = _perron_excluded(sym_eigen(p_bbar).eigenvalues, "E[P^2]")
-    den_lb = 1.0 - lam_bar**2
-    den_ub = 1.0 - lam_bbar
-    for label, den, lam in (("E[P]", den_lb, lam_bar), ("E[P^2]", den_ub, lam_bbar)):
-        if den.size and den.min() <= 0.0:
-            bad = lam[np.argmin(den)]
-            raise NumericalError(
-                f"non-consensus eigenvalue {bad:.12g} of {label} reaches the unit "
-                "circle; consensus conditions fail"
-            )
-    j_lb = sigma2 / n * float(np.sum(1.0 / den_lb))
-    j_ub = sigma2 / n * float(np.sum(1.0 / den_ub))
-    return j_lb, j_ub
-
-
 def ridl_bounds(
     laplacian_spectrum: Eigenvalues, cfg: RidlConfig
 ) -> tuple[float, float]:
@@ -269,87 +187,17 @@ def ridl_bounds(
     return pref * float(np.sum(1.0 / den_lb)), pref * float(np.sum(1.0 / den_ub))
 
 
-def resistance_bounds(r_ave: float, cfg: RidlConfig) -> ResistanceBounds:
+def resistance_bounds(r_ave: float, cfg: RidlConfig) -> tuple[float, float]:
     """Outer sandwich in terms of the average effective resistance:
 
     sigma^2/(2 p^2) * R_ave/eps  <=  J  <=  sigma^2/(2 p^3 (1-k)) * R_ave/eps
-
-    together with the equivalent d_max * R_ave form, which must agree
-    exactly given eps = k / d_max.
     """
     if r_ave <= 0.0:
         raise ValueError(f"average effective resistance must be positive, got {r_ave}")
     e, p, s2, k = cfg.epsilon, cfg.p, cfg.sigma2, cfg.k
     lb = s2 / (2.0 * p**2) * (r_ave / e)
     ub = s2 / (2.0 * p**3 * (1.0 - k)) * (r_ave / e)
-    lb_deg = s2 / (2.0 * p**2 * k) * cfg.d_max * r_ave
-    ub_deg = s2 / (2.0 * p**3 * k * (1.0 - k)) * cfg.d_max * r_ave
-    return ResistanceBounds(lb=lb, ub=ub, lb_degree_form=lb_deg, ub_degree_form=ub_deg)
-
-
-def star_closed_form_bounds(n: int, cfg: RidlConfig) -> tuple[float, float]:
-    """Star-graph bounds from the explicit spectrum {0, 1 x (N-2), N}."""
-    if n < 3:
-        raise ValueError(f"star closed form needs n >= 3, got {n}")
-    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
-    pref = s2 / (e * p**2 * n)
-    lb = pref * ((n - 2) / (2.0 - e * p**2) + 1.0 / (n * (2.0 - e * p**2 * n)))
-    ub = pref * (
-        (n - 2) / (e * p + 2.0 - 2.0 * e)
-        + 1.0 / (n * (2.0 * e * p + 2.0 - 2.0 * e - e * p * n))
-    )
     return lb, ub
-
-
-def path_closed_form_bounds(n: int, cfg: RidlConfig) -> tuple[float, float]:
-    """Path-graph bounds from the cosine spectrum 2 - 2 cos(pi i / N)."""
-    if n < 2:
-        raise ValueError(f"path closed form needs n >= 2, got {n}")
-    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
-    c = np.cos(np.pi * np.arange(1, n) / n)
-    pref = s2 / (4.0 * e * p**2 * n)
-    lb = pref * float(
-        np.sum(1.0 / (1.0 - e * p**2 - e * p**2 * c**2 + (2.0 * e * p**2 - 1.0) * c))
-    )
-    ub = pref * float(
-        np.sum(1.0 / (1.0 - e - e * p * c**2 + (e * p + e - 1.0) * c))
-    )
-    return lb, ub
-
-
-def complete_closed_form_bounds(n: int, cfg: RidlConfig) -> tuple[float, float]:
-    """Complete-graph bounds from the spectrum {0, N x (N-1)}."""
-    if n < 2:
-        raise ValueError(f"complete closed form needs n >= 2, got {n}")
-    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
-    lb = s2 * (n - 1) / (e * p**2 * n**2 * (2.0 - e * p**2 * n))
-    ub = s2 * (n - 1) / (e * p**2 * n**2 * (2.0 + 2.0 * e * p - 2.0 * e - e * p * n))
-    return lb, ub
-
-
-def family_asymptotics(family: str, n: int, cfg: RidlConfig) -> PredictedScaling:
-    """Predicted large-N behavior under the eps = k / d_max convention.
-
-    Star: linear growth with per-node slope sigma^2 / (2 k p^2).
-    Path and grids: linear growth in d_max * R_ave (no universal slope).
-    Complete: bounded, with explicit limits for both bounds.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; use one of {FAMILIES}")
-    p, s2, k = cfg.p, cfg.sigma2, cfg.k
-    if family == "star":
-        slope = s2 / (2.0 * k * p**2)
-        return PredictedScaling(
-            family=family, growth="linear", slope=slope, predicted_value=slope * n
-        )
-    if family == "complete":
-        return PredictedScaling(
-            family=family,
-            growth="bounded",
-            lb_limit=s2 / (p**2 * k * (2.0 - p**2 * k)),
-            ub_limit=s2 / (p**2 * k * (2.0 - p * k)),
-        )
-    return PredictedScaling(family=family, growth="linear")
 
 
 def compute_noise_report(
@@ -368,7 +216,7 @@ def compute_noise_report(
     spec = laplacian_eigenpairs(g) if exact else laplacian_spectrum(g)
     j_lb, j_ub = ridl_bounds(spec, cfg)
     r_ave = average_effective_resistance(g)
-    res = resistance_bounds(r_ave, cfg)
+    j_res_lb, j_res_ub = resistance_bounds(r_ave, cfg)
     tags = {
         "j_lb": "laplacian-spectrum",
         "j_ub": "laplacian-spectrum",
@@ -388,8 +236,8 @@ def compute_noise_report(
         j_exact=j_exact,
         j_lb=j_lb,
         j_ub=j_ub,
-        j_res_lb=res.lb,
-        j_res_ub=res.ub,
+        j_res_lb=j_res_lb,
+        j_res_ub=j_res_ub,
         r_ave=r_ave,
         lambda2=float(spec.eigenvalues[1]),
         lambda_n=float(spec.eigenvalues[-1]),

@@ -1,37 +1,30 @@
 """Randomly induced discretized Laplacian (RIDL) update matrices.
 
 Every node is independently active with probability p at each step; the
-update matrix is P = I - eps * L(active subgraph). This module samples
-such matrices, validates the almost-sure consensus conditions, and
-computes the expected operators that drive the noise-index formulas:
+update matrix is P = I - eps * L(active subgraph). This module holds the
+parameters of such updates (``RidlConfig``), the disagreement projector,
+and the one expected operator the exact solve needs:
 
-* ``expected_p``          P_bar  = E[P]      = I - eps p^2 L_bar
-* ``expected_p_squared``  P_bbar = E[P^2]    (closed form in Bernoulli moments)
-* ``stein_operator``      X -> X - E[P X P] on N x N matrices, applied
+* ``stein_operator``  X -> X - E[P X P] on N x N matrices, applied
   without forming the N^2 x N^2 second-moment operator E[P (x) P]
 
-The tests check all three against sums over the 2^N activation patterns.
+No update matrix is formed here: the Monte Carlo loop applies P to its
+states through the sparse adjacency. The samplers of P, the expected matrices E[P] and
+E[P^2], and the sums over the 2^N activation patterns that check them
+and this operator live with the tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UndirectedGraph, is_connected, laplacian
+from .graphs import UndirectedGraph, laplacian
 
 __all__ = [
     "RidlConfig",
-    "StochasticMatrixSample",
-    "ConsensusReport",
     "omega_projector",
-    "sample_activation",
-    "induced_laplacian",
-    "sample_ridl",
-    "check_consensus_conditions",
-    "expected_p",
-    "expected_p_squared",
     "stein_operator",
 ]
 
@@ -88,104 +81,9 @@ class RidlConfig:
         return cls(p=p, epsilon=float(epsilon), sigma2=float(sigma2), d_max=g.d_max)
 
 
-@dataclass(frozen=True)
-class StochasticMatrixSample:
-    """One sampled update matrix together with the activation pattern
-    (0/1 vector) that generated it."""
-
-    matrix: np.ndarray
-    pattern: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConsensusReport:
-    """Outcome of the almost-sure consensus validation.
-
-    ``positive_diagonal`` holds iff eps * d_max < 1 (every diagonal entry
-    of every sample stays >= 1 - k > 0); ``expected_graph_connected``
-    holds iff the underlying graph is connected and p > 0 (the graph of
-    E[P] is then the underlying graph plus self-loops).
-    """
-
-    positive_diagonal: bool
-    expected_graph_connected: bool
-    passed: bool
-    messages: tuple[str, ...] = field(default_factory=tuple)
-
-
 def omega_projector(n: int) -> np.ndarray:
     """Projector onto the disagreement subspace: I - (1/n) * ones."""
     return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def sample_activation(n: int, p: float, rng: np.random.Generator | int) -> np.ndarray:
-    """n independent Bernoulli(p) activations as a 0/1 float vector."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"activation probability must be in (0, 1], got {p}")
-    rng = np.random.default_rng(rng)
-    return (rng.random(n) < p).astype(np.float64)
-
-
-def induced_laplacian(g: UndirectedGraph, pattern: np.ndarray) -> np.ndarray:
-    """Laplacian of the subgraph induced by the active nodes.
-
-    Entry (i, j), i != j, is -gamma_i gamma_j A_ij; the diagonal carries
-    the active degrees, so rows sum to zero and the result is PSD.
-    """
-    pattern = np.asarray(pattern, dtype=np.float64)
-    if pattern.shape != (g.n,):
-        raise ValueError(f"pattern length {pattern.shape} does not match n={g.n}")
-    a_act = g.adjacency * np.outer(pattern, pattern)
-    return np.diag(a_act.sum(axis=1)) - a_act
-
-
-def sample_ridl(
-    g: UndirectedGraph, cfg: RidlConfig, rng: np.random.Generator | int
-) -> StochasticMatrixSample:
-    """Draw one update matrix P = I - eps * L(active pattern)."""
-    if cfg.d_max != g.d_max:
-        raise ValueError(
-            f"config was built for d_max={cfg.d_max} but graph has d_max={g.d_max}"
-        )
-    pattern = sample_activation(g.n, cfg.p, rng)
-    matrix = np.eye(g.n) - cfg.epsilon * induced_laplacian(g, pattern)
-    return StochasticMatrixSample(matrix=matrix, pattern=pattern)
-
-
-def check_consensus_conditions(g: UndirectedGraph, cfg: RidlConfig) -> ConsensusReport:
-    """Validate the two almost-sure consensus conditions for this pair."""
-    messages = []
-    positive_diagonal = cfg.epsilon * g.d_max < 1.0
-    if not positive_diagonal:
-        messages.append(
-            f"eps * d_max = {cfg.epsilon * g.d_max:.6g} >= 1: sampled diagonals "
-            "may hit zero"
-        )
-    connected = is_connected(g) and cfg.p > 0.0
-    if not connected:
-        messages.append("expected update graph is disconnected (graph or p = 0)")
-    return ConsensusReport(
-        positive_diagonal=positive_diagonal,
-        expected_graph_connected=connected,
-        passed=positive_diagonal and connected,
-        messages=tuple(messages),
-    )
-
-
-def expected_p(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
-    """E[P] = I - eps p^2 L_bar (each edge is live iff both ends are)."""
-    return np.eye(g.n) - cfg.epsilon * cfg.p**2 * laplacian(g)
-
-
-def expected_p_squared(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
-    """E[P^2] = I + 2 eps p^2 (eps - eps p - 1) L_bar + eps^2 p^3 L_bar^2.
-
-    Follows from E[L^2] = 2(p^2 - p^3) L_bar + p^3 L_bar^2, which is what
-    replacing each activation monomial by p^(distinct indices) gives.
-    """
-    lbar = laplacian(g)
-    e, p = cfg.epsilon, cfg.p
-    return np.eye(g.n) + 2.0 * e * p**2 * (e - e * p - 1.0) * lbar + e**2 * p**3 * (lbar @ lbar)
 
 
 def stein_operator(

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import UndirectedGraph, laplacian_spectrum
-from .ridl import RidlConfig, check_consensus_conditions
+from .graphs import UndirectedGraph, is_connected, laplacian_spectrum
+from .ridl import RidlConfig
 
 __all__ = [
     "BURN_IN_CHECK",
@@ -60,6 +60,10 @@ NOISE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
 # a run is converged when its drift statistic is below this
 BURN_IN_CHECK = 0.05
+
+# target and cap of ``default_horizon``
+_HORIZON_TARGET = 1e-4
+_HORIZON_CAP = 100_000
 
 # bytes of draws held at once: float64 noise plus bool activations
 _DRAW_BUDGET = 1 << 25
@@ -96,32 +100,30 @@ class SimEstimate:
     ``mf_corr`` is the correlation of d(x_T) and d(x~_T) across
     replications, which sets the control variate's variance reduction
     (1 - rho^2 at best); nan with fewer than two replications or zero
-    variance.
+    variance. ``mean_trace`` is the per-step ensemble mean of d(x_t) / N,
+    the series the drift test reads.
     """
 
     j_hat: float
     std_error: float
-    samples_used: int
     converged: bool
     drift: float
-    seed: int
     mf_corr: float
-    mean_trace: np.ndarray | None = None
+    mean_trace: np.ndarray
 
 
-def default_horizon(
-    g: UndirectedGraph, cfg: RidlConfig, target: float = 1e-4, cap: int = 100_000
-) -> int:
-    """Smallest T with (1 - eps p^2 lambda_2)^(2T) below ``target``,
-    capped; ties the burn-in length to the spectral gap."""
+def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
+    """Smallest T with (1 - eps p^2 lambda_2)^(2T) below
+    ``_HORIZON_TARGET`` (1e-4), capped at ``_HORIZON_CAP`` (100000); ties
+    the burn-in length to the spectral gap."""
     lam2 = float(laplacian_spectrum(g).eigenvalues[1])
     rho = abs(1.0 - cfg.epsilon * cfg.p**2 * lam2)
     if rho <= 0.0:
         return 1
     if rho >= 1.0:
-        return cap
-    t = math.ceil(math.log(target) / (2.0 * math.log(rho)))
-    return max(1, min(t, cap))
+        return _HORIZON_CAP
+    t = math.ceil(math.log(_HORIZON_TARGET) / (2.0 * math.log(rho)))
+    return max(1, min(t, _HORIZON_CAP))
 
 
 def _mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
@@ -293,7 +295,7 @@ def _drift(series: np.ndarray) -> float:
 
 
 def estimate_noise_index(
-    g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig, track_mean: bool = False
+    g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig
 ) -> SimEstimate:
     """Ensemble estimate of the noise index.
 
@@ -318,14 +320,20 @@ def estimate_noise_index(
     noise generator past its activations, so the trajectories equal those
     of whole-horizon draws from the same seeds.
 
-    With ``track_mean`` the per-step ensemble mean of disagreement / N
-    is recorded in ``mean_trace``.
+    Raises ValueError unless both almost-sure consensus conditions hold:
+    eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,
+    and ``g`` is connected, so E[P] has a simple consensus eigenvalue.
     """
-    report = check_consensus_conditions(g, cfg)
-    if not report.passed:
-        raise ValueError(
-            "consensus conditions fail: " + "; ".join(report.messages)
+    failures = []
+    if cfg.epsilon * g.d_max >= 1.0:
+        failures.append(
+            f"eps * d_max = {cfg.epsilon * g.d_max:.6g} >= 1: sampled diagonals "
+            "may hit zero"
         )
+    if not is_connected(g):
+        failures.append("expected update graph is disconnected (graph or p = 0)")
+    if failures:
+        raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble
     seeds = np.random.SeedSequence(sim.seed).spawn(m)
     d_final, d_shadow, series = _run_ensemble(seeds, g, cfg, sim)
@@ -339,10 +347,8 @@ def estimate_noise_index(
     return SimEstimate(
         j_hat=float(per_rep.mean()),
         std_error=float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
-        samples_used=m,
         converged=bool(drift < BURN_IN_CHECK),
         drift=drift,
-        seed=sim.seed,
         mf_corr=mf_corr,
-        mean_trace=mean_trace if track_mean else None,
+        mean_trace=mean_trace,
     )

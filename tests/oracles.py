@@ -1,39 +1,46 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the parts of the model that
+only the tests read.
 
-These deliberately avoid the library code paths they check: effective
-resistance comes from pseudoinverse pairwise resistances instead of the
-spectral sum, the expected update matrices come from brute-force
-pattern enumeration instead of the closed forms, and the exact index
-comes from the dense N^2 x N^2 second-moment operator (assembled from
-Bernoulli moments or by summing all 2^N activation patterns, with the
-disagreement projector in any of three places) and an LU solve, instead
-of the library's matrix-free Stein solve. The Monte Carlo reference runs
-the noisy dynamics with two dense N x N products per step instead of
-the library's sparse step, draws each replication's whole horizon at
-once instead of in time blocks, and takes the mean-field control
-variate's known mean from the propagated noise covariance instead of
-the spectral sum. The single-sample ``step`` and ``disagreement`` are
-the dynamics and its statistic written out for one state vector.
-``reference_build`` is the set-based graph construction that the
-library's edge-array ``_build`` replaced, kept to check that both give
-the same graphs.
+The oracles deliberately avoid the library code paths they check:
+effective resistance comes from pseudoinverse pairwise resistances
+instead of the spectral sum, the expected update matrices come from
+brute-force pattern enumeration instead of the closed forms, and the
+exact index comes from the dense N^2 x N^2 second-moment operator
+(assembled from Bernoulli moments or by summing all 2^N activation
+patterns, with the disagreement projector in any of three places) and an
+LU solve, instead of the library's matrix-free Stein solve. The Monte
+Carlo reference runs the noisy dynamics with two dense N x N products per
+step instead of the library's sparse step, draws each replication's
+whole horizon at once instead of in time blocks, and takes the
+mean-field control variate's known mean from the propagated noise
+covariance instead of the spectral sum. ``reference_build`` is the
+set-based graph construction that the library's edge-array ``_build``
+replaced, kept to check that both give the same graphs.
+
+The rest is the paper's derivation, which the command-line program never
+evaluates and the tests check the library against:
+
+* the RIDL samplers ``sample_activation``, ``induced_laplacian`` and
+  ``sample_ridl``, and the single-sample ``step`` and ``disagreement``;
+* the expected matrices ``expected_p`` (E[P]) and ``expected_p_squared``
+  (E[P^2]) in closed form;
+* ``generic_bounds``, the bounds on the spectra of any E[P] and E[P^2]
+  that ``noise_index.ridl_bounds`` specializes to the Laplacian spectrum;
+* the per-family closed-form bounds (star, path, complete) and their
+  large-N behavior, ``family_asymptotics``;
+* ``make_erdos_renyi``, the graph of ``graphs.draw_erdos_renyi``.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from ridlnoise import NumericalError, UndirectedGraph, laplacian, sym_eigen
+from ridlnoise import NumericalError, UndirectedGraph, draw_erdos_renyi, laplacian, sym_eigen
 from ridlnoise.linalg import _as_square_float, _require_symmetric
-from ridlnoise.ridl import (
-    RidlConfig,
-    StochasticMatrixSample,
-    expected_p,
-    induced_laplacian,
-    omega_projector,
-)
+from ridlnoise.ridl import RidlConfig, omega_projector
 from ridlnoise.simulator import BURN_IN_CHECK, SimConfig
 
 # The three algebraically equivalent placements of the disagreement
@@ -46,10 +53,204 @@ DENSE_N_CAP = 64      # largest N for the N^2 x N^2 operator (8 N^4 bytes)
 ENUM_N_CAP = 14       # largest N for 2^N pattern enumeration
 RCOND_MIN = 1e-12     # reject solves with condition estimate > 1e12
 PINV_CUTOFF_RTOL = 1e-9  # pseudoinverse eigenvalue cutoff relative to lambda_max
+STOCHASTIC_ATOL = 1e-9   # row sums of a doubly stochastic matrix
+PERRON_GAP = 1e-9        # second-largest eigenvalue of E[P] must be < 1 - gap
+
+FAMILIES = ("star", "path", "grid2d", "grid3d", "complete")
 
 
 class SingularMatrixError(NumericalError):
     """Linear solve rejected; carries the condition-number diagnostic."""
+
+
+def make_erdos_renyi(n: int, p_er: float, rng: np.random.Generator | int) -> UndirectedGraph:
+    """A connected sample of G(n, p_er)."""
+    return draw_erdos_renyi(n, p_er, rng).graph
+
+
+@dataclass(frozen=True)
+class StochasticMatrixSample:
+    """One sampled update matrix together with the activation pattern
+    (0/1 vector) that generated it."""
+
+    matrix: np.ndarray
+    pattern: np.ndarray
+
+
+def sample_activation(n: int, p: float, rng: np.random.Generator | int) -> np.ndarray:
+    """n independent Bernoulli(p) activations as a 0/1 float vector."""
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"activation probability must be in (0, 1], got {p}")
+    rng = np.random.default_rng(rng)
+    return (rng.random(n) < p).astype(np.float64)
+
+
+def induced_laplacian(g: UndirectedGraph, pattern: np.ndarray) -> np.ndarray:
+    """Laplacian of the subgraph induced by the active nodes.
+
+    Entry (i, j), i != j, is -gamma_i gamma_j A_ij; the diagonal carries
+    the active degrees, so rows sum to zero and the result is PSD.
+    """
+    pattern = np.asarray(pattern, dtype=np.float64)
+    if pattern.shape != (g.n,):
+        raise ValueError(f"pattern length {pattern.shape} does not match n={g.n}")
+    a_act = g.adjacency * np.outer(pattern, pattern)
+    return np.diag(a_act.sum(axis=1)) - a_act
+
+
+def sample_ridl(
+    g: UndirectedGraph, cfg: RidlConfig, rng: np.random.Generator | int
+) -> StochasticMatrixSample:
+    """Draw one update matrix P = I - eps * L(active pattern)."""
+    if cfg.d_max != g.d_max:
+        raise ValueError(
+            f"config was built for d_max={cfg.d_max} but graph has d_max={g.d_max}"
+        )
+    pattern = sample_activation(g.n, cfg.p, rng)
+    matrix = np.eye(g.n) - cfg.epsilon * induced_laplacian(g, pattern)
+    return StochasticMatrixSample(matrix=matrix, pattern=pattern)
+
+
+def expected_p(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
+    """E[P] = I - eps p^2 L_bar (each edge is live iff both ends are)."""
+    return np.eye(g.n) - cfg.epsilon * cfg.p**2 * laplacian(g)
+
+
+def expected_p_squared(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
+    """E[P^2] = I + 2 eps p^2 (eps - eps p - 1) L_bar + eps^2 p^3 L_bar^2.
+
+    Follows from E[L^2] = 2(p^2 - p^3) L_bar + p^3 L_bar^2, which is what
+    replacing each activation monomial by p^(distinct indices) gives.
+    """
+    lbar = laplacian(g)
+    e, p = cfg.epsilon, cfg.p
+    return np.eye(g.n) + 2.0 * e * p**2 * (e - e * p - 1.0) * lbar + e**2 * p**3 * (lbar @ lbar)
+
+
+def _perron_excluded(eigenvalues: np.ndarray, label: str) -> np.ndarray:
+    """Drop the single consensus eigenvalue (the largest, equal to 1)
+    after an ascending sort; guard that it is simple."""
+    lam = eigenvalues
+    if abs(lam[-1] - 1.0) > 1e-8:
+        raise NumericalError(
+            f"largest eigenvalue of {label} is {lam[-1]:.12g}, expected 1"
+        )
+    if lam.shape[0] > 1 and lam[-2] >= 1.0 - PERRON_GAP:
+        raise NumericalError(
+            f"second-largest eigenvalue of {label} is {lam[-2]:.12g}; "
+            "the consensus eigenvalue is not simple (disconnected expected graph)"
+        )
+    return lam[:-1]
+
+
+def generic_bounds(
+    p_bar: np.ndarray, p_bbar: np.ndarray, sigma2: float
+) -> tuple[float, float]:
+    """Bounds from the spectra of E[P] and E[P^2]:
+
+    (sigma^2/N) sum 1/(1 - lam_i^2(E[P]))  <=  J  <=
+    (sigma^2/N) sum 1/(1 - lam_i(E[P^2]))
+
+    summed over the N-1 non-consensus eigenvalues.
+    """
+    n = p_bar.shape[0]
+    if p_bbar.shape != (n, n):
+        raise ValueError("E[P] and E[P^2] must have the same shape")
+    for name, m in (("E[P]", p_bar), ("E[P^2]", p_bbar)):
+        row_err = np.abs(m.sum(axis=1) - 1.0).max()
+        if row_err > STOCHASTIC_ATOL:
+            raise ValueError(f"{name} is not doubly stochastic (row-sum error {row_err:.3e})")
+    lam_bar = _perron_excluded(sym_eigen(p_bar).eigenvalues, "E[P]")
+    lam_bbar = _perron_excluded(sym_eigen(p_bbar).eigenvalues, "E[P^2]")
+    den_lb = 1.0 - lam_bar**2
+    den_ub = 1.0 - lam_bbar
+    for label, den, lam in (("E[P]", den_lb, lam_bar), ("E[P^2]", den_ub, lam_bbar)):
+        if den.size and den.min() <= 0.0:
+            bad = lam[np.argmin(den)]
+            raise NumericalError(
+                f"non-consensus eigenvalue {bad:.12g} of {label} reaches the unit "
+                "circle; consensus conditions fail"
+            )
+    j_lb = sigma2 / n * float(np.sum(1.0 / den_lb))
+    j_ub = sigma2 / n * float(np.sum(1.0 / den_ub))
+    return j_lb, j_ub
+
+
+def star_closed_form_bounds(n: int, cfg: RidlConfig) -> tuple[float, float]:
+    """Star-graph bounds from the explicit spectrum {0, 1 x (N-2), N}."""
+    if n < 3:
+        raise ValueError(f"star closed form needs n >= 3, got {n}")
+    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
+    pref = s2 / (e * p**2 * n)
+    lb = pref * ((n - 2) / (2.0 - e * p**2) + 1.0 / (n * (2.0 - e * p**2 * n)))
+    ub = pref * (
+        (n - 2) / (e * p + 2.0 - 2.0 * e)
+        + 1.0 / (n * (2.0 * e * p + 2.0 - 2.0 * e - e * p * n))
+    )
+    return lb, ub
+
+
+def path_closed_form_bounds(n: int, cfg: RidlConfig) -> tuple[float, float]:
+    """Path-graph bounds from the cosine spectrum 2 - 2 cos(pi i / N)."""
+    if n < 2:
+        raise ValueError(f"path closed form needs n >= 2, got {n}")
+    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
+    c = np.cos(np.pi * np.arange(1, n) / n)
+    pref = s2 / (4.0 * e * p**2 * n)
+    lb = pref * float(
+        np.sum(1.0 / (1.0 - e * p**2 - e * p**2 * c**2 + (2.0 * e * p**2 - 1.0) * c))
+    )
+    ub = pref * float(
+        np.sum(1.0 / (1.0 - e - e * p * c**2 + (e * p + e - 1.0) * c))
+    )
+    return lb, ub
+
+
+def complete_closed_form_bounds(n: int, cfg: RidlConfig) -> tuple[float, float]:
+    """Complete-graph bounds from the spectrum {0, N x (N-1)}."""
+    if n < 2:
+        raise ValueError(f"complete closed form needs n >= 2, got {n}")
+    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
+    lb = s2 * (n - 1) / (e * p**2 * n**2 * (2.0 - e * p**2 * n))
+    ub = s2 * (n - 1) / (e * p**2 * n**2 * (2.0 + 2.0 * e * p - 2.0 * e - e * p * n))
+    return lb, ub
+
+
+@dataclass(frozen=True)
+class PredictedScaling:
+    """Leading-order large-N behavior of the index for a graph family."""
+
+    family: str
+    growth: str  # "linear" or "bounded"
+    slope: float | None = None  # per-node slope when growth is linear (star)
+    predicted_value: float | None = None  # slope * n when a slope is known
+    lb_limit: float | None = None  # large-N limit of the lower bound
+    ub_limit: float | None = None  # large-N limit of the upper bound
+
+
+def family_asymptotics(family: str, n: int, cfg: RidlConfig) -> PredictedScaling:
+    """Predicted large-N behavior under the eps = k / d_max convention.
+
+    Star: linear growth with per-node slope sigma^2 / (2 k p^2).
+    Path and grids: linear growth in d_max * R_ave (no universal slope).
+    Complete: bounded, with explicit limits for both bounds.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; use one of {FAMILIES}")
+    p, s2, k = cfg.p, cfg.sigma2, cfg.k
+    if family == "star":
+        slope = s2 / (2.0 * k * p**2)
+        return PredictedScaling(
+            family=family, growth="linear", slope=slope, predicted_value=slope * n
+        )
+    if family == "complete":
+        return PredictedScaling(
+            family=family,
+            growth="bounded",
+            lb_limit=s2 / (p**2 * k * (2.0 - p**2 * k)),
+            ub_limit=s2 / (p**2 * k * (2.0 - p * k)),
+        )
+    return PredictedScaling(family=family, growth="linear")
 
 
 def reference_build(n: int, edges) -> UndirectedGraph:

@@ -49,7 +49,8 @@ class TestBoundsCommand:
         assert len(lines) == 5
 
     def test_star_sweep_matches_closed_form_curve(self):
-        from ridlnoise import RidlConfig, make_star, star_closed_form_bounds
+        from oracles import star_closed_form_bounds
+        from ridlnoise import RidlConfig, make_star
 
         res = invoke("bounds", "--graph", "star", "--n-range", "3:40", "--k", "0.8")
         for row in parse_csv(res.output):
@@ -290,8 +291,7 @@ class TestSweepP:
         # 5x6 has 30 nodes, above EXACT_MAX_N: a file graph is solved at its own N
         path = tmp_path / "g.edges"
         write_edge_list(make_grid(list(dims)), path)
-        res = invoke("sweep-p", "--graph", "file", "--graph-file", str(path), "--k", "0.8",
-                     "--families", "")
+        res = invoke("sweep-p", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 0
         rows = parse_csv(res.output)
         assert len(rows) == 9
@@ -299,6 +299,22 @@ class TestSweepP:
             assert row["family"] == "file"
             assert int(row["n"]) == int(row["n_exact"]) == dims[0] * dims[1]
             assert row["j_exact"] != "" and row["rel_lb"] != "" and row["rel_ub"] != ""
+
+    def test_graph_alone_sweeps_that_graph(self):
+        res = invoke("sweep-p", "--graph", "complete", "--n", "12", "--k", "0.8",
+                     "--p-grid", "0.3:0.9:0.3")
+        assert res.exit_code == 0
+        rows = parse_csv(res.output)
+        assert [r["family"] for r in rows] == ["complete"] * 3
+        assert all(int(r["n"]) == int(r["n_exact"]) == 12 for r in rows)
+
+    @pytest.mark.parametrize("families", ["star,path", ""], ids=["listed", "empty"])
+    def test_graph_and_families_exit_2(self, families):
+        res = invoke("sweep-p", "--graph", "star", "--families", families, "--n", "10",
+                     "--k", "0.8")
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert "either --graph or --families" in res.stderr
 
     def test_endpoint_matches_sweep_n_row(self):
         res_p = invoke("sweep-p", "--families", "star", "--n", "40", "--k", "0.8",
@@ -360,6 +376,35 @@ class TestSimulateCommand:
                      "--horizon", "3", "--ensemble", "200")
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["converged"] == "false"
+
+
+    def test_erdos_renyi_realizations_rejected(self):
+        # the bounds would average over the draws while j_hat simulates one
+        res = invoke("simulate", "--graph", "erdos-renyi", "--n", "8", "--p-er", "0.5",
+                     "--k", "0.8", "--realizations", "3", "--ensemble", "200")
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert "--realizations 1" in res.stderr
+        res = invoke("simulate", "--graph", "erdos-renyi", "--n", "8", "--p-er", "0.5",
+                     "--k", "0.8", "--realizations", "1", "--ensemble", "20")
+        assert res.exit_code == 0
+
+    @pytest.mark.parametrize("extra,nulls", [
+        (("--horizon", "1", "--ensemble", "1"), {"drift", "mf_corr"}),
+        (("--sigma2", "0", "--horizon", "20", "--ensemble", "10"), {"mf_corr"}),
+    ], ids=["one-step", "noiseless"])
+    def test_json_writes_non_finite_as_null(self, extra, nulls):
+        def reject(token):
+            raise AssertionError(f"invalid JSON constant {token}")
+
+        res = invoke("simulate", "--graph", "path", "--n", "4", "--k", "0.8",
+                     "--format", "json", *extra)
+        assert res.exit_code == 0
+        (record,) = json.loads(res.output, parse_constant=reject)
+        assert {c for c in ("drift", "mf_corr") if record[c] is None} == nulls
+        res = invoke("simulate", "--graph", "path", "--n", "4", "--k", "0.8", *extra)
+        row = parse_csv(res.output)[0]
+        assert {c for c in ("drift", "mf_corr") if row[c] in ("inf", "nan")} == nulls
 
 
 class TestErdosRenyiRows:

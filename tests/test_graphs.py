@@ -13,7 +13,6 @@ from ridlnoise import (
     laplacian,
     laplacian_spectrum,
     make_complete,
-    make_erdos_renyi,
     make_grid,
     make_path,
     make_star,
@@ -22,7 +21,7 @@ from ridlnoise import (
 )
 from ridlnoise.graphs import _build, laplacian_eigenpairs
 
-from oracles import pairwise_resistance_average, reference_build
+from oracles import make_erdos_renyi, pairwise_resistance_average, reference_build
 
 
 def star_spectrum(n):
@@ -360,11 +359,14 @@ class TestConnectivity:
         assert laplacian_spectrum(g).eigenvalues[1] > 1e-9
 
     def test_agrees_with_fiedler_value_on_er_samples(self):
+        # G(20, p_er) samples, connected or not
         rng = np.random.default_rng(2024)
+        iu, ju = np.triu_indices(20, k=1)
         checked = 0
         for p_er in (0.05, 0.2, 0.8):
             for _ in range(67):
-                g = draw_erdos_renyi(20, p_er, rng, require_connected=False).graph
+                mask = rng.random(iu.shape[0]) < p_er
+                g = _build(20, np.column_stack((iu[mask], ju[mask])))
                 lam = laplacian_spectrum(g).eigenvalues
                 spectral = lam[1] > 1e-9 * max(lam[-1], 1.0)
                 assert is_connected(g) == spectral
@@ -390,19 +392,19 @@ class TestErdosRenyi:
 
     def test_resampling_counts_attempts(self):
         # sparse draws at small n usually need several attempts
-        draw = draw_erdos_renyi(12, 0.12, 7, require_connected=True, max_resamples=500)
+        draw = draw_erdos_renyi(12, 0.12, 7)
         assert is_connected(draw.graph)
         assert draw.attempts >= 1
 
     def test_budget_exhaustion_is_diagnosed(self):
         with pytest.raises(RuntimeError, match="attempts"):
-            draw_erdos_renyi(40, 0.01, 0, require_connected=True, max_resamples=3)
+            draw_erdos_renyi(40, 0.01, 0)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            make_erdos_renyi(10, 0.0, 0)
+            draw_erdos_renyi(10, 0.0, 0)
         with pytest.raises(ValueError):
-            make_erdos_renyi(10, 1.5, 0)
+            draw_erdos_renyi(10, 1.5, 0)
 
 
 class TestEffectiveResistance:

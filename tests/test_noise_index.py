@@ -6,28 +6,31 @@ import pytest
 from ridlnoise import (
     NumericalError,
     RidlConfig,
-    complete_closed_form_bounds,
     compute_noise_report,
     exact_noise_index,
-    expected_p,
-    expected_p_squared,
-    family_asymptotics,
-    generic_bounds,
     laplacian_spectrum,
     make_complete,
     make_grid,
     make_path,
     make_star,
-    path_closed_form_bounds,
     resistance_bounds,
     ridl_bounds,
-    star_closed_form_bounds,
     sym_eigen,
 )
 from ridlnoise import noise_index
 from ridlnoise.graphs import _build, average_effective_resistance
 
-from oracles import K_VARIANTS, dense_exact
+from oracles import (
+    K_VARIANTS,
+    complete_closed_form_bounds,
+    dense_exact,
+    expected_p,
+    expected_p_squared,
+    family_asymptotics,
+    generic_bounds,
+    path_closed_form_bounds,
+    star_closed_form_bounds,
+)
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
@@ -173,16 +176,21 @@ class TestRidlBounds:
 
 class TestResistanceBounds:
     def test_k2_hand_values(self):
-        rb = resistance_bounds(0.25, K2_CFG)
-        assert rb.lb == pytest.approx(1.25, abs=1e-12)
-        assert rb.ub == pytest.approx(25.0 / 6.0, abs=1e-12)
+        lb, ub = resistance_bounds(0.25, K2_CFG)
+        assert lb == pytest.approx(1.25, abs=1e-12)
+        assert ub == pytest.approx(25.0 / 6.0, abs=1e-12)
 
     def test_degree_form_agrees(self):
+        # with eps = k / d_max, R_ave / eps is d_max R_ave / k
         for g in (make_star(12), make_path(15), make_complete(9)):
             cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.55)
-            rb = resistance_bounds(average_effective_resistance(g), cfg)
-            assert rb.lb == pytest.approx(rb.lb_degree_form, abs=1e-12, rel=1e-12)
-            assert rb.ub == pytest.approx(rb.ub_degree_form, abs=1e-12, rel=1e-12)
+            r_ave = average_effective_resistance(g)
+            lb, ub = resistance_bounds(r_ave, cfg)
+            s2, p, k = cfg.sigma2, cfg.p, cfg.k
+            lb_degree_form = s2 / (2.0 * p**2 * k) * cfg.d_max * r_ave
+            ub_degree_form = s2 / (2.0 * p**3 * k * (1.0 - k)) * cfg.d_max * r_ave
+            assert lb == pytest.approx(lb_degree_form, abs=1e-12, rel=1e-12)
+            assert ub == pytest.approx(ub_degree_form, abs=1e-12, rel=1e-12)
 
     def test_relaxes_the_spectral_lower_bound(self):
         for g in (make_star(10), make_path(12), make_grid([3, 4]), make_complete(8)):
@@ -190,16 +198,16 @@ class TestResistanceBounds:
                 cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
                 spec = laplacian_spectrum(g)
                 j_lb, j_ub = ridl_bounds(spec, cfg)
-                rb = resistance_bounds(average_effective_resistance(g), cfg)
-                assert rb.lb <= j_lb + 1e-12
-                assert j_ub <= rb.ub + 1e-12
+                res_lb, res_ub = resistance_bounds(average_effective_resistance(g), cfg)
+                assert res_lb <= j_lb + 1e-12
+                assert j_ub <= res_ub + 1e-12
 
     def test_upper_bound_diverges_near_unit_step(self):
         g = make_path(8)
         ub = {}
         for k in (0.5, 0.99):
             cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=k)
-            ub[k] = resistance_bounds(average_effective_resistance(g), cfg).ub
+            ub[k] = resistance_bounds(average_effective_resistance(g), cfg)[1]
         assert ub[0.99] / ub[0.5] > 10.0
 
     def test_rejects_nonpositive_resistance(self):

@@ -3,18 +3,14 @@ import pytest
 
 from ridlnoise import (
     RidlConfig,
-    check_consensus_conditions,
-    expected_p,
-    expected_p_squared,
-    induced_laplacian,
+    SimConfig,
+    estimate_noise_index,
     laplacian,
     make_complete,
     make_grid,
     make_path,
     make_star,
     omega_projector,
-    sample_activation,
-    sample_ridl,
     stein_operator,
 )
 from ridlnoise.graphs import _build
@@ -25,9 +21,14 @@ from oracles import (
     enum_expected_p,
     enum_expected_p_squared,
     enumerate_patterns,
+    expected_p,
+    expected_p_squared,
+    induced_laplacian,
     k_operator_enumeration,
     k_operator_moments,
     pattern_weight,
+    sample_activation,
+    sample_ridl,
 )
 
 
@@ -177,28 +178,36 @@ class TestSampling:
 
 
 class TestConsensusConditions:
+    """The almost-sure consensus conditions that the Monte Carlo estimator
+    checks before it runs: eps * d_max < 1 and a connected graph."""
+
+    SIM = SimConfig(horizon=5, ensemble=2, seed=0)
+
     def test_connected_path_passes(self):
         g = make_path(10)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        assert check_consensus_conditions(g, cfg).passed
+        assert np.isfinite(estimate_noise_index(g, cfg, self.SIM).j_hat)
 
     def test_disconnected_fails_connectivity(self):
         g = _build(4, [(0, 1), (2, 3)])
         cfg = RidlConfig(p=0.9, epsilon=0.4, sigma2=1.0, d_max=1)
-        report = check_consensus_conditions(g, cfg)
-        assert report.positive_diagonal
-        assert not report.expected_graph_connected
-        assert not report.passed
+        # the diagonal condition holds, so connectivity is the only failure
+        with pytest.raises(ValueError, match=(
+                r"^consensus conditions fail: "
+                r"expected update graph is disconnected \(graph or p = 0\)$")):
+            estimate_noise_index(g, cfg, self.SIM)
 
     def test_boundary_step_size_is_rejected_by_config(self):
         g = make_path(10)  # d_max = 2
         with pytest.raises(ValueError):
             RidlConfig.for_graph(g, p=0.9, sigma2=1.0, epsilon=0.5)
-        # and a config built for a lower-degree graph fails the check here
+        # and a config built for a lower-degree graph fails the check here,
+        # on the diagonal condition alone
         cfg = RidlConfig(p=0.9, epsilon=0.5, sigma2=1.0, d_max=1)
-        report = check_consensus_conditions(g, cfg)
-        assert not report.positive_diagonal
-        assert not report.passed
+        with pytest.raises(ValueError, match=(
+                r"^consensus conditions fail: "
+                r"eps \* d_max = 1 >= 1: sampled diagonals may hit zero$")):
+            estimate_noise_index(g, cfg, self.SIM)
 
 
 class TestExpectedMatrices:

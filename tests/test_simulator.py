@@ -10,17 +10,22 @@ from ridlnoise import (
     estimate_noise_index,
     exact_noise_index,
     make_complete,
-    make_erdos_renyi,
     make_grid,
     make_path,
     make_star,
-    sample_ridl,
 )
 from ridlnoise import simulator
 from ridlnoise.graphs import _build
-from ridlnoise.ridl import StochasticMatrixSample
 
-from oracles import dense_estimate, disagreement, mean_field_disagreement, step
+from oracles import (
+    StochasticMatrixSample,
+    dense_estimate,
+    disagreement,
+    make_erdos_renyi,
+    mean_field_disagreement,
+    sample_ridl,
+    step,
+)
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
@@ -63,16 +68,17 @@ class TestDefaultHorizon:
     def test_contraction_rule(self):
         g = make_path(6)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        t = default_horizon(g, cfg, target=1e-4)
+        t = default_horizon(g, cfg)
         lam2 = 2.0 - 2.0 * np.cos(np.pi / 6)
         rho = 1.0 - cfg.epsilon * cfg.p**2 * lam2
         assert rho ** (2 * t) < 1e-4
         assert rho ** (2 * (t - 1)) >= 1e-4
 
     def test_cap(self):
+        # the contraction rule asks for about 9e6 steps here
         g = make_path(100)
         cfg = RidlConfig.for_graph(g, p=0.1, sigma2=1.0, k=0.1)
-        assert default_horizon(g, cfg, cap=500) == 500
+        assert default_horizon(g, cfg) == simulator._HORIZON_CAP == 100_000
 
 
 class TestEstimator:
@@ -81,7 +87,6 @@ class TestEstimator:
             K2, K2_CFG, SimConfig(horizon=200, ensemble=20000, seed=42)
         )
         assert abs(est.j_hat - 25.0 / 12.0) <= 3.0 * est.std_error
-        assert est.samples_used == 20000
         assert est.converged
 
     def test_zero_variance_is_exactly_zero(self):
@@ -110,9 +115,7 @@ class TestEstimator:
         assert j4 == pytest.approx(4.0 * j1, rel=1e-12)
 
     def test_mean_trace_nondecreasing_toward_limit(self):
-        est = estimate_noise_index(
-            K2, K2_CFG, SimConfig(horizon=60, ensemble=20000, seed=5), track_mean=True
-        )
+        est = estimate_noise_index(K2, K2_CFG, SimConfig(horizon=60, ensemble=20000, seed=5))
         trace = est.mean_trace
         assert trace.shape == (60,)
         # block means of consecutive thirds rise toward the estimate
@@ -157,7 +160,8 @@ class TestEstimator:
     def test_single_replication_edge_case(self):
         est = estimate_noise_index(K2, K2_CFG, SimConfig(horizon=20, ensemble=1, seed=0))
         assert est.std_error == 0.0
-        assert est.samples_used == 1
+        assert np.isnan(est.mf_corr)
+        assert est.mean_trace.shape == (20,)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
