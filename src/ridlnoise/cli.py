@@ -7,12 +7,14 @@ estimates), ``sweep-n`` (bound/exact curves over a node range),
 ``sweep-p`` (relative errors over the activation probability), and
 ``report`` (the full suite as a directory of CSVs plus a JSON manifest).
 
-Which rows carry the exact index follows one fixed rule, with no option
-to change it: ``bounds`` never solves, ``exact`` always solves, and a
-``sweep-n``, ``simulate`` or ``report`` row gets ``j_exact`` when its
-built graph has N <= ``EXACT_MAX_N`` (24). ``sweep-p`` rows are exact at
-their own N, whatever its size. For exact values at larger N on the
-other commands, run ``exact --n N`` or ``exact --n-range A:B``.
+Every table has one row per family x node count x activation
+probability, in that order; only ``sweep-p`` takes several families and
+probabilities. Which rows carry the exact index follows one fixed rule:
+``bounds`` never solves, ``exact`` and ``sweep-p`` always solve, and a
+``sweep-n``, ``simulate`` or ``report`` sweep-n row gets ``j_exact``
+when its built graph has N <= ``EXACT_MAX_N`` (24). For exact values at
+larger N on the other commands, run ``exact --n N`` or ``exact
+--n-range A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every flag can also be supplied through an
@@ -31,7 +33,7 @@ import math
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -64,6 +66,10 @@ SWEEP_FAMILIES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi")
 #: largest built graph whose sweep-n, simulate and report sweep-n rows
 #: get the exact index; sweep-p rows are exact at their own N
 EXACT_MAX_N = 24
+_EXACT_LIMIT = {"bounds": 0, "exact": math.inf, "sweep-n": EXACT_MAX_N,
+                "sweep-p": math.inf, "simulate": EXACT_MAX_N}
+
+DEFAULT_P_GRID = "0.1:0.9:0.1"
 
 _COMMON_COLUMNS = [
     "family", "n_requested", "n", "dims", "p", "eps", "k", "sigma2",
@@ -90,27 +96,22 @@ _STD_SOURCES = {"j_lb_std": "j_lb", "j_ub_std": "j_ub", "j_exact_std": "j_exact"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated run description shared by all subcommands."""
+    """Validated description of one table: a row per family x N x p."""
 
-    family: str
+    families: tuple[str, ...]
     n_values: tuple[int, ...]
+    p_values: tuple[float, ...]
     dims: tuple[int, ...] | None
-    graph_file: str | None
+    graph: UndirectedGraph | None  # the parsed --graph-file
     p_er: float | None
     realizations: int
-    p: float
     epsilon: float | None
     k: float | None
     sigma2: float
     seed: int
-    horizon: int | None
-    ensemble: int | None  # simulate only
-    noise: str | None  # simulate only
-    output: str | None
-    fmt: str
-    strict: bool
-    p_grid: tuple[float, ...] = ()
-    families: tuple[str, ...] = ()
+    horizon: int | None = None  # simulate only
+    ensemble: int | None = None  # simulate only; set, it adds Monte Carlo columns
+    noise: str | None = None  # simulate only
 
 
 @dataclass
@@ -161,6 +162,18 @@ def _parse_p_grid(text: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_families(text: str) -> tuple[str, ...]:
+    families = tuple(f.strip() for f in text.split(",") if f.strip())
+    if not families:
+        raise click.UsageError("--families lists no family")
+    for fam in families:
+        if fam not in SWEEP_FAMILIES:
+            raise click.UsageError(
+                f"unknown family {fam!r}; choose from {', '.join(SWEEP_FAMILIES)}"
+            )
+    return families
+
+
 def _grid_dims_near(family: str, n: int) -> tuple[int, ...]:
     """Nearest perfect square/cube side for a requested node count."""
     k = 2 if family == "grid2d" else 3
@@ -174,77 +187,97 @@ def _family_min_n(family: str) -> int:
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
+    """Check every option against every family, N and p of the spec."""
     if (spec.epsilon is None) == (spec.k is None):
         raise click.UsageError("provide exactly one of --eps or --k")
     if spec.epsilon is not None and spec.epsilon <= 0:
         raise click.UsageError(f"--eps must be positive, got {spec.epsilon}")
     if spec.k is not None and not (0 < spec.k < 1):
         raise click.UsageError(f"--k must lie in (0, 1), got {spec.k}")
-    if spec.p <= 0 or spec.p > 1:
-        raise click.UsageError(f"--p must lie in (0, 1], got {spec.p}")
-    if any(q <= 0 or q > 1 for q in spec.p_grid):
-        raise click.UsageError("--p-grid values must lie in (0, 1]")
-    if min(set(spec.p_grid) | {spec.p}) < 0.1:
-        click.echo(
-            "warning: activation probability below 0.1 mixes very slowly",
-            err=True,
-        )
+    for p in spec.p_values:
+        if p <= 0 or p > 1:
+            raise click.UsageError(f"activation probability must lie in (0, 1], got {p}")
     if spec.sigma2 < 0:
         raise click.UsageError(f"--sigma2 must be >= 0, got {spec.sigma2}")
-    if spec.family == "erdos-renyi":
+    if "erdos-renyi" in spec.families:
         if spec.p_er is None or not (0 < spec.p_er <= 1):
             raise click.UsageError("--p-er in (0, 1] is required for erdos-renyi graphs")
     if spec.realizations < 1:
         raise click.UsageError("--realizations must be >= 1")
-    if spec.realizations > 1 and spec.family != "erdos-renyi":
+    if spec.realizations > 1 and any(fam != "erdos-renyi" for fam in spec.families):
         raise click.UsageError("--realizations only applies to erdos-renyi graphs")
-    if spec.realizations > 1 and spec.ensemble is not None:
-        # a simulate row would average the bounds over the draws but
-        # simulate only the first
-        raise click.UsageError("simulate takes one Erdos-Renyi draw per N; use --realizations 1")
     if (spec.ensemble is not None and spec.ensemble < 1) or (
         spec.horizon is not None and spec.horizon < 1
     ):
         raise click.UsageError("--ensemble and --horizon must be >= 1")
     for fam in spec.families:
-        if fam not in SWEEP_FAMILIES:
+        if min(spec.n_values) < _family_min_n(fam):
             raise click.UsageError(
-                f"unknown family {fam!r}; choose from {', '.join(SWEEP_FAMILIES)}"
-            )
-    for n in spec.n_values:
-        if n < _family_min_n(spec.family):
-            raise click.UsageError(
-                f"{spec.family} graphs need n >= {_family_min_n(spec.family)}, got {n}"
+                f"{fam} graphs need n >= {_family_min_n(fam)}, got {min(spec.n_values)}"
             )
 
 
-def _resolve_n_values(
-    family: str, n: int | None, n_range: str | None, dims: str | None,
-    graph_file: str | None,
-) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    explicit_dims = _parse_dims(dims) if dims else None
-    if family == "file":
+def _warn_slow_mixing(p_values) -> None:
+    if min(p_values) < 0.1:
+        click.echo("warning: activation probability below 0.1 mixes very slowly", err=True)
+
+
+def _resolve_sizes(
+    families: tuple[str, ...], params: dict
+) -> tuple[tuple[int, ...], tuple[int, ...] | None, UndirectedGraph | None]:
+    """Node counts, grid sides and the parsed --graph-file of a table."""
+    n, n_range = params["n"], params["n_range"]
+    explicit_dims = _parse_dims(params["dims"]) if params["dims"] else None
+    if families == ("file",):
         if n is not None or n_range is not None or explicit_dims is not None:
             raise click.UsageError("--graph file takes no --n/--n-range/--dims")
-        if not graph_file:
+        if not params["graph_file"]:
             raise click.UsageError("--graph file requires --graph-file PATH")
         # the node count comes from the file, so size checks see the real N
-        return (read_edge_list(graph_file).n,), None
+        graph = read_edge_list(params["graph_file"])
+        return (graph.n,), None, graph
     if explicit_dims is not None:
-        if family not in ("grid2d", "grid3d"):
-            raise click.UsageError("--dims only applies to grid graphs")
-        want = 2 if family == "grid2d" else 3
-        if len(explicit_dims) != want:
-            raise click.UsageError(f"{family} needs {want} sides in --dims")
+        for fam in families:
+            if fam not in ("grid2d", "grid3d"):
+                raise click.UsageError("--dims only applies to grid graphs")
+            want = 2 if fam == "grid2d" else 3
+            if len(explicit_dims) != want:
+                raise click.UsageError(f"{fam} needs {want} sides in --dims")
         if n is not None or n_range is not None:
             raise click.UsageError("give either --dims or --n/--n-range, not both")
-        return (int(np.prod(explicit_dims)),), explicit_dims
+        return (int(np.prod(explicit_dims)),), explicit_dims, None
     if (n is None) == (n_range is None):
         raise click.UsageError("provide exactly one of --n or --n-range (or --dims for grids)")
     if n is not None:
-        return (n,), None
+        return (n,), None, None
     lo, hi = _parse_range(n_range, "--n-range")
-    return tuple(range(lo, hi + 1)), None
+    return tuple(range(lo, hi + 1)), None, None
+
+
+def _build_spec(
+    params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
+) -> ExperimentSpec:
+    """The validated spec of a table command's options."""
+    n_values, dims, graph = _resolve_sizes(families, params)
+    spec = ExperimentSpec(
+        families=families,
+        n_values=n_values,
+        p_values=p_values,
+        dims=dims,
+        graph=graph,
+        p_er=params["p_er"],
+        realizations=params.get("realizations", 1),
+        epsilon=params["eps"],
+        k=params["k"],
+        sigma2=params["sigma2"],
+        seed=params["seed"],
+        horizon=params.get("horizon"),
+        ensemble=params.get("ensemble"),
+        noise=params.get("noise"),
+    )
+    _validate_spec(spec)
+    _warn_slow_mixing(p_values)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +285,7 @@ def _resolve_n_values(
 
 
 def _make_family_graph(
-    family: str, n: int, dims: tuple[int, ...] | None, spec: ExperimentSpec,
-    realization: int = 0,
+    family: str, n: int, spec: ExperimentSpec, realization: int = 0
 ) -> GraphJob:
     if family == "star":
         return GraphJob(family, n, make_star(n))
@@ -262,7 +294,7 @@ def _make_family_graph(
     if family == "complete":
         return GraphJob(family, n, make_complete(n))
     if family in ("grid2d", "grid3d"):
-        d = dims if dims is not None else _grid_dims_near(family, n)
+        d = spec.dims if spec.dims is not None else _grid_dims_near(family, n)
         return GraphJob(family, n, make_grid(d), dims=d)
     if family == "erdos-renyi":
         entropy = np.random.SeedSequence([spec.seed, n, realization])
@@ -271,39 +303,37 @@ def _make_family_graph(
             family, n, draw.graph,
             p_er=spec.p_er, er_seed=spec.seed, er_resamples=draw.attempts,
         )
-    if family == "file":
-        g = read_edge_list(spec.graph_file)
-        return GraphJob(family, g.n, g)
-    raise click.UsageError(f"unknown graph family {family!r}")
+    return GraphJob(family, spec.graph.n, spec.graph)  # the --graph-file graph
 
 
 def _jobs_for_spec(spec: ExperimentSpec) -> Iterator[GraphJob]:
-    """One job per output row, built as it is consumed, so only one graph
-    and its spectrum are alive at a time; Erdos-Renyi realizations ride
-    along as siblings and are aggregated into their row."""
-    for n in spec.n_values:
-        job = _make_family_graph(spec.family, n, spec.dims, spec, realization=0)
-        if spec.family == "erdos-renyi" and spec.realizations > 1:
-            job.siblings = [
-                _make_family_graph(spec.family, n, spec.dims, spec, realization=r)
-                for r in range(1, spec.realizations)
-            ]
-        yield job
+    """One job per family and N, built as it is consumed, so only one
+    graph and its spectrum are alive at a time; Erdos-Renyi realizations
+    ride along as siblings and are aggregated into their rows."""
+    for family in spec.families:
+        for n in spec.n_values:
+            job = _make_family_graph(family, n, spec)
+            if family == "erdos-renyi":
+                job.siblings = [
+                    _make_family_graph(family, n, spec, realization=r)
+                    for r in range(1, spec.realizations)
+                ]
+            yield job
 
 
-def _config_for(job: GraphJob, spec: ExperimentSpec) -> RidlConfig:
+def _config_for(job: GraphJob, spec: ExperimentSpec, p: float) -> RidlConfig:
     try:
         return RidlConfig.for_graph(
-            job.graph, p=spec.p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k
+            job.graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k
         )
     except ValueError as exc:
         raise click.UsageError(f"invalid configuration for n={job.graph.n}: {exc}")
 
 
-def _single_row(job: GraphJob, spec: ExperimentSpec, exact: bool) -> dict:
-    cfg = _config_for(job, spec)
+def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> dict:
+    cfg = _config_for(job, spec, p)
     rep = compute_noise_report(job.graph, cfg, exact=exact)
-    row = {
+    return {
         "family": job.family,
         "n_requested": job.n_requested,
         "n": job.graph.n,
@@ -332,16 +362,15 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, exact: bool) -> dict:
         "rel_ub": (rep.j_ub - rep.j_exact) / rep.j_exact if rep.j_exact else None,
         "j_exact_std": None,
     }
-    return row
 
 
-def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact: bool) -> dict:
-    row = _single_row(job, spec, exact)
+def _row_for_job(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> dict:
+    row = _single_row(job, spec, p, exact)
     if not job.siblings:
         if job.family == "erdos-renyi":
             row["realizations"] = 1
         return row
-    sub_rows = [row] + [_single_row(s, spec, exact) for s in job.siblings]
+    sub_rows = [row] + [_single_row(s, spec, p, exact) for s in job.siblings]
     agg = dict(row)
     # every realization has the same n, so it is not averaged
     mean_fields = [
@@ -359,21 +388,14 @@ def _row_for_job(job: GraphJob, spec: ExperimentSpec, exact: bool) -> dict:
     return agg
 
 
-def _compute_rows(spec: ExperimentSpec, exact_max_n: float) -> list[dict]:
-    """One row per job, with the exact index where the built graph has
-    N <= ``exact_max_n``."""
-    return [_row_for_job(j, spec, j.graph.n <= exact_max_n) for j in _jobs_for_spec(spec)]
-
-
-def _simulate_row(job: GraphJob, spec: ExperimentSpec) -> dict:
-    row = _row_for_job(job, spec, job.graph.n <= EXACT_MAX_N)
-    cfg = _config_for(job, spec)
+def _estimate_columns(job: GraphJob, spec: ExperimentSpec, p: float) -> dict:
+    cfg = _config_for(job, spec, p)
     horizon = spec.horizon or default_horizon(job.graph, cfg)
     sim = SimConfig(
         horizon=horizon, ensemble=spec.ensemble, noise_dist=spec.noise, seed=spec.seed
     )
     est = estimate_noise_index(job.graph, cfg, sim)
-    row.update(
+    return dict(
         horizon=horizon,
         ensemble=spec.ensemble,
         noise=spec.noise,
@@ -384,7 +406,20 @@ def _simulate_row(job: GraphJob, spec: ExperimentSpec) -> dict:
         drift=est.drift,
         mf_corr=est.mf_corr,
     )
-    return row
+
+
+def _compute_rows(spec: ExperimentSpec, exact_max_n: float) -> list[dict]:
+    """One row per family x N x p, in that order, with the exact index
+    where the built graph has N <= ``exact_max_n`` and the Monte Carlo
+    columns when the spec sets an ensemble. Each graph is built once."""
+    rows = []
+    for job in _jobs_for_spec(spec):
+        for p in spec.p_values:
+            row = _row_for_job(job, spec, p, job.graph.n <= exact_max_n)
+            if spec.ensemble is not None:
+                row.update(_estimate_columns(job, spec, p))
+            rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -466,84 +501,60 @@ def _guard(fn):
 # click wiring
 
 
-def _graph_options(fn):
-    decorators = [
-        click.option("--graph", type=click.Choice(GRAPH_CHOICES), default="path",
-                     show_default=True, help="Graph family (or 'file' with --graph-file)."),
-        click.option("--graph-file", type=click.Path(), default=None,
-                     help="Edge-list file: first line 'n m', then 'i j' lines."),
-        click.option("--n", type=int, default=None, help="Node count."),
-        click.option("--n-range", default=None, help="Inclusive node range A:B."),
-        click.option("--dims", default=None, help="Grid sides AxB or AxBxC."),
-        click.option("--p-er", type=float, default=0.8, show_default=True,
-                     help="Erdos-Renyi edge probability."),
-        click.option("--realizations", type=int, default=1, show_default=True,
-                     help="Erdos-Renyi draws per N (mean and spread reported)."),
-        click.option("--seed", type=int, default=0, show_default=True,
-                     help="Master seed for graph draws and simulation."),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+def _options(*decorators):
+    """Apply click options so that they list in the given order."""
+
+    def apply(fn):
+        for dec in reversed(decorators):
+            fn = dec(fn)
+        return fn
+
+    return apply
 
 
-def _config_options(fn):
-    decorators = [
-        click.option("--p", type=float, default=0.9, show_default=True,
-                     help="Per-node activation probability."),
-        click.option("--eps", type=float, default=None,
-                     help="Step size (exactly one of --eps/--k)."),
-        click.option("--k", type=float, default=None,
-                     help="Normalized step size eps*d_max in (0,1)."),
-        click.option("--sigma2", type=float, default=1.0, show_default=True,
-                     help="Noise variance."),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+_GRAPH_OPTIONS = (
+    click.option("--graph", type=click.Choice(GRAPH_CHOICES), default="path",
+                 show_default=True, help="Graph family (or 'file' with --graph-file)."),
+    click.option("--graph-file", type=click.Path(), default=None,
+                 help="Edge-list file: first line 'n m', then 'i j' lines."),
+    click.option("--n", type=int, default=None, help="Node count."),
+    click.option("--n-range", default=None, help="Inclusive node range A:B."),
+    click.option("--dims", default=None, help="Grid sides AxB or AxBxC."),
+    click.option("--p-er", type=float, default=0.8, show_default=True,
+                 help="Erdos-Renyi edge probability."),
+    click.option("--seed", type=int, default=0, show_default=True,
+                 help="Master seed for graph draws and simulation."),
+)
+_REALIZATIONS_OPTION = click.option(
+    "--realizations", type=int, default=1, show_default=True,
+    help="Erdos-Renyi draws per N (mean and spread reported).",
+)
+_P_OPTION = click.option("--p", type=float, default=0.9, show_default=True,
+                         help="Per-node activation probability.")
+_STEP_OPTIONS = (
+    click.option("--eps", type=float, default=None,
+                 help="Step size (exactly one of --eps/--k)."),
+    click.option("--k", type=float, default=None,
+                 help="Normalized step size eps*d_max in (0,1)."),
+    click.option("--sigma2", type=float, default=1.0, show_default=True,
+                 help="Noise variance."),
+)
+_OUTPUT_OPTIONS = (
+    click.option("--output", default=None, help="Output path (default: stdout)."),
+    click.option("--format", "fmt", type=click.Choice(("csv", "json")),
+                 default="csv", show_default=True),
+)
+_TABLE_OPTIONS = (*_GRAPH_OPTIONS, _REALIZATIONS_OPTION, _P_OPTION, *_STEP_OPTIONS,
+                  *_OUTPUT_OPTIONS)
 
 
-def _output_options(fn):
-    decorators = [
-        click.option("--output", default=None, help="Output path (default: stdout)."),
-        click.option("--format", "fmt", type=click.Choice(("csv", "json")),
-                     default="csv", show_default=True),
-        click.option("--strict", is_flag=True,
-                     help="Exit 3 when a Monte Carlo run fails the drift test."),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
-
-
-def _build_spec(params: dict) -> ExperimentSpec:
-    n_values, dims = _resolve_n_values(
-        params["graph"], params["n"], params["n_range"], params["dims"],
-        params["graph_file"],
-    )
-    spec = ExperimentSpec(
-        family=params["graph"],
-        n_values=n_values,
-        dims=dims,
-        graph_file=params["graph_file"],
-        p_er=params["p_er"],
-        realizations=params["realizations"],
-        p=params["p"],
-        epsilon=params["eps"],
-        k=params["k"],
-        sigma2=params["sigma2"],
-        seed=params["seed"],
-        horizon=params.get("horizon"),
-        ensemble=params.get("ensemble"),
-        noise=params.get("noise"),
-        output=params["output"],
-        fmt=params["fmt"],
-        strict=params["strict"],
-        p_grid=params.get("p_grid", ()),
-        families=params.get("families", ()),
-    )
-    _validate_spec(spec)
-    return spec
+def _run_table(
+    command: str, params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
+) -> list[dict]:
+    spec = _build_spec(params, families, p_values)
+    rows = _compute_rows(spec, _EXACT_LIMIT[command])
+    _emit(render_rows(rows, COMMAND_COLUMNS[command], params["fmt"]), params["output"])
+    return rows
 
 
 @click.group()
@@ -553,95 +564,62 @@ def cli() -> None:
 
 
 @cli.command("bounds")
-@_graph_options
-@_config_options
-@_output_options
+@_options(*_TABLE_OPTIONS)
 @_guard
 def bounds_cmd(**params) -> None:
     """Spectral and resistance bounds for each configuration."""
-    spec = _build_spec(params)
-    rows = _compute_rows(spec, exact_max_n=0)
-    _emit(render_rows(rows, COMMAND_COLUMNS["bounds"], spec.fmt), spec.output)
+    _run_table("bounds", params, (params["graph"],), (params["p"],))
 
 
 @cli.command("exact")
-@_graph_options
-@_config_options
-@_output_options
+@_options(*_TABLE_OPTIONS)
 @_guard
 def exact_cmd(**params) -> None:
     """Exact index plus bound relative errors."""
-    spec = _build_spec(params)
-    rows = _compute_rows(spec, exact_max_n=math.inf)
-    _emit(render_rows(rows, COMMAND_COLUMNS["exact"], spec.fmt), spec.output)
+    _run_table("exact", params, (params["graph"],), (params["p"],))
 
 
 @cli.command("sweep-n")
-@_graph_options
-@_config_options
-@_output_options
+@_options(*_TABLE_OPTIONS)
 @_guard
 def sweep_n_cmd(**params) -> None:
     """Bound curves over a node range; exact columns filled for N <= 24."""
-    spec = _build_spec(params)
-    rows = _compute_rows(spec, exact_max_n=EXACT_MAX_N)
-    _emit(render_rows(rows, COMMAND_COLUMNS["sweep-n"], spec.fmt), spec.output)
+    _run_table("sweep-n", params, (params["graph"],), (params["p"],))
 
 
 @cli.command("sweep-p")
-@_graph_options
-@_config_options
-@_output_options
+@_options(*_GRAPH_OPTIONS, _REALIZATIONS_OPTION, *_STEP_OPTIONS, *_OUTPUT_OPTIONS)
 @click.option("--families", default=",".join(SWEEP_FAMILIES), show_default=True,
               help="Comma-separated families to sweep (instead of --graph).")
-@click.option("--p-grid", default="0.1:0.9:0.1", show_default=True,
+@click.option("--p-grid", default=DEFAULT_P_GRID, show_default=True,
               help="Activation probability grid LO:HI:STEP.")
 @_guard
 def sweep_p_cmd(**params) -> None:
-    """Relative bound errors vs activation probability at fixed N.
+    """Relative bound errors vs activation probability.
 
-    Sweeps the --families list, or the one --graph when that is given
-    instead; giving both is an error. Every row is exact at its own N:
-    each family's graph is built once and solved at every p of the grid,
-    so n_exact equals n. A large --graph file is solved at its own N too,
-    as with exact.
+    One row per family, N and p, in that order, for the --families list
+    or the one --graph given instead (not both). N comes from --n (100
+    by default), --n-range or --dims and must suit every family, as on
+    the other commands: grid3d needs n >= 8, --dims grids, --realizations
+    erdos-renyi. Every row is exact at its own N, a --graph file's too:
+    each graph is built once and solved at every p, so n_exact equals n.
     """
-    params = dict(params)
     ctx = click.get_current_context()
-    given = {name for name in ("graph", "families")
-             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
-    if given == {"graph", "families"}:
+    if ctx.get_parameter_source("graph") is ParameterSource.DEFAULT:
+        families = _parse_families(params["families"])
+    elif ctx.get_parameter_source("families") is ParameterSource.DEFAULT:
+        families = (params["graph"],)
+    else:
         raise click.UsageError("give either --graph or --families, not both")
-    if "graph" in given:
-        params["families"] = ""
-    params["p_grid"] = _parse_p_grid(params.get("p_grid") or "0.1:0.9:0.1")
-    params["families"] = tuple(
-        f.strip() for f in (params.get("families") or "").split(",") if f.strip()
-    )
-    sized = any(params.get(key) is not None for key in ("n", "n_range", "dims"))
-    if not sized and params["graph"] != "file":
+    if families != ("file",) and all(params[key] is None for key in ("n", "n_range", "dims")):
         params["n"] = 100
-    spec = _build_spec(params)
-    n_fixed = spec.n_values[0]
-    rows = _sweep_p_rows(spec, [(fam, n_fixed) for fam in spec.families or (spec.family,)])
-    _emit(render_rows(rows, COMMAND_COLUMNS["sweep-p"], spec.fmt), spec.output)
-
-
-def _sweep_p_rows(spec: ExperimentSpec, sizes: list[tuple[str, int]]) -> list[dict]:
-    """One row per (family, p), exact at its own N: each family's graph
-    and its one spectrum serve every p of the grid."""
-    rows = []
-    for family, n in sizes:
-        fam_spec = replace(spec, family=family, n_values=(n,))
-        job = next(_jobs_for_spec(fam_spec))
-        rows.extend(_row_for_job(job, replace(fam_spec, p=p), exact=True) for p in spec.p_grid)
-    return rows
+    _run_table("sweep-p", params, families, _parse_p_grid(params["p_grid"]))
 
 
 @cli.command("simulate")
-@_graph_options
-@_config_options
-@_output_options
+@_options(*_GRAPH_OPTIONS, _P_OPTION, *_STEP_OPTIONS, *_OUTPUT_OPTIONS)
+@click.option("--strict", is_flag=True,
+              help="Exit 3 when a Monte Carlo run fails the drift test.")
 @click.option("--horizon", type=int, default=None,
               help="Steps per trajectory (default: spectral-gap rule).")
 @click.option("--ensemble", type=int, default=10000, show_default=True,
@@ -658,11 +636,10 @@ def simulate_cmd(**params) -> None:
     its standard error. drift is the running-mean spread of the
     ensemble's disagreement over the last 10% of steps (converged means
     below 0.05), and mf_corr the correlation between the replications and
-    their shadows. The exact reference columns are filled for N <= 24."""
-    spec = _build_spec(params)
-    rows = [_simulate_row(job, spec) for job in _jobs_for_spec(spec)]
-    _emit(render_rows(rows, COMMAND_COLUMNS["simulate"], spec.fmt), spec.output)
-    if spec.strict and any(not r["converged"] for r in rows):
+    their shadows. The exact reference columns are filled for N <= 24.
+    An Erdos-Renyi row simulates one draw per N."""
+    rows = _run_table("simulate", params, (params["graph"],), (params["p"],))
+    if params["strict"] and any(not r["converged"] for r in rows):
         click.echo(
             "drift test failed for at least one row (strict mode); raise --horizon",
             err=True,
@@ -687,8 +664,8 @@ def report_cmd(**params) -> None:
     JSON manifest with seeds, versions, and wall-clock times.
 
     A sweep-n row gets the exact index when its graph has N <= 24. The
-    sweep-p rows are exact at their own N (--sweep-p-n, or the nearest
-    grid), so n_exact equals n.
+    sweep-p rows are exact at their own N (--sweep-p-n, at least the
+    family's smallest graph, or the nearest grid), so n_exact equals n.
 
     A family whose smallest graph is larger than the top of --n-range has
     no rows in the range: its sweep-n file is not written, the family is
@@ -701,20 +678,12 @@ def report_cmd(**params) -> None:
         click.echo(f"I/O failure creating {out_dir}: {exc}", err=True)
         sys.exit(EXIT_IO)
     t_start = time.time()
-    manifest_files = {}
-    skipped = []
     n_lo, n_hi = _parse_range(params["n_range"], "--n-range")
-    base = dict(
-        graph="path", graph_file=None, n=None, n_range=params["n_range"], dims=None,
-        p_er=params["p_er"], realizations=1, seed=params["seed"], p=params["p"],
-        eps=None, k=params["k"], sigma2=params["sigma2"], output=None, fmt="csv",
-        strict=False,
-    )
+    shared = dict(dims=None, graph=None, p_er=params["p_er"], epsilon=None, k=params["k"],
+                  sigma2=params["sigma2"], seed=params["seed"])
+    tables = {}  # file name -> (command whose table it is, its specs)
+    skipped = []
     for family in SWEEP_FAMILIES:
-        t0 = time.time()
-        fam_params = dict(base, graph=family)
-        if family == "erdos-renyi":
-            fam_params["realizations"] = params["realizations"]
         lo = max(n_lo, _family_min_n(family))
         if lo > n_hi:
             skipped.append(family)
@@ -724,31 +693,33 @@ def report_cmd(**params) -> None:
                 err=True,
             )
             continue
-        fam_params["n_range"] = f"{lo}:{n_hi}"
-        spec = _build_spec(fam_params)
-        rows = _compute_rows(spec, exact_max_n=EXACT_MAX_N)
-        text = render_rows(rows, COMMAND_COLUMNS["sweep-n"], "csv")
-        name = f"{family}_sweep_n.csv"
+        spec = ExperimentSpec(
+            families=(family,), n_values=tuple(range(lo, n_hi + 1)), p_values=(params["p"],),
+            realizations=params["realizations"] if family == "erdos-renyi" else 1, **shared,
+        )
+        tables[f"{family}_sweep_n.csv"] = ("sweep-n", [spec])
+    tables["sweep_p.csv"] = ("sweep-p", [
+        ExperimentSpec(
+            families=(family,), n_values=(max(params["sweep_p_n"], _family_min_n(family)),),
+            p_values=_parse_p_grid(DEFAULT_P_GRID), realizations=1, **shared,
+        )
+        for family in SWEEP_FAMILIES
+    ])
+    all_specs = [spec for _, specs in tables.values() for spec in specs]
+    for spec in all_specs:
+        _validate_spec(spec)
+    _warn_slow_mixing([p for spec in all_specs for p in spec.p_values])
+    manifest_files = {}
+    for name, (command, specs) in tables.items():
+        t0 = time.time()
+        rows = [row for spec in specs for row in _compute_rows(spec, _EXACT_LIMIT[command])]
+        text = render_rows(rows, COMMAND_COLUMNS[command], "csv")
         (out_dir / name).write_text(text)
         manifest_files[name] = {
             "rows": len(rows),
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
             "seconds": round(time.time() - t0, 3),
         }
-    t0 = time.time()
-    sweep_params = dict(base, n=params["sweep_p_n"], n_range=None)
-    sweep_params["p_grid"] = _parse_p_grid("0.1:0.9:0.1")
-    spec = _build_spec(sweep_params)
-    rows = _sweep_p_rows(
-        spec, [(fam, max(params["sweep_p_n"], _family_min_n(fam))) for fam in SWEEP_FAMILIES]
-    )
-    text = render_rows(rows, COMMAND_COLUMNS["sweep-p"], "csv")
-    (out_dir / "sweep_p.csv").write_text(text)
-    manifest_files["sweep_p.csv"] = {
-        "rows": len(rows),
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "seconds": round(time.time() - t0, 3),
-    }
     manifest = {
         "package": "ridlnoise",
         "version": __version__,

@@ -184,7 +184,7 @@ def draw_erdos_renyi(
             return ErdosRenyiDraw(graph=g, attempts=attempt)
     raise RuntimeError(
         f"no connected Erdos-Renyi draw in {TOL.er_max_resamples} attempts "
-        f"(n={n}, p_er={p_er}); increase p_er or the resampling budget"
+        f"(n={n}, p_er={p_er}); increase p_er"
     )
 
 

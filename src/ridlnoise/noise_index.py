@@ -59,7 +59,7 @@ class NoiseReport:
 
     ``j_exact`` is absent when the caller asked for the bounds only;
     the bounds are always present. ``method_tags`` records how each
-    number was produced, ``config`` echoes the inputs.
+    number was produced.
     """
 
     j_exact: float | None
@@ -71,7 +71,6 @@ class NoiseReport:
     lambda2: float
     lambda_n: float
     method_tags: dict
-    config: dict
 
 
 class ExactIndex(NamedTuple):
@@ -242,26 +241,18 @@ def compute_noise_report(
         lambda2=float(spec.eigenvalues[1]),
         lambda_n=float(spec.eigenvalues[-1]),
         method_tags=tags,
-        config={
-            "n": g.n,
-            "d_max": g.d_max,
-            "p": cfg.p,
-            "epsilon": cfg.epsilon,
-            "k": cfg.k,
-            "sigma2": cfg.sigma2,
-        },
     )
-    _validate_report(report)
+    _validate_report(report, cfg)
     return report
 
 
-def _validate_report(report: NoiseReport) -> None:
+def _validate_report(report: NoiseReport, cfg: RidlConfig) -> None:
     values = [report.j_lb, report.j_ub, report.j_res_lb, report.j_res_ub]
     if report.j_exact is not None:
         values.append(report.j_exact)
     if not all(np.isfinite(v) for v in values):
         raise NumericalError(f"non-finite index values in report: {values}")
-    if report.config["sigma2"] > 0.0 and min(values) <= 0.0:
+    if cfg.sigma2 > 0.0 and min(values) <= 0.0:
         raise NumericalError(f"nonpositive index values in report: {values}")
     if report.j_exact is not None:
         j = report.j_exact

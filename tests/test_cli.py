@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ridlnoise import make_grid, make_path, write_edge_list
+from ridlnoise import make_grid, make_path, read_edge_list, write_edge_list
 from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli
 
 runner = CliRunner()
@@ -122,6 +123,18 @@ class TestValidationErrors:
         assert res.exit_code == 0
         assert "slowly" in res.output
 
+    @pytest.mark.parametrize("args", [
+        ("report", "--p", "0.05", "--n-range", "3:9", "--sweep-p-n", "9"),
+        ("sweep-p", "--families", "star,path", "--n", "5", "--k", "0.8",
+         "--p-grid", "0.02:0.06:0.02"),
+    ], ids=["report", "sweep-p"])
+    def test_small_p_warns_once_per_run(self, args, tmp_path):
+        if args[0] == "report":
+            args = (*args, "--output", str(tmp_path / "rep"))
+        res = invoke(*args)
+        assert res.exit_code == 0
+        assert res.stderr.count("activation probability below 0.1") == 1
+
     def test_disconnected_graph_file(self, tmp_path):
         path = tmp_path / "dis.edges"
         path.write_text("4 2\n0 1\n2 3\n")
@@ -203,6 +216,23 @@ class TestExactCommand:
         assert res.exit_code == 0
         row = parse_csv(res.stdout)[0]
         assert as_float(row["j_exact"]) == pytest.approx(as_float(row["j_ub"]), rel=1e-12)
+
+    def test_graph_file_read_once(self, tmp_path, monkeypatch):
+        import ridlnoise.cli
+
+        path = tmp_path / "g.edges"
+        write_edge_list(make_grid([3, 4]), path)
+        reads = []
+
+        def counting(*args):
+            reads.append(args)
+            return read_edge_list(*args)
+
+        monkeypatch.setattr(ridlnoise.cli, "read_edge_list", counting)
+        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        assert res.exit_code == 0
+        assert int(parse_csv(res.output)[0]["n_exact"]) == 12
+        assert len(reads) == 1
 
     def test_graph_file_n70(self, tmp_path):
         path = tmp_path / "p70.edges"
@@ -316,6 +346,44 @@ class TestSweepP:
         assert res.stderr.strip().count("\n") == 0
         assert "either --graph or --families" in res.stderr
 
+    def test_erdos_renyi_realizations(self):
+        res = invoke("sweep-p", "--families", "erdos-renyi", "--n", "8", "--realizations", "3",
+                     "--k", "0.8", "--p-grid", "0.3:0.9:0.3")
+        assert res.exit_code == 0
+        rows = parse_csv(res.output)
+        assert len(rows) == 3
+        for row in rows:
+            assert int(row["realizations"]) == 3
+            for col in ("j_lb_std", "j_ub_std", "j_exact_std"):
+                assert as_float(row[col]) >= 0.0
+
+    def test_grid_dims(self):
+        res = invoke("sweep-p", "--families", "grid2d", "--dims", "4x4", "--k", "0.8",
+                     "--p-grid", "0.5:0.9:0.4")
+        assert res.exit_code == 0
+        rows = parse_csv(res.output)
+        assert len(rows) == 2
+        assert all(int(r["n"]) == 16 and r["dims"] == "4x4" for r in rows)
+
+    def test_n_range_rows_in_n_then_p_order(self):
+        res = invoke("sweep-p", "--families", "path", "--n-range", "5:7", "--k", "0.8",
+                     "--p-grid", "0.5:0.6:0.1")
+        assert res.exit_code == 0
+        rows = parse_csv(res.output)
+        assert [(int(r["n"]), as_float(r["p"])) for r in rows] == [
+            (n, p) for n in (5, 6, 7) for p in (0.5, 0.6)
+        ]
+
+    @pytest.mark.parametrize("args,message", [
+        (("--families", ""), "--families lists no family"),
+        (("--families", "grid3d", "--n", "5"), "grid3d graphs need n >= 8, got 5"),
+    ], ids=["no-family", "below-family-floor"])
+    def test_family_errors_exit_2(self, args, message):
+        res = invoke("sweep-p", *args, "--k", "0.8")
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert message in res.stderr
+
     def test_endpoint_matches_sweep_n_row(self):
         res_p = invoke("sweep-p", "--families", "star", "--n", "40", "--k", "0.8",
                        "--p-grid", "0.9:0.9:0.1")
@@ -377,17 +445,11 @@ class TestSimulateCommand:
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["converged"] == "false"
 
-
-    def test_erdos_renyi_realizations_rejected(self):
-        # the bounds would average over the draws while j_hat simulates one
+    def test_erdos_renyi_row_is_one_draw(self):
         res = invoke("simulate", "--graph", "erdos-renyi", "--n", "8", "--p-er", "0.5",
-                     "--k", "0.8", "--realizations", "3", "--ensemble", "200")
-        assert res.exit_code == 2
-        assert res.stderr.strip().count("\n") == 0
-        assert "--realizations 1" in res.stderr
-        res = invoke("simulate", "--graph", "erdos-renyi", "--n", "8", "--p-er", "0.5",
-                     "--k", "0.8", "--realizations", "1", "--ensemble", "20")
+                     "--k", "0.8", "--ensemble", "20")
         assert res.exit_code == 0
+        assert int(parse_csv(res.output)[0]["realizations"]) == 1
 
     @pytest.mark.parametrize("extra,nulls", [
         (("--horizon", "1", "--ensemble", "1"), {"drift", "mf_corr"}),
@@ -517,12 +579,15 @@ class TestNumberFormatting:
 
 
 class TestRemovedOptions:
-    # the options each command had before the exact-size rule became fixed
+    # the options each command had before the exact-size rule became
+    # fixed, and the ones it offered but never read
     REMOVED = [
         ("bounds", "--workers"), ("exact", "--workers"), ("sweep-n", "--workers"),
         ("sweep-p", "--workers"), ("simulate", "--workers"), ("report", "--workers"),
         ("sweep-n", "--exact-cap"), ("simulate", "--exact-cap"), ("report", "--exact-cap"),
         ("sweep-p", "--exact-n"), ("report", "--exact-n"),
+        ("bounds", "--strict"), ("exact", "--strict"), ("sweep-n", "--strict"),
+        ("sweep-p", "--strict"), ("sweep-p", "--p"), ("simulate", "--realizations"),
     ]
     @pytest.mark.parametrize("command,option", REMOVED,
                              ids=[f"{c}{o}" for c, o in REMOVED])
@@ -530,7 +595,38 @@ class TestRemovedOptions:
         res = invoke(command, option, "2")
         assert res.exit_code == 2
         assert "No such option" in res.stderr
-        assert option not in invoke(command, "--help").output
+        # whole names: --p is a prefix of --p-er and --p-grid
+        assert option not in re.findall(r"--[\w-]+", invoke(command, "--help").output)
+
+
+class TestCommandOptions:
+    """Each command offers exactly the options it reads, so an option
+    group shared between commands cannot add one that is ignored."""
+
+    GRAPH = ["--graph", "--graph-file", "--n", "--n-range", "--dims", "--p-er", "--seed"]
+    STEP = ["--eps", "--k", "--sigma2"]
+    OUTPUT = ["--output", "--format"]
+    OFFERED = {
+        "bounds": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
+        "exact": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
+        "sweep-n": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
+        "sweep-p": GRAPH + ["--realizations"] + STEP + OUTPUT + ["--families", "--p-grid"],
+        "simulate": GRAPH + ["--p"] + STEP + OUTPUT
+        + ["--strict", "--horizon", "--ensemble", "--noise"],
+        "report": ["--output", "--p", "--k", "--sigma2", "--p-er", "--seed", "--n-range",
+                   "--sweep-p-n", "--realizations"],
+    }
+
+    def test_option_names_per_command(self):
+        offered = {
+            name: [opt for param in command.params for opt in param.opts]
+            for name, command in cli.commands.items()
+        }
+        assert offered == self.OFFERED
+        assert {name: len(opts) for name, opts in offered.items()} == {
+            "bounds": 14, "exact": 14, "sweep-n": 14, "sweep-p": 15, "simulate": 17,
+            "report": 9,
+        }
 
 
 class TestBenchCommandsParse:

@@ -297,18 +297,18 @@ class TestNoiseReport:
         cfg = RidlConfig.for_graph(g, p=0.01, sigma2=1.0, k=0.99)
         rep = compute_noise_report(g, cfg)
         assert rep.j_exact > 1e5
-        noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-12)))
+        noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-12)), cfg)
         with pytest.raises(NumericalError, match="spectral sandwich"):
-            noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-8)))
+            noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-8)), cfg)
 
     def test_sandwich_slack_absolute_for_small_index(self):
         g = make_path(5)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=0.1, k=0.8)
         rep = compute_noise_report(g, cfg)
         assert rep.j_ub < 1.0
-        noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 0.5e-9))
+        noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 0.5e-9), cfg)
         with pytest.raises(NumericalError, match="spectral sandwich"):
-            noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 2e-9))
+            noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 2e-9), cfg)
 
     def test_exact_absent_when_not_requested(self):
         g = make_path(12)
@@ -317,12 +317,3 @@ class TestNoiseReport:
         assert rep.j_exact is None
         assert "absent" in rep.method_tags["j_exact"]
         assert rep.j_lb > 0 and rep.j_ub > 0
-
-    def test_config_echo(self):
-        g = make_star(6)
-        cfg = RidlConfig.for_graph(g, p=0.8, sigma2=2.0, k=0.5)
-        rep = compute_noise_report(g, cfg)
-        assert rep.config == {
-            "n": 6, "d_max": 5, "p": 0.8, "epsilon": cfg.epsilon,
-            "k": pytest.approx(0.5), "sigma2": 2.0,
-        }
