@@ -17,11 +17,13 @@ larger N on the other commands, run ``exact --n N`` or ``exact
 --n-range A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
-identical field names. Every flag can also be supplied through an
-environment variable with the ``RIDLNOISE_`` prefix, e.g.
-``RIDLNOISE_BOUNDS_SIGMA2``. Exit codes: 0 success, 2 validation error,
-3 numerical failure, 4 I/O failure. A validation error, whether a bad
-option value or invalid graph input such as a malformed or disconnected
+identical field names. Every input is a command-line option; no
+environment variable changes a run. Exit codes: 0 success, 2 validation
+error, 3 numerical failure (including an eigensolver that does not
+converge), 4 I/O failure. A validation error, whether a bad option
+value, an option that the chosen family would ignore (``--graph-file``
+without ``--graph file``, ``--p-er`` without an Erdos-Renyi family), or
+invalid graph input such as a malformed or disconnected
 ``--graph-file`` edge list or an Erdos-Renyi draw that never comes out
 connected, exits 2 with a one-line message on stderr.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 from collections.abc import Iterator
@@ -38,6 +41,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import scipy
 from click.core import ParameterSource
 
 from . import __version__
@@ -236,6 +240,8 @@ def _resolve_sizes(
         # the node count comes from the file, so size checks see the real N
         graph = read_edge_list(params["graph_file"])
         return (graph.n,), None, graph
+    if params["graph_file"]:
+        raise click.UsageError("--graph-file only applies to --graph file")
     if explicit_dims is not None:
         for fam in families:
             if fam not in ("grid2d", "grid3d"):
@@ -258,6 +264,9 @@ def _build_spec(
     params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
 ) -> ExperimentSpec:
     """The validated spec of a table command's options."""
+    p_er_source = click.get_current_context().get_parameter_source("p_er")
+    if p_er_source is not ParameterSource.DEFAULT and "erdos-renyi" not in families:
+        raise click.UsageError("--p-er only applies to erdos-renyi graphs")
     n_values, dims, graph = _resolve_sizes(families, params)
     spec = ExperimentSpec(
         families=families,
@@ -647,6 +656,18 @@ def simulate_cmd(**params) -> None:
         sys.exit(EXIT_NUMERICAL)
 
 
+def _runtime() -> dict:
+    """Interpreter, numpy and scipy versions and numpy's BLAS: the last
+    digits of every spectrum depend on which LAPACK computed it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+
+
 @cli.command("report")
 @click.option("--output", required=True, help="Output directory for CSVs and manifest.")
 @click.option("--p", type=float, default=0.9, show_default=True)
@@ -661,7 +682,9 @@ def simulate_cmd(**params) -> None:
 @_guard
 def report_cmd(**params) -> None:
     """Full reproduction suite: per-family sweep-n and sweep-p CSVs plus a
-    JSON manifest with seeds, versions, and wall-clock times.
+    JSON manifest with seeds, versions, and wall-clock times. Its
+    "runtime" key records the Python, numpy and scipy versions and
+    numpy's BLAS, which set the last digits of the spectra.
 
     A sweep-n row gets the exact index when its graph has N <= 24. The
     sweep-p rows are exact at their own N (--sweep-p-n, at least the
@@ -732,13 +755,14 @@ def report_cmd(**params) -> None:
         "files": manifest_files,
         "skipped": skipped,
         "total_seconds": round(time.time() - t_start, 3),
+        "runtime": _runtime(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     click.echo(f"report written to {out_dir} ({len(manifest_files)} data files)")
 
 
 def main() -> None:
-    cli(auto_envvar_prefix="RIDLNOISE")
+    cli()
 
 
 if __name__ == "__main__":

@@ -11,6 +11,14 @@ entry points, each returning a record that carries its own certificate:
 * ``sym_eigen`` computes eigenpairs. Its certificate is the residual
   max_i ||A v_i - lambda_i v_i|| / ||A||, from one product A V.
 
+Both solve with LAPACK's divide-and-conquer ``syevd`` through
+``numpy.linalg`` (``eigvalsh`` and ``eigh``), so they run on numpy's
+OpenBLAS, the same library as every other dense product in the package.
+scipy bundles a second OpenBLAS with its own thread pool, which its
+LAPACK wrappers would load; with two pools on a machine with few cores,
+each pool's idle workers spin while the other pool works. A LAPACK
+failure to converge raises :class:`NumericalError`.
+
 Both certificates are relative to ``max(||A||_2, 1)`` and must stay
 within ``TOL.eigen_residual``; a failed check raises
 :class:`NumericalError`. Bounds-only rows and Monte Carlo estimates get
@@ -23,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .tolerances import TOL
@@ -72,6 +79,16 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         )
 
 
+def _syevd(a: np.ndarray, compute_vectors: bool):
+    """LAPACK ``syevd`` on ``a``: eigenvalues, or (eigenvalues,
+    eigenvectors) when ``compute_vectors``."""
+    try:
+        return np.linalg.eigh(a) if compute_vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError subclasses ValueError, which callers read as bad input
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+
+
 def sym_eigvals(a: np.ndarray, trace: float, frobenius_sq: float) -> Eigenvalues:
     """Eigenvalues only of a symmetric matrix (validated to relative
     tolerance 1e-12), ascending, certified by the power sums: the
@@ -82,7 +99,7 @@ def sym_eigvals(a: np.ndarray, trace: float, frobenius_sq: float) -> Eigenvalues
     and ||A||_F^2 as the caller knows them."""
     a = _as_square_float(a)
     _require_symmetric(a)
-    w = scipy.linalg.eigh(a, eigvals_only=True)
+    w = _syevd(a, compute_vectors=False)
     n = max(w.shape[0], 1)
     scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
     residual = max(
@@ -103,7 +120,7 @@ def sym_eigen(a: np.ndarray) -> SpectralData:
     ``TOL.eigen_residual``."""
     a = _as_square_float(a)
     _require_symmetric(a)
-    w, v = scipy.linalg.eigh(a)
+    w, v = _syevd(a, compute_vectors=True)
     # certificate: max_i ||A v_i - w_i v_i|| / ||A||_2
     norm_a = float(np.abs(w).max(initial=0.0))
     res_cols = np.linalg.norm(a @ v - v * w, axis=0)

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse  # loaded at start-up, not inside the first Monte Carlo run
 
 from .graphs import UndirectedGraph, is_connected, laplacian_spectrum
 from .ridl import RidlConfig
@@ -221,8 +222,6 @@ def _run_ensemble(
     Returns the final disagreement of each replication, that of each
     shadow, and the per-step disagreement summed over replications.
     """
-    from scipy import sparse
-
     n, t_steps, m = g.n, sim.horizon, len(seeds)
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])

@@ -7,18 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from ridlnoise import make_grid, make_path, read_edge_list, write_edge_list
-from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli
+from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli, main
 
 runner = CliRunner()
 
 
 def invoke(*args, env=None):
-    return runner.invoke(
-        cli, list(args), env=env, auto_envvar_prefix="RIDLNOISE", catch_exceptions=False
-    )
+    return runner.invoke(cli, list(args), env=env, catch_exceptions=False)
 
 
 def parse_csv(text):
@@ -166,8 +165,12 @@ class TestValidationErrors:
          "--p-grid must look like LO:HI:STEP"),
         (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.9:0.1:0.1"),
          "--p-grid bounds are inconsistent"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8",
+          "--graph-file", "/nonexistent.edges"), "--graph-file only applies to --graph file"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p-er", "0.5"),
+         "--p-er only applies to erdos-renyi graphs"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
-            "p-grid-form", "p-grid-order"])
+            "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -516,6 +519,16 @@ class TestReportCommand:
         assert manifest["skipped"] == []
         assert manifest["parameters"]["exact_cap"] == EXACT_MAX_N
         assert "exact_n" not in manifest["parameters"]
+        assert list(manifest) == ["package", "version", "seed", "parameters", "files",
+                                  "skipped", "total_seconds", "runtime"]
+        runtime = manifest["runtime"]
+        assert runtime["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert runtime["numpy"] == np.__version__
+        assert runtime["scipy"] == scipy.__version__
+        assert runtime["blas"] == {
+            key: np.show_config(mode="dicts")["Build Dependencies"]["blas"][key]
+            for key in ("name", "version")
+        }
         for row in parse_csv((out1 / "path_sweep_n.csv").read_text()):
             assert (row["j_exact"] != "") == (int(row["n"]) <= EXACT_MAX_N)
         for row in parse_csv((out1 / "sweep_p.csv").read_text()):
@@ -547,19 +560,26 @@ class TestReportCommand:
         assert list(rows[0]) == COMMAND_COLUMNS["sweep-p"]
 
 
-class TestEnvVarOverrides:
-    def test_option_via_environment(self):
-        res = invoke("bounds", "--graph", "path", "--n", "5",
-                     env={"RIDLNOISE_BOUNDS_K": "0.8"})
-        assert res.exit_code == 0
-        row = parse_csv(res.output)[0]
-        assert as_float(row["k"]) == pytest.approx(0.8)
+class TestEnvironmentIgnored:
+    """The entry point takes no option from an environment variable."""
 
-    def test_flag_beats_environment(self):
-        res = invoke("bounds", "--graph", "path", "--n", "5", "--k", "0.5",
-                     env={"RIDLNOISE_BOUNDS_K": "0.8"})
-        row = parse_csv(res.output)[0]
-        assert as_float(row["k"]) == pytest.approx(0.5)
+    @staticmethod
+    def run_main(monkeypatch, *args):
+        monkeypatch.setenv("RIDLNOISE_BOUNDS_K", "0.8")
+        monkeypatch.setattr(sys, "argv", ["ridlnoise", *args])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        return exc.value.code
+
+    def test_environment_does_not_supply_an_option(self, monkeypatch):
+        assert self.run_main(monkeypatch, "bounds", "--graph", "path", "--n", "5") == 2
+
+    def test_environment_does_not_add_a_second_step_size(self, monkeypatch, capsys):
+        code = self.run_main(monkeypatch, "bounds", "--graph", "path", "--n", "5", "--eps", "0.2")
+        assert code == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert as_float(row["eps"]) == pytest.approx(0.2)
+        assert as_float(row["k"]) == pytest.approx(0.4)
 
 
 class TestNumberFormatting:
@@ -721,19 +741,26 @@ class TestOneSpectrumPerGraph:
 
 class TestEigenvalueCertificate:
     def test_perturbed_eigenvalues_exit_3(self, monkeypatch):
-        import scipy.linalg
+        eigvalsh = np.linalg.eigvalsh
 
-        eigh = scipy.linalg.eigh
+        def perturbed(a):
+            return eigvalsh(a) * (1.0 + 1e-6)
 
-        def perturbed(a, eigvals_only=False):
-            out = eigh(a, eigvals_only=eigvals_only)
-            return out * (1.0 + 1e-6) if eigvals_only else out
-
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         res = invoke("bounds", "--graph", "path", "--n", "30", "--k", "0.8")
         assert res.exit_code == 3
         assert res.stderr.strip().count("\n") == 0
         assert "power-sum residual" in res.stderr
+
+    def test_eigensolver_failure_exit_3(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        res = invoke("bounds", "--graph", "path", "--n", "30", "--k", "0.8")
+        assert res.exit_code == 3
+        assert res.stderr.strip().count("\n") == 0
+        assert "Eigenvalues did not converge" in res.stderr
 
 
 class TestBenchRowChecks:

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.linalg
 
+import ridlnoise
 from ridlnoise import NumericalError, sym_eigen
 from ridlnoise.linalg import sym_eigvals
 from ridlnoise.graphs import laplacian, make_complete, make_path, make_star
@@ -45,7 +51,7 @@ class TestSymEigen:
         assert np.abs(v.T @ v - np.eye(30)).max() <= 1e-8
 
     def test_residual_certificate_enforced(self, monkeypatch):
-        eigh = scipy.linalg.eigh
+        eigh = np.linalg.eigh
 
         def perturbed(a):
             w, v = eigh(a)
@@ -53,7 +59,7 @@ class TestSymEigen:
 
         lap = laplacian(make_path(6))
         assert sym_eigen(lap).residual <= 1e-12
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericalError, match="residual"):
             sym_eigen(lap)
 
@@ -179,20 +185,53 @@ class TestSymEigvals:
             sym_eigvals(lap, trace, frob - 1e-5)
 
     def test_perturbed_eigenvalues_rejected(self, monkeypatch):
-        eigh = scipy.linalg.eigh
+        eigvalsh = np.linalg.eigvalsh
 
-        def perturbed(a, eigvals_only=False):
-            return eigh(a, eigvals_only=eigvals_only) * (1.0 + 1e-6)
+        def perturbed(a):
+            return eigvalsh(a) * (1.0 + 1e-6)
 
         lap = laplacian(make_path(30))
         sums = power_sums(lap)
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(NumericalError, match="power-sum residual"):
             sym_eigvals(lap, *sums)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0)
+
+
+# Runs in a fresh interpreter, so that no test's imports count.
+_ONE_POOL_PROBE = """
+import json, sys
+import ridlnoise.cli
+from ridlnoise import RidlConfig, compute_noise_report, make_path
+for exact in (True, False):
+    g = make_path(30)
+    compute_noise_report(g, RidlConfig.for_graph(g, p=0.5, sigma2=1.0, k=0.8), exact=exact)
+libs = set()
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        libs = {line.split()[-1] for line in maps if "openblas" in line.split("/")[-1]}
+print(json.dumps({"scipy_linalg": "scipy.linalg" in sys.modules, "openblas": sorted(libs)}))
+"""
+
+
+class TestSingleBlasPool:
+    """Every dense kernel runs on numpy's OpenBLAS: scipy's copy, with a
+    thread pool of its own, is never loaded by an exact or a bounds-only
+    report."""
+
+    def test_one_openblas_loaded(self):
+        src = str(Path(ridlnoise.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", _ONE_POOL_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        probe = json.loads(out)
+        assert probe["scipy_linalg"] is False
+        if sys.platform.startswith("linux"):
+            assert len(probe["openblas"]) == 1, probe["openblas"]
 
 
 class TestPseudoinversePsd:
