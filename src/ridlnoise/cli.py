@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -658,13 +659,21 @@ def simulate_cmd(**params) -> None:
 
 def _runtime() -> dict:
     """Interpreter, numpy and scipy versions and numpy's BLAS: the last
-    digits of every spectrum depend on which LAPACK computed it."""
+    digits of every spectrum depend on which LAPACK computed it. Then
+    what sets the BLAS thread count, which moves the last digits of the
+    exact solve's reductions: the usable CPUs and the two variables
+    OpenBLAS reads (null when unset)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "usable_cpus": cpus,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
 
 
@@ -684,7 +693,10 @@ def report_cmd(**params) -> None:
     """Full reproduction suite: per-family sweep-n and sweep-p CSVs plus a
     JSON manifest with seeds, versions, and wall-clock times. Its
     "runtime" key records the Python, numpy and scipy versions and
-    numpy's BLAS, which set the last digits of the spectra.
+    numpy's BLAS, which set the last digits of the spectra, and the
+    usable CPU count and OPENBLAS_NUM_THREADS and OMP_NUM_THREADS (null
+    when unset), which set BLAS's thread count and with it the last
+    digits of some exact values.
 
     A sweep-n row gets the exact index when its graph has N <= 24. The
     sweep-p rows are exact at their own N (--sweep-p-n, at least the

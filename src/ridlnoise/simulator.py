@@ -19,11 +19,26 @@ P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
 activation vector and A the sparse (CSR) adjacency,
 P(t) x = x - eps gamma * (x * (A gamma) - A (gamma * x)), so a step
 costs O(m) per replication on a graph with m edges. Replications step
-together in chunks, and each chunk's draws are made a block of steps at
-a time into buffers kept within a fixed byte budget: chunks sized to
-keep the (N, chunk) state in cache with as long a block as fits, or,
-where that makes fewer numpy calls, the whole horizon in one block. The
-drift test reads this same ensemble; no second ensemble runs beside it.
+together in chunks sized to keep the (N, chunk) state in cache, or,
+where that makes fewer numpy calls, sized so that the whole horizon is
+drawn in one block. The drift test reads this same ensemble; no second
+ensemble runs beside it.
+
+The RNG draws are made ahead of the stepping, on one helper thread
+started and joined inside each ``estimate_noise_index`` call. Two
+buffers of activations and noise, each a (block, chunk, N) slab within
+half of ``_DRAW_BUDGET``, take turns: while the main thread steps a
+chunk through one block of steps on one buffer, the helper fills the
+other with the next (chunk, block) of draws. The main thread waits for
+a buffer before it steps it, and hands a buffer back to the helper only
+after stepping it, so no buffer is read while it is being filled; an
+exception on the helper is re-raised in the caller. numpy's generator
+fills and its ufuncs release the GIL, so the two threads overlap on two
+cores. The step loop itself makes no BLAS call: the disagreement series
+sums its squares with ``einsum``, not ``vdot``, so numpy's OpenBLAS pool
+stays asleep instead of spinning on the core the helper needs, and the
+series does not depend on how many threads OpenBLAS would split a dot
+product over.
 
 Each replication owns an independently spawned RNG stream derived from
 the master seed: its T N activations first, then its noise. A second
@@ -31,11 +46,12 @@ generator on the same seed, advanced past the activations, reads the
 noise, so block-wise draws reproduce the whole-horizon stream value for
 value. Every replication's arithmetic is independent of the others in
 its chunk, and replications are reduced in fixed order, so estimates
-are reproducible bit for bit and neither the chunk size nor the block
-length affects them.
+are reproducible bit for bit and neither the chunk size, the block
+length nor the thread hand-off affects them.
 """
 from __future__ import annotations
 
+import concurrent.futures  # its thread-pool module loads on first use, not at start-up
 import math
 from dataclasses import dataclass
 
@@ -66,7 +82,8 @@ BURN_IN_CHECK = 0.05
 _HORIZON_TARGET = 1e-4
 _HORIZON_CAP = 100_000
 
-# bytes of draws held at once: float64 noise plus bool activations
+# bytes of draws held at once, over both buffers: float64 noise plus
+# bool activations
 _DRAW_BUDGET = 1 << 25
 # bytes of one (N, chunk) state array; a step touches about ten of them,
 # and stepping is memory-bound once they spill out of a core's L2 cache
@@ -182,17 +199,20 @@ def _draw_block(
 def _block_shape(t: int, n: int, m: int) -> tuple[int, int]:
     """Replications per chunk and steps per block of draws.
 
-    Both candidate shapes keep a chunk's draws within ``_DRAW_BUDGET``.
-    The first sizes a chunk so that its (N, chunk) state arrays stay near
-    ``_STATE_BYTES`` each, keeping a step's working set in a core's cache,
-    and takes the longest block of steps that fits. The second draws the
-    whole horizon in one block, with as many replications per chunk as
-    fit, up to the first's chunk. The shape that makes fewer numpy calls
-    wins: one step of a chunk makes four times as many as one block of a
-    replication's draws (16 against 4)."""
+    Both candidate shapes keep one buffer of draws, a (block, chunk, N)
+    slab, within half of ``_DRAW_BUDGET``, so the two buffers the helper
+    thread fills in turn stay within it together. The first sizes a chunk
+    so that its (N, chunk) state arrays stay near ``_STATE_BYTES`` each,
+    keeping a step's working set in a core's cache, and takes the longest
+    block of steps that fits. The second draws the whole horizon in one
+    block, with as many replications per chunk as fit, up to the first's
+    chunk. The shape that makes fewer numpy calls wins: one step of a
+    chunk makes four times as many as one block of a replication's draws
+    (16 against 4)."""
+    buffer_bytes = _DRAW_BUDGET // 2
     chunk = max(1, min(m, _STATE_BYTES // (8 * n)))
-    block = max(1, min(t, _DRAW_BUDGET // (9 * n * chunk)))  # float64 noise + bool activations
-    whole = min(chunk, _DRAW_BUDGET // (9 * n * t))
+    block = max(1, min(t, buffer_bytes // (9 * n * chunk)))  # float64 noise + bool activations
+    whole = min(chunk, buffer_bytes // (9 * n * t))
     if whole < 1:
         return chunk, block
 
@@ -210,6 +230,42 @@ def _disagreements(x: np.ndarray) -> np.ndarray:
     return (dev * dev).sum(axis=1)
 
 
+def _step_block(
+    x: np.ndarray,
+    xs: np.ndarray,
+    acts: np.ndarray,
+    noise: np.ndarray,
+    adj: sparse.csr_array,
+    p_bar: sparse.csr_array,
+    eps: float,
+    series: np.ndarray,
+) -> None:
+    """Advance the (N, c) states x and x~ in place through the b steps
+    whose draws are the (b, c, N) ``acts`` and ``noise``, adding each
+    step's disagreement, summed over the chunk, to ``series`` (length b).
+    No call here reaches BLAS."""
+    n, c = x.shape
+    gam, gam_x, update, nt = (np.empty((n, c)) for _ in range(4))
+    for t in range(acts.shape[0]):
+        np.copyto(gam, acts[t].T)
+        np.copyto(nt, noise[t].T)
+        np.multiply(gam, x, out=gam_x)
+        s1 = adj @ gam
+        s2 = adj @ gam_x
+        # x <- x - eps * gamma * (x * s1 - s2) + noise
+        np.multiply(x, s1, out=update)
+        update -= s2
+        update *= gam
+        update *= eps
+        x -= update
+        x += nt
+        # x~ <- E[P] x~ + noise
+        np.add(p_bar @ xs, nt, out=xs)
+        # sum of d over the chunk: |x|^2 - |column sums|^2 / N
+        col = x.sum(axis=0)
+        series[t] += np.einsum("ij,ij->", x, x) - np.einsum("i,i->", col, col) / n
+
+
 def _run_ensemble(
     seeds: list[np.random.SeedSequence],
     g: UndirectedGraph,
@@ -219,6 +275,11 @@ def _run_ensemble(
     """Run one trajectory and its mean-field shadow per seed from
     x(0) = x~(0) = 0 for ``sim.horizon`` steps.
 
+    The draws of task k, one (chunk, block) in chunk-major order, go into
+    buffer k % 2 on the helper thread; task k + 1 is submitted only once
+    the main thread has the draws of task k, and so after it has stepped
+    task k - 1 on the buffer that task k + 1 refills.
+
     Returns the final disagreement of each replication, that of each
     shadow, and the per-step disagreement summed over replications.
     """
@@ -226,9 +287,8 @@ def _run_ensemble(
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     adj = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    eps = cfg.epsilon
     # E[P] = I - a (D - A), a = eps p^2: a off the diagonal, 1 - a deg on it
-    a = eps * cfg.p**2
+    a = cfg.epsilon * cfg.p**2
     diag = np.arange(n)
     p_bar = sparse.csr_array(
         (np.concatenate([np.full(rows.size, a), 1.0 - a * g.degrees]),
@@ -238,43 +298,42 @@ def _run_ensemble(
     sigma = math.sqrt(cfg.sigma2)
 
     chunk, block = _block_shape(t_steps, n, m)
-    acts = np.empty((block, chunk, n), dtype=bool)
-    noise = np.empty((block, chunk, n))
+    buffers = [(np.empty((block, chunk, n), dtype=bool), np.empty((block, chunk, n)))
+               for _ in range(2)]
     scratch = np.empty((block, n))
+    tasks = [(start, t0) for start in range(0, m, chunk) for t0 in range(0, t_steps, block)]
+    streams: list[tuple[np.random.Generator, np.random.Generator]] = []
+
+    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fill buffer k % 2 with the draws of task k; runs on the helper."""
+        nonlocal streams
+        start, t0 = tasks[k]
+        c, b = min(chunk, m - start), min(block, t_steps - t0)
+        if t0 == 0:
+            streams = [_streams(s, t_steps * n) for s in seeds[start:start + c]]
+        acts, noise = buffers[k % 2]
+        for j, pair in enumerate(streams):
+            _draw_block(pair, cfg.p, sim.noise_dist, sigma,
+                        acts[:b, j, :], noise[:b, j, :], scratch[:b])
+        return acts[:b, :c], noise[:b, :c]
+
     d_final = np.empty(m)
     d_shadow = np.empty(m)
     series = np.zeros(t_steps)
-    for start in range(0, m, chunk):
-        c = min(chunk, m - start)
-        streams = [_streams(s, t_steps * n) for s in seeds[start:start + c]]
-        x = np.zeros((n, c))
-        xs = np.zeros((n, c))
-        gam, gam_x, update, nt = (np.empty((n, c)) for _ in range(4))
-        for t0 in range(0, t_steps, block):
-            b = min(block, t_steps - t0)
-            for j, pair in enumerate(streams):
-                _draw_block(pair, cfg.p, sim.noise_dist, sigma,
-                            acts[:b, j, :], noise[:b, j, :], scratch[:b])
-            for t in range(b):
-                np.copyto(gam, acts[t, :c].T)
-                np.copyto(nt, noise[t, :c].T)
-                np.multiply(gam, x, out=gam_x)
-                s1 = adj @ gam
-                s2 = adj @ gam_x
-                # x <- x - eps * gamma * (x * s1 - s2) + noise
-                np.multiply(x, s1, out=update)
-                update -= s2
-                update *= gam
-                update *= eps
-                x -= update
-                x += nt
-                # x~ <- E[P] x~ + noise
-                np.add(p_bar @ xs, nt, out=xs)
-                # sum of d over the chunk: |x|^2 - |column sums|^2 / N
-                col = x.sum(axis=0)
-                series[t0 + t] += np.vdot(x, x) - np.vdot(col, col) / n
-        d_final[start:start + c] = _disagreements(x)
-        d_shadow[start:start + c] = _disagreements(xs)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for k, (start, t0) in enumerate(tasks):
+            acts, noise = pending.result()
+            if k + 1 < len(tasks):
+                pending = helper.submit(draw, k + 1)
+            b, c, _ = acts.shape
+            if t0 == 0:
+                x = np.zeros((n, c))
+                xs = np.zeros((n, c))
+            _step_block(x, xs, acts, noise, adj, p_bar, cfg.epsilon, series[t0:t0 + b])
+            if t0 + b == t_steps:
+                d_final[start:start + c] = _disagreements(x)
+                d_shadow[start:start + c] = _disagreements(xs)
     return d_final, d_shadow, series
 
 
@@ -317,7 +376,10 @@ def estimate_noise_index(
 
     The draws are made in blocks of steps, advancing each replication's
     noise generator past its activations, so the trajectories equal those
-    of whole-horizon draws from the same seeds.
+    of whole-horizon draws from the same seeds. One helper thread makes
+    the next block of draws while this thread steps the current one; it
+    is joined before the call returns, and an exception raised on it is
+    re-raised here.
 
     Raises ValueError unless both almost-sure consensus conditions hold:
     eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,

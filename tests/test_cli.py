@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -501,9 +502,12 @@ class TestErdosRenyiRows:
 
 
 class TestReportCommand:
-    def test_report_determinism_and_manifest(self, tmp_path):
+    def test_report_determinism_and_manifest(self, tmp_path, monkeypatch):
         # the range straddles the exact cap, and --sweep-p-n lies above it,
-        # where sweep-p rows are still exact at their own N
+        # where sweep-p rows are still exact at their own N; the manifest
+        # reads the thread variables, which BLAS has long since read
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
             res = invoke("report", "--output", str(out), "--n-range", "22:26",
@@ -529,6 +533,11 @@ class TestReportCommand:
             key: np.show_config(mode="dicts")["Build Dependencies"]["blas"][key]
             for key in ("name", "version")
         }
+        assert list(runtime) == ["python", "numpy", "scipy", "blas", "usable_cpus",
+                                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert runtime["usable_cpus"] == len(os.sched_getaffinity(0))
+        assert runtime["OPENBLAS_NUM_THREADS"] == "3"
+        assert runtime["OMP_NUM_THREADS"] is None
         for row in parse_csv((out1 / "path_sweep_n.csv").read_text()):
             assert (row["j_exact"] != "") == (int(row["n"]) <= EXACT_MAX_N)
         for row in parse_csv((out1 / "sweep_p.csv").read_text()):

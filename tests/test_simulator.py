@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ridlnoise
 from ridlnoise import (
     RidlConfig,
     SimConfig,
@@ -245,15 +252,105 @@ class TestChunking:
     def test_block_shape_fits_the_budget(self, t, n, m):
         chunk, block = simulator._block_shape(t, n, m)
         assert 1 <= chunk <= m and 1 <= block <= t
-        assert 9 * n * chunk * block <= 1 << 25 or chunk == block == 1
+        # two buffers of float64 noise and bool activations
+        assert 2 * 9 * n * chunk * block <= 1 << 25 or chunk == block == 1
 
     def test_small_graph_draws_each_horizon_in_one_block(self):
         # path(10) at the default 10000 replications: one draw call pair
         # per replication, not one per block
-        assert simulator._block_shape(469, 10, 10000) == (794, 469)
+        assert simulator._block_shape(469, 10, 10000) == (397, 469)
         # a 16x16 grid at 300 replications keeps 64-replication chunks,
-        # where whole-horizon draws would allow only 19
-        assert simulator._block_shape(738, 256, 300) == (64, 227)
+        # where whole-horizon draws would allow only 9
+        assert simulator._block_shape(738, 256, 300) == (64, 113)
+
+
+def _slowed(fn, seconds):
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+    return slow
+
+
+class TestDrawAhead:
+    # 3 chunks x 8 blocks: 24 hand-offs between the two buffers
+    G = make_grid((3, 3))
+    CFG = RidlConfig.for_graph(G, p=0.8, sigma2=1.0, k=0.8)
+    SIM = SimConfig(horizon=40, ensemble=20, seed=8)
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_block_shape", lambda t, n, m: (7, 5))
+
+    def _assert_identical(self, est, ref):
+        assert est.j_hat == ref.j_hat
+        assert est.std_error == ref.std_error
+        assert est.drift == ref.drift
+        assert est.mf_corr == ref.mf_corr
+        assert np.array_equal(est.mean_trace, ref.mean_trace)
+
+    def test_slow_helper_changes_nothing(self, monkeypatch):
+        ref = estimate_noise_index(self.G, self.CFG, self.SIM)
+        threads = set()
+        draw = _slowed(simulator._draw_block, 0.001)
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            draw(*args)
+
+        monkeypatch.setattr(simulator, "_draw_block", recorded)
+        self._assert_identical(estimate_noise_index(self.G, self.CFG, self.SIM), ref)
+        # every draw was made on one thread, and not on the caller's
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    def test_slow_step_changes_nothing(self, monkeypatch):
+        ref = estimate_noise_index(self.G, self.CFG, self.SIM)
+        monkeypatch.setattr(simulator, "_step_block", _slowed(simulator._step_block, 0.005))
+        self._assert_identical(estimate_noise_index(self.G, self.CFG, self.SIM), ref)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        draw = simulator._draw_block
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third draw fails")
+            draw(*args)
+
+        monkeypatch.setattr(simulator, "_draw_block", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third draw fails"):
+            estimate_noise_index(self.G, self.CFG, self.SIM)
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+
+# run in a fresh interpreter, so that OpenBLAS reads its thread count at load
+_GRID16_TRACE = """
+from ridlnoise import RidlConfig, SimConfig, estimate_noise_index, make_grid
+g = make_grid((16, 16))
+cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+est = estimate_noise_index(g, cfg, SimConfig(horizon=300, ensemble=64, seed=5))
+print(est.mean_trace.tobytes().hex())
+"""
+
+
+def _grid16_trace(openblas_threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(ridlnoise.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    done = subprocess.run([sys.executable, "-c", _GRID16_TRACE], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_step_loop_makes_no_blas_call():
+    # a 16x16 chunk holds 16384 values, enough for OpenBLAS to split a dot
+    # product over its threads and change its last bits; an 8x8 grid is not
+    assert _grid16_trace("1") == _grid16_trace(None)
 
 
 class TestControlVariate:
