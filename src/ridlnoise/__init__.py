@@ -10,6 +10,7 @@ activation on an underlying graph.
 from .errors import NumericalError
 from .graphs import (
     ErdosRenyiDraw,
+    SpectralData,
     UndirectedGraph,
     average_effective_resistance,
     draw_erdos_renyi,
@@ -23,7 +24,6 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .linalg import SpectralData, sym_eigen
 from .noise_index import (
     ExactIndex,
     NoiseReport,
@@ -40,6 +40,5 @@ from .simulator import (
     default_horizon,
     estimate_noise_index,
 )
-from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"

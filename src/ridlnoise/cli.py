@@ -59,14 +59,14 @@ from .graphs import (
 )
 from .noise_index import compute_noise_report
 from .ridl import RidlConfig
-from .simulator import SimConfig, default_horizon, estimate_noise_index
+from .simulator import NOISE_DISTRIBUTIONS, SimConfig, default_horizon, estimate_noise_index
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-GRAPH_CHOICES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi", "file")
 SWEEP_FAMILIES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi")
+GRAPH_CHOICES = SWEEP_FAMILIES + ("file",)
 
 #: largest built graph whose sweep-n, simulate and report sweep-n rows
 #: get the exact index; sweep-p rows are exact at their own N
@@ -634,7 +634,7 @@ def sweep_p_cmd(**params) -> None:
               help="Steps per trajectory (default: spectral-gap rule).")
 @click.option("--ensemble", type=int, default=10000, show_default=True,
               help="Independent replications.")
-@click.option("--noise", type=click.Choice(("gaussian", "rademacher", "uniform")),
+@click.option("--noise", type=click.Choice(NOISE_DISTRIBUTIONS),
               default="gaussian", show_default=True)
 @_guard
 def simulate_cmd(**params) -> None:

@@ -2,4 +2,7 @@
 
 
 class NumericalError(RuntimeError):
-    """A computation failed numerically (near-singular system, bad spectrum)."""
+    """A computation failed numerically: an eigensolve that does not
+    converge or fails its certificate, a singular Stein equation, a
+    conjugate-gradient solve that misses its residual target, or index
+    values that are not finite, positive and sandwiched by the bounds."""

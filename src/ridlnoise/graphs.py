@@ -1,21 +1,37 @@
-"""Underlying interaction graphs: generators, Laplacians, spectra, and
-effective resistance.
+"""Underlying interaction graphs: generators, Laplacians, certified
+Laplacian spectra, and effective resistance.
 
 All graphs are simple and undirected (no self-loops, no multi-edges).
-The primary form is the integer edge array: an (m, 2) array of pairs
-(i, j) with i < j in lexicographic order, canonicalised with array
-operations when the graph is built. The dense adjacency, the degrees
-and d_max are derived from it once, at the same time; the package
-targets desk-scale sizes where a dense adjacency and full spectra are
-cheap. Randomized generators take a caller-owned seeded generator so
-repeated runs are reproducible.
+A graph is stored as its integer edge array only: an (m, 2) array of
+pairs (i, j) with i < j in lexicographic order, canonicalised with array
+operations when the graph is built, beside the degrees and d_max derived
+from it. No N x N matrix is formed when a graph is built; the dense
+Laplacian is filled from the edges where a caller needs it, for the
+eigensolve and the exact solve's Stein operator. Randomized generators
+take a caller-owned seeded generator so repeated runs are reproducible.
 
 A graph keeps two Laplacian spectral records, each computed at most
-once: the eigenvalues (``laplacian_spectrum``), which are all the
-bounds and the effective resistance need, and the eigenpairs
-(``laplacian_eigenpairs``), which only the exact solve's
-preconditioner asks for. Once the eigenpairs exist, the eigenvalue
-record is taken from them, so a graph is eigensolved once.
+once, each with its own certificate:
+
+* the eigenvalues (``laplacian_spectrum``), which are all the bounds and
+  the effective resistance need. A values-only solve, certified by the
+  power sums sum(lambda) = tr L = 2m and
+  sum(lambda^2) = ||L||_F^2 = sum(d_i^2) + 2m; it costs O(N) beyond the
+  solve.
+* the eigenpairs (``laplacian_eigenpairs``), which only the exact
+  solve's preconditioner asks for, certified by the residual
+  max_i ||L v_i - lambda_i v_i|| from one product L V.
+
+Once the eigenpairs exist, the eigenvalue record is taken from them, so
+a graph is eigensolved once. Both certificates are relative to
+max(||L||_2, 1) and must stay within ``_EIGEN_RESIDUAL``; a failed check,
+or a LAPACK failure to converge, raises :class:`NumericalError`. Both
+solves run LAPACK's divide-and-conquer ``syevd`` through ``numpy.linalg``
+(``eigvalsh`` and ``eigh``), on numpy's OpenBLAS, the same library as
+every other dense product in the package. scipy bundles a second
+OpenBLAS with its own thread pool, which its LAPACK wrappers would load;
+with two pools on a machine with few cores, each pool's idle workers
+spin while the other pool works.
 """
 from __future__ import annotations
 
@@ -26,12 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Eigenvalues, SpectralData, sym_eigen, sym_eigvals
-from .tolerances import TOL
+from .errors import NumericalError
 
 __all__ = [
     "UndirectedGraph",
     "ErdosRenyiDraw",
+    "Eigenvalues",
+    "SpectralData",
     "make_star",
     "make_path",
     "make_grid",
@@ -40,11 +57,36 @@ __all__ = [
     "laplacian",
     "laplacian_spectrum",
     "laplacian_eigenpairs",
+    "spectrum_disconnected",
     "is_connected",
     "average_effective_resistance",
     "read_edge_list",
     "write_edge_list",
 ]
+
+# bound on both spectral certificates, relative to max(||L||_2, 1)
+_EIGEN_RESIDUAL = 1e-8
+# a graph is disconnected when lambda_2 <= this times max(lambda_N, 1)
+_CONNECTIVITY_RTOL = 1e-9
+# connectivity resampling budget of ``draw_erdos_renyi``
+_ER_MAX_RESAMPLES = 1000
+
+
+@dataclass(frozen=True)
+class Eigenvalues:
+    """Eigenvalues sorted ascending and the relative error of their
+    certificate."""
+
+    eigenvalues: np.ndarray
+    residual: float
+
+
+@dataclass(frozen=True)
+class SpectralData(Eigenvalues):
+    """Eigenpairs: ascending eigenvalues, orthonormal eigenvectors (as
+    columns), and the max relative eigenpair residual."""
+
+    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,21 +94,29 @@ class UndirectedGraph:
     """Simple undirected graph on nodes 0..n-1.
 
     ``edges`` is an (m, 2) int64 array of pairs (i, j) with i < j, rows
-    in lexicographic order; ``adjacency`` is the symmetric 0/1 matrix
-    derived from it, ``degrees`` its row sums, and ``d_max`` the maximum
-    degree. The Laplacian eigenvalues and eigenpairs are computed on
-    first use and kept.
+    in lexicographic order; ``degrees`` counts the edges at each node,
+    and ``d_max`` is the maximum degree. The certified Laplacian
+    eigenvalues and eigenpairs are computed on first use and kept.
     """
 
     n: int
     edges: np.ndarray
-    adjacency: np.ndarray
     degrees: np.ndarray
     d_max: int
 
     @cached_property
     def _eigenpairs(self) -> SpectralData:
-        return sym_eigen(laplacian(self))
+        lap = laplacian(self)
+        w, v = _syevd(np.linalg.eigh, lap)
+        # certificate: max_i ||L v_i - w_i v_i|| / max(||L||_2, 1)
+        norm = float(np.abs(w).max(initial=0.0))
+        res_cols = np.linalg.norm(lap @ v - v * w, axis=0)
+        residual = float(res_cols.max(initial=0.0) / max(norm, 1.0))
+        if not residual <= _EIGEN_RESIDUAL:
+            raise NumericalError(
+                f"eigensolver residual {residual:.3e} exceeds {_EIGEN_RESIDUAL:.0e}"
+            )
+        return SpectralData(eigenvalues=w, eigenvectors=v, residual=residual)
 
     @cached_property
     def _eigenvalues(self) -> Eigenvalues:
@@ -74,10 +124,34 @@ class UndirectedGraph:
         pairs = self.__dict__.get("_eigenpairs")
         if pairs is not None:
             return pairs
-        # tr L = sum d_i = 2m and ||L||_F^2 = sum d_i^2 + 2m
+        w = _syevd(np.linalg.eigvalsh, laplacian(self))
+        # certificate: the power sums tr L = sum d_i = 2m and
+        # ||L||_F^2 = sum d_i^2 + 2m, relative to N s and N s^2 with
+        # s = max(||L||_2, 1)
         two_m = 2.0 * self.edges.shape[0]
         deg = self.degrees.astype(np.float64)
-        return sym_eigvals(laplacian(self), two_m, float(deg @ deg) + two_m)
+        n = max(w.shape[0], 1)
+        scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
+        residual = max(
+            abs(float(w.sum()) - two_m) / (n * scale),
+            abs(float(w @ w) - (float(deg @ deg) + two_m)) / (n * scale * scale),
+        )
+        if not residual <= _EIGEN_RESIDUAL:
+            raise NumericalError(
+                f"eigenvalue power-sum residual {residual:.3e} exceeds {_EIGEN_RESIDUAL:.0e}"
+            )
+        return Eigenvalues(eigenvalues=w, residual=residual)
+
+
+def _syevd(solver, lap: np.ndarray):
+    """``solver`` (``numpy.linalg.eigh`` or ``eigvalsh``, both LAPACK
+    ``syevd``) applied to ``lap``, a failure to converge raised as
+    :class:`NumericalError`."""
+    try:
+        return solver(lap)
+    except np.linalg.LinAlgError as exc:
+        # LinAlgError subclasses ValueError, which callers read as bad input
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -106,14 +180,9 @@ def _build(n: int, edges) -> UndirectedGraph:
     # lexicographically sorted canonical edges
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     lo, hi = np.divmod(keys, n)
-    adj = np.zeros((n, n), dtype=np.float64)
-    adj[lo, hi] = 1.0
-    adj[hi, lo] = 1.0
     degrees = np.bincount(np.concatenate((lo, hi)), minlength=n).astype(np.int64)
     d_max = int(degrees.max(initial=0))
-    return UndirectedGraph(
-        n=n, edges=np.column_stack((lo, hi)), adjacency=adj, degrees=degrees, d_max=d_max
-    )
+    return UndirectedGraph(n=n, edges=np.column_stack((lo, hi)), degrees=degrees, d_max=d_max)
 
 
 def make_star(n: int) -> UndirectedGraph:
@@ -168,8 +237,8 @@ def draw_erdos_renyi(
     Each unordered pair is present independently with probability
     ``p_er``; fresh draws come from the same seeded stream, so a fixed
     seed yields the same sequence of attempts. Fails with a diagnostic
-    once the ``TOL.er_max_resamples`` budget is exhausted (p_er too small
-    for connectivity at this n).
+    once the budget of ``_ER_MAX_RESAMPLES`` (1000) attempts is
+    exhausted (p_er too small for connectivity at this n).
     """
     if n < 2:
         raise ValueError(f"Erdos-Renyi graph needs n >= 2, got {n}")
@@ -177,20 +246,25 @@ def draw_erdos_renyi(
         raise ValueError(f"edge probability must be in (0, 1], got {p_er}")
     rng = np.random.default_rng(rng)
     iu, ju = np.triu_indices(n, k=1)
-    for attempt in range(1, TOL.er_max_resamples + 1):
+    for attempt in range(1, _ER_MAX_RESAMPLES + 1):
         mask = rng.random(iu.shape[0]) < p_er
         g = _build(n, np.column_stack((iu[mask], ju[mask])))
         if is_connected(g):
             return ErdosRenyiDraw(graph=g, attempts=attempt)
     raise RuntimeError(
-        f"no connected Erdos-Renyi draw in {TOL.er_max_resamples} attempts "
+        f"no connected Erdos-Renyi draw in {_ER_MAX_RESAMPLES} attempts "
         f"(n={n}, p_er={p_er}); increase p_er"
     )
 
 
 def laplacian(g: UndirectedGraph) -> np.ndarray:
-    """Combinatorial Laplacian D - A of the graph."""
-    return np.diag(g.degrees.astype(np.float64)) - g.adjacency
+    """Combinatorial Laplacian D - A of the graph, a dense N x N array
+    filled from the edges."""
+    lap = np.diag(g.degrees.astype(np.float64))
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    lap[lo, hi] = -1.0
+    lap[hi, lo] = -1.0
+    return lap
 
 
 def laplacian_spectrum(g: UndirectedGraph) -> Eigenvalues:
@@ -214,24 +288,33 @@ def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
     return g._eigenpairs
 
 
+def spectrum_disconnected(lam: np.ndarray) -> bool:
+    """Whether the graph with ascending Laplacian eigenvalues ``lam`` is
+    disconnected: fewer than two nodes, or lambda_2 at most
+    ``_CONNECTIVITY_RTOL`` * max(lambda_N, 1)."""
+    return lam.shape[0] < 2 or lam[1] <= _CONNECTIVITY_RTOL * max(float(lam[-1]), 1.0)
+
+
 def is_connected(g: UndirectedGraph) -> bool:
     """Reachability of every node from node 0, one frontier of the
-    breadth-first search at a time."""
+    breadth-first search at a time: both ends of every edge that leaves
+    the reached set are marked reached."""
     seen = np.zeros(g.n, dtype=bool)
     seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = g.adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    while True:
+        leaving = seen[lo] != seen[hi]
+        if not leaving.any():
+            return bool(seen.all())
+        seen[lo[leaving]] = True
+        seen[hi[leaving]] = True
 
 
 def average_effective_resistance(g: UndirectedGraph) -> float:
     """Average effective resistance (1/N) * sum_{i>=2} 1/lambda_i of the
     Laplacian; requires a connected graph."""
     lam = laplacian_spectrum(g).eigenvalues
-    thresh = TOL.connectivity_rtol * max(float(lam[-1]), 1.0)
-    if g.n < 2 or lam[1] <= thresh:
+    if spectrum_disconnected(lam):
         raise ValueError(
             f"graph is disconnected (lambda_2 = {lam[1] if g.n > 1 else 0.0:.3e})"
         )

@@ -26,14 +26,14 @@ import numpy as np
 
 from .errors import NumericalError
 from .graphs import (
+    Eigenvalues,
     UndirectedGraph,
     average_effective_resistance,
     laplacian_eigenpairs,
     laplacian_spectrum,
+    spectrum_disconnected,
 )
-from .linalg import Eigenvalues
 from .ridl import RidlConfig, omega_projector, stein_operator
-from .tolerances import TOL
 
 __all__ = [
     "ExactIndex",
@@ -51,6 +51,9 @@ __all__ = [
 # the index grows.
 _CG_RTOL = 1e-13
 _CG_MAX_ITER = 500
+# slack on the sandwich inequalities every report is checked against,
+# times max(1, |J|)
+_SANDWICH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     spectrum = laplacian_eigenpairs(g)
     lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     n = g.n
-    if n < 2 or lam[1] <= TOL.connectivity_rtol * max(float(lam[-1]), 1.0):
+    if spectrum_disconnected(lam):
         raise NumericalError(
             "the Stein equation is singular: the graph is disconnected, so "
             "disagreement does not decay"
@@ -169,8 +172,7 @@ def ridl_bounds(
     """
     lam = laplacian_spectrum.eigenvalues
     n = lam.shape[0]
-    thresh = TOL.connectivity_rtol * max(float(lam[-1]), 1.0)
-    if n < 2 or lam[1] <= thresh:
+    if spectrum_disconnected(lam):
         raise ValueError("underlying graph is disconnected; bounds are infinite")
     e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
     tail = lam[1:]
@@ -256,7 +258,7 @@ def _validate_report(report: NoiseReport, cfg: RidlConfig) -> None:
         raise NumericalError(f"nonpositive index values in report: {values}")
     if report.j_exact is not None:
         j = report.j_exact
-        slack = TOL.sandwich_slack * max(1.0, abs(j))
+        slack = _SANDWICH_SLACK * max(1.0, abs(j))
         if not (report.j_lb - slack <= j <= report.j_ub + slack):
             raise NumericalError(
                 f"spectral sandwich violated: {report.j_lb} <= {j} <= {report.j_ub}"

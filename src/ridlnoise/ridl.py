@@ -9,9 +9,12 @@ and the one expected operator the exact solve needs:
   without forming the N^2 x N^2 second-moment operator E[P (x) P]
 
 No update matrix is formed here: the Monte Carlo loop applies P to its
-states through the sparse adjacency. The samplers of P, the expected matrices E[P] and
-E[P^2], and the sums over the 2^N activation patterns that check them
-and this operator live with the tests, in ``tests/oracles.py``.
+states through a sparse adjacency it builds from the graph's edge array.
+The Stein operator works on dense N x N matrices: the Laplacian filled
+from the edges, and the adjacency A = D - L read off it. The samplers of
+P, the expected matrices E[P] and E[P^2], and the sums over the 2^N
+activation patterns that check them and this operator live with the
+tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -119,8 +122,9 @@ def stein_operator(
     of A o X and A o (X A).
     """
     lbar = laplacian(g)
-    adj = g.adjacency
-    c = np.diag(g.degrees.astype(np.float64)) + adj
+    deg = np.diag(g.degrees.astype(np.float64))
+    adj = deg - lbar
+    c = deg + adj
     c_sq = c @ c
     e, p = cfg.epsilon, cfg.p
     w_edge = e**2 * p**2 * (1.0 - p) ** 2

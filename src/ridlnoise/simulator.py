@@ -392,7 +392,7 @@ def estimate_noise_index(
             "may hit zero"
         )
     if not is_connected(g):
-        failures.append("expected update graph is disconnected (graph or p = 0)")
+        failures.append("graph is disconnected")
     if failures:
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble

@@ -15,7 +15,9 @@ whole horizon at once instead of in time blocks, and takes the
 mean-field control variate's known mean from the propagated noise
 covariance instead of the spectral sum. ``reference_build`` is the
 set-based graph construction that the library's edge-array ``_build``
-replaced, kept to check that both give the same graphs.
+replaced, kept to check that both give the same graphs, and
+``reference_laplacian`` fills the Laplacian from an adjacency built one
+edge at a time, to check the library's edge-array fill.
 
 The rest is the paper's derivation, which the command-line program never
 evaluates and the tests check the library against:
@@ -38,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from ridlnoise import NumericalError, UndirectedGraph, draw_erdos_renyi, laplacian, sym_eigen
-from ridlnoise.linalg import _as_square_float, _require_symmetric
+from ridlnoise import NumericalError, UndirectedGraph, draw_erdos_renyi, laplacian
 from ridlnoise.ridl import RidlConfig, omega_projector
 from ridlnoise.simulator import BURN_IN_CHECK, SimConfig
 
@@ -53,6 +54,7 @@ DENSE_N_CAP = 64      # largest N for the N^2 x N^2 operator (8 N^4 bytes)
 ENUM_N_CAP = 14       # largest N for 2^N pattern enumeration
 RCOND_MIN = 1e-12     # reject solves with condition estimate > 1e12
 PINV_CUTOFF_RTOL = 1e-9  # pseudoinverse eigenvalue cutoff relative to lambda_max
+SYMMETRY_RTOL = 1e-12    # max |A - A^T| relative to max(max |A|, 1)
 STOCHASTIC_ATOL = 1e-9   # row sums of a doubly stochastic matrix
 PERRON_GAP = 1e-9        # second-largest eigenvalue of E[P] must be < 1 - gap
 
@@ -61,6 +63,35 @@ FAMILIES = ("star", "path", "grid2d", "grid3d", "complete")
 
 class SingularMatrixError(NumericalError):
     """Linear solve rejected; carries the condition-number diagnostic."""
+
+
+def _as_square_float(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
+    scale = max(np.abs(a).max(initial=0.0), 1.0)
+    skew = np.abs(a - a.T).max(initial=0.0)
+    if skew > SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"{name} is not symmetric: max asymmetry {skew:.3e} "
+            f"exceeds {SYMMETRY_RTOL:.0e} * scale"
+        )
+
+
+def dense_adjacency(n: int, edges) -> np.ndarray:
+    """The symmetric 0/1 n x n adjacency matrix, filled one (i, j) pair
+    of ``edges`` at a time."""
+    adj = np.zeros((n, n))
+    for i, j in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+        adj[i, j] = 1.0
+        adj[j, i] = 1.0
+    return adj
 
 
 def make_erdos_renyi(n: int, p_er: float, rng: np.random.Generator | int) -> UndirectedGraph:
@@ -94,7 +125,7 @@ def induced_laplacian(g: UndirectedGraph, pattern: np.ndarray) -> np.ndarray:
     pattern = np.asarray(pattern, dtype=np.float64)
     if pattern.shape != (g.n,):
         raise ValueError(f"pattern length {pattern.shape} does not match n={g.n}")
-    a_act = g.adjacency * np.outer(pattern, pattern)
+    a_act = dense_adjacency(g.n, g.edges) * np.outer(pattern, pattern)
     return np.diag(a_act.sum(axis=1)) - a_act
 
 
@@ -160,8 +191,8 @@ def generic_bounds(
         row_err = np.abs(m.sum(axis=1) - 1.0).max()
         if row_err > STOCHASTIC_ATOL:
             raise ValueError(f"{name} is not doubly stochastic (row-sum error {row_err:.3e})")
-    lam_bar = _perron_excluded(sym_eigen(p_bar).eigenvalues, "E[P]")
-    lam_bbar = _perron_excluded(sym_eigen(p_bbar).eigenvalues, "E[P^2]")
+    lam_bar = _perron_excluded(np.linalg.eigvalsh(p_bar), "E[P]")
+    lam_bbar = _perron_excluded(np.linalg.eigvalsh(p_bbar), "E[P^2]")
     den_lb = 1.0 - lam_bar**2
     den_ub = 1.0 - lam_bbar
     for label, den, lam in (("E[P]", den_lb, lam_bar), ("E[P^2]", den_ub, lam_bbar)):
@@ -256,8 +287,9 @@ def family_asymptotics(family: str, n: int, cfg: RidlConfig) -> PredictedScaling
 def reference_build(n: int, edges) -> UndirectedGraph:
     """The set-based graph construction that the edge-array ``_build``
     replaced, kept as written: edges canonicalised one pair at a time
-    through a set and ``sorted``, and the adjacency filled per edge.
-    ``edges`` of the result is a tuple of (i, j) tuples."""
+    through a set and ``sorted``, and the degrees read off an adjacency
+    filled per edge. ``edges`` of the result is a tuple of (i, j)
+    tuples."""
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
     canon = set()
@@ -269,13 +301,15 @@ def reference_build(n: int, edges) -> UndirectedGraph:
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         canon.add((min(i, j), max(i, j)))
     edge_tuple = tuple(sorted(canon))
-    adj = np.zeros((n, n), dtype=np.float64)
-    for i, j in edge_tuple:
-        adj[i, j] = 1.0
-        adj[j, i] = 1.0
-    degrees = adj.sum(axis=1).astype(np.int64)
+    degrees = dense_adjacency(n, edge_tuple).sum(axis=1).astype(np.int64)
     d_max = int(degrees.max(initial=0))
-    return UndirectedGraph(n=n, edges=edge_tuple, adjacency=adj, degrees=degrees, d_max=d_max)
+    return UndirectedGraph(n=n, edges=edge_tuple, degrees=degrees, d_max=d_max)
+
+
+def reference_laplacian(g: UndirectedGraph) -> np.ndarray:
+    """D - A with A filled per edge: the Laplacian that
+    ``graphs.laplacian`` reproduces bit for bit from the edge array."""
+    return np.diag(g.degrees.astype(np.float64)) - dense_adjacency(g.n, g.edges)
 
 
 def neighbor_lists(g: UndirectedGraph) -> list[list[int]]:
@@ -291,8 +325,7 @@ def pseudoinverse_psd(a: np.ndarray) -> np.ndarray:
     spectral decomposition, zeroing eigenvalues below 1e-9 * lambda_max."""
     a = _as_square_float(a)
     _require_symmetric(a)
-    spec = sym_eigen(a)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w, v = np.linalg.eigh(a)
     lam_max = float(w.max(initial=0.0))
     cutoff = PINV_CUTOFF_RTOL * max(lam_max, 0.0)
     keep = w > cutoff
@@ -580,7 +613,7 @@ def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     mean-field shadow x~ <- E[P] x~ + n on the same noise, and the
     per-step disagreement summed over replications, all replications
     stacked at once."""
-    adj = g.adjacency
+    adj = dense_adjacency(g.n, g.edges)
     draws = [_dense_draws(s, sim.horizon, g.n, cfg.p, sim.noise_dist,
                           math.sqrt(cfg.sigma2)) for s in seeds]
     acts = np.stack([a for a, _ in draws])

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 import os
 import re
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
+import ridlnoise
 from ridlnoise import make_grid, make_path, read_edge_list, write_edge_list
 from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli, main
 
@@ -658,6 +661,33 @@ class TestCommandOptions:
         }
 
 
+class TestPublicApi:
+    """The package exports exactly these names (submodules aside), so a
+    removed name stays removed and a new export is a deliberate choice."""
+
+    EXPORTED = [
+        "ErdosRenyiDraw", "ExactIndex", "NOISE_DISTRIBUTIONS", "NoiseReport",
+        "NumericalError", "RidlConfig", "SimConfig", "SimEstimate", "SpectralData",
+        "UndirectedGraph", "average_effective_resistance", "compute_noise_report",
+        "default_horizon", "draw_erdos_renyi", "estimate_noise_index",
+        "exact_noise_index", "is_connected", "laplacian", "laplacian_spectrum",
+        "make_complete", "make_grid", "make_path", "make_star", "omega_projector",
+        "read_edge_list", "resistance_bounds", "ridl_bounds", "stein_operator",
+        "write_edge_list",
+    ]
+
+    def test_exported_names(self):
+        exported = sorted(
+            name for name, value in vars(ridlnoise).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        )
+        assert exported == self.EXPORTED
+
+    def test_record_fields(self):
+        fields = [f.name for f in dataclasses.fields(ridlnoise.UndirectedGraph)]
+        assert fields == ["n", "edges", "degrees", "d_max"]
+
+
 class TestBenchCommandsParse:
     """Every command the benchmark runs parses against the CLI's options,
     so an option change that would break a benchmark run fails here."""
@@ -697,8 +727,7 @@ class TestOneSpectrumPerGraph:
 
     @pytest.fixture
     def eigensolves(self, monkeypatch):
-        import ridlnoise.graphs
-
+        """The order of every numpy.linalg symmetric eigensolve, by kind."""
         calls = {"values": [], "pairs": []}
 
         def counting(kind, original):
@@ -707,10 +736,8 @@ class TestOneSpectrumPerGraph:
                 return original(a, *args)
             return counted
 
-        monkeypatch.setattr(ridlnoise.graphs, "sym_eigvals",
-                            counting("values", ridlnoise.graphs.sym_eigvals))
-        monkeypatch.setattr(ridlnoise.graphs, "sym_eigen",
-                            counting("pairs", ridlnoise.graphs.sym_eigen))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("values", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting("pairs", np.linalg.eigh))
         return calls
 
     def test_sweep_p_one_eigensolve_per_family(self, eigensolves):

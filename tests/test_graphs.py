@@ -21,7 +21,14 @@ from ridlnoise import (
 )
 from ridlnoise.graphs import _build, laplacian_eigenpairs
 
-from oracles import make_erdos_renyi, pairwise_resistance_average, reference_build
+from oracles import (
+    dense_adjacency,
+    make_erdos_renyi,
+    neighbor_lists,
+    pairwise_resistance_average,
+    reference_build,
+    reference_laplacian,
+)
 
 
 def star_spectrum(n):
@@ -149,7 +156,8 @@ class TestGenerators:
         ids=["star", "path", "grid", "complete", "er"],
     )
     def test_structural_invariants(self, g):
-        adj = g.adjacency
+        adj = dense_adjacency(g.n, g.edges)
+        assert np.array_equal(laplacian(g), np.diag(g.degrees.astype(float)) - adj)
         assert np.array_equal(adj, adj.T)
         assert np.all(np.diag(adj) == 0)
         assert np.array_equal(g.degrees, adj.sum(axis=1).astype(int))
@@ -195,8 +203,9 @@ class TestEdgeArrayBuild:
         assert new.n == old.n
         assert new.edges.dtype == np.int64 and new.edges.shape == (len(old.edges), 2)
         assert new.edges.tolist() == [list(e) for e in old.edges]
-        assert np.array_equal(new.adjacency, old.adjacency)
-        assert new.adjacency.dtype == old.adjacency.dtype
+        lap, ref = laplacian(new), reference_laplacian(old)
+        assert lap.dtype == ref.dtype and lap.shape == ref.shape
+        assert lap.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
         assert np.array_equal(new.degrees, old.degrees)
         assert new.degrees.dtype == old.degrees.dtype
         assert new.d_max == old.d_max and type(new.d_max) is int
@@ -357,6 +366,19 @@ class TestConnectivity:
         g = make_star(50)
         assert is_connected(g)
         assert laplacian_spectrum(g).eigenvalues[1] > 1e-9
+
+    @given(edge_lists())
+    def test_matches_breadth_first_search(self, case):
+        # every node reached from node 0, one neighbor list at a time
+        g = _build(*case)
+        nbrs = neighbor_lists(g)
+        seen, queue = {0}, [0]
+        while queue:
+            for w in nbrs[queue.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        assert is_connected(g) == (len(seen) == g.n)
 
     def test_agrees_with_fiedler_value_on_er_samples(self):
         # G(20, p_er) samples, connected or not

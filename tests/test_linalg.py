@@ -2,53 +2,72 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ridlnoise
-from ridlnoise import NumericalError, sym_eigen
-from ridlnoise.linalg import sym_eigvals
-from ridlnoise.graphs import laplacian, make_complete, make_path, make_star
+from ridlnoise import NumericalError
+from ridlnoise.graphs import (
+    _build,
+    laplacian,
+    laplacian_eigenpairs,
+    laplacian_spectrum,
+    make_complete,
+    make_path,
+    make_star,
+)
 
 # the dense oracle's Kronecker product and LU solve, and the pseudoinverse
 # behind the pairwise effective-resistance oracle
 from oracles import SingularMatrixError, kron, pseudoinverse_psd, solve
 
 
+def random_graph(rng, n_max=200):
+    """A graph on 2..n_max nodes with a random edge density, not
+    necessarily connected, with at least one edge."""
+    n = int(rng.integers(2, n_max + 1))
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.shape[0]) < rng.uniform(0.05, 0.9)
+    mask[rng.integers(mask.shape[0])] = True
+    return _build(n, np.column_stack((iu[mask], ju[mask])))
+
+
+def copy_of(g):
+    """The same graph as a fresh record, with no spectrum computed yet."""
+    return _build(g.n, g.edges)
+
+
 class TestSymEigen:
+    """The certified eigenpair solve of a graph's Laplacian,
+    ``laplacian_eigenpairs``."""
+
     def test_k2_laplacian(self):
-        spec = sym_eigen(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        spec = laplacian_eigenpairs(make_complete(2))
         assert np.allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
 
     def test_identity(self):
-        spec = sym_eigen(np.eye(5))
-        assert np.allclose(spec.eigenvalues, np.ones(5))
+        # no edges: L = 0, and the eigenvectors are still an orthonormal basis
+        spec = laplacian_eigenpairs(_build(5, []))
+        assert np.array_equal(spec.eigenvalues, np.zeros(5))
+        assert spec.residual == 0.0
+        assert np.abs(spec.eigenvectors.T @ spec.eigenvectors - np.eye(5)).max() <= 1e-12
 
     def test_path4_known_spectrum(self):
         # closed form 2 - 2 cos(pi (i-1) / 4): {0, 2-sqrt(2), 2, 2+sqrt(2)}
-        spec = sym_eigen(laplacian(make_path(4)))
+        spec = laplacian_eigenpairs(make_path(4))
         expected = [0.0, 2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)]
         assert np.allclose(spec.eigenvalues, expected, atol=1e-10)
 
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
     def test_ascending_order_and_certificates(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((30, 30))
-        a = (a + a.T) / 2
-        spec = sym_eigen(a)
+        g = random_graph(np.random.default_rng(0), n_max=30)
+        spec = laplacian_eigenpairs(g)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         assert spec.residual <= 1e-8
         v = spec.eigenvectors
-        assert np.abs(v.T @ v - np.eye(30)).max() <= 1e-8
+        assert np.abs(v.T @ v - np.eye(g.n)).max() <= 1e-8
 
     def test_residual_certificate_enforced(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -57,33 +76,27 @@ class TestSymEigen:
             w, v = eigh(a)
             return w, v + 1e-6 * np.random.default_rng(0).standard_normal(v.shape)
 
-        lap = laplacian(make_path(6))
-        assert sym_eigen(lap).residual <= 1e-12
+        assert laplacian_eigenpairs(make_path(6)).residual <= 1e-12
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericalError, match="residual"):
-            sym_eigen(lap)
+            laplacian_eigenpairs(make_path(6))
+
+    @staticmethod
+    def assert_reconstructs(g):
+        spec = laplacian_eigenpairs(g)
+        recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
+        scale = np.abs(spec.eigenvalues).max()
+        assert np.abs(laplacian(g) - recon).max() <= 1e-8 * scale
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reconstruction_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 201))
-        a = rng.standard_normal((n, n))
-        a = (a + a.T) / 2
-        spec = sym_eigen(a)
-        recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
-        scale = np.abs(spec.eigenvalues).max()
-        assert np.abs(a - recon).max() <= 1e-8 * scale
+        self.assert_reconstructs(random_graph(np.random.default_rng(seed)))
 
     def test_reconstruction_bulk(self):
-        # 100 random symmetric matrices, dimensions up to 200
+        # 100 random graphs, up to 200 nodes
         rng = np.random.default_rng(123)
         for _ in range(100):
-            n = int(rng.integers(2, 201))
-            a = rng.standard_normal((n, n))
-            a = (a + a.T) / 2
-            spec = sym_eigen(a)
-            recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
-            assert np.abs(a - recon).max() <= 1e-8 * np.abs(spec.eigenvalues).max()
+            self.assert_reconstructs(random_graph(rng))
 
 
 class TestKron:
@@ -152,37 +165,46 @@ class TestSolve:
             solve(a, np.array([1.0, 1.0]))
 
 
-def power_sums(a):
-    return float(np.trace(a)), float(np.vdot(a, a))
-
-
 class TestSymEigvals:
+    """The values-only Laplacian solve, ``laplacian_spectrum``, and its
+    power-sum certificate sum(lambda) = 2m, sum(lambda^2) = sum(d^2) + 2m."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_eigenpair_solve(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 151))
-        a = rng.standard_normal((n, n))
-        a = (a + a.T) / 2
-        values = sym_eigvals(a, *power_sums(a))
+        g = random_graph(np.random.default_rng(seed), n_max=150)
+        values = laplacian_spectrum(g)
         assert np.all(np.diff(values.eigenvalues) >= 0)
         assert values.residual <= 1e-12
         scale = np.abs(values.eigenvalues).max()
-        assert np.abs(values.eigenvalues - sym_eigen(a).eigenvalues).max() <= 1e-12 * scale
+        pairs = laplacian_eigenpairs(copy_of(g))
+        assert np.abs(values.eigenvalues - pairs.eigenvalues).max() <= 1e-12 * scale
 
     def test_laplacian_power_sums(self):
-        # tr L = 2m and ||L||_F^2 = sum d^2 + 2m
-        g = make_star(6)
-        values = sym_eigvals(laplacian(g), 10.0, 25.0 + 5.0 + 10.0)
+        # star on 6 nodes: 2m = 10 and sum d^2 + 2m = 25 + 5 + 10
+        values = laplacian_spectrum(make_star(6))
         assert np.allclose(values.eigenvalues, [0, 1, 1, 1, 1, 6], atol=1e-12)
+        w = values.eigenvalues
+        assert abs(w.sum() - 10.0) <= 1e-12 and abs(w @ w - 40.0) <= 1e-12
 
-    def test_wrong_power_sums_rejected(self):
-        lap = laplacian(make_path(6))
-        trace, frob = power_sums(lap)
-        assert sym_eigvals(lap, trace, frob).residual <= 1e-14
+    def test_wrong_power_sums_rejected(self, monkeypatch):
+        g = make_path(6)
+        assert laplacian_spectrum(copy_of(g)).residual <= 1e-14
+        # degrees that disagree with the edges: tr L is no longer 2m
+        wrong = replace(g, degrees=g.degrees + np.eye(1, g.n, dtype=np.int64)[0])
         with pytest.raises(NumericalError, match="power-sum"):
-            sym_eigvals(lap, trace + 1e-5, frob)
+            laplacian_spectrum(wrong)
+        # eigenvalues with the right sum and the wrong sum of squares
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted(a):
+            w = eigvalsh(a)
+            w[-1] += 1e-5
+            w[-2] -= 1e-5
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
         with pytest.raises(NumericalError, match="power-sum"):
-            sym_eigvals(lap, trace, frob - 1e-5)
+            laplacian_spectrum(copy_of(g))
 
     def test_perturbed_eigenvalues_rejected(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
@@ -190,15 +212,9 @@ class TestSymEigvals:
         def perturbed(a):
             return eigvalsh(a) * (1.0 + 1e-6)
 
-        lap = laplacian(make_path(30))
-        sums = power_sums(lap)
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(NumericalError, match="power-sum residual"):
-            sym_eigvals(lap, *sums)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, 1.0)
+            laplacian_spectrum(make_path(30))
 
 
 # Runs in a fresh interpreter, so that no test's imports count.

@@ -15,10 +15,14 @@ from ridlnoise import (
     make_star,
     resistance_bounds,
     ridl_bounds,
-    sym_eigen,
 )
 from ridlnoise import noise_index
-from ridlnoise.graphs import _build, average_effective_resistance
+from ridlnoise.graphs import (
+    SpectralData,
+    _build,
+    average_effective_resistance,
+    spectrum_disconnected,
+)
 
 from oracles import (
     K_VARIANTS,
@@ -49,7 +53,7 @@ class TestExactIndex:
     def test_deterministic_mode_matches_spectral_formula(self):
         for g in (make_path(7), make_star(6), make_grid([2, 3])):
             cfg = RidlConfig.for_graph(g, p=1.0, sigma2=1.0, k=0.8)
-            lam = sym_eigen(expected_p(g, cfg)).eigenvalues[:-1]
+            lam = np.linalg.eigvalsh(expected_p(g, cfg))[:-1]
             formula = cfg.sigma2 / g.n * np.sum(1.0 / (1.0 - lam**2))
             assert exact_for(g, cfg) == pytest.approx(formula, abs=1e-10)
 
@@ -172,6 +176,43 @@ class TestRidlBounds:
         cfg = RidlConfig(p=0.9, epsilon=0.4, sigma2=1.0, d_max=1)
         with pytest.raises(ValueError, match="disconnected"):
             ridl_bounds(laplacian_spectrum(g), cfg)
+
+
+class TestConnectivityThreshold:
+    """The exact solve, the spectral bounds and the effective resistance
+    read one lambda_2 test, ``graphs.spectrum_disconnected``: lambda_2 at
+    most 1e-9 * max(lambda_N, 1) means disconnected. Each caller keeps
+    its own exception."""
+
+    @pytest.mark.parametrize("lam2,disconnected", [(1e-9, True), (1.5e-9, False)])
+    def test_callers_agree_at_the_threshold(self, lam2, disconnected):
+        lam = np.array([0.0, lam2, 1.0, 1.0])
+        assert spectrum_disconnected(lam) == disconnected
+        g = make_path(4)
+        # the graph's spectrum record, replaced by one with this lambda_2
+        g.__dict__["_eigenpairs"] = SpectralData(
+            eigenvalues=lam, eigenvectors=np.eye(4), residual=0.0)
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        if disconnected:
+            with pytest.raises(ValueError, match="disconnected"):
+                ridl_bounds(laplacian_spectrum(g), cfg)
+            with pytest.raises(ValueError, match="disconnected"):
+                average_effective_resistance(g)
+            with pytest.raises(NumericalError, match="singular"):
+                exact_noise_index(g, cfg)
+        else:
+            assert all(np.isfinite(ridl_bounds(laplacian_spectrum(g), cfg)))
+            assert np.isfinite(average_effective_resistance(g))
+
+    @pytest.mark.parametrize("lam,disconnected", [
+        ([0.0], True),
+        ([0.0, 5e-9, 5.0], True),
+        ([0.0, 6e-9, 5.0], False),
+        ([0.0, 0.0, 2.0], True),
+        ([0.0, 0.5, 0.5], False),
+    ])
+    def test_threshold_scales_with_lambda_n(self, lam, disconnected):
+        assert spectrum_disconnected(np.array(lam)) == disconnected
 
 
 class TestResistanceBounds:
