@@ -7,9 +7,10 @@ estimates), ``sweep-n`` (bound/exact curves over a node range),
 ``sweep-p`` (relative errors over the activation probability), and
 ``report`` (the full suite as a directory of CSVs plus a JSON manifest).
 
-Every table has one row per family x node count x activation
-probability, in that order; only ``sweep-p`` takes several families and
-probabilities. Which rows carry the exact index follows one fixed rule:
+Every table has one row per graph x activation probability, in that
+order, where a graph is a family at a requested node count; only
+``sweep-p`` (and the report's ``sweep_p.csv``) lists several families
+and probabilities. Which rows carry the exact index follows one rule:
 ``bounds`` never solves, ``exact`` and ``sweep-p`` always solve, and a
 ``sweep-n``, ``simulate`` or ``report`` sweep-n row gets ``j_exact``
 when its built graph has N <= ``EXACT_MAX_N`` (24). For exact values at
@@ -34,10 +35,10 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -95,16 +96,23 @@ COMMAND_COLUMNS = {
     "simulate": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS + _SIM_COLUMNS,
 }
 
-# aggregated across Erdos-Renyi realizations with the sample std
+# aggregated across Erdos-Renyi realizations, which share n: the mean of
+# these columns, and the sample std of the _STD_SOURCES
+_MEAN_COLUMNS = ("lambda2", "lambda_n", "r_ave", "d_max", "j_lb", "j_ub", "j_res_lb",
+                 "j_res_ub", "j_exact", "rel_lb", "rel_ub", "eps", "k")
 _STD_SOURCES = {"j_lb_std": "j_lb", "j_ub_std": "j_ub", "j_exact_std": "j_exact"}
+
+#: smallest node count each family builds
+_FAMILY_MIN_N = {"star": 3, "path": 2, "grid2d": 4, "grid3d": 8, "complete": 2,
+                 "erdos-renyi": 2, "file": 2}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated description of one table: a row per family x N x p."""
+    """Validated description of one output table: a row per graph x p,
+    where ``graphs`` lists (family, requested N) pairs in row order."""
 
-    families: tuple[str, ...]
-    n_values: tuple[int, ...]
+    graphs: tuple[tuple[str, int], ...]
     p_values: tuple[float, ...]
     dims: tuple[int, ...] | None
     graph: UndirectedGraph | None  # the parsed --graph-file
@@ -128,43 +136,41 @@ class GraphJob:
     p_er: float | None = None
     er_seed: int | None = None
     er_resamples: int | None = None
-    siblings: list["GraphJob"] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # parsing and validation
 
+_INT = r"\s*[+-]?\d+\s*"
+_FLOAT = r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*"
+
 
 def _parse_range(text: str, name: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(part) for part in text.split(":"))
-    except ValueError:
+    if not re.fullmatch(f"{_INT}:{_INT}", text):
         raise click.UsageError(f"{name} must look like A:B, got {text!r}")
+    lo, hi = (int(part) for part in text.split(":"))
     if lo > hi:
         raise click.UsageError(f"{name} must satisfy A <= B, got {text!r}")
     return lo, hi
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part) for part in text.lower().split("x"))
-    except ValueError:
+    if not re.fullmatch(f"{_INT}(?:x{_INT})*", text.lower()):
         raise click.UsageError(f"--dims must look like AxB or AxBxC, got {text!r}")
+    dims = tuple(int(part) for part in text.lower().split("x"))
     if not (1 <= len(dims) <= 3):
         raise click.UsageError(f"--dims supports 1 to 3 sides, got {text!r}")
     return dims
 
 
 def _parse_p_grid(text: str) -> tuple[float, ...]:
-    try:
-        lo, hi, step = (float(part) for part in text.split(":"))
-    except ValueError:
+    if not re.fullmatch(f"{_FLOAT}:{_FLOAT}:{_FLOAT}", text):
         raise click.UsageError(f"--p-grid must look like LO:HI:STEP, got {text!r}")
+    lo, hi, step = (float(part) for part in text.split(":"))
     if step <= 0 or lo > hi:
         raise click.UsageError(f"--p-grid bounds are inconsistent: {text!r}")
     count = int(round((hi - lo) / step)) + 1
-    values = tuple(round(lo + i * step, 12) for i in range(count) if lo + i * step <= hi + 1e-12)
-    return values
+    return tuple(round(lo + i * step, 12) for i in range(count) if lo + i * step <= hi + 1e-12)
 
 
 def _parse_families(text: str) -> tuple[str, ...]:
@@ -186,13 +192,9 @@ def _grid_dims_near(family: str, n: int) -> tuple[int, ...]:
     return (side,) * k
 
 
-def _family_min_n(family: str) -> int:
-    return {"star": 3, "path": 2, "complete": 2, "erdos-renyi": 2,
-            "grid2d": 4, "grid3d": 8}.get(family, 2)
-
-
 def _validate_spec(spec: ExperimentSpec) -> None:
-    """Check every option against every family, N and p of the spec."""
+    """Check every option against every graph and p of the spec."""
+    families = {family for family, _ in spec.graphs}
     if (spec.epsilon is None) == (spec.k is None):
         raise click.UsageError("provide exactly one of --eps or --k")
     if spec.epsilon is not None and spec.epsilon <= 0:
@@ -204,21 +206,23 @@ def _validate_spec(spec: ExperimentSpec) -> None:
             raise click.UsageError(f"activation probability must lie in (0, 1], got {p}")
     if spec.sigma2 < 0:
         raise click.UsageError(f"--sigma2 must be >= 0, got {spec.sigma2}")
-    if "erdos-renyi" in spec.families:
+    if spec.seed < 0:
+        raise click.UsageError(f"--seed must be >= 0, got {spec.seed}")
+    if "erdos-renyi" in families:
         if spec.p_er is None or not (0 < spec.p_er <= 1):
             raise click.UsageError("--p-er in (0, 1] is required for erdos-renyi graphs")
     if spec.realizations < 1:
         raise click.UsageError("--realizations must be >= 1")
-    if spec.realizations > 1 and any(fam != "erdos-renyi" for fam in spec.families):
+    if spec.realizations > 1 and families != {"erdos-renyi"}:
         raise click.UsageError("--realizations only applies to erdos-renyi graphs")
     if (spec.ensemble is not None and spec.ensemble < 1) or (
         spec.horizon is not None and spec.horizon < 1
     ):
         raise click.UsageError("--ensemble and --horizon must be >= 1")
-    for fam in spec.families:
-        if min(spec.n_values) < _family_min_n(fam):
+    for family, n in spec.graphs:
+        if n < _FAMILY_MIN_N[family]:
             raise click.UsageError(
-                f"{fam} graphs need n >= {_family_min_n(fam)}, got {min(spec.n_values)}"
+                f"{family} graphs need n >= {_FAMILY_MIN_N[family]}, got {n}"
             )
 
 
@@ -270,8 +274,7 @@ def _build_spec(
         raise click.UsageError("--p-er only applies to erdos-renyi graphs")
     n_values, dims, graph = _resolve_sizes(families, params)
     spec = ExperimentSpec(
-        families=families,
-        n_values=n_values,
+        graphs=tuple((family, n) for family in families for n in n_values),
         p_values=p_values,
         dims=dims,
         graph=graph,
@@ -291,7 +294,7 @@ def _build_spec(
 
 
 # ---------------------------------------------------------------------------
-# job construction and row computation
+# graph construction and row computation
 
 
 def _make_family_graph(
@@ -316,34 +319,18 @@ def _make_family_graph(
     return GraphJob(family, spec.graph.n, spec.graph)  # the --graph-file graph
 
 
-def _jobs_for_spec(spec: ExperimentSpec) -> Iterator[GraphJob]:
-    """One job per family and N, built as it is consumed, so only one
-    graph and its spectrum are alive at a time; Erdos-Renyi realizations
-    ride along as siblings and are aggregated into their rows."""
-    for family in spec.families:
-        for n in spec.n_values:
-            job = _make_family_graph(family, n, spec)
-            if family == "erdos-renyi":
-                job.siblings = [
-                    _make_family_graph(family, n, spec, realization=r)
-                    for r in range(1, spec.realizations)
-                ]
-            yield job
-
-
-def _config_for(job: GraphJob, spec: ExperimentSpec, p: float) -> RidlConfig:
-    try:
-        return RidlConfig.for_graph(
-            job.graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k
-        )
-    except ValueError as exc:
-        raise click.UsageError(f"invalid configuration for n={job.graph.n}: {exc}")
-
-
 def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> dict:
-    cfg = _config_for(job, spec, p)
+    """The row of one graph at p. Its one RidlConfig also drives the Monte
+    Carlo columns when the spec sets an ensemble."""
+    # the one limit that depends on the built graph: eps < 1/d_max
+    if spec.epsilon is not None and not spec.epsilon < 1.0 / job.graph.d_max:
+        raise click.UsageError(
+            f"invalid configuration for n={job.graph.n}: --eps must be below "
+            f"1/d_max = {1.0 / job.graph.d_max:.6g}, got {spec.epsilon}"
+        )
+    cfg = RidlConfig.for_graph(job.graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k)
     rep = compute_noise_report(job.graph, cfg, exact=exact)
-    return {
+    row = {
         "family": job.family,
         "n_requested": job.n_requested,
         "n": job.graph.n,
@@ -359,7 +346,7 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> d
         "p_er": job.p_er,
         "er_seed": job.er_seed,
         "er_resamples": job.er_resamples,
-        "realizations": None,
+        "realizations": 1 if job.family == "erdos-renyi" else None,
         "j_lb": rep.j_lb,
         "j_ub": rep.j_ub,
         "j_res_lb": rep.j_res_lb,
@@ -372,34 +359,28 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> d
         "rel_ub": (rep.j_ub - rep.j_exact) / rep.j_exact if rep.j_exact else None,
         "j_exact_std": None,
     }
+    if spec.ensemble is not None:
+        row.update(_estimate_columns(job, spec, cfg))
+    return row
 
 
-def _row_for_job(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> dict:
-    row = _single_row(job, spec, p, exact)
-    if not job.siblings:
-        if job.family == "erdos-renyi":
-            row["realizations"] = 1
-        return row
-    sub_rows = [row] + [_single_row(s, spec, p, exact) for s in job.siblings]
-    agg = dict(row)
-    # every realization has the same n, so it is not averaged
-    mean_fields = [
-        "lambda2", "lambda_n", "r_ave", "d_max",
-        "j_lb", "j_ub", "j_res_lb", "j_res_ub", "j_exact", "rel_lb", "rel_ub", "eps", "k",
-    ]
-    for name in mean_fields:
-        vals = [r[name] for r in sub_rows]
+def _aggregate(rows: list[dict]) -> dict:
+    """The row of one N and p, folded from its realizations' rows."""
+    if len(rows) == 1:
+        return rows[0]
+    agg = dict(rows[0])
+    for name in _MEAN_COLUMNS:
+        vals = [r[name] for r in rows]
         agg[name] = float(np.mean(vals)) if None not in vals else None
     for std_name, source in _STD_SOURCES.items():
-        vals = [r[source] for r in sub_rows]
+        vals = [r[source] for r in rows]
         agg[std_name] = float(np.std(vals, ddof=1)) if None not in vals else None
-    agg["er_resamples"] = sum(r["er_resamples"] for r in sub_rows)
-    agg["realizations"] = len(sub_rows)
+    agg["er_resamples"] = sum(r["er_resamples"] for r in rows)
+    agg["realizations"] = len(rows)
     return agg
 
 
-def _estimate_columns(job: GraphJob, spec: ExperimentSpec, p: float) -> dict:
-    cfg = _config_for(job, spec, p)
+def _estimate_columns(job: GraphJob, spec: ExperimentSpec, cfg: RidlConfig) -> dict:
     horizon = spec.horizon or default_horizon(job.graph, cfg)
     sim = SimConfig(
         horizon=horizon, ensemble=spec.ensemble, noise_dist=spec.noise, seed=spec.seed
@@ -419,16 +400,17 @@ def _estimate_columns(job: GraphJob, spec: ExperimentSpec, p: float) -> dict:
 
 
 def _compute_rows(spec: ExperimentSpec, exact_max_n: float) -> list[dict]:
-    """One row per family x N x p, in that order, with the exact index
-    where the built graph has N <= ``exact_max_n`` and the Monte Carlo
-    columns when the spec sets an ensemble. Each graph is built once."""
+    """One row per graph x p, in that order, with the exact index where
+    the built graph has N <= ``exact_max_n`` and the Monte Carlo columns
+    when the spec sets an ensemble. Each graph is built once, and only
+    the realizations of one family and N are alive at a time."""
     rows = []
-    for job in _jobs_for_spec(spec):
-        for p in spec.p_values:
-            row = _row_for_job(job, spec, p, job.graph.n <= exact_max_n)
-            if spec.ensemble is not None:
-                row.update(_estimate_columns(job, spec, p))
-            rows.append(row)
+    for family, n in spec.graphs:
+        # several draws only for Erdos-Renyi, which --realizations requires
+        jobs = [_make_family_graph(family, n, spec, r) for r in range(spec.realizations)]
+        exact = jobs[0].graph.n <= exact_max_n
+        rows += [_aggregate([_single_row(job, spec, p, exact) for job in jobs])
+                 for p in spec.p_values]
     return rows
 
 
@@ -474,17 +456,14 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
         return
     path = Path(output)
-    try:
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as exc:
-        click.echo(f"I/O failure writing {output}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    if not path.parent.exists():
+        path.parent.mkdir(parents=True)
+    path.write_text(text)
 
 
 def _guard(fn):
-    """Map library failures to the documented exit codes."""
+    """Map every failure to its documented exit code: the one place that
+    does, so a command raises and never exits on an error itself."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -650,11 +629,9 @@ def simulate_cmd(**params) -> None:
     An Erdos-Renyi row simulates one draw per N."""
     rows = _run_table("simulate", params, (params["graph"],), (params["p"],))
     if params["strict"] and any(not r["converged"] for r in rows):
-        click.echo(
-            "drift test failed for at least one row (strict mode); raise --horizon",
-            err=True,
+        raise NumericalError(
+            "drift test failed for at least one row (strict mode); raise --horizon"
         )
-        sys.exit(EXIT_NUMERICAL)
 
 
 def _runtime() -> dict:
@@ -706,48 +683,40 @@ def report_cmd(**params) -> None:
     no rows in the range: its sweep-n file is not written, the family is
     listed under the manifest's "skipped" key, and a note goes to stderr.
     """
-    out_dir = Path(params["output"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        click.echo(f"I/O failure creating {out_dir}: {exc}", err=True)
-        sys.exit(EXIT_IO)
     t_start = time.time()
     n_lo, n_hi = _parse_range(params["n_range"], "--n-range")
     shared = dict(dims=None, graph=None, p_er=params["p_er"], epsilon=None, k=params["k"],
                   sigma2=params["sigma2"], seed=params["seed"])
-    tables = {}  # file name -> (command whose table it is, its specs)
-    skipped = []
-    for family in SWEEP_FAMILIES:
-        lo = max(n_lo, _family_min_n(family))
-        if lo > n_hi:
-            skipped.append(family)
-            click.echo(
-                f"skipping {family}_sweep_n.csv: {family} graphs need n >= {lo}, "
-                f"above --n-range {params['n_range']}",
-                err=True,
-            )
-            continue
-        spec = ExperimentSpec(
-            families=(family,), n_values=tuple(range(lo, n_hi + 1)), p_values=(params["p"],),
+    # a family whose smallest graph lies above the range has no sweep-n rows
+    skipped = [family for family in SWEEP_FAMILIES if _FAMILY_MIN_N[family] > n_hi]
+    tables = {  # file name -> (command whose table it is, its spec)
+        f"{family}_sweep_n.csv": ("sweep-n", ExperimentSpec(
+            graphs=tuple((family, n) for n in range(max(n_lo, _FAMILY_MIN_N[family]), n_hi + 1)),
+            p_values=(params["p"],),
             realizations=params["realizations"] if family == "erdos-renyi" else 1, **shared,
-        )
-        tables[f"{family}_sweep_n.csv"] = ("sweep-n", [spec])
-    tables["sweep_p.csv"] = ("sweep-p", [
-        ExperimentSpec(
-            families=(family,), n_values=(max(params["sweep_p_n"], _family_min_n(family)),),
-            p_values=_parse_p_grid(DEFAULT_P_GRID), realizations=1, **shared,
-        )
-        for family in SWEEP_FAMILIES
-    ])
-    all_specs = [spec for _, specs in tables.values() for spec in specs]
-    for spec in all_specs:
+        ))
+        for family in SWEEP_FAMILIES if family not in skipped
+    }
+    tables["sweep_p.csv"] = ("sweep-p", ExperimentSpec(
+        graphs=tuple((family, max(params["sweep_p_n"], _FAMILY_MIN_N[family]))
+                     for family in SWEEP_FAMILIES),
+        p_values=_parse_p_grid(DEFAULT_P_GRID), realizations=1, **shared,
+    ))
+    for _, spec in tables.values():
         _validate_spec(spec)
-    _warn_slow_mixing([p for spec in all_specs for p in spec.p_values])
+    out_dir = Path(params["output"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for family in skipped:
+        click.echo(
+            f"skipping {family}_sweep_n.csv: {family} graphs need n >= "
+            f"{_FAMILY_MIN_N[family]}, above --n-range {params['n_range']}",
+            err=True,
+        )
+    _warn_slow_mixing([p for _, spec in tables.values() for p in spec.p_values])
     manifest_files = {}
-    for name, (command, specs) in tables.items():
+    for name, (command, spec) in tables.items():
         t0 = time.time()
-        rows = [row for spec in specs for row in _compute_rows(spec, _EXACT_LIMIT[command])]
+        rows = _compute_rows(spec, _EXACT_LIMIT[command])
         text = render_rows(rows, COMMAND_COLUMNS[command], "csv")
         (out_dir / name).write_text(text)
         manifest_files[name] = {

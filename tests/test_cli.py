@@ -173,8 +173,13 @@ class TestValidationErrors:
           "--graph-file", "/nonexistent.edges"), "--graph-file only applies to --graph file"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p-er", "0.5"),
          "--p-er only applies to erdos-renyi graphs"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--seed", "-1"),
+         "--seed must be >= 0"),
+        (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.1:inf:0.1"),
+         "--p-grid must look like LO:HI:STEP"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
-            "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored"])
+            "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
+            "negative-seed", "p-grid-infinite"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -445,6 +450,8 @@ class TestSimulateCommand:
         res = invoke("simulate", "--graph", "path", "--n", "10", "--k", "0.8",
                      "--horizon", "3", "--ensemble", "200", "--strict")
         assert res.exit_code == 3
+        assert res.stderr.strip().count("\n") == 0
+        assert "drift test failed" in res.stderr
 
     def test_soft_mode_exit_zero(self):
         res = invoke("simulate", "--graph", "path", "--n", "10", "--k", "0.8",
@@ -561,6 +568,19 @@ class TestReportCommand:
         assert not (out / "grid3d_sweep_n.csv").exists()
         assert (out / "grid2d_sweep_n.csv").exists()
 
+    # the 3:6 range skips grid3d, whose note must not come before the error
+    @pytest.mark.parametrize("args,message", [
+        (("--n-range", "3:6", "--sweep-p-n", "6", "--k", "1.5"), "--k must lie in (0, 1)"),
+        (("--n-range", "9:3"), "--n-range must satisfy A <= B"),
+        (("--n-range", "3:6", "--sweep-p-n", "6", "--seed", "-1"), "--seed must be >= 0"),
+    ], ids=["k", "n-range", "seed"])
+    def test_validation_error_leaves_nothing(self, tmp_path, args, message):
+        res = invoke("report", "--output", str(tmp_path / "rep"), *args)
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert message in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_output_parses_with_stable_schema(self, tmp_path):
         out = tmp_path / "rep"
         invoke("report", "--output", str(out), "--n-range", "3:8",
@@ -570,6 +590,28 @@ class TestReportCommand:
             assert list(rows[0]) == COMMAND_COLUMNS["sweep-n"]
         rows = parse_csv((out / "sweep_p.csv").read_text())
         assert list(rows[0]) == COMMAND_COLUMNS["sweep-p"]
+
+
+class TestIoErrors:
+    """An unusable output or input path exits 4 with one line naming it."""
+
+    @pytest.mark.parametrize("args,culprit", [
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--output", "{file}/x.csv"),
+         "{file}/x.csv"),
+        (("report", "--n-range", "3:5", "--sweep-p-n", "5", "--output", "{file}/rep"),
+         "{file}/rep"),
+        (("bounds", "--graph", "file", "--k", "0.8", "--graph-file", "{dir}"), "{dir}"),
+    ], ids=["table-output-under-file", "report-output-under-file", "graph-file-directory"])
+    def test_exit_4_names_the_path(self, tmp_path, args, culprit):
+        paths = {"file": tmp_path / "plain", "dir": tmp_path / "folder"}
+        paths["file"].write_text("")
+        paths["dir"].mkdir()
+        res = invoke(*(arg.format(**paths) for arg in args))
+        assert res.exit_code == 4
+        assert res.stderr.strip().count("\n") == 0
+        assert res.stderr.startswith("I/O failure: ")
+        assert culprit.format(**paths) in res.stderr
+        assert res.stdout == ""
 
 
 class TestEnvironmentIgnored:
