@@ -76,6 +76,8 @@ _EXACT_LIMIT = {"bounds": 0, "exact": math.inf, "sweep-n": EXACT_MAX_N,
                 "sweep-p": math.inf, "simulate": EXACT_MAX_N}
 
 DEFAULT_P_GRID = "0.1:0.9:0.1"
+#: most points a --p-grid may have; every point is a full row of solves
+_P_GRID_MAX_POINTS = 1000
 
 _COMMON_COLUMNS = [
     "family", "n_requested", "n", "dims", "p", "eps", "k", "sigma2",
@@ -167,8 +169,14 @@ def _parse_p_grid(text: str) -> tuple[float, ...]:
     if not re.fullmatch(f"{_FLOAT}:{_FLOAT}:{_FLOAT}", text):
         raise click.UsageError(f"--p-grid must look like LO:HI:STEP, got {text!r}")
     lo, hi, step = (float(part) for part in text.split(":"))
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise click.UsageError(f"--p-grid values must be finite, got {text!r}")
     if step <= 0 or lo > hi:
         raise click.UsageError(f"--p-grid bounds are inconsistent: {text!r}")
+    if not (hi - lo) / step < _P_GRID_MAX_POINTS:
+        raise click.UsageError(
+            f"--p-grid has more than {_P_GRID_MAX_POINTS} points: {text!r}"
+        )
     count = int(round((hi - lo) / step)) + 1
     return tuple(round(lo + i * step, 12) for i in range(count) if lo + i * step <= hi + 1e-12)
 
@@ -581,7 +589,8 @@ def sweep_n_cmd(**params) -> None:
 @click.option("--families", default=",".join(SWEEP_FAMILIES), show_default=True,
               help="Comma-separated families to sweep (instead of --graph).")
 @click.option("--p-grid", default=DEFAULT_P_GRID, show_default=True,
-              help="Activation probability grid LO:HI:STEP.")
+              help=f"Activation probability grid LO:HI:STEP, at most "
+                   f"{_P_GRID_MAX_POINTS} points.")
 @_guard
 def sweep_p_cmd(**params) -> None:
     """Relative bound errors vs activation probability.

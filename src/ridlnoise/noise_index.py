@@ -6,7 +6,8 @@ normalized by the node count. This module evaluates it three ways:
 
 * ``exact_noise_index``  from the steady-state disagreement covariance,
   the solution of the Stein equation Sigma = E[P Sigma P] + Omega,
-  found by preconditioned conjugate gradients on N x N matrices,
+  found by preconditioned conjugate gradients on N x N matrices that
+  stop once J itself is bracketed to a relative width of 1e-13,
 * ``ridl_bounds``        lower/upper bounds from the spectra of E[P] and
   E[P^2], written directly on the Laplacian spectrum of the underlying
   graph,
@@ -44,12 +45,9 @@ __all__ = [
     "compute_noise_report",
 ]
 
-# Conjugate-gradient stopping rule of the exact solve: the residual
-# target is relative to ||Omega||_F + a ||X||_F, with a = 2 eps p^2
-# lambda_max the size of X -> X - E[P X P]. It is a backward error, so
-# it stays above the rounding floor of the operator apply however large
-# the index grows.
-_CG_RTOL = 1e-13
+# The exact solve stops once the index is certified to this relative
+# width: the true J lies in [j, j (1 + gap)] with gap at most this.
+_J_GAP = 1e-13
 _CG_MAX_ITER = 500
 # slack on the sandwich inequalities every report is checked against,
 # times max(1, |J|)
@@ -77,32 +75,69 @@ class NoiseReport:
 
 
 class ExactIndex(NamedTuple):
-    """The exact index and the certificate of the solve behind it:
-    the conjugate-gradient iteration count and the final residual
-    ||Omega - X + E[P X P]||_F / (||Omega||_F + a ||X||_F), with
-    a = 2 eps p^2 lambda_max."""
+    """The exact index and the certificate of the solve behind it.
+
+    ``j`` is a lower bound on the index and ``gap`` the certified
+    relative width above it: the true index lies in [j, j (1 + gap)].
+    ``iterations`` counts the conjugate-gradient steps taken."""
 
     j: float
     iterations: int
-    residual: float
+    gap: float
+
+
+def _stein_margin(lam: np.ndarray, cfg: RidlConfig) -> float:
+    """The largest c with S >= c M on the disagreement subspace, where
+    S(X) = X - E[P X P] and M(X) = X - E[P] X E[P] is the mean-field map.
+
+    With Delta = P - E[P], S = M - E[Delta X Delta], and
+    <X, Delta X Delta> <= (|Delta X|^2 + |X Delta|^2) / 2 bounds the
+    second term by X -> (G X + X G) / 2 with G = E[P^2] - E[P]^2. For
+    RIDL, G = eps^2 p^2 (1-p) L_bar (2 + p L_bar), since M_e M_f = 0 for
+    disjoint edges, so in the Laplacian eigenbasis every term is
+    diagonal: entry (i, j) of M is 1 - mu_i mu_j with mu = 1 - delta,
+    delta = eps p^2 lam, and 1 - mu_i mu_j >= (1 - mu_i^2 + 1 - mu_j^2)/2.
+    So c = 1 - max_i gamma_i / (delta_i (2 - delta_i)) over the nonzero
+    eigenvalues, gamma = eps^2 p^2 (1-p) lam (2 + p lam), which reduces
+    to the ratio returned here. It is positive exactly when the j_ub
+    denominators of :func:`ridl_bounds` are.
+    """
+    e, p = cfg.epsilon, cfg.p
+    tail = lam[1:]
+    return float(np.min(
+        (2.0 * (1.0 + e * p - e) - e * p * tail) / (2.0 - e * p**2 * tail)
+    ))
 
 
 def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
-    """Exact index J = sigma^2 tr(Sigma) / N.
+    """Exact index J = sigma^2 tr(Sigma) / N, certified to a relative
+    width of 1e-13.
 
     Sigma, the steady-state disagreement covariance per unit noise
-    variance, solves the Stein equation Sigma = E[P Sigma P] + Omega.
-    X -> X - E[P X P] is self-adjoint in the trace inner product and
+    variance, solves the Stein equation S(Sigma) = Omega with
+    S(X) = X - E[P X P]. S is self-adjoint in the trace inner product and
     positive definite on the disagreement subspace of a connected graph,
     so conjugate gradients on N x N matrices solve it. The preconditioner
-    is the mean-field inverse R -> V [(V^T R V) / (1 - mu_i mu_j)] V^T,
+    is the mean-field inverse M^-1: R -> V [(V^T R V) / (1 - mu_i mu_j)] V^T,
     with V the Laplacian eigenvectors and mu = 1 - eps p^2 lambda the
     eigenvalues of E[P]; it drops the consensus direction and is exact
     at p = 1.
 
+    The solve stops on the index, not on the N x N residual. For an
+    iterate X with residual R = Omega - S(X),
+
+        tr(Sigma) = tr(X) + <X, R> + <R, S^-1 R>,
+
+    the last term is at least 0 and at most <R, M^-1 R> / c, with c the
+    margin of :func:`_stein_margin`. The loop stops once the
+    recurrence's <R, M^-1 R> / c is below 1e-13 tr(X), then confirms the
+    bracket on the true residual and restarts from it if the bracket is
+    wider. The returned ``j`` is sigma^2 / N (tr(X) + <X, R>), the lower
+    end of the bracket.
+
     Raises :class:`NumericalError` for a disconnected graph (the equation
-    is singular) and when the residual target is not met within the
-    iteration budget.
+    is singular), for a step size with no positive margin, and when the
+    index is not certified within the iteration budget.
     """
     spectrum = laplacian_eigenpairs(g)
     lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
@@ -112,51 +147,56 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
             "the Stein equation is singular: the graph is disconnected, so "
             "disagreement does not decay"
         )
+    margin = _stein_margin(lam, cfg)
+    if not margin > 0.0:
+        raise NumericalError(
+            f"no positive mean-field margin (c = {margin:.3e}); "
+            f"step size eps={cfg.epsilon} is too large"
+        )
     # 1 - mu_i mu_j with mu = 1 - delta, written without cancellation
     delta = cfg.epsilon * cfg.p**2 * lam[1:]
     gain = np.zeros((n, n))
     gain[1:, 1:] = 1.0 / (delta[:, None] + delta[None, :] - np.outer(delta, delta))
-    a_norm = 2.0 * float(delta[-1])  # bounds max_ij (1 - mu_i mu_j)
     apply = stein_operator(g, cfg)
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return vecs @ ((vecs.T @ r @ vecs) * gain) @ vecs.T
 
     omega = omega_projector(n)
-    omega_norm = np.linalg.norm(omega)
-
-    def relative(r: np.ndarray, x: np.ndarray) -> float:
-        return float(np.linalg.norm(r) / (omega_norm + a_norm * np.linalg.norm(x)))
-
     x = np.zeros((n, n))
     r = omega
-    direction = None
+    direction = precondition(r)
+    rz = float(np.vdot(r, direction))
     for iterations in range(1, _CG_MAX_ITER + 1):
-        z = precondition(r)
-        rz_next = float(np.vdot(r, z))
-        direction = z if direction is None else z + (rz_next / rz) * direction
-        rz = rz_next
         q = apply(direction)
         alpha = rz / float(np.vdot(direction, q))
         x = x + alpha * direction
         r = r - alpha * q
-        if relative(r, x) <= _CG_RTOL:
-            # the recurrence drifts from the true residual: confirm it,
-            # and restart from the true one if it falls short
+        z = precondition(r)
+        rz_next = float(np.vdot(r, z))
+        if rz_next <= _J_GAP * margin * float(np.trace(x)):
+            # the recurrence drifts from the true residual: confirm the
+            # bracket on the true one, and restart from it if it is wider
             r = omega - apply(x)
-            residual = relative(r, x)
-            if residual <= _CG_RTOL:
+            z = precondition(r)
+            rz_next = float(np.vdot(r, z))
+            j_unit = float(np.trace(x) + np.vdot(x, r))
+            gap = rz_next / (margin * j_unit)
+            if 0.0 <= gap <= _J_GAP:
                 break
-            direction = None
+            direction = z
+        else:
+            direction = z + (rz_next / rz) * direction
+        rz = rz_next
     else:
         raise NumericalError(
-            f"conjugate gradients missed the residual target {_CG_RTOL:.0e} in "
-            f"{_CG_MAX_ITER} iterations (residual {relative(r, x):.3e})"
+            f"conjugate gradients did not certify J to {_J_GAP:.0e} in "
+            f"{_CG_MAX_ITER} iterations (gap {rz / (margin * np.trace(x)):.3e})"
         )
-    j = cfg.sigma2 * float(np.trace(x)) / n
+    j = cfg.sigma2 * j_unit / n
     if not np.isfinite(j) or (cfg.sigma2 > 0.0 and j <= 0.0):
         raise NumericalError(f"exact index evaluated to {j}, outside (0, inf)")
-    return ExactIndex(j=j, iterations=iterations, residual=residual)
+    return ExactIndex(j=j, iterations=iterations, gap=gap)
 
 
 def ridl_bounds(
@@ -228,7 +268,7 @@ def compute_noise_report(
         solve = exact_noise_index(g, cfg)
         j_exact = solve.j
         tags["j_exact"] = (
-            f"stein-pcg[iterations={solve.iterations}, residual={solve.residual:.2e}]"
+            f"stein-pcg[iterations={solve.iterations}, gap={solve.gap:.2e}]"
         )
     else:
         j_exact = None

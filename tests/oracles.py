@@ -8,16 +8,17 @@ brute-force pattern enumeration instead of the closed forms, and the
 exact index comes from the dense N^2 x N^2 second-moment operator
 (assembled from Bernoulli moments or by summing all 2^N activation
 patterns, with the disagreement projector in any of three places) and an
-LU solve, instead of the library's matrix-free Stein solve. The Monte
-Carlo reference runs the noisy dynamics with two dense N x N products per
-step instead of the library's sparse step, draws each replication's
-whole horizon at once instead of in time blocks, and takes the
-mean-field control variate's known mean from the propagated noise
-covariance instead of the spectral sum. ``reference_build`` is the
-set-based graph construction that the library's edge-array ``_build``
-replaced, kept to check that both give the same graphs, and
-``reference_laplacian`` fills the Laplacian from an adjacency built one
-edge at a time, to check the library's edge-array fill.
+LU solve with one refinement step, instead of the library's matrix-free
+Stein solve. The Monte Carlo reference runs the noisy dynamics with two
+dense N x N products per step instead of the library's sparse step,
+draws each replication's whole horizon at once instead of in time
+blocks, and takes the mean-field control variate's known mean from the
+propagated noise covariance instead of the spectral sum.
+``reference_build`` is the set-based graph construction that the
+library's edge-array ``_build`` replaced, kept to check that both give
+the same graphs, and ``reference_laplacian`` fills the Laplacian from an
+adjacency built one edge at a time, to check the library's edge-array
+fill.
 
 The rest is the paper's derivation, which the command-line program never
 evaluates and the tests check the library against:
@@ -472,34 +473,48 @@ def expected_l_kron_l(g: UndirectedGraph, p: float) -> np.ndarray:
     return out
 
 
-def _expected_p_kron_p(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
-    """E[P (x) P] = I - eps p^2 (I (x) L + L (x) I) + eps^2 E[L (x) L]."""
-    n = g.n
-    lbar = laplacian(g)
-    e, p = cfg.epsilon, cfg.p
-    out = cfg.epsilon**2 * expected_l_kron_l(g, p)
-    out -= e * p**2 * (np.kron(np.eye(n), lbar) + np.kron(lbar, np.eye(n)))
-    out[np.diag_indices_from(out)] += 1.0
-    return out
-
-
-def _apply_variant(
-    e_pp: np.ndarray, p_bar: np.ndarray, n: int, variant: str
-) -> np.ndarray:
-    """Insert the disagreement projector into E[P (x) P].
+def _projector_terms(p_bar: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """E[P (x) P] minus the operator with the disagreement projector
+    inserted as ``variant`` says.
 
     Uses P H = H for doubly stochastic P, so right-multiplying by
     (Omega (x) I), (Omega (x) Omega), or (I (x) Omega) reduces to cheap
-    Kronecker subtractions.
+    Kronecker terms.
     """
     h = np.full((n, n), 1.0 / n)
     if variant == "pop":  # E[P Omega (x) P]
-        return e_pp - np.kron(h, p_bar)
+        return np.kron(h, p_bar)
     if variant == "ppo":  # E[P (x) P Omega]
-        return e_pp - np.kron(p_bar, h)
+        return np.kron(p_bar, h)
     if variant == "popo":  # E[P Omega (x) P Omega]
-        return e_pp - np.kron(h, p_bar) - np.kron(p_bar, h) + np.kron(h, h)
+        return np.kron(h, p_bar) + np.kron(p_bar, h) - np.kron(h, h)
     raise ValueError(f"unknown operator variant {variant!r}; use one of {K_VARIANTS}")
+
+
+def stein_matrix_moments(
+    g: UndirectedGraph,
+    cfg: RidlConfig,
+    variant: str = "pop",
+    n_cap: int = DENSE_N_CAP,
+) -> np.ndarray:
+    """I - K for the second-moment operator K of :func:`k_operator_moments`.
+
+    Assembled as eps p^2 (I (x) L + L (x) I) - eps^2 E[L (x) L] plus the
+    projector terms, not as I minus K: when the updates mix slowly (small
+    p or eps) K is close to I, and the subtraction would lose digits.
+    """
+    if g.n > n_cap:
+        raise ValueError(
+            f"n={g.n} exceeds the exact-operator cap {n_cap}; "
+            "use the spectral bounds instead"
+        )
+    n = g.n
+    lbar = laplacian(g)
+    e, p = cfg.epsilon, cfg.p
+    eye = np.eye(n)
+    out = e * p**2 * (np.kron(eye, lbar) + np.kron(lbar, eye))
+    out -= e**2 * expected_l_kron_l(g, p)
+    return out + _projector_terms(expected_p(g, cfg), n, variant)
 
 
 def k_operator_moments(
@@ -513,13 +528,9 @@ def k_operator_moments(
     Scales to the configured cap (default 64, a 4096-dimensional
     operator); cross-checked against :func:`k_operator_enumeration`.
     """
-    if g.n > n_cap:
-        raise ValueError(
-            f"n={g.n} exceeds the exact-operator cap {n_cap}; "
-            "use the spectral bounds instead"
-        )
-    e_pp = _expected_p_kron_p(g, cfg)
-    return _apply_variant(e_pp, expected_p(g, cfg), g.n, variant)
+    out = -stein_matrix_moments(g, cfg, variant, n_cap)
+    out[np.diag_indices_from(out)] += 1.0
+    return out
 
 
 def k_operator_enumeration(
@@ -556,21 +567,21 @@ def k_operator_enumeration(
     return acc
 
 
-def dense_noise_index(k_op: np.ndarray, sigma2: float, n: int) -> float:
+def dense_noise_index(system: np.ndarray, sigma2: float, n: int) -> float:
     """Exact index: (sigma^2/N) * (vec(I)^T (I - K)^{-1} vec(I) - 1).
 
-    Evaluated as an LU solve against the dense N^2 x N^2 operator K; a
+    Evaluated as an LU solve against the dense N^2 x N^2 matrix
+    ``system`` = I - K, with one step of iterative refinement; a
     near-singular system raises :class:`SingularMatrixError`.
     """
     if sigma2 < 0.0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     n_sq = n * n
-    if k_op.shape != (n_sq, n_sq):
-        raise ValueError(f"operator shape {k_op.shape} does not match n={n}")
-    a = -k_op.copy()
-    a[np.diag_indices_from(a)] += 1.0
+    if system.shape != (n_sq, n_sq):
+        raise ValueError(f"operator shape {system.shape} does not match n={n}")
     rhs = np.eye(n).ravel()
-    y = solve(a, rhs)
+    y = solve(system, rhs)
+    y += solve(system, rhs - system @ y)
     j = (sigma2 / n) * (float(rhs @ y) - 1.0)
     if not np.isfinite(j) or (sigma2 > 0.0 and j <= 0.0):
         raise NumericalError(f"exact index evaluated to {j}, outside (0, inf)")
@@ -582,10 +593,10 @@ def dense_exact(g: UndirectedGraph, cfg: RidlConfig, method: str = "moments",
     """Exact index through the dense operator, assembled from moments or
     by enumeration, with the projector placed as ``variant`` says."""
     if method == "moments":
-        k_op = k_operator_moments(g, cfg, variant=variant)
+        system = stein_matrix_moments(g, cfg, variant=variant)
     else:
-        k_op = k_operator_enumeration(g, cfg, variant=variant)
-    return dense_noise_index(k_op, cfg.sigma2, g.n)
+        system = np.eye(g.n**2) - k_operator_enumeration(g, cfg, variant=variant)
+    return dense_noise_index(system, cfg.sigma2, g.n)
 
 
 def apply_dense(k_op: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -177,9 +177,14 @@ class TestValidationErrors:
          "--seed must be >= 0"),
         (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.1:inf:0.1"),
          "--p-grid must look like LO:HI:STEP"),
+        (("sweep-p", "--graph", "path", "--n", "5", "--k", "0.8", "--p-grid", "0.1:1e400:0.1"),
+         "--p-grid values must be finite"),
+        # rejected before the grid is built: 8e8 points would not fit in memory
+        (("sweep-p", "--graph", "path", "--n", "5", "--k", "0.8", "--p-grid", "0.1:0.9:1e-9"),
+         "--p-grid has more than 1000 points"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
             "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
-            "negative-seed", "p-grid-infinite"])
+            "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2

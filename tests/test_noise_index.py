@@ -21,6 +21,8 @@ from ridlnoise.graphs import (
     SpectralData,
     _build,
     average_effective_resistance,
+    laplacian,
+    laplacian_eigenpairs,
     spectrum_disconnected,
 )
 
@@ -28,12 +30,16 @@ from oracles import (
     K_VARIANTS,
     complete_closed_form_bounds,
     dense_exact,
+    enum_expected_p,
+    enum_expected_p_squared,
     expected_p,
     expected_p_squared,
     family_asymptotics,
     generic_bounds,
+    make_erdos_renyi,
     path_closed_form_bounds,
     star_closed_form_bounds,
+    stein_matrix_moments,
 )
 
 K2 = make_complete(2)
@@ -79,14 +85,26 @@ class TestExactIndex:
     )
     def test_matches_dense_operator(self, g, p, k):
         cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
-        assert exact_for(g, cfg) == pytest.approx(dense_exact(g, cfg), rel=1e-10)
+        exact = exact_noise_index(g, cfg)
+        dense = dense_exact(g, cfg)
+        assert exact.j == pytest.approx(dense, rel=1e-10)
+        # the solve's bracket [j, j (1 + gap)] holds the dense value
+        slack = 1e-13 * dense
+        assert exact.j - slack <= dense <= exact.j * (1.0 + exact.gap) + slack
 
     def test_unconverged_solve_raises(self, monkeypatch):
         g = make_grid([3, 3])
         cfg = RidlConfig.for_graph(g, p=0.5, sigma2=1.0, k=0.8)
         assert exact_noise_index(g, cfg).iterations > 1
         monkeypatch.setattr(noise_index, "_CG_MAX_ITER", 1)
-        with pytest.raises(NumericalError, match="residual target"):
+        with pytest.raises(NumericalError, match="did not certify J"):
+            exact_noise_index(g, cfg)
+
+    def test_no_positive_margin_raises(self):
+        # d_max understated, so eps lies above 1/d_max of the actual graph
+        g = make_path(3)
+        cfg = RidlConfig(p=0.5, epsilon=0.9, sigma2=1.0, d_max=1)
+        with pytest.raises(NumericalError, match="no positive mean-field margin"):
             exact_noise_index(g, cfg)
 
     def test_scales_linearly_in_sigma2(self):
@@ -121,6 +139,75 @@ class TestExactIndex:
         j20 = exact_for(g20, RidlConfig.for_graph(g20, 0.9, 1.0, k=0.8))
         j40 = exact_for(g40, RidlConfig.for_graph(g40, 0.9, 1.0, k=0.8))
         assert abs(j40 - j20) / j20 < 0.05
+
+
+SMALL_GRAPHS = [make_star(7), make_path(8), make_grid([3, 3]), make_complete(6),
+                make_erdos_renyi(9, 0.5, 3)]
+SMALL_IDS = ["star7", "path8", "grid33", "complete6", "er9"]
+MARGIN_P = (0.05, 0.3, 0.7, 0.95, 1.0)
+MARGIN_K = (0.3, 0.8, 0.99)
+
+
+class TestStopCertificate:
+    """The facts the exact solve's stopping bracket rests on, and what it
+    saves."""
+
+    @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=SMALL_IDS)
+    def test_second_moment_by_enumeration(self, g):
+        lbar = laplacian(g)
+        eye = np.eye(g.n)
+        for p in MARGIN_P:
+            cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+            e = cfg.epsilon
+            p_sq = enum_expected_p_squared(g, cfg)
+            formula = eye - 2 * e * p**2 * lbar + e**2 * (
+                2 * p**2 * (1 - p) * lbar + p**3 * lbar @ lbar)
+            assert np.abs(p_sq - formula).max() <= 1e-13
+            # so E[P^2] - E[P]^2 is eps^2 p^2 (1-p) L_bar (2 + p L_bar)
+            p_bar = enum_expected_p(g, cfg)
+            spread = e**2 * p**2 * (1 - p) * lbar @ (2 * eye + p * lbar)
+            assert np.abs(p_sq - p_bar @ p_bar - spread).max() <= 1e-13
+
+    @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=SMALL_IDS)
+    def test_margin_below_dense_generalized_spectrum(self, g):
+        spectrum = laplacian_eigenpairs(g)
+        lam, w = spectrum.eigenvalues, spectrum.eigenvectors[:, 1:]
+        basis = np.kron(w, w)  # the disagreement subspace, in vec form
+        for p in MARGIN_P:
+            for k in MARGIN_K:
+                cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
+                delta = cfg.epsilon * p**2 * lam[1:]
+                mean_field = np.sqrt(np.ravel(
+                    delta[:, None] + delta[None, :] - np.outer(delta, delta)))
+                stein = basis.T @ stein_matrix_moments(g, cfg) @ basis
+                pencil = stein / np.outer(mean_field, mean_field)
+                lowest = np.linalg.eigvalsh((pencil + pencil.T) / 2)[0]
+                margin = noise_index._stein_margin(lam, cfg)
+                assert 0.0 < margin <= 1.0
+                assert lowest >= margin - 1e-12
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("g", [make_path(100), make_grid([10, 10])],
+                             ids=["path100", "grid10x10"])
+    def test_iterations_at_n100(self, g, p):
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+        assert exact_noise_index(g, cfg).iterations <= 7
+
+    @pytest.mark.parametrize("sides", [(20, 20), (300,)], ids=["grid20x20", "path300"])
+    def test_deterministic_mode_at_large_n(self, sides):
+        # the Laplacian spectrum in closed form, 4 sin^2(pi i / 2m) summed
+        # over the sides (a grid with one side is the path): eigvalsh's
+        # absolute error alone moves lambda_2 of path 300 by a few parts
+        # in 1e12
+        lam = sum(np.meshgrid(*(4.0 * np.sin(np.pi * np.arange(m) / (2 * m)) ** 2
+                                for m in sides)))
+        g = make_grid(list(sides))
+        cfg = RidlConfig.for_graph(g, p=1.0, sigma2=1.0, k=0.8)
+        delta = cfg.epsilon * np.sort(np.ravel(lam))[1:]
+        formula = cfg.sigma2 / g.n * np.sum(1.0 / (delta * (2.0 - delta)))
+        exact = exact_noise_index(g, cfg)
+        assert exact.iterations == 1
+        assert exact.j == pytest.approx(formula, rel=1e-12)
 
 
 class TestGenericBounds:
@@ -327,11 +414,9 @@ class TestNoiseReport:
         g = make_path(12)
         cfg = RidlConfig.for_graph(g, p=0.6, sigma2=1.0, k=0.8)
         exact = exact_noise_index(g, cfg)
-        assert 1 <= exact.iterations and exact.residual <= noise_index._CG_RTOL
+        assert 1 <= exact.iterations and 0.0 <= exact.gap <= noise_index._J_GAP
         tag = compute_noise_report(g, cfg).method_tags["j_exact"]
-        assert tag == (
-            f"stein-pcg[iterations={exact.iterations}, residual={exact.residual:.2e}]"
-        )
+        assert tag == f"stein-pcg[iterations={exact.iterations}, gap={exact.gap:.2e}]"
 
     def test_sandwich_slack_scales_with_large_index(self):
         g = make_complete(2)
