@@ -619,23 +619,28 @@ def sweep_p_cmd(**params) -> None:
 @click.option("--strict", is_flag=True,
               help="Exit 3 when a Monte Carlo run fails the drift test.")
 @click.option("--horizon", type=int, default=None,
-              help="Steps per trajectory (default: spectral-gap rule).")
+              help="Horizon T of the dynamics (default: spectral-gap rule).")
 @click.option("--ensemble", type=int, default=10000, show_default=True,
               help="Independent replications.")
 @click.option("--noise", type=click.Choice(NOISE_DISTRIBUTIONS),
-              default="gaussian", show_default=True)
+              default="gaussian", show_default=True,
+              help="Law of each replication's probe vector, scaled to variance 1.")
 @_guard
 def simulate_cmd(**params) -> None:
     """Monte Carlo estimate with standard error and convergence flag.
 
-    Each replication is paired with its mean-field shadow x <- E[P] x + n
-    on the same noise, whose expected disagreement is known exactly; the
-    difference is a control variate that keeps j_hat unbiased and cuts
-    its standard error. drift is the running-mean spread of the
-    ensemble's disagreement over the last 10% of steps (converged means
-    below 0.05), and mf_corr the correlation between the replications and
-    their shadows. The exact reference columns are filled for N <= 24.
-    An Erdos-Renyi row simulates one draw per N."""
+    Runs the dynamics in reverse time: each replication draws one probe
+    vector from the --noise law and sums its squared disagreement while
+    the sampled update matrices act on it, an unbiased estimate of the
+    final disagreement of x <- P x + n from 0. It is paired with its
+    mean-field shadow under E[P] from the same probe, whose expected sum
+    is known exactly; the difference is a control variate that keeps
+    j_hat unbiased and cuts its standard error. drift is the running-mean
+    spread of the ensemble's estimated disagreement over the last 10% of
+    steps (converged means below 0.05), and mf_corr the correlation
+    between the replications and their shadows. The exact reference
+    columns are filled for N <= 24. An Erdos-Renyi row simulates one draw
+    per N."""
     rows = _run_table("simulate", params, (params["graph"],), (params["p"],))
     if params["strict"] and any(not r["converged"] for r in rows):
         raise NumericalError(

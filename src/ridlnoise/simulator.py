@@ -1,57 +1,54 @@
 """Monte Carlo estimation of the noise index.
 
-Runs an ensemble of independent trajectories of the noisy averaging
-dynamics x(t+1) = P(t) x(t) + n(t) from x(0) = 0 and reads the index off
-the final-state disagreement d(x_T) = |x_T - mean(x_T)|^2. Starting at
-zero makes the expected disagreement increase monotonically toward its
-limit, so a drift test on the ensemble's running mean doubles as the
-steady-state check.
+The noisy averaging dynamics x(t+1) = P(t) x(t) + n(t) from x(0) = 0
+give x_T = sum_s P(T-1) ... P(s+1) n(s), so with Omega = I - 11^T/N,
 
-Each trajectory carries a mean-field shadow x~(t+1) = E[P] x~(t) + n(t),
-E[P] = I - eps p^2 L, driven by the same noise. Its expected final
-disagreement is known in closed form from the Laplacian spectrum
-(as t grows it tends to N times the generic lower bound j_lb), so
-d(x_T) - d(x~_T) + E[d(x~_T)] is an unbiased per-replication value with
-far less spread than d(x_T): a control variate with coefficient one,
-nothing fitted.
+    E[d(x_T)] = sigma^2 sum_{k<T} E |Omega P_k ... P_1|_F^2,
+
+d(x) = |Omega x|^2 the disagreement: noise injected k steps before T
+passes through k update matrices. The P's are i.i.d. and symmetric and
+commute with Omega, so the k-th term is also E |P_k ... P_1 Omega|_F^2,
+and |Q Omega|_F^2 = E_z |Q Omega z|^2 for any probe z with E[z z^T] = I
+(Hutchinson's trace estimator). Each replication therefore draws one
+probe z of N values from the requested noise law, sets y_0 = Omega z,
+steps the noiseless y_k = P_k y_(k-1) and returns
+Y = sigma^2 sum_{k<T} |y_k|^2, with E[Y] = E[d(x_T)]: (T - 1) N
+activations and N probe values per replication, where the forward
+dynamics would also draw T N noise values.
+
+Each probe carries a mean-field shadow y~_k = E[P] y~_(k-1) from the same
+y_0, E[P] = I - eps p^2 L. Its expected sum of squares equals the
+expected final disagreement of x~(t+1) = E[P] x~(t) + n(t), known in
+closed form from the Laplacian spectrum (as T grows it tends to N times
+the generic lower bound j_lb), so Y - Y~ + E[Y~] is an unbiased
+per-replication value with far less spread than Y: a control variate
+with coefficient one, nothing fitted. The ensemble mean of the running
+sums sigma^2 sum_{k<t} |y_k|^2 is an unbiased estimate of E[d(x_t)] at
+every t, and the drift test reads this series; no second ensemble runs
+beside it.
 
 P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
 activation vector and A the sparse (CSR) adjacency,
-P(t) x = x - eps gamma * (x * (A gamma) - A (gamma * x)), so a step
+P(t) y = y - eps gamma * (y * (A gamma) - A (gamma * y)), so a step
 costs O(m) per replication on a graph with m edges. Replications step
-together in chunks sized to keep the (N, chunk) state in cache, or,
-where that makes fewer numpy calls, sized so that the whole horizon is
-drawn in one block. The drift test reads this same ensemble; no second
-ensemble runs beside it.
+together in chunks sized to keep the (N, chunk) state in cache, and the
+activations are drawn ahead in blocks of steps, a bool buffer within
+``_DRAW_BUDGET``; on small graphs a block is the whole horizon. All of
+it runs on the calling thread. The step loop makes no BLAS call: the
+sums of squares are numpy reductions, not ``vdot``, so numpy's OpenBLAS
+pool stays asleep and the results do not depend on how many threads
+OpenBLAS would split a dot product over.
 
-The RNG draws are made ahead of the stepping, on one helper thread
-started and joined inside each ``estimate_noise_index`` call. Two
-buffers of activations and noise, each a (block, chunk, N) slab within
-half of ``_DRAW_BUDGET``, take turns: while the main thread steps a
-chunk through one block of steps on one buffer, the helper fills the
-other with the next (chunk, block) of draws. The main thread waits for
-a buffer before it steps it, and hands a buffer back to the helper only
-after stepping it, so no buffer is read while it is being filled; an
-exception on the helper is re-raised in the caller. numpy's generator
-fills and its ufuncs release the GIL, so the two threads overlap on two
-cores. The step loop itself makes no BLAS call: the disagreement series
-sums its squares with ``einsum``, not ``vdot``, so numpy's OpenBLAS pool
-stays asleep instead of spinning on the core the helper needs, and the
-series does not depend on how many threads OpenBLAS would split a dot
-product over.
-
-Each replication owns an independently spawned RNG stream derived from
-the master seed: its T N activations first, then its noise. A second
-generator on the same seed, advanced past the activations, reads the
-noise, so block-wise draws reproduce the whole-horizon stream value for
-value. Every replication's arithmetic is independent of the others in
-its chunk, and replications are reduced in fixed order, so estimates
-are reproducible bit for bit and neither the chunk size, the block
-length nor the thread hand-off affects them.
+Each replication owns one independently spawned RNG stream derived from
+the master seed: its probe first, then its activations step by step, so
+block-wise draws reproduce the whole-horizon stream value for value.
+Every replication's arithmetic is independent of the others in its
+chunk, and replications are reduced in fixed order, so estimates are
+reproducible bit for bit and neither the chunk size nor the block
+length affects them.
 """
 from __future__ import annotations
 
-import concurrent.futures  # its thread-pool module loads on first use, not at start-up
 import math
 from dataclasses import dataclass
 
@@ -70,9 +67,10 @@ __all__ = [
     "estimate_noise_index",
 ]
 
-# All scaled to mean 0 and variance sigma^2 by construction; the
-# alternatives to gaussian exist to demonstrate that the index depends
-# on the noise only through its variance.
+# Laws of the probe z, each with mean 0 and variance 1. The index
+# depends on the noise only through its variance, and the reverse-time
+# estimator is unbiased for any probe with E[z z^T] = I; the alternatives
+# to gaussian demonstrate both.
 NOISE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
 # a run is converged when its drift statistic is below this
@@ -82,8 +80,8 @@ BURN_IN_CHECK = 0.05
 _HORIZON_TARGET = 1e-4
 _HORIZON_CAP = 100_000
 
-# bytes of draws held at once, over both buffers: float64 noise plus
-# bool activations
+# bytes of activation draws held at once: the bool buffer plus the
+# float64 scratch it is drawn through
 _DRAW_BUDGET = 1 << 25
 # bytes of one (N, chunk) state array; a step touches about ten of them,
 # and stepping is memory-bound once they spill out of a core's L2 cache
@@ -115,11 +113,13 @@ class SimConfig:
 class SimEstimate:
     """Monte Carlo estimate with its across-replication standard error.
 
-    ``mf_corr`` is the correlation of d(x_T) and d(x~_T) across
-    replications, which sets the control variate's variance reduction
-    (1 - rho^2 at best); nan with fewer than two replications or zero
-    variance. ``mean_trace`` is the per-step ensemble mean of d(x_t) / N,
-    the series the drift test reads.
+    ``mf_corr`` is the correlation of a replication's Y and its shadow's
+    Y~ across replications, which sets the control variate's variance
+    reduction (1 - rho^2 at best); nan with fewer than two replications or
+    zero variance. ``mean_trace`` has one entry per step t = 1..T: the
+    ensemble mean of the running sums sigma^2 sum_{k<t} |y_k|^2 over N,
+    an unbiased estimate of E[d(x_t)] / N, and the series the drift test
+    reads.
     """
 
     j_hat: float
@@ -155,115 +155,77 @@ def _mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> flo
     return cfg.sigma2 * float(np.sum(-np.expm1(2 * t * log_abs_mu) / (a * (2.0 - a))))
 
 
-def _streams(
-    seed: np.random.SeedSequence, n_acts: int
-) -> tuple[np.random.Generator, np.random.Generator]:
-    """A replication's activation generator and its noise generator: the
-    same stream, the second advanced past the ``n_acts`` activation draws
-    (``random`` takes one 64-bit output per double)."""
-    noise_bits = np.random.PCG64(seed)
-    noise_bits.advance(n_acts)
-    return np.random.Generator(np.random.PCG64(seed)), np.random.Generator(noise_bits)
-
-
-def _draw_block(
-    streams: tuple[np.random.Generator, np.random.Generator],
-    p: float,
-    dist: str,
-    sigma: float,
-    acts: np.ndarray,
-    noise: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """The next (b, N) activations and noise of one replication, written
-    into the views ``acts`` and ``noise``; ``scratch`` is a contiguous
-    (b, N) float64 buffer for the raw draws."""
-    act_rng, noise_rng = streams
-    act_rng.random(out=scratch)
-    np.less(scratch, p, out=acts)
+def _probe(rng: np.random.Generator, n: int, dist: str) -> np.ndarray:
+    """N draws of unit variance from the law ``dist``, minus their mean:
+    the start Omega z of one replication."""
     if dist == "gaussian":
-        noise_rng.standard_normal(out=scratch)
-        np.multiply(scratch, sigma, out=noise)
+        z = rng.standard_normal(n)
     elif dist == "rademacher":
-        noise_rng.random(out=scratch)
-        noise[...] = np.where(scratch < 0.5, -sigma, sigma)
+        z = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     else:
         # uniform on [-sqrt(3), sqrt(3)] has unit variance
-        noise_rng.random(out=scratch)
-        scratch *= 2.0
-        scratch -= 1.0
-        scratch *= math.sqrt(3.0)
-        np.multiply(scratch, sigma, out=noise)
+        z = math.sqrt(3.0) * (2.0 * rng.random(n) - 1.0)
+    return z - z.mean()
 
 
 def _block_shape(t: int, n: int, m: int) -> tuple[int, int]:
-    """Replications per chunk and steps per block of draws.
+    """Replications per chunk and steps per block of draws, for ``t``
+    steps of ``m`` replications on ``n`` nodes.
 
-    Both candidate shapes keep one buffer of draws, a (block, chunk, N)
-    slab, within half of ``_DRAW_BUDGET``, so the two buffers the helper
-    thread fills in turn stay within it together. The first sizes a chunk
-    so that its (N, chunk) state arrays stay near ``_STATE_BYTES`` each,
-    keeping a step's working set in a core's cache, and takes the longest
-    block of steps that fits. The second draws the whole horizon in one
-    block, with as many replications per chunk as fit, up to the first's
-    chunk. The shape that makes fewer numpy calls wins: one step of a
-    chunk makes four times as many as one block of a replication's draws
-    (16 against 4)."""
-    buffer_bytes = _DRAW_BUDGET // 2
+    A chunk's (N, chunk) state arrays stay near ``_STATE_BYTES`` each,
+    keeping a step's working set in a core's cache. A block is the
+    longest run of steps whose (block, chunk, N) bool activations and
+    the (block, N) float64 scratch they are drawn through fit in
+    ``_DRAW_BUDGET``; on small graphs that is the whole horizon, one
+    draw per replication."""
     chunk = max(1, min(m, _STATE_BYTES // (8 * n)))
-    block = max(1, min(t, buffer_bytes // (9 * n * chunk)))  # float64 noise + bool activations
-    whole = min(chunk, buffer_bytes // (9 * n * t))
-    if whole < 1:
-        return chunk, block
-
-    def calls(c: int, b: int) -> int:
-        return 4 * -(-m // c) * t + m * -(-t // b)
-
-    return (whole, t) if calls(whole, t) <= calls(chunk, block) else (chunk, block)
+    block = max(1, min(t, _DRAW_BUDGET // (n * (chunk + 8))))
+    return chunk, block
 
 
-def _disagreements(x: np.ndarray) -> np.ndarray:
-    """d of each column of the (N, c) state, reduced along contiguous
-    rows so that a replication's value does not depend on its chunk."""
-    xr = np.ascontiguousarray(x.T)
-    dev = xr - xr.mean(axis=1, keepdims=True)
-    return (dev * dev).sum(axis=1)
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of each column of the (N, c) array ``a``, reduced along
+    contiguous rows so that a replication's value does not depend on its
+    chunk."""
+    return np.ascontiguousarray(a.T).sum(axis=1)
 
 
 def _step_block(
-    x: np.ndarray,
-    xs: np.ndarray,
+    y: np.ndarray,
+    ys: np.ndarray,
     acts: np.ndarray,
-    noise: np.ndarray,
     adj: sparse.csr_array,
     p_bar: sparse.csr_array,
     eps: float,
+    energy: np.ndarray,
+    shadow: np.ndarray,
     series: np.ndarray,
-) -> None:
-    """Advance the (N, c) states x and x~ in place through the b steps
-    whose draws are the (b, c, N) ``acts`` and ``noise``, adding each
-    step's disagreement, summed over the chunk, to ``series`` (length b).
-    No call here reaches BLAS."""
-    n, c = x.shape
-    gam, gam_x, update, nt = (np.empty((n, c)) for _ in range(4))
+) -> np.ndarray:
+    """Advance the (N, c) probes y <- P y and y~ <- E[P] y~ through the b
+    steps whose activations are the (b, c, N) ``acts``, adding each new
+    |y|^2 and |y~|^2 entrywise to ``energy`` and ``shadow`` and its sum
+    over the chunk to ``series`` (length b). Returns y~, which the
+    sparse product replaces. No call here reaches BLAS."""
+    n, c = y.shape
+    gam, gam_y, update, sq = (np.empty((n, c)) for _ in range(4))
     for t in range(acts.shape[0]):
         np.copyto(gam, acts[t].T)
-        np.copyto(nt, noise[t].T)
-        np.multiply(gam, x, out=gam_x)
+        np.multiply(gam, y, out=gam_y)
         s1 = adj @ gam
-        s2 = adj @ gam_x
-        # x <- x - eps * gamma * (x * s1 - s2) + noise
-        np.multiply(x, s1, out=update)
+        s2 = adj @ gam_y
+        # y <- y - eps * gamma * (y * s1 - s2)
+        np.multiply(y, s1, out=update)
         update -= s2
         update *= gam
         update *= eps
-        x -= update
-        x += nt
-        # x~ <- E[P] x~ + noise
-        np.add(p_bar @ xs, nt, out=xs)
-        # sum of d over the chunk: |x|^2 - |column sums|^2 / N
-        col = x.sum(axis=0)
-        series[t] += np.einsum("ij,ij->", x, x) - np.einsum("i,i->", col, col) / n
+        y -= update
+        ys = p_bar @ ys
+        np.multiply(y, y, out=sq)
+        energy += sq
+        series[t] += sq.sum()
+        np.multiply(ys, ys, out=sq)
+        shadow += sq
+    return ys
 
 
 def _run_ensemble(
@@ -272,18 +234,13 @@ def _run_ensemble(
     cfg: RidlConfig,
     sim: SimConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one trajectory and its mean-field shadow per seed from
-    x(0) = x~(0) = 0 for ``sim.horizon`` steps.
+    """Propagate one probe and its mean-field shadow per seed through
+    ``sim.horizon - 1`` steps.
 
-    The draws of task k, one (chunk, block) in chunk-major order, go into
-    buffer k % 2 on the helper thread; task k + 1 is submitted only once
-    the main thread has the draws of task k, and so after it has stepped
-    task k - 1 on the buffer that task k + 1 refills.
-
-    Returns the final disagreement of each replication, that of each
-    shadow, and the per-step disagreement summed over replications.
+    Returns, per replication, the sums over k < T of |y_k|^2 and of
+    |y~_k|^2, and the per-step |y_k|^2 summed over replications.
     """
-    n, t_steps, m = g.n, sim.horizon, len(seeds)
+    n, steps, m = g.n, sim.horizon - 1, len(seeds)
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     adj = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
@@ -295,46 +252,33 @@ def _run_ensemble(
          (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
         shape=(n, n),
     )
-    sigma = math.sqrt(cfg.sigma2)
 
-    chunk, block = _block_shape(t_steps, n, m)
-    buffers = [(np.empty((block, chunk, n), dtype=bool), np.empty((block, chunk, n)))
-               for _ in range(2)]
+    chunk, block = _block_shape(steps, n, m)
+    acts = np.empty((block, chunk, n), dtype=bool)
     scratch = np.empty((block, n))
-    tasks = [(start, t0) for start in range(0, m, chunk) for t0 in range(0, t_steps, block)]
-    streams: list[tuple[np.random.Generator, np.random.Generator]] = []
-
-    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Fill buffer k % 2 with the draws of task k; runs on the helper."""
-        nonlocal streams
-        start, t0 = tasks[k]
-        c, b = min(chunk, m - start), min(block, t_steps - t0)
-        if t0 == 0:
-            streams = [_streams(s, t_steps * n) for s in seeds[start:start + c]]
-        acts, noise = buffers[k % 2]
-        for j, pair in enumerate(streams):
-            _draw_block(pair, cfg.p, sim.noise_dist, sigma,
-                        acts[:b, j, :], noise[:b, j, :], scratch[:b])
-        return acts[:b, :c], noise[:b, :c]
-
-    d_final = np.empty(m)
-    d_shadow = np.empty(m)
-    series = np.zeros(t_steps)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
-        for k, (start, t0) in enumerate(tasks):
-            acts, noise = pending.result()
-            if k + 1 < len(tasks):
-                pending = helper.submit(draw, k + 1)
-            b, c, _ = acts.shape
-            if t0 == 0:
-                x = np.zeros((n, c))
-                xs = np.zeros((n, c))
-            _step_block(x, xs, acts, noise, adj, p_bar, cfg.epsilon, series[t0:t0 + b])
-            if t0 + b == t_steps:
-                d_final[start:start + c] = _disagreements(x)
-                d_shadow[start:start + c] = _disagreements(xs)
-    return d_final, d_shadow, series
+    energy_sums = np.empty(m)
+    shadow_sums = np.empty(m)
+    series = np.zeros(sim.horizon)
+    for start in range(0, m, chunk):
+        c = min(chunk, m - start)
+        rngs = [np.random.default_rng(s) for s in seeds[start:start + c]]
+        y = np.empty((n, c))
+        for j, rng in enumerate(rngs):
+            y[:, j] = _probe(rng, n, sim.noise_dist)
+        ys = y.copy()
+        energy = y * y
+        shadow = energy.copy()
+        series[0] += energy.sum()
+        for t0 in range(0, steps, block):
+            b = min(block, steps - t0)
+            for j, rng in enumerate(rngs):
+                rng.random(out=scratch[:b])
+                np.less(scratch[:b], cfg.p, out=acts[:b, j])
+            ys = _step_block(y, ys, acts[:b, :c], adj, p_bar, cfg.epsilon,
+                             energy, shadow, series[1 + t0:1 + t0 + b])
+        energy_sums[start:start + c] = _column_sums(energy)
+        shadow_sums[start:start + c] = _column_sums(shadow)
+    return energy_sums, shadow_sums, series
 
 
 def _drift(series: np.ndarray) -> float:
@@ -357,29 +301,29 @@ def estimate_noise_index(
 ) -> SimEstimate:
     """Ensemble estimate of the noise index.
 
-    Runs ``sim.ensemble`` independent trajectories from x(0) = 0 for
-    ``sim.horizon`` steps, each with fresh update matrices and noise and
-    each with its mean-field shadow x~ <- E[P] x~ + n on the same noise.
-    Every replication contributes
-    Y = d(x_T) - d(x~_T) + E[d(x~_T)], with the last term in closed form
-    from the Laplacian spectrum, so E[Y] = E[d(x_T)] exactly: ``j_hat`` is
-    the mean of Y over N and ``std_error`` comes from the spread of Y.
-    There is no second ensemble and no fitted coefficient. ``mf_corr`` is the
-    correlation of d(x_T) and d(x~_T) across replications.
+    Runs ``sim.ensemble`` independent replications of the reverse-time
+    estimator: one probe y_0 = Omega z, z drawn from ``sim.noise_dist``,
+    stepped through ``sim.horizon - 1`` fresh update matrices beside its
+    mean-field shadow y~ <- E[P] y~ from the same y_0. Every replication
+    contributes Y - Y~ + E[Y~], with Y = sigma^2 sum_{k<T} |y_k|^2, Y~
+    likewise for the shadow, and E[Y~] in closed form from the Laplacian
+    spectrum, so its mean is E[d(x_T)] exactly for the forward dynamics
+    x <- P x + n from x(0) = 0: ``j_hat`` is the mean over N and
+    ``std_error`` comes from the spread. There is no second ensemble and
+    no fitted coefficient. ``mf_corr`` is the correlation of Y and Y~
+    across replications.
 
-    ``drift`` is the steady-state statistic of the ensemble's per-step
-    mean disagreement: the spread of its running mean over the final 10%
-    of steps, relative to its final value. With x(0) = 0 the expectation
-    rises monotonically, so residual drift means the horizon ended inside
-    the transient. ``converged`` is ``drift < BURN_IN_CHECK`` (0.05); a
-    False value is a flag, not an error (raise the horizon).
+    ``drift`` is the steady-state statistic of ``mean_trace``, the
+    ensemble's estimate of E[d(x_t)] / N for t = 1..T: the spread of its
+    running mean over the final 10% of steps, relative to its final value.
+    From x(0) = 0 the expectation rises monotonically, so residual drift
+    means the horizon ended inside the transient. ``converged`` is
+    ``drift < BURN_IN_CHECK`` (0.05); a False value is a flag, not an
+    error (raise the horizon).
 
-    The draws are made in blocks of steps, advancing each replication's
-    noise generator past its activations, so the trajectories equal those
-    of whole-horizon draws from the same seeds. One helper thread makes
-    the next block of draws while this thread steps the current one; it
-    is joined before the call returns, and an exception raised on it is
-    re-raised here.
+    The activations are drawn in blocks of steps from the generator that
+    drew the probe, so the values equal those of whole-horizon draws from
+    the same seeds. Everything runs on the calling thread.
 
     Raises ValueError unless both almost-sure consensus conditions hold:
     eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,
@@ -397,9 +341,11 @@ def estimate_noise_index(
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble
     seeds = np.random.SeedSequence(sim.seed).spawn(m)
-    d_final, d_shadow, series = _run_ensemble(seeds, g, cfg, sim)
+    energy, shadow, series = _run_ensemble(seeds, g, cfg, sim)
+    d_final = cfg.sigma2 * energy
+    d_shadow = cfg.sigma2 * shadow
     per_rep = (d_final - d_shadow + _mean_field_disagreement(g, cfg, sim.horizon)) / n
-    mean_trace = series / (n * m)
+    mean_trace = cfg.sigma2 * np.cumsum(series) / (n * m)
     drift = _drift(mean_trace)
     if m > 1 and d_final.std() > 0.0 and d_shadow.std() > 0.0:
         mf_corr = float(np.corrcoef(d_final, d_shadow)[0, 1])

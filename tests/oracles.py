@@ -9,11 +9,17 @@ exact index comes from the dense N^2 x N^2 second-moment operator
 (assembled from Bernoulli moments or by summing all 2^N activation
 patterns, with the disagreement projector in any of three places) and an
 LU solve with one refinement step, instead of the library's matrix-free
-Stein solve. The Monte Carlo reference runs the noisy dynamics with two
-dense N x N products per step instead of the library's sparse step,
-draws each replication's whole horizon at once instead of in time
-blocks, and takes the mean-field control variate's known mean from the
-propagated noise covariance instead of the spectral sum.
+Stein solve. The Monte Carlo reference ``dense_estimate`` runs the
+library's reverse-time estimator one replication at a time, with each
+update matrix formed densely from the induced Laplacian instead of the
+library's sparse step, each replication's whole horizon drawn at once
+instead of in time blocks, and the mean-field control variate's known
+mean from the propagated noise covariance instead of the spectral sum.
+``dense_forward_estimate`` runs the forward noisy dynamics instead, with
+two dense N x N products per step, and ``finite_horizon_index`` gives
+E[d(x_T)] / N by propagating the disagreement covariance through the
+Stein map; both check that the reverse-time estimator estimates what the
+forward dynamics produce.
 ``reference_build`` is the set-based graph construction that the
 library's edge-array ``_build`` replaced, kept to check that both give
 the same graphs, and ``reference_laplacian`` fills the Laplacian from an
@@ -42,7 +48,7 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from ridlnoise import NumericalError, UndirectedGraph, draw_erdos_renyi, laplacian
-from ridlnoise.ridl import RidlConfig, omega_projector
+from ridlnoise.ridl import RidlConfig, omega_projector, stein_operator
 from ridlnoise.simulator import BURN_IN_CHECK, SimConfig
 
 # The three algebraically equivalent placements of the disagreement
@@ -605,18 +611,22 @@ def apply_dense(k_op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (k_op @ x.ravel(order="F")).reshape((n, n), order="F")
 
 
+def _unit_draws(rng: np.random.Generator, shape, dist: str) -> np.ndarray:
+    """Mean-0, variance-1 draws from the law ``dist``."""
+    if dist == "gaussian":
+        return rng.standard_normal(shape)
+    if dist == "rademacher":
+        return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    return math.sqrt(3.0) * (2.0 * rng.random(shape) - 1.0)
+
+
 def _dense_draws(seed: np.random.SeedSequence, t: int, n: int, p: float, dist: str,
                  sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Activations then noise for one replication, from its own stream."""
+    """Activations then noise for one forward replication, from its own
+    stream."""
     rng = np.random.default_rng(seed)
     acts = rng.random((t, n)) < p
-    if dist == "gaussian":
-        unit = rng.standard_normal((t, n))
-    elif dist == "rademacher":
-        unit = np.where(rng.random((t, n)) < 0.5, -1.0, 1.0)
-    else:
-        unit = math.sqrt(3.0) * (2.0 * rng.random((t, n)) - 1.0)
-    return acts, sigma * unit
+    return acts, sigma * _unit_draws(rng, (t, n), dist)
 
 
 def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
@@ -649,6 +659,33 @@ def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     return final(x), final(x_mf), series
 
 
+def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
+    """Per replication, sigma^2 sum_{k<T} |y_k|^2 for the probe
+    y_k = P_k y_(k-1) from y_0 = Omega z, and the same for its shadow
+    y~_k = E[P] y~_(k-1); and the per-step sigma^2 |y_k|^2 summed over
+    replications. Each P_k is formed as a dense matrix from the
+    replication's stream: z first, then the activations of each step."""
+    n, t_steps = g.n, sim.horizon
+    omega = omega_projector(n)
+    p_bar = expected_p(g, cfg)
+    energy = np.zeros(len(seeds))
+    shadow = np.zeros(len(seeds))
+    series = np.zeros(t_steps)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        y = omega @ _unit_draws(rng, n, sim.noise_dist)
+        ys = y.copy()
+        acts = rng.random((t_steps - 1, n)) < cfg.p
+        for k in range(t_steps):
+            if k:
+                y = (np.eye(n) - cfg.epsilon * induced_laplacian(g, acts[k - 1])) @ y
+                ys = p_bar @ ys
+            energy[r] += y @ y
+            shadow[r] += ys @ ys
+            series[k] += y @ y
+    return cfg.sigma2 * energy, cfg.sigma2 * shadow, cfg.sigma2 * series
+
+
 def mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
     """E[d(x~_t)] = sigma^2 tr(Omega C_t) for x~ <- E[P] x~ + n from 0,
     with the noise covariance propagated exactly:
@@ -660,16 +697,25 @@ def mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> floa
     return cfg.sigma2 * float(np.trace(omega_projector(g.n) @ c))
 
 
-def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
-    """Monte Carlo estimate with the dense dynamics: the same seeds, draw
-    order, mean-field control variate and drift rule as the library
-    estimator, with whole-horizon draws per replication. Returns the
-    control-variate ``j_hat`` and ``std_error``, the uncorrected
-    final-state ``j_hat_raw`` and ``std_error_raw``, ``drift``,
-    ``converged`` and ``mf_corr``."""
+def finite_horizon_index(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
+    """E[d(x_t)] / N for x <- P x + n from x(0) = 0, with the disagreement
+    covariance propagated exactly: Sigma_0 = 0,
+    Sigma_{s+1} = Sigma_s - S(Sigma_s) + Omega with S(X) = X - E[P X P]."""
+    stein = stein_operator(g, cfg)
+    omega = omega_projector(g.n)
+    sigma = np.zeros((g.n, g.n))
+    for _ in range(t):
+        sigma = sigma - stein(sigma) + omega
+    return cfg.sigma2 * float(np.trace(sigma)) / g.n
+
+
+def _summary(d_final: np.ndarray, d_mf: np.ndarray, series: np.ndarray,
+             g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
+    """The control-variate ``j_hat`` and ``std_error``, the uncorrected
+    ``j_hat_raw`` and ``std_error_raw``, ``drift``, ``converged`` and
+    ``mf_corr`` of per-replication values ``d_final`` with shadows
+    ``d_mf``, and the trace ``series / (N M)``."""
     n, m = g.n, sim.ensemble
-    seeds = np.random.SeedSequence(sim.seed).spawn(m)
-    d_final, d_mf, series = _dense_dynamics(seeds, g, cfg, sim)
 
     def mean_and_se(values):
         se = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
@@ -678,7 +724,7 @@ def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     j_hat, std_error = mean_and_se(
         (d_final - d_mf + mean_field_disagreement(g, cfg, sim.horizon)) / n)
     j_hat_raw, std_error_raw = mean_and_se(d_final / n)
-    series /= n * m
+    series = series / (n * m)
     running = np.cumsum(series) / np.arange(1, sim.horizon + 1)
     scale = abs(running[-1])
     if scale == 0.0:
@@ -694,7 +740,29 @@ def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
         mf_corr = math.nan
     return {"j_hat": j_hat, "std_error": std_error, "j_hat_raw": j_hat_raw,
             "std_error_raw": std_error_raw, "drift": drift,
-            "converged": bool(drift < BURN_IN_CHECK), "mf_corr": mf_corr}
+            "converged": bool(drift < BURN_IN_CHECK), "mf_corr": mf_corr,
+            "mean_trace": series}
+
+
+def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
+    """The library's reverse-time estimate with dense update matrices:
+    the same seeds and draw order, one replication at a time, and the
+    mean-field control variate's known mean from the propagated noise
+    covariance. ``mean_trace`` is the running sum of the per-step energy,
+    over N M."""
+    seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
+    energy, shadow, series = _dense_reverse(seeds, g, cfg, sim)
+    return _summary(energy, shadow, np.cumsum(series), g, cfg, sim)
+
+
+def dense_forward_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
+    """Monte Carlo estimate from the forward noisy dynamics
+    x <- P x + n from x(0) = 0, with its mean-field shadow on the same
+    noise: d(x_T) per replication, whole-horizon draws per replication
+    (activations, then noise) from the same seeds as the library, and
+    ``mean_trace`` the per-step mean of d(x_t) / N."""
+    seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
+    return _summary(*_dense_dynamics(seeds, g, cfg, sim), g, cfg, sim)
 
 
 def step(x: np.ndarray, p_sample: StochasticMatrixSample, noise: np.ndarray) -> np.ndarray:

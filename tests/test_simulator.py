@@ -1,8 +1,7 @@
+import math
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -27,7 +26,9 @@ from ridlnoise.graphs import _build
 from oracles import (
     StochasticMatrixSample,
     dense_estimate,
+    dense_forward_estimate,
     disagreement,
+    finite_horizon_index,
     make_erdos_renyi,
     mean_field_disagreement,
     sample_ridl,
@@ -208,8 +209,41 @@ class TestDenseOracle:
         assert est.converged == ref["converged"]
         assert est.drift == pytest.approx(ref["drift"], rel=1e-9, abs=1e-15)
         assert est.mf_corr == pytest.approx(ref["mf_corr"], rel=1e-9)
+        np.testing.assert_allclose(est.mean_trace, ref["mean_trace"], rtol=1e-12)
         if horizon < 10:
             assert not est.converged
+
+
+# finite horizons at which E[d(x_T)] is still well below its limit
+FINITE_HORIZON_CASES = {
+    "grid4x4": (make_grid((4, 4)), 0.5, 60),
+    "star8": (make_star(8), 0.3, 40),
+    "path6": (make_path(6), 0.7, 80),
+}
+
+
+class TestUnbiased:
+    @pytest.mark.parametrize("name", FINITE_HORIZON_CASES)
+    def test_pooled_mean_matches_propagated_covariance(self, name):
+        g, p, horizon = FINITE_HORIZON_CASES[name]
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+        exact = finite_horizon_index(g, cfg, horizon)
+        ests = [estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=2000,
+                                                       seed=seed))
+                for seed in range(20)]
+        grand_mean = np.mean([e.j_hat for e in ests])
+        grand_se = math.sqrt(sum(e.std_error**2 for e in ests)) / len(ests)
+        assert abs(grand_mean - exact) <= 3.0 * grand_se
+
+    @pytest.mark.parametrize("name", FINITE_HORIZON_CASES)
+    def test_agrees_with_forward_simulation(self, name):
+        g, p, horizon = FINITE_HORIZON_CASES[name]
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=horizon, ensemble=2000, seed=31)
+        est = estimate_noise_index(g, cfg, sim)
+        fwd = dense_forward_estimate(g, cfg, sim)
+        assert abs(est.j_hat - fwd["j_hat"]) <= 4.0 * math.hypot(est.std_error,
+                                                                 fwd["std_error"])
 
 
 class TestChunking:
@@ -230,13 +264,16 @@ class TestChunking:
             assert est.std_error == base.std_error, block
 
     def test_peak_memory_within_chunk_budget(self):
-        # 64 replications of a 10x10 grid over 700 steps need 40 MB of
-        # draws, more than one block of the budget holds
+        # 64 replications of a 10x10 grid over 8000 steps need 58 MB of
+        # activation draws and scratch, more than one block of the budget
+        # holds, and more than 1.5 budgets
         g = make_grid((10, 10))
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        sim = SimConfig(horizon=700, ensemble=64, seed=2)
+        sim = SimConfig(horizon=8000, ensemble=64, seed=2)
         budget = 1 << 25
-        assert simulator._block_shape(sim.horizon, g.n, sim.ensemble)[1] < sim.horizon
+        steps = sim.horizon - 1
+        chunk, block = simulator._block_shape(steps, g.n, sim.ensemble)
+        assert block < steps and steps * (chunk + 8) * g.n > 1.5 * budget
         tracemalloc.start()
         try:
             estimate_noise_index(g, cfg, sim)
@@ -252,77 +289,16 @@ class TestChunking:
     def test_block_shape_fits_the_budget(self, t, n, m):
         chunk, block = simulator._block_shape(t, n, m)
         assert 1 <= chunk <= m and 1 <= block <= t
-        # two buffers of float64 noise and bool activations
-        assert 2 * 9 * n * chunk * block <= 1 << 25 or chunk == block == 1
+        # bool activations plus the float64 scratch they are drawn through
+        assert n * (chunk + 8) * block <= 1 << 25 or block == 1
 
     def test_small_graph_draws_each_horizon_in_one_block(self):
-        # path(10) at the default 10000 replications: one draw call pair
-        # per replication, not one per block
-        assert simulator._block_shape(469, 10, 10000) == (397, 469)
-        # a 16x16 grid at 300 replications keeps 64-replication chunks,
-        # where whole-horizon draws would allow only 9
-        assert simulator._block_shape(738, 256, 300) == (64, 113)
-
-
-def _slowed(fn, seconds):
-    def slow(*args, **kwargs):
-        time.sleep(seconds)
-        return fn(*args, **kwargs)
-    return slow
-
-
-class TestDrawAhead:
-    # 3 chunks x 8 blocks: 24 hand-offs between the two buffers
-    G = make_grid((3, 3))
-    CFG = RidlConfig.for_graph(G, p=0.8, sigma2=1.0, k=0.8)
-    SIM = SimConfig(horizon=40, ensemble=20, seed=8)
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_block_shape", lambda t, n, m: (7, 5))
-
-    def _assert_identical(self, est, ref):
-        assert est.j_hat == ref.j_hat
-        assert est.std_error == ref.std_error
-        assert est.drift == ref.drift
-        assert est.mf_corr == ref.mf_corr
-        assert np.array_equal(est.mean_trace, ref.mean_trace)
-
-    def test_slow_helper_changes_nothing(self, monkeypatch):
-        ref = estimate_noise_index(self.G, self.CFG, self.SIM)
-        threads = set()
-        draw = _slowed(simulator._draw_block, 0.001)
-
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            draw(*args)
-
-        monkeypatch.setattr(simulator, "_draw_block", recorded)
-        self._assert_identical(estimate_noise_index(self.G, self.CFG, self.SIM), ref)
-        # every draw was made on one thread, and not on the caller's
-        assert len(threads) == 1 and threading.get_ident() not in threads
-
-    def test_slow_step_changes_nothing(self, monkeypatch):
-        ref = estimate_noise_index(self.G, self.CFG, self.SIM)
-        monkeypatch.setattr(simulator, "_step_block", _slowed(simulator._step_block, 0.005))
-        self._assert_identical(estimate_noise_index(self.G, self.CFG, self.SIM), ref)
-
-    def test_helper_exception_reaches_the_caller(self, monkeypatch):
-        draw = simulator._draw_block
-        calls = []
-
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 3:
-                raise RuntimeError("third draw fails")
-            draw(*args)
-
-        monkeypatch.setattr(simulator, "_draw_block", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="third draw fails"):
-            estimate_noise_index(self.G, self.CFG, self.SIM)
-        assert len(calls) == 3
-        assert threading.active_count() == before
+        # path(10) at the default 10000 replications, horizon 469: one
+        # draw call pair per replication, not one per block
+        assert simulator._block_shape(468, 10, 10000) == (1638, 468)
+        # a 16x16 grid at 300 replications, horizon 738, in 64-replication
+        # chunks, each (N, chunk) state array 128 KiB
+        assert simulator._block_shape(737, 256, 300) == (64, 737)
 
 
 # run in a fresh interpreter, so that OpenBLAS reads its thread count at load
@@ -378,7 +354,7 @@ class TestControlVariate:
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=default_horizon(g, cfg), ensemble=200, seed=4)
         est = estimate_noise_index(g, cfg, sim)
-        ref = dense_estimate(g, cfg, sim)
+        ref = dense_forward_estimate(g, cfg, sim)
         assert est.std_error * 4.0 <= ref["std_error_raw"]
         assert est.mf_corr > 0.9
 
