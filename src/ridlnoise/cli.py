@@ -51,6 +51,7 @@ from .errors import NumericalError
 from .graphs import (
     UndirectedGraph,
     draw_erdos_renyi,
+    laplacian_eigenpairs,
     laplacian_spectrum,
     make_complete,
     make_grid,
@@ -337,6 +338,8 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> d
             f"1/d_max = {1.0 / job.graph.d_max:.6g}, got {spec.epsilon}"
         )
     cfg = RidlConfig.for_graph(job.graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k)
+    if spec.ensemble is not None:  # the shadow's eigenvectors; the bounds read the same solve
+        laplacian_eigenpairs(job.graph)
     rep = compute_noise_report(job.graph, cfg, exact=exact)
     row = {
         "family": job.family,
@@ -632,15 +635,17 @@ def simulate_cmd(**params) -> None:
     Runs the dynamics in reverse time: each replication draws one probe
     vector from the --noise law and sums its squared disagreement while
     the sampled update matrices act on it, an unbiased estimate of the
-    final disagreement of x <- P x + n from 0. It is paired with its
-    mean-field shadow under E[P] from the same probe, whose expected sum
-    is known exactly; the difference is a control variate that keeps
-    j_hat unbiased and cuts its standard error. drift is the running-mean
-    spread of the ensemble's estimated disagreement over the last 10% of
-    steps (converged means below 0.05), and mf_corr the correlation
-    between the replications and their shadows. The exact reference
-    columns are filled for N <= 24. An Erdos-Renyi row simulates one draw
-    per N."""
+    final disagreement of x <- P x + n from 0. Each node's activation
+    takes one random byte. The probe is paired with its mean-field
+    shadow under E[P], whose sum and expected sum are both closed forms
+    in the Laplacian eigenpairs, so only the random walk is stepped; the
+    difference is a control variate that keeps j_hat unbiased and cuts
+    its standard error. drift is the running-mean spread of the
+    ensemble's estimated disagreement over the last 10% of steps
+    (converged means below 0.05), and mf_corr the correlation between
+    the replications and their shadows. The row's one eigensolve gives
+    both the bounds and the shadow. The exact reference columns are
+    filled for N <= 24. An Erdos-Renyi row simulates one draw per N."""
     rows = _run_table("simulate", params, (params["graph"],), (params["p"],))
     if params["strict"] and any(not r["converged"] for r in rows):
         raise NumericalError(

@@ -18,9 +18,9 @@ once, each with its own certificate:
   power sums sum(lambda) = tr L = 2m and
   sum(lambda^2) = ||L||_F^2 = sum(d_i^2) + 2m; it costs O(N) beyond the
   solve.
-* the eigenpairs (``laplacian_eigenpairs``), which only the exact
-  solve's preconditioner asks for, certified by the residual
-  max_i ||L v_i - lambda_i v_i|| from one product L V.
+* the eigenpairs (``laplacian_eigenpairs``), which the exact solve's
+  preconditioner and the Monte Carlo shadow ask for, certified by the
+  residual max_i ||L v_i - lambda_i v_i|| from one product L V.
 
 Once the eigenpairs exist, the eigenvalue record is taken from them, so
 a graph is eigensolved once. Both certificates are relative to
@@ -271,10 +271,10 @@ def laplacian_spectrum(g: UndirectedGraph) -> Eigenvalues:
     """Ascending Laplacian eigenvalues, certified; the same record on
     every call for the same graph.
 
-    Bounds-only rows and Monte Carlo estimates get eigenvalues alone,
-    from a values-only solve certified by the power sums
-    sum(lambda) = 2m and sum(lambda^2) = sum(d_i^2) + 2m. Rows with the
-    exact index ask for :func:`laplacian_eigenpairs` first; this record
+    Bounds-only rows get eigenvalues alone, from a values-only solve
+    certified by the power sums sum(lambda) = 2m and
+    sum(lambda^2) = sum(d_i^2) + 2m. Rows with the exact index or a Monte
+    Carlo estimate ask for :func:`laplacian_eigenpairs` first; this record
     is then those eigenpairs, carrying their A V residual certificate,
     and no second solve runs."""
     return g._eigenvalues
@@ -283,8 +283,8 @@ def laplacian_spectrum(g: UndirectedGraph) -> Eigenvalues:
 def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
     """Ascending Laplacian eigenpairs with the residual certificate
     max_i ||L v_i - lambda_i v_i|| / ||L||; the same record on every call
-    for the same graph. Only the exact solve's preconditioner needs the
-    eigenvectors."""
+    for the same graph. The exact solve's preconditioner and the Monte
+    Carlo shadow need the eigenvectors."""
     return g._eigenpairs
 
 

@@ -165,7 +165,8 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     omega = omega_projector(n)
     x = np.zeros((n, n))
     r = omega
-    direction = precondition(r)
+    # V^T Omega V = diag(0, 1, ..., 1), so M^-1 Omega is one product
+    direction = (vecs * np.diag(gain)) @ vecs.T
     rz = float(np.vdot(r, direction))
     for iterations in range(1, _CG_MAX_ITER + 1):
         q = apply(direction)

@@ -16,46 +16,57 @@ Y = sigma^2 sum_{k<T} |y_k|^2, with E[Y] = E[d(x_T)]: (T - 1) N
 activations and N probe values per replication, where the forward
 dynamics would also draw T N noise values.
 
-Each probe carries a mean-field shadow y~_k = E[P] y~_(k-1) from the same
-y_0, E[P] = I - eps p^2 L. Its expected sum of squares equals the
-expected final disagreement of x~(t+1) = E[P] x~(t) + n(t), known in
-closed form from the Laplacian spectrum (as T grows it tends to N times
-the generic lower bound j_lb), so Y - Y~ + E[Y~] is an unbiased
-per-replication value with far less spread than Y: a control variate
-with coefficient one, nothing fitted. The ensemble mean of the running
-sums sigma^2 sum_{k<t} |y_k|^2 is an unbiased estimate of E[d(x_t)] at
-every t, and the drift test reads this series; no second ensemble runs
-beside it.
+Each probe has a mean-field shadow, the sum Y~ = sigma^2 sum_{k<T}
+|E[P]^k y_0|^2, which needs no stepping: with E[P] = I - eps p^2 L and
+the Laplacian eigenpairs (lambda_i, v_i), it is
+sigma^2 sum_{i>=2} g_i (v_i^T y_0)^2, g_i = (1 - mu_i^(2T)) / (1 - mu_i^2)
+and mu_i = 1 - eps p^2 lambda_i, the deterministic part of the
+second-moment recursion (Fagnani & Zampieri, IEEE JSAC 2008). Its mean
+E[Y~] = sigma^2 sum_i g_i is the expected final disagreement of
+x~(t+1) = E[P] x~(t) + n(t) (as T grows it tends to N times the generic
+lower bound j_lb), so Y - Y~ + E[Y~] is an unbiased per-replication value
+with far less spread than Y: a control variate with coefficient one,
+nothing fitted. The ensemble mean of the running sums
+sigma^2 sum_{k<t} |y_k|^2 is an unbiased estimate of E[d(x_t)] at every
+t, and the drift test reads this series; no second ensemble runs beside
+it.
 
 P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
-activation vector and A the sparse (CSR) adjacency,
-P(t) y = y - eps gamma * (y * (A gamma) - A (gamma * y)), so a step
+activation vector and A the sparse (CSR) adjacency, stored as eps A,
+P(t) y = y - gamma * (y * (eps A gamma) - eps A (gamma * y)), so a step
 costs O(m) per replication on a graph with m edges. Replications step
-together in chunks sized to keep the (N, chunk) state in cache, and the
-activations are drawn ahead in blocks of steps, a bool buffer within
-``_DRAW_BUDGET``; on small graphs a block is the whole horizon. All of
-it runs on the calling thread. The step loop makes no BLAS call: the
-sums of squares are numpy reductions, not ``vdot``, so numpy's OpenBLAS
-pool stays asleep and the results do not depend on how many threads
-OpenBLAS would split a dot product over.
+together in chunks sized to keep the (N, chunk) state in cache. A
+Bernoulli(p) activation takes one random byte, refined on the 1/256 of
+ties by one uniform (Devroye, "Non-Uniform Random Variate Generation",
+1986), and the activations are drawn ahead in blocks of steps, a bool
+buffer within ``_DRAW_BUDGET``; on small graphs a block is the whole
+horizon. All of it runs on the calling thread. Neither the step loop nor
+the shadow makes a BLAS call: the sums of squares and the coefficients
+v_i^T y_0 are numpy reductions, not ``vdot`` or a matrix product, so
+numpy's OpenBLAS pool stays asleep and the results do not depend on how
+many threads OpenBLAS would split a product over. (The eigenpairs
+themselves come from LAPACK, whose last bits do.)
 
 Each replication owns one independently spawned RNG stream derived from
-the master seed: its probe first, then its activations step by step, so
-block-wise draws reproduce the whole-horizon stream value for value.
-Every replication's arithmetic is independent of the others in its
-chunk, and replications are reduced in fixed order, so estimates are
-reproducible bit for bit and neither the chunk size nor the block
-length affects them.
+the master seed: its probe first, then ceil(N/8) 64-bit words of
+activation bytes per step, then the uniforms of its ties in time order.
+A horizon drawn in several blocks reads its ties from a copy of the
+generator advanced past the last byte, so block-wise draws reproduce the
+whole-horizon stream value for value. Every replication's arithmetic is
+independent of the others in its chunk, and replications are reduced in
+fixed order, so estimates are reproducible bit for bit and neither the
+chunk size nor the block length affects them.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse  # loaded at start-up, not inside the first Monte Carlo run
 
-from .graphs import UndirectedGraph, is_connected, laplacian_spectrum
+from .graphs import UndirectedGraph, is_connected, laplacian_eigenpairs, laplacian_spectrum
 from .ridl import RidlConfig
 
 __all__ = [
@@ -80,8 +91,8 @@ BURN_IN_CHECK = 0.05
 _HORIZON_TARGET = 1e-4
 _HORIZON_CAP = 100_000
 
-# bytes of activation draws held at once: the bool buffer plus the
-# float64 scratch it is drawn through
+# bytes of activation draws held at once: the bool buffer, plus one
+# replication's random bytes and tie mask
 _DRAW_BUDGET = 1 << 25
 # bytes of one (N, chunk) state array; a step touches about ten of them,
 # and stepping is memory-bound once they spill out of a core's L2 cache
@@ -114,12 +125,12 @@ class SimEstimate:
     """Monte Carlo estimate with its across-replication standard error.
 
     ``mf_corr`` is the correlation of a replication's Y and its shadow's
-    Y~ across replications, which sets the control variate's variance
-    reduction (1 - rho^2 at best); nan with fewer than two replications or
-    zero variance. ``mean_trace`` has one entry per step t = 1..T: the
-    ensemble mean of the running sums sigma^2 sum_{k<t} |y_k|^2 over N,
-    an unbiased estimate of E[d(x_t)] / N, and the series the drift test
-    reads.
+    closed-form Y~ = sigma^2 sum_i g_i (v_i^T y_0)^2 across replications,
+    which sets the control variate's variance reduction (1 - rho^2 at
+    best); nan with fewer than two replications or zero variance.
+    ``mean_trace`` has one entry per step t = 1..T: the ensemble mean of
+    the running sums sigma^2 sum_{k<t} |y_k|^2 over N, an unbiased
+    estimate of E[d(x_t)] / N, and the series the drift test reads.
     """
 
     j_hat: float
@@ -144,15 +155,17 @@ def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
     return max(1, min(t, _HORIZON_CAP))
 
 
-def _mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
-    """E[d(x~_t)] for x~ <- E[P] x~ + n from x~(0) = 0:
-    sigma^2 sum_{i>=2} (1 - mu_i^(2t)) / (1 - mu_i^2), mu_i = 1 - a_i,
-    a_i = eps p^2 lambda_i."""
-    a = cfg.epsilon * cfg.p**2 * laplacian_spectrum(g).eigenvalues[1:]
+def _mean_field_gains(lam: np.ndarray, cfg: RidlConfig, t: int) -> np.ndarray:
+    """g_i = sum_{k<t} mu_i^(2k) = (1 - mu_i^(2t)) / (1 - mu_i^2) over the
+    nonzero Laplacian eigenvalues lam[1:], with mu_i = 1 - a_i,
+    a_i = eps p^2 lambda_i the eigenvalues of E[P]: a unit probe's squared
+    coefficient on v_i summed over t mean-field steps. sigma^2 sum_i g_i is
+    E[d(x~_t)] for x~ <- E[P] x~ + n from x~(0) = 0."""
+    a = cfg.epsilon * cfg.p**2 * lam[1:]
     # log|mu| without cancellation at small a; mu = 0 gives -inf, i.e. mu^(2t) = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs_mu = np.where(a < 1.0, np.log1p(-a), np.log(a - 1.0))
-    return cfg.sigma2 * float(np.sum(-np.expm1(2 * t * log_abs_mu) / (a * (2.0 - a))))
+    return -np.expm1(2 * t * log_abs_mu) / (a * (2.0 - a))
 
 
 def _probe(rng: np.random.Generator, n: int, dist: str) -> np.ndarray:
@@ -168,18 +181,65 @@ def _probe(rng: np.random.Generator, n: int, dist: str) -> np.ndarray:
     return z - z.mean()
 
 
+def _step_words(n: int) -> int:
+    """64-bit words of activation bytes per step on ``n`` nodes."""
+    return -(-n // 8)
+
+
+def _draw_activations(
+    rng: np.random.Generator, ties: np.random.Generator, p: float, out: np.ndarray
+) -> None:
+    """Fill the (b, N) bool array ``out`` with the Bernoulli(p) activations
+    of b steps, one random byte u per node and step.
+
+    With t = floor(256 p) and f = 256 p - t (both exact), a node is active
+    when u < t; a tie u = t, of probability 1/256, is active when a
+    uniform from ``ties`` is below f, so P(active) = t/256 + f/256 = p to
+    the 2^-53 of ``random() < p``. A step takes ``_step_words(N)`` 64-bit
+    words of ``rng``, read as little-endian bytes, and the ties take their
+    uniforms in time order. At p = 1 nothing is drawn, and with f = 0 no
+    tie is refined."""
+    b, n = out.shape
+    if p >= 1.0:
+        out[...] = True
+        return
+    scaled = 256.0 * p
+    thr = math.floor(scaled)
+    words = _step_words(n)
+    raw = rng.bit_generator.random_raw(b * words).astype("<u8", copy=False)
+    u = raw.view(np.uint8).reshape(b, 8 * words)[:, :n]
+    np.less(u, thr, out=out)
+    if scaled > thr:
+        tie = u == thr
+        count = int(np.count_nonzero(tie))
+        if count:
+            # ``out`` is a strided view: index it in place, never through a
+            # reshaped copy
+            out[tie] = ties.random(count) < scaled - thr
+
+
+def _tie_cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A copy of ``rng`` moved past the ``skip`` 64-bit words of activation
+    bytes still to be drawn from it: where the replication's tie uniforms
+    start when its horizon is drawn in more than one block."""
+    ties = copy.deepcopy(rng)
+    ties.bit_generator.advance(skip)
+    return ties
+
+
 def _block_shape(t: int, n: int, m: int) -> tuple[int, int]:
     """Replications per chunk and steps per block of draws, for ``t``
     steps of ``m`` replications on ``n`` nodes.
 
     A chunk's (N, chunk) state arrays stay near ``_STATE_BYTES`` each,
     keeping a step's working set in a core's cache. A block is the
-    longest run of steps whose (block, chunk, N) bool activations and
-    the (block, N) float64 scratch they are drawn through fit in
-    ``_DRAW_BUDGET``; on small graphs that is the whole horizon, one
-    draw per replication."""
+    longest run of steps whose (block, chunk, N) bool activations, plus
+    one replication's random bytes (8 ceil(N/8) per step) and its (block,
+    N) bool tie mask, fit in ``_DRAW_BUDGET``; on small graphs that is the
+    whole horizon, one draw per replication."""
     chunk = max(1, min(m, _STATE_BYTES // (8 * n)))
-    block = max(1, min(t, _DRAW_BUDGET // (n * (chunk + 8))))
+    per_step = n * (chunk + 1) + 8 * _step_words(n)
+    block = max(1, min(t, _DRAW_BUDGET // per_step))
     return chunk, block
 
 
@@ -190,22 +250,35 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T).sum(axis=1)
 
 
+def _shadow_sums(vecs: np.ndarray, gains: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_{i>=2} g_i (v_i^T y_r)^2 for each column y_r of the (N, c)
+    probes, with the Laplacian eigenvectors v_i the columns of ``vecs``
+    and g_i the ``gains``. The coefficients accumulate node by node and
+    each column's sum runs along a contiguous row, so a replication's value
+    depends neither on its chunk nor on BLAS."""
+    n, c = y.shape
+    coef = np.zeros((n - 1, c))
+    term = np.empty((n - 1, c))
+    for j in range(n):
+        np.multiply.outer(vecs[j, 1:], y[j], out=term)
+        coef += term
+    coef *= coef
+    coef *= gains[:, None]
+    return _column_sums(coef)
+
+
 def _step_block(
     y: np.ndarray,
-    ys: np.ndarray,
     acts: np.ndarray,
     adj: sparse.csr_array,
-    p_bar: sparse.csr_array,
-    eps: float,
     energy: np.ndarray,
-    shadow: np.ndarray,
     series: np.ndarray,
-) -> np.ndarray:
-    """Advance the (N, c) probes y <- P y and y~ <- E[P] y~ through the b
-    steps whose activations are the (b, c, N) ``acts``, adding each new
-    |y|^2 and |y~|^2 entrywise to ``energy`` and ``shadow`` and its sum
-    over the chunk to ``series`` (length b). Returns y~, which the
-    sparse product replaces. No call here reaches BLAS."""
+) -> None:
+    """Advance the (N, c) probes y <- P y through the b steps whose
+    activations are the (b, c, N) ``acts``, adding each new |y|^2
+    entrywise to ``energy`` and its sum over the chunk to ``series``
+    (length b). ``adj`` is eps times the adjacency. No call here reaches
+    BLAS."""
     n, c = y.shape
     gam, gam_y, update, sq = (np.empty((n, c)) for _ in range(4))
     for t in range(acts.shape[0]):
@@ -213,19 +286,14 @@ def _step_block(
         np.multiply(gam, y, out=gam_y)
         s1 = adj @ gam
         s2 = adj @ gam_y
-        # y <- y - eps * gamma * (y * s1 - s2)
+        # y <- y - gamma * (y * s1 - s2), eps already in s1 and s2
         np.multiply(y, s1, out=update)
         update -= s2
         update *= gam
-        update *= eps
         y -= update
-        ys = p_bar @ ys
         np.multiply(y, y, out=sq)
         energy += sq
         series[t] += sq.sum()
-        np.multiply(ys, ys, out=sq)
-        shadow += sq
-    return ys
 
 
 def _run_ensemble(
@@ -233,29 +301,24 @@ def _run_ensemble(
     g: UndirectedGraph,
     cfg: RidlConfig,
     sim: SimConfig,
+    vecs: np.ndarray,
+    gains: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate one probe and its mean-field shadow per seed through
-    ``sim.horizon - 1`` steps.
+    """Propagate one probe per seed through ``sim.horizon - 1`` steps.
 
-    Returns, per replication, the sums over k < T of |y_k|^2 and of
-    |y~_k|^2, and the per-step |y_k|^2 summed over replications.
+    ``vecs`` holds the Laplacian eigenvectors as columns and ``gains``
+    the :func:`_mean_field_gains` of v_2..v_N. Returns, per replication,
+    the sum over k < T of |y_k|^2 and its mean-field shadow
+    sum_i g_i (v_i^T y_0)^2, and the per-step |y_k|^2 summed over
+    replications.
     """
     n, steps, m = g.n, sim.horizon - 1, len(seeds)
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
-    adj = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    # E[P] = I - a (D - A), a = eps p^2: a off the diagonal, 1 - a deg on it
-    a = cfg.epsilon * cfg.p**2
-    diag = np.arange(n)
-    p_bar = sparse.csr_array(
-        (np.concatenate([np.full(rows.size, a), 1.0 - a * g.degrees]),
-         (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-        shape=(n, n),
-    )
+    adj = sparse.csr_array((np.full(rows.size, cfg.epsilon), (rows, cols)), shape=(n, n))
 
     chunk, block = _block_shape(steps, n, m)
     acts = np.empty((block, chunk, n), dtype=bool)
-    scratch = np.empty((block, n))
     energy_sums = np.empty(m)
     shadow_sums = np.empty(m)
     series = np.zeros(sim.horizon)
@@ -265,19 +328,20 @@ def _run_ensemble(
         y = np.empty((n, c))
         for j, rng in enumerate(rngs):
             y[:, j] = _probe(rng, n, sim.noise_dist)
-        ys = y.copy()
+        shadow_sums[start:start + c] = _shadow_sums(vecs, gains, y)
+        # a replication's tie uniforms follow its last activation byte: in
+        # a single block they are the next draws, otherwise a copy of its
+        # generator jumps there
+        ties = (rngs if block >= steps
+                else [_tie_cursor(rng, steps * _step_words(n)) for rng in rngs])
         energy = y * y
-        shadow = energy.copy()
         series[0] += energy.sum()
         for t0 in range(0, steps, block):
             b = min(block, steps - t0)
-            for j, rng in enumerate(rngs):
-                rng.random(out=scratch[:b])
-                np.less(scratch[:b], cfg.p, out=acts[:b, j])
-            ys = _step_block(y, ys, acts[:b, :c], adj, p_bar, cfg.epsilon,
-                             energy, shadow, series[1 + t0:1 + t0 + b])
+            for j in range(c):
+                _draw_activations(rngs[j], ties[j], cfg.p, acts[:b, j])
+            _step_block(y, acts[:b, :c], adj, energy, series[1 + t0:1 + t0 + b])
         energy_sums[start:start + c] = _column_sums(energy)
-        shadow_sums[start:start + c] = _column_sums(shadow)
     return energy_sums, shadow_sums, series
 
 
@@ -303,15 +367,16 @@ def estimate_noise_index(
 
     Runs ``sim.ensemble`` independent replications of the reverse-time
     estimator: one probe y_0 = Omega z, z drawn from ``sim.noise_dist``,
-    stepped through ``sim.horizon - 1`` fresh update matrices beside its
-    mean-field shadow y~ <- E[P] y~ from the same y_0. Every replication
-    contributes Y - Y~ + E[Y~], with Y = sigma^2 sum_{k<T} |y_k|^2, Y~
-    likewise for the shadow, and E[Y~] in closed form from the Laplacian
-    spectrum, so its mean is E[d(x_T)] exactly for the forward dynamics
+    stepped through ``sim.horizon - 1`` fresh update matrices. Every
+    replication contributes Y - Y~ + E[Y~], with Y = sigma^2
+    sum_{k<T} |y_k|^2 and Y~ its mean-field shadow
+    sigma^2 sum_{k<T} |E[P]^k y_0|^2, both Y~ and E[Y~] in closed form from
+    the Laplacian eigenpairs (``laplacian_eigenpairs``, solved once per
+    graph), so its mean is E[d(x_T)] exactly for the forward dynamics
     x <- P x + n from x(0) = 0: ``j_hat`` is the mean over N and
-    ``std_error`` comes from the spread. There is no second ensemble and
-    no fitted coefficient. ``mf_corr`` is the correlation of Y and Y~
-    across replications.
+    ``std_error`` comes from the spread. Only the random walk is stepped;
+    there is no second ensemble and no fitted coefficient. ``mf_corr`` is
+    the correlation of Y and Y~ across replications.
 
     ``drift`` is the steady-state statistic of ``mean_trace``, the
     ensemble's estimate of E[d(x_t)] / N for t = 1..T: the spread of its
@@ -321,9 +386,10 @@ def estimate_noise_index(
     ``drift < BURN_IN_CHECK`` (0.05); a False value is a flag, not an
     error (raise the horizon).
 
-    The activations are drawn in blocks of steps from the generator that
-    drew the probe, so the values equal those of whole-horizon draws from
-    the same seeds. Everything runs on the calling thread.
+    The activations, one random byte each with a uniform for the 1/256 of
+    ties, are drawn in blocks of steps from the generator that drew the
+    probe, so the values equal those of whole-horizon draws from the same
+    seeds. Everything runs on the calling thread.
 
     Raises ValueError unless both almost-sure consensus conditions hold:
     eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,
@@ -340,11 +406,13 @@ def estimate_noise_index(
     if failures:
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble
+    spectrum = laplacian_eigenpairs(g)
+    gains = _mean_field_gains(spectrum.eigenvalues, cfg, sim.horizon)
     seeds = np.random.SeedSequence(sim.seed).spawn(m)
-    energy, shadow, series = _run_ensemble(seeds, g, cfg, sim)
+    energy, shadow, series = _run_ensemble(seeds, g, cfg, sim, spectrum.eigenvectors, gains)
     d_final = cfg.sigma2 * energy
     d_shadow = cfg.sigma2 * shadow
-    per_rep = (d_final - d_shadow + _mean_field_disagreement(g, cfg, sim.horizon)) / n
+    per_rep = (d_final - d_shadow + cfg.sigma2 * float(gains.sum())) / n
     mean_trace = cfg.sigma2 * np.cumsum(series) / (n * m)
     drift = _drift(mean_trace)
     if m > 1 and d_final.std() > 0.0 and d_shadow.std() > 0.0:

@@ -659,12 +659,35 @@ def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     return final(x), final(x_mf), series
 
 
+def _byte_activations(rng: np.random.Generator, steps: int, n: int, p: float) -> np.ndarray:
+    """(steps, n) Bernoulli(p) activations by the byte law, whole horizon at
+    once: node i at step k reads byte i of the step's ceil(n/8) 64-bit
+    words of ``rng`` as an integer u in [0, 256). With 256 p = t + f,
+    t an integer and 0 <= f < 1, the node is active when u < t, and when
+    u = t and the next uniform of ``rng`` after the last byte, taken in
+    step-major order, is below f. At p = 1 nothing is drawn."""
+    if p == 1.0:
+        return np.ones((steps, n), dtype=bool)
+    t = int(256.0 * p)
+    f = 256.0 * p - t
+    stride = 8 * ((n + 7) // 8)
+    u = rng.integers(0, 256, size=(steps, stride), dtype=np.uint8)[:, :n].astype(int)
+    acts = u < t
+    if f > 0.0:
+        for k in range(steps):
+            for i in range(n):
+                if u[k, i] == t:
+                    acts[k, i] = rng.random() < f
+    return acts
+
+
 def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     """Per replication, sigma^2 sum_{k<T} |y_k|^2 for the probe
     y_k = P_k y_(k-1) from y_0 = Omega z, and the same for its shadow
     y~_k = E[P] y~_(k-1); and the per-step sigma^2 |y_k|^2 summed over
     replications. Each P_k is formed as a dense matrix from the
-    replication's stream: z first, then the activations of each step."""
+    replication's stream: z first, then the activation bytes of each step,
+    then the uniforms that refine ties."""
     n, t_steps = g.n, sim.horizon
     omega = omega_projector(n)
     p_bar = expected_p(g, cfg)
@@ -675,7 +698,7 @@ def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
         rng = np.random.default_rng(seed)
         y = omega @ _unit_draws(rng, n, sim.noise_dist)
         ys = y.copy()
-        acts = rng.random((t_steps - 1, n)) < cfg.p
+        acts = _byte_activations(rng, t_steps - 1, n, cfg.p)
         for k in range(t_steps):
             if k:
                 y = (np.eye(n) - cfg.epsilon * induced_laplacian(g, acts[k - 1])) @ y

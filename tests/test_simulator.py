@@ -21,7 +21,7 @@ from ridlnoise import (
     make_star,
 )
 from ridlnoise import simulator
-from ridlnoise.graphs import _build
+from ridlnoise.graphs import _build, laplacian_eigenpairs
 
 from oracles import (
     StochasticMatrixSample,
@@ -246,6 +246,24 @@ class TestUnbiased:
                                                                  fwd["std_error"])
 
 
+class TestActivationLaw:
+    @pytest.mark.parametrize("p", [0.9, 1.0 / 3.0, 0.001, 0.5, 1.0])
+    def test_frequency_within_four_sigma(self, p):
+        # 4 replications x 1000 steps x 1001 nodes written into the strided
+        # acts[:b, j] slices of a longer buffer, as the ensemble writes them;
+        # a refinement lost to a copy would put p = 0.001 at 0 and p = 0.9
+        # at 230/256, about 10 sigma low
+        steps, chunk, n = 1000, 4, 1001
+        acts = np.zeros((steps + 7, chunk, n), dtype=bool)
+        for j, seed in enumerate(np.random.SeedSequence(12).spawn(chunk)):
+            rng = np.random.default_rng(seed)
+            simulator._draw_activations(rng, rng, p, acts[:steps, j])
+        assert not acts[steps:].any()
+        draws = acts[:steps].size
+        freq = np.count_nonzero(acts[:steps]) / draws
+        assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws)
+
+
 class TestChunking:
     @pytest.mark.parametrize("chunk", [1, 7, "ensemble"])
     def test_chunk_size_does_not_change_the_estimate(self, monkeypatch, chunk):
@@ -264,16 +282,17 @@ class TestChunking:
             assert est.std_error == base.std_error, block
 
     def test_peak_memory_within_chunk_budget(self):
-        # 64 replications of a 10x10 grid over 8000 steps need 58 MB of
-        # activation draws and scratch, more than one block of the budget
-        # holds, and more than 1.5 budgets
+        # 64 replications of a 10x10 grid over 8000 steps need 53 MB of
+        # activations, random bytes and tie mask, more than one block of
+        # the budget holds, and more than 1.5 budgets
         g = make_grid((10, 10))
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=8000, ensemble=64, seed=2)
         budget = 1 << 25
         steps = sim.horizon - 1
         chunk, block = simulator._block_shape(steps, g.n, sim.ensemble)
-        assert block < steps and steps * (chunk + 8) * g.n > 1.5 * budget
+        per_step = g.n * (chunk + 1) + 8 * math.ceil(g.n / 8)
+        assert block < steps and steps * per_step > 1.5 * budget
         tracemalloc.start()
         try:
             estimate_noise_index(g, cfg, sim)
@@ -289,44 +308,58 @@ class TestChunking:
     def test_block_shape_fits_the_budget(self, t, n, m):
         chunk, block = simulator._block_shape(t, n, m)
         assert 1 <= chunk <= m and 1 <= block <= t
-        # bool activations plus the float64 scratch they are drawn through
-        assert n * (chunk + 8) * block <= 1 << 25 or block == 1
+        # bool activations, plus one replication's random bytes (whole
+        # 64-bit words per step) and its bool tie mask
+        per_step = n * chunk + 8 * math.ceil(n / 8) + n
+        assert per_step * block <= 1 << 25 or block == 1
 
     def test_small_graph_draws_each_horizon_in_one_block(self):
         # path(10) at the default 10000 replications, horizon 469: one
-        # draw call pair per replication, not one per block
+        # byte draw per replication, not one per block
         assert simulator._block_shape(468, 10, 10000) == (1638, 468)
         # a 16x16 grid at 300 replications, horizon 738, in 64-replication
         # chunks, each (N, chunk) state array 128 KiB
         assert simulator._block_shape(737, 256, 300) == (64, 737)
 
 
-# run in a fresh interpreter, so that OpenBLAS reads its thread count at load
+# run in a fresh interpreter, so that OpenBLAS reads its thread count at
+# load; LAPACK's eigenpairs move in their last bits with that count, so
+# every run reads the same ones from the file named by argv[1]
 _GRID16_TRACE = """
-from ridlnoise import RidlConfig, SimConfig, estimate_noise_index, make_grid
+import sys
+import numpy as np
+from ridlnoise import RidlConfig, SimConfig, SpectralData, make_grid, simulator
+pairs = np.load(sys.argv[1])
+fixed = SpectralData(eigenvalues=pairs["w"], eigenvectors=pairs["v"], residual=0.0)
+simulator.laplacian_eigenpairs = lambda graph: fixed
 g = make_grid((16, 16))
 cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-est = estimate_noise_index(g, cfg, SimConfig(horizon=300, ensemble=64, seed=5))
+est = simulator.estimate_noise_index(g, cfg, SimConfig(horizon=300, ensemble=64, seed=5))
 print(est.mean_trace.tobytes().hex())
+print(np.float64(est.j_hat).tobytes().hex(), np.float64(est.std_error).tobytes().hex())
 """
 
 
-def _grid16_trace(openblas_threads):
+def _grid16_trace(pairs, openblas_threads):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     src = str(Path(ridlnoise.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    done = subprocess.run([sys.executable, "-c", _GRID16_TRACE], env=env,
+    done = subprocess.run([sys.executable, "-c", _GRID16_TRACE, str(pairs)], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
 
 
-def test_step_loop_makes_no_blas_call():
+def test_step_loop_makes_no_blas_call(tmp_path):
     # a 16x16 chunk holds 16384 values, enough for OpenBLAS to split a dot
-    # product over its threads and change its last bits; an 8x8 grid is not
-    assert _grid16_trace("1") == _grid16_trace(None)
+    # product over its threads and change its last bits; an 8x8 grid is
+    # not. j_hat and std_error cover the shadow's coefficients too
+    spectrum = laplacian_eigenpairs(make_grid((16, 16)))
+    pairs = tmp_path / "pairs.npz"
+    np.savez(pairs, w=spectrum.eigenvalues, v=spectrum.eigenvectors)
+    assert _grid16_trace(pairs, "1") == _grid16_trace(pairs, None)
 
 
 class TestControlVariate:
@@ -334,7 +367,9 @@ class TestControlVariate:
     def test_closed_form_mean_matches_propagated_covariance(self, horizon):
         g = make_grid((4, 4))
         cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.8)
-        assert simulator._mean_field_disagreement(g, cfg, horizon) == pytest.approx(
+        lam = laplacian_eigenpairs(g).eigenvalues
+        gains = simulator._mean_field_gains(lam, cfg, horizon)
+        assert cfg.sigma2 * gains.sum() == pytest.approx(
             mean_field_disagreement(g, cfg, horizon), rel=1e-12)
 
     def test_two_sigma_coverage(self):
