@@ -21,12 +21,13 @@ Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every input is a command-line option; no
 environment variable changes a run. Exit codes: 0 success, 2 validation
 error, 3 numerical failure (including an eigensolver that does not
-converge), 4 I/O failure. A validation error, whether a bad option
-value, an option that the chosen family would ignore (``--graph-file``
-without ``--graph file``, ``--p-er`` without an Erdos-Renyi family), or
-invalid graph input such as a malformed or disconnected
-``--graph-file`` edge list or an Erdos-Renyi draw that never comes out
-connected, exits 2 with a one-line message on stderr.
+converge, and running out of memory), 4 I/O failure. A validation error,
+whether a bad option value (a nan, an infinity, or an integer too large
+for the platform among them), an option that the chosen family would
+ignore (``--graph-file`` without ``--graph file``, ``--p-er`` without an
+Erdos-Renyi family), or invalid graph input such as a malformed or
+disconnected ``--graph-file`` edge list or an Erdos-Renyi draw that never
+comes out connected, exits 2 with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -206,14 +207,17 @@ def _validate_spec(spec: ExperimentSpec) -> None:
     families = {family for family, _ in spec.graphs}
     if (spec.epsilon is None) == (spec.k is None):
         raise click.UsageError("provide exactly one of --eps or --k")
-    if spec.epsilon is not None and spec.epsilon <= 0:
+    for name, value in (("--eps", spec.epsilon), ("--sigma2", spec.sigma2)):
+        if value is not None and not math.isfinite(value):
+            raise click.UsageError(f"{name} must be finite, got {value}")
+    if spec.epsilon is not None and not spec.epsilon > 0:
         raise click.UsageError(f"--eps must be positive, got {spec.epsilon}")
     if spec.k is not None and not (0 < spec.k < 1):
         raise click.UsageError(f"--k must lie in (0, 1), got {spec.k}")
     for p in spec.p_values:
-        if p <= 0 or p > 1:
+        if not 0 < p <= 1:
             raise click.UsageError(f"activation probability must lie in (0, 1], got {p}")
-    if spec.sigma2 < 0:
+    if not spec.sigma2 >= 0:
         raise click.UsageError(f"--sigma2 must be >= 0, got {spec.sigma2}")
     if spec.seed < 0:
         raise click.UsageError(f"--seed must be >= 0, got {spec.seed}")
@@ -479,16 +483,16 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except NumericalError as exc:
+        except (NumericalError, MemoryError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except OSError as exc:
             click.echo(f"I/O failure: {exc}", err=True)
             sys.exit(EXIT_IO)
-        except (click.UsageError, ValueError, RuntimeError) as exc:
+        except (click.UsageError, ValueError, OverflowError, RuntimeError) as exc:
             # option checks, and library input rejections such as a
-            # disconnected graph or an Erdos-Renyi resampling budget that
-            # runs out
+            # disconnected graph, a node count or id too large for the
+            # platform, or an Erdos-Renyi resampling budget that runs out
             click.echo(f"invalid input: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
 

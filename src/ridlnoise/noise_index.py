@@ -9,8 +9,7 @@ normalized by the node count. This module evaluates it three ways:
   found by preconditioned conjugate gradients on N x N matrices that
   stop once J itself is bracketed to a relative width of 1e-13,
 * ``ridl_bounds``        lower/upper bounds from the spectra of E[P] and
-  E[P^2], written directly on the Laplacian spectrum of the underlying
-  graph,
+  E[P^2] on the Laplacian spectrum (``ridl.moment_spectra``),
 * ``resistance_bounds``  an outer sandwich in terms of the average
   effective resistance, which exposes the growth rate in N.
 
@@ -34,7 +33,7 @@ from .graphs import (
     laplacian_spectrum,
     spectrum_disconnected,
 )
-from .ridl import RidlConfig, omega_projector, stein_operator
+from .ridl import RidlConfig, moment_spectra, omega_projector, stein_operator
 
 __all__ = [
     "ExactIndex",
@@ -86,29 +85,6 @@ class ExactIndex(NamedTuple):
     gap: float
 
 
-def _stein_margin(lam: np.ndarray, cfg: RidlConfig) -> float:
-    """The largest c with S >= c M on the disagreement subspace, where
-    S(X) = X - E[P X P] and M(X) = X - E[P] X E[P] is the mean-field map.
-
-    With Delta = P - E[P], S = M - E[Delta X Delta], and
-    <X, Delta X Delta> <= (|Delta X|^2 + |X Delta|^2) / 2 bounds the
-    second term by X -> (G X + X G) / 2 with G = E[P^2] - E[P]^2. For
-    RIDL, G = eps^2 p^2 (1-p) L_bar (2 + p L_bar), since M_e M_f = 0 for
-    disjoint edges, so in the Laplacian eigenbasis every term is
-    diagonal: entry (i, j) of M is 1 - mu_i mu_j with mu = 1 - delta,
-    delta = eps p^2 lam, and 1 - mu_i mu_j >= (1 - mu_i^2 + 1 - mu_j^2)/2.
-    So c = 1 - max_i gamma_i / (delta_i (2 - delta_i)) over the nonzero
-    eigenvalues, gamma = eps^2 p^2 (1-p) lam (2 + p lam), which reduces
-    to the ratio returned here. It is positive exactly when the j_ub
-    denominators of :func:`ridl_bounds` are.
-    """
-    e, p = cfg.epsilon, cfg.p
-    tail = lam[1:]
-    return float(np.min(
-        (2.0 * (1.0 + e * p - e) - e * p * tail) / (2.0 - e * p**2 * tail)
-    ))
-
-
 def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     """Exact index J = sigma^2 tr(Sigma) / N, certified to a relative
     width of 1e-13.
@@ -129,14 +105,14 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
         tr(Sigma) = tr(X) + <X, R> + <R, S^-1 R>,
 
     the last term is at least 0 and at most <R, M^-1 R> / c, with c the
-    margin of :func:`_stein_margin`. The loop stops once the
+    margin S >= c M derived below. The loop stops once the
     recurrence's <R, M^-1 R> / c is below 1e-13 tr(X), then confirms the
     bracket on the true residual and restarts from it if the bracket is
     wider. The returned ``j`` is sigma^2 / N (tr(X) + <X, R>), the lower
     end of the bracket.
 
     Raises :class:`NumericalError` for a disconnected graph (the equation
-    is singular), for a step size with no positive margin, and when the
+    is singular), for a step size too large for the graph, and when the
     index is not certified within the iteration budget.
     """
     spectrum = laplacian_eigenpairs(g)
@@ -147,14 +123,14 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
             "the Stein equation is singular: the graph is disconnected, so "
             "disagreement does not decay"
         )
-    margin = _stein_margin(lam, cfg)
-    if not margin > 0.0:
-        raise NumericalError(
-            f"no positive mean-field margin (c = {margin:.3e}); "
-            f"step size eps={cfg.epsilon} is too large"
-        )
+    delta, one_minus_mu_sq, one_minus_nu = moment_spectra(lam, cfg)
+    # S >= c M on the disagreement subspace, M(X) = X - E[P] X E[P]: with
+    # D = P - E[P], S = M - E[D X D], and <X, D X D> <= (|D X|^2 + |X D|^2)/2
+    # bounds that term by X -> (G X + X G)/2, G = E[P^2] - E[P]^2 = diag(nu - mu^2)
+    # in the Laplacian eigenbasis, where M is entrywise 1 - mu_i mu_j >=
+    # (1 - mu_i^2 + 1 - mu_j^2)/2; so c = min_i (1 - nu_i)/(1 - mu_i^2) > 0 serves.
+    margin = float(np.min(one_minus_nu / one_minus_mu_sq))
     # 1 - mu_i mu_j with mu = 1 - delta, written without cancellation
-    delta = cfg.epsilon * cfg.p**2 * lam[1:]
     gain = np.zeros((n, n))
     gain[1:, 1:] = 1.0 / (delta[:, None] + delta[None, :] - np.outer(delta, delta))
     apply = stein_operator(g, cfg)
@@ -203,30 +179,22 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
 def ridl_bounds(
     laplacian_spectrum: Eigenvalues, cfg: RidlConfig
 ) -> tuple[float, float]:
-    """Index bounds for RIDL updates written on the Laplacian spectrum:
+    """Index bounds for RIDL updates from the Laplacian spectrum of the
+    connected underlying graph:
 
-    j_lb = sigma^2/(eps p^2 N) * sum 1/(2 lam - eps p^2 lam^2)
-    j_ub = sigma^2/(eps p^2 N) * sum 1/(2 (1 + eps p - eps) lam - eps p lam^2)
+    j_lb = sigma^2/N * sum 1/(1 - mu_i^2),  j_ub = sigma^2/N * sum 1/(1 - nu_i)
 
-    over the nonzero Laplacian eigenvalues of the connected underlying
-    graph.
+    over the disagreement eigenvalues mu_i of E[P] and nu_i of E[P^2]
+    (:func:`~ridlnoise.ridl.moment_spectra`).
     """
     lam = laplacian_spectrum.eigenvalues
-    n = lam.shape[0]
     if spectrum_disconnected(lam):
         raise ValueError("underlying graph is disconnected; bounds are infinite")
-    e, p, s2 = cfg.epsilon, cfg.p, cfg.sigma2
-    tail = lam[1:]
-    den_lb = 2.0 * tail - e * p**2 * tail**2
-    den_ub = 2.0 * (1.0 + e * p - e) * tail - e * p * tail**2
-    for den in (den_lb, den_ub):
-        if den.min() <= 0.0:
-            raise NumericalError(
-                f"nonpositive bound denominator at eigenvalue "
-                f"{tail[np.argmin(den)]:.12g}; step size eps={e} is too large"
-            )
-    pref = s2 / (e * p**2 * n)
-    return pref * float(np.sum(1.0 / den_lb)), pref * float(np.sum(1.0 / den_ub))
+    _, one_minus_mu_sq, one_minus_nu = moment_spectra(lam, cfg)
+    pref = cfg.sigma2 / lam.shape[0]
+    with np.errstate(over="ignore"):  # an infinite bound fails the report's check
+        return (pref * float(np.sum(1.0 / one_minus_mu_sq)),
+                pref * float(np.sum(1.0 / one_minus_nu)))
 
 
 def resistance_bounds(r_ave: float, cfg: RidlConfig) -> tuple[float, float]:

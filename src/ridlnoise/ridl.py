@@ -3,8 +3,9 @@
 Every node is independently active with probability p at each step; the
 update matrix is P = I - eps * L(active subgraph). This module holds the
 parameters of such updates (``RidlConfig``), the disagreement projector,
-and the one expected operator the exact solve needs:
+and the expected quantities that the index computations read:
 
+* ``moment_spectra``  the spectra of E[P] and E[P^2], polynomials in L
 * ``stein_operator``  X -> X - E[P X P] on N x N matrices, applied
   without forming the N^2 x N^2 second-moment operator E[P (x) P]
 
@@ -23,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .graphs import UndirectedGraph, laplacian
 
 __all__ = [
     "RidlConfig",
+    "moment_spectra",
     "omega_projector",
     "stein_operator",
 ]
@@ -38,8 +41,8 @@ class RidlConfig:
 
     ``epsilon`` must satisfy 0 < eps < 1/d_max (strict), so the
     normalized step size k = eps * d_max stays in (0, 1). ``sigma2`` is
-    the per-node noise variance (0 allowed as the noiseless degenerate
-    case). ``p`` is the per-node activation probability; p = 1 is the
+    the per-node noise variance, finite (0 allowed as the noiseless
+    degenerate case). ``p`` is the per-node activation probability; p = 1 is the
     deterministic mode, p = 0 is rejected because the dynamics freeze.
     """
 
@@ -58,6 +61,8 @@ class RidlConfig:
                 f"step size must satisfy 0 < eps < 1/d_max = {1.0 / self.d_max:.6g}, "
                 f"got {self.epsilon}"
             )
+        if not np.isfinite(self.sigma2):
+            raise ValueError(f"noise variance must be finite, got {self.sigma2}")
         if self.sigma2 < 0.0:
             raise ValueError(f"noise variance must be >= 0, got {self.sigma2}")
 
@@ -87,6 +92,28 @@ class RidlConfig:
 def omega_projector(n: int) -> np.ndarray:
     """Projector onto the disagreement subspace: I - (1/n) * ones."""
     return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def moment_spectra(lam: np.ndarray, cfg: RidlConfig) -> tuple[np.ndarray, ...]:
+    """(delta, 1 - mu^2, 1 - nu) over the nonzero eigenvalues lambda of the
+    ascending Laplacian spectrum ``lam``, each without cancellation:
+    mu = 1 - delta, delta = eps p^2 lambda, are the eigenvalues of
+    E[P] = I - eps p^2 L, and nu, 1 - nu = eps p^2 (2 (1 + eps p - eps)
+    lambda - eps p lambda^2), those of E[P^2] (Fagnani & Zampieri, IEEE
+    JSAC 2008). nu >= mu^2, as E[P^2] - E[P]^2 is positive semidefinite,
+    and 1 - nu > 0 when eps < 1/d_max on the graph, since lambda_N <= 2
+    d_max. Raises :class:`NumericalError` when some 1 - nu <= 0.
+    """
+    e, p = cfg.epsilon, cfg.p
+    tail = lam[1:]
+    delta = e * p**2 * tail
+    one_minus_nu = e * p**2 * (2.0 * (1.0 + e * p - e) * tail - e * p * tail**2)
+    if one_minus_nu.min() <= 0.0:
+        raise NumericalError(
+            f"E[P^2] has an eigenvalue >= 1 at Laplacian eigenvalue "
+            f"{tail[np.argmin(one_minus_nu)]:.12g}; step size eps={e} is too large"
+        )
+    return delta, delta * (2.0 - delta), one_minus_nu
 
 
 def stein_operator(

@@ -67,7 +67,7 @@ import numpy as np
 from scipy import sparse  # loaded at start-up, not inside the first Monte Carlo run
 
 from .graphs import UndirectedGraph, is_connected, laplacian_eigenpairs, laplacian_spectrum
-from .ridl import RidlConfig
+from .ridl import RidlConfig, moment_spectra
 
 __all__ = [
     "BURN_IN_CHECK",
@@ -145,8 +145,8 @@ def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
     """Smallest T with (1 - eps p^2 lambda_2)^(2T) below
     ``_HORIZON_TARGET`` (1e-4), capped at ``_HORIZON_CAP`` (100000); ties
     the burn-in length to the spectral gap."""
-    lam2 = float(laplacian_spectrum(g).eigenvalues[1])
-    rho = abs(1.0 - cfg.epsilon * cfg.p**2 * lam2)
+    delta, _, _ = moment_spectra(laplacian_spectrum(g).eigenvalues, cfg)
+    rho = abs(1.0 - float(delta[0]))
     if rho <= 0.0:
         return 1
     if rho >= 1.0:
@@ -157,15 +157,15 @@ def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
 
 def _mean_field_gains(lam: np.ndarray, cfg: RidlConfig, t: int) -> np.ndarray:
     """g_i = sum_{k<t} mu_i^(2k) = (1 - mu_i^(2t)) / (1 - mu_i^2) over the
-    nonzero Laplacian eigenvalues lam[1:], with mu_i = 1 - a_i,
-    a_i = eps p^2 lambda_i the eigenvalues of E[P]: a unit probe's squared
-    coefficient on v_i summed over t mean-field steps. sigma^2 sum_i g_i is
-    E[d(x~_t)] for x~ <- E[P] x~ + n from x~(0) = 0."""
-    a = cfg.epsilon * cfg.p**2 * lam[1:]
-    # log|mu| without cancellation at small a; mu = 0 gives -inf, i.e. mu^(2t) = 0
+    nonzero Laplacian eigenvalues lam[1:], with mu_i = 1 - delta_i the
+    eigenvalues of E[P] (:func:`~ridlnoise.ridl.moment_spectra`): a unit
+    probe's squared coefficient on v_i summed over t mean-field steps.
+    sigma^2 sum_i g_i is E[d(x~_t)] for x~ <- E[P] x~ + n from x~(0) = 0."""
+    delta, one_minus_mu_sq, _ = moment_spectra(lam, cfg)
+    # log|mu| without cancellation at small delta; mu = 0 gives -inf, i.e. mu^(2t) = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs_mu = np.where(a < 1.0, np.log1p(-a), np.log(a - 1.0))
-    return -np.expm1(2 * t * log_abs_mu) / (a * (2.0 - a))
+        log_abs_mu = np.where(delta < 1.0, np.log1p(-delta), np.log(delta - 1.0))
+    return -np.expm1(2 * t * log_abs_mu) / one_minus_mu_sq
 
 
 def _probe(rng: np.random.Generator, n: int, dist: str) -> np.ndarray:

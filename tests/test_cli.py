@@ -14,7 +14,7 @@ import scipy
 from click.testing import CliRunner
 
 import ridlnoise
-from ridlnoise import make_grid, make_path, read_edge_list, write_edge_list
+from ridlnoise import graphs, make_grid, make_path, read_edge_list, write_edge_list
 from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli, main
 
 runner = CliRunner()
@@ -146,6 +146,29 @@ class TestValidationErrors:
         assert res.stderr.strip().count("\n") == 0
         assert "disconnected" in res.stderr
 
+    @pytest.mark.parametrize("text", ["99999999999999999999 1\n0 1\n",
+                                      "3 2\n0 1\n1 99999999999999999999\n"],
+                             ids=["node-count", "node-id"])
+    def test_oversized_graph_file_integer(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        res = invoke("bounds", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert res.stderr.startswith("invalid input: ")
+
+    def test_out_of_memory_exit_3(self, monkeypatch):
+        # the dense Laplacian of path 100000 would need 74.5 GiB; the stand-in
+        # raises what numpy raises then, without allocating
+        def too_large(g):
+            raise MemoryError(f"Unable to allocate for an array with shape ({g.n}, {g.n})")
+
+        monkeypatch.setattr(graphs, "laplacian", too_large)
+        res = invoke("bounds", "--graph", "path", "--n", "100000", "--k", "0.8")
+        assert res.exit_code == 3
+        assert res.stderr.strip().count("\n") == 0
+        assert res.stderr.startswith("numerical failure: Unable to allocate")
+
     def test_exhausted_erdos_renyi_draw(self):
         res = invoke("bounds", "--graph", "erdos-renyi", "--n", "30", "--p-er", "0.01",
                      "--k", "0.8")
@@ -182,9 +205,22 @@ class TestValidationErrors:
         # rejected before the grid is built: 8e8 points would not fit in memory
         (("sweep-p", "--graph", "path", "--n", "5", "--k", "0.8", "--p-grid", "0.1:0.9:1e-9"),
          "--p-grid has more than 1000 points"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "nan"),
+         "--sigma2 must be finite, got nan"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "inf"),
+         "--sigma2 must be finite, got inf"),
+        (("exact", "--graph", "path", "--n", "5", "--eps", "nan"), "--eps must be finite, got nan"),
+        (("bounds", "--graph", "path", "--n", "5", "--eps", "inf"), "--eps must be finite, got inf"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p", "nan"),
+         "activation probability must lie in (0, 1], got nan"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "nan"), "--k must lie in (0, 1), got nan"),
+        (("bounds", "--graph", "grid2d", "--n-range", "3:99999999999999999999", "--k", "0.8"),
+         "too large"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
             "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
-            "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many"])
+            "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many",
+            "sigma2-nan", "sigma2-inf", "eps-nan", "eps-inf", "p-nan", "k-nan",
+            "n-range-oversized"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -578,7 +614,11 @@ class TestReportCommand:
         (("--n-range", "3:6", "--sweep-p-n", "6", "--k", "1.5"), "--k must lie in (0, 1)"),
         (("--n-range", "9:3"), "--n-range must satisfy A <= B"),
         (("--n-range", "3:6", "--sweep-p-n", "6", "--seed", "-1"), "--seed must be >= 0"),
-    ], ids=["k", "n-range", "seed"])
+        (("--n-range", "3:5", "--sweep-p-n", "5", "--p", "nan"),
+         "activation probability must lie in (0, 1], got nan"),
+        (("--n-range", "3:5", "--sweep-p-n", "5", "--sigma2", "nan"),
+         "--sigma2 must be finite, got nan"),
+    ], ids=["k", "n-range", "seed", "p-nan", "sigma2-nan"])
     def test_validation_error_leaves_nothing(self, tmp_path, args, message):
         res = invoke("report", "--output", str(tmp_path / "rep"), *args)
         assert res.exit_code == 2

@@ -17,6 +17,7 @@ from ridlnoise import (
     ridl_bounds,
 )
 from ridlnoise import noise_index
+from ridlnoise.ridl import moment_spectra
 from ridlnoise.graphs import (
     SpectralData,
     _build,
@@ -101,11 +102,16 @@ class TestExactIndex:
             exact_noise_index(g, cfg)
 
     def test_no_positive_margin_raises(self):
-        # d_max understated, so eps lies above 1/d_max of the actual graph
+        # d_max understated, so eps lies above 1/d_max of the actual graph:
+        # the exact solve and the bounds stop on the one check of 1 - nu
         g = make_path(3)
         cfg = RidlConfig(p=0.5, epsilon=0.9, sigma2=1.0, d_max=1)
-        with pytest.raises(NumericalError, match="no positive mean-field margin"):
+        message = (r"^E\[P\^2\] has an eigenvalue >= 1 at Laplacian eigenvalue 3; "
+                   r"step size eps=0.9 is too large$")
+        with pytest.raises(NumericalError, match=message):
             exact_noise_index(g, cfg)
+        with pytest.raises(NumericalError, match=message):
+            ridl_bounds(laplacian_spectrum(g), cfg)
 
     def test_scales_linearly_in_sigma2(self):
         g = make_path(5)
@@ -176,13 +182,14 @@ class TestStopCertificate:
         for p in MARGIN_P:
             for k in MARGIN_K:
                 cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
-                delta = cfg.epsilon * p**2 * lam[1:]
+                delta, one_minus_mu_sq, one_minus_nu = moment_spectra(lam, cfg)
                 mean_field = np.sqrt(np.ravel(
                     delta[:, None] + delta[None, :] - np.outer(delta, delta)))
                 stein = basis.T @ stein_matrix_moments(g, cfg) @ basis
                 pencil = stein / np.outer(mean_field, mean_field)
                 lowest = np.linalg.eigvalsh((pencil + pencil.T) / 2)[0]
-                margin = noise_index._stein_margin(lam, cfg)
+                # the margin the exact solve's stopping bracket divides by
+                margin = float(np.min(one_minus_nu / one_minus_mu_sq))
                 assert 0.0 < margin <= 1.0
                 assert lowest >= margin - 1e-12
 

@@ -13,7 +13,8 @@ from ridlnoise import (
     omega_projector,
     stein_operator,
 )
-from ridlnoise.graphs import _build
+from ridlnoise.graphs import _build, laplacian_eigenpairs
+from ridlnoise.ridl import moment_spectra
 
 from oracles import (
     K_VARIANTS,
@@ -72,9 +73,14 @@ class TestRidlConfig:
         RidlConfig(p=1.0, epsilon=0.1, sigma2=1.0, d_max=2)
 
     def test_sigma2_nonnegative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise variance must be >= 0, got -1.0"):
             RidlConfig(p=0.5, epsilon=0.1, sigma2=-1.0, d_max=2)
         RidlConfig(p=0.5, epsilon=0.1, sigma2=0.0, d_max=2)
+
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    def test_sigma2_finite(self, sigma2):
+        with pytest.raises(ValueError, match="noise variance must be finite"):
+            RidlConfig(p=0.5, epsilon=0.1, sigma2=sigma2, d_max=2)
 
 
 class TestSampling:
@@ -262,6 +268,47 @@ class TestExpectedMatrices:
             assert np.abs(m - m.T).max() <= 1e-14
             assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+ENUM_GRAPHS = [make_path(6), make_star(6), make_grid([2, 3]), make_complete(5),
+               _build(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 5), (4, 5)])]
+ENUM_IDS = ["path6", "star6", "grid23", "complete5", "two-triangles"]
+
+
+class TestMomentSpectra:
+    """``moment_spectra`` against E[P] and E[P^2] summed over all 2^N
+    activation patterns, rotated into the Laplacian eigenbasis."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("g", ENUM_GRAPHS, ids=ENUM_IDS)
+    def test_diagonalizes_enumerated_moments(self, g, p):
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+        spectrum = laplacian_eigenpairs(g)
+        v = spectrum.eigenvectors
+        delta, one_minus_mu_sq, one_minus_nu = moment_spectra(spectrum.eigenvalues, cfg)
+        for moment, spec in ((enum_expected_p(g, cfg), 1.0 - delta),
+                             (enum_expected_p_squared(g, cfg), 1.0 - one_minus_nu)):
+            # the consensus direction v_1 is fixed by both
+            expected = np.diag(np.concatenate(([1.0], spec)))
+            assert np.abs(v.T @ moment @ v - expected).max() <= 1e-12
+        assert np.abs(one_minus_mu_sq - (1.0 - (1.0 - delta) ** 2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.01, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "g", [make_complete(2), _build(6, [(i, (i + 1) % 6) for i in range(6)]),
+              make_grid([2, 2, 2])],
+        ids=["K2", "cycle6", "cube"],
+    )
+    def test_positive_up_to_the_step_size_limit(self, g, p):
+        # bipartite regular graphs reach lambda_N = 2 d_max, the extreme
+        # that the step size limit eps < 1/d_max still keeps 1 - nu > 0 at
+        lam = laplacian_eigenpairs(g).eigenvalues
+        assert lam[-1] == pytest.approx(2 * g.d_max, rel=1e-12)
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.999)
+        delta, one_minus_mu_sq, one_minus_nu = moment_spectra(lam, cfg)
+        assert delta.min() > 0.0
+        assert np.all(one_minus_nu <= one_minus_mu_sq * (1.0 + 1e-12))
+        assert one_minus_nu.min() > 0.0
 
 
 class TestKOperator:
