@@ -62,7 +62,7 @@ from .graphs import (
 )
 from .noise_index import compute_noise_report
 from .ridl import RidlConfig
-from .simulator import NOISE_DISTRIBUTIONS, SimConfig, default_horizon, estimate_noise_index
+from .simulator import SimConfig, default_horizon, estimate_noise_index
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -128,7 +128,6 @@ class ExperimentSpec:
     seed: int
     horizon: int | None = None  # simulate only
     ensemble: int | None = None  # simulate only; set, it adds Monte Carlo columns
-    noise: str | None = None  # simulate only
 
 
 @dataclass
@@ -149,10 +148,18 @@ _INT = r"\s*[+-]?\d+\s*"
 _FLOAT = r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*"
 
 
+def _platform_int(value: int, name: str) -> int:
+    """``value``, or a usage error naming ``name`` when it lies beyond the
+    platform's index range (``sys.maxsize``)."""
+    if abs(value) > sys.maxsize:
+        raise click.UsageError(f"{name} is too large for this platform, got {value}")
+    return value
+
+
 def _parse_range(text: str, name: str) -> tuple[int, int]:
     if not re.fullmatch(f"{_INT}:{_INT}", text):
         raise click.UsageError(f"{name} must look like A:B, got {text!r}")
-    lo, hi = (int(part) for part in text.split(":"))
+    lo, hi = (_platform_int(int(part), name) for part in text.split(":"))
     if lo > hi:
         raise click.UsageError(f"{name} must satisfy A <= B, got {text!r}")
     return lo, hi
@@ -214,9 +221,15 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise click.UsageError(f"--eps must be positive, got {spec.epsilon}")
     if spec.k is not None and not (0 < spec.k < 1):
         raise click.UsageError(f"--k must lie in (0, 1), got {spec.k}")
+    name, step = ("--eps", spec.epsilon) if spec.k is None else ("--k", spec.k)
     for p in spec.p_values:
         if not 0 < p <= 1:
             raise click.UsageError(f"activation probability must lie in (0, 1], got {p}")
+        # eps p^2 <= k p^2; RidlConfig rejects the rest once d_max is known
+        if step * p**2 < np.finfo(float).tiny:
+            raise click.UsageError(
+                f"step size is too small: {name} * p^2 = {step * p**2:.6g} underflows at p={p}"
+            )
     if not spec.sigma2 >= 0:
         raise click.UsageError(f"--sigma2 must be >= 0, got {spec.sigma2}")
     if spec.seed < 0:
@@ -269,11 +282,11 @@ def _resolve_sizes(
                 raise click.UsageError(f"{fam} needs {want} sides in --dims")
         if n is not None or n_range is not None:
             raise click.UsageError("give either --dims or --n/--n-range, not both")
-        return (int(np.prod(explicit_dims)),), explicit_dims, None
+        return (_platform_int(math.prod(explicit_dims), "--dims"),), explicit_dims, None
     if (n is None) == (n_range is None):
         raise click.UsageError("provide exactly one of --n or --n-range (or --dims for grids)")
     if n is not None:
-        return (n,), None, None
+        return (_platform_int(n, "--n"),), None, None
     lo, hi = _parse_range(n_range, "--n-range")
     return tuple(range(lo, hi + 1)), None, None
 
@@ -299,7 +312,6 @@ def _build_spec(
         seed=params["seed"],
         horizon=params.get("horizon"),
         ensemble=params.get("ensemble"),
-        noise=params.get("noise"),
     )
     _validate_spec(spec)
     _warn_slow_mixing(p_values)
@@ -397,14 +409,12 @@ def _aggregate(rows: list[dict]) -> dict:
 
 def _estimate_columns(job: GraphJob, spec: ExperimentSpec, cfg: RidlConfig) -> dict:
     horizon = spec.horizon or default_horizon(job.graph, cfg)
-    sim = SimConfig(
-        horizon=horizon, ensemble=spec.ensemble, noise_dist=spec.noise, seed=spec.seed
-    )
+    sim = SimConfig(horizon=horizon, ensemble=spec.ensemble, seed=spec.seed)
     est = estimate_noise_index(job.graph, cfg, sim)
     return dict(
         horizon=horizon,
         ensemble=spec.ensemble,
-        noise=spec.noise,
+        noise="gaussian",  # the probe law, kept as a column for the schema
         seed=spec.seed,
         j_hat=est.j_hat,
         std_error=est.std_error,
@@ -491,8 +501,8 @@ def _guard(fn):
             sys.exit(EXIT_IO)
         except (click.UsageError, ValueError, OverflowError, RuntimeError) as exc:
             # option checks, and library input rejections such as a
-            # disconnected graph, a node count or id too large for the
-            # platform, or an Erdos-Renyi resampling budget that runs out
+            # disconnected graph, a malformed --graph-file, or an
+            # Erdos-Renyi resampling budget that runs out
             click.echo(f"invalid input: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
 
@@ -629,26 +639,24 @@ def sweep_p_cmd(**params) -> None:
               help="Horizon T of the dynamics (default: spectral-gap rule).")
 @click.option("--ensemble", type=int, default=10000, show_default=True,
               help="Independent replications.")
-@click.option("--noise", type=click.Choice(NOISE_DISTRIBUTIONS),
-              default="gaussian", show_default=True,
-              help="Law of each replication's probe vector, scaled to variance 1.")
 @_guard
 def simulate_cmd(**params) -> None:
     """Monte Carlo estimate with standard error and convergence flag.
 
-    Runs the dynamics in reverse time: each replication draws one probe
-    vector from the --noise law and sums its squared disagreement while
-    the sampled update matrices act on it, an unbiased estimate of the
-    final disagreement of x <- P x + n from 0. Each node's activation
-    takes one random byte. The probe is paired with its mean-field
-    shadow under E[P], whose sum and expected sum are both closed forms
-    in the Laplacian eigenpairs, so only the random walk is stepped; the
-    difference is a control variate that keeps j_hat unbiased and cuts
-    its standard error. drift is the running-mean spread of the
-    ensemble's estimated disagreement over the last 10% of steps
-    (converged means below 0.05), and mf_corr the correlation between
-    the replications and their shadows. The row's one eigensolve gives
-    both the bounds and the shadow. The exact reference columns are
+    Runs the dynamics in reverse time: each replication draws a Gaussian
+    probe and sums its squared disagreement while the sampled update
+    matrices act on it, an unbiased estimate of the final disagreement of
+    x <- P x + n from 0, which depends on the noise only through its
+    variance; the noise column records the probe law, always gaussian.
+    Each node's activation takes one random byte. The probe is paired
+    with its mean-field shadow under E[P], whose sum and expected sum are
+    both closed forms in the Laplacian eigenpairs, so only the random walk
+    is stepped; the difference is a control variate that keeps j_hat
+    unbiased and cuts its standard error. drift is the running-mean
+    spread of the ensemble's estimated disagreement over the last 10% of
+    steps (converged means below 0.05), and mf_corr the correlation
+    between the replications and their shadows. The row's one eigensolve
+    gives both the bounds and the shadow. The exact reference columns are
     filled for N <= 24. An Erdos-Renyi row simulates one draw per N."""
     rows = _run_table("simulate", params, (params["graph"],), (params["p"],))
     if params["strict"] and any(not r["converged"] for r in rows):
@@ -720,8 +728,9 @@ def report_cmd(**params) -> None:
         ))
         for family in SWEEP_FAMILIES if family not in skipped
     }
+    sweep_p_n = _platform_int(params["sweep_p_n"], "--sweep-p-n")
     tables["sweep_p.csv"] = ("sweep-p", ExperimentSpec(
-        graphs=tuple((family, max(params["sweep_p_n"], _FAMILY_MIN_N[family]))
+        graphs=tuple((family, max(sweep_p_n, _FAMILY_MIN_N[family]))
                      for family in SWEEP_FAMILIES),
         p_values=_parse_p_grid(DEFAULT_P_GRID), realizations=1, **shared,
     ))

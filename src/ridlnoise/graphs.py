@@ -36,6 +36,7 @@ spin while the other pool works.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -329,17 +330,29 @@ def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path) -> UndirectedGraph:
-    """Parse the "n m" edge-list format written by :func:`write_edge_list`."""
-    text = Path(path).read_text()
-    tokens = text.split()
-    if len(tokens) < 2:
+    """Parse the "n m" edge-list format written by :func:`write_edge_list`.
+    Every token must be an integer within the platform's index range
+    (``sys.maxsize``); an error names the file and the token's line."""
+    values = []
+    for line, text in enumerate(Path(path).read_text().splitlines(), 1):
+        for token in text.split():
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise ValueError(
+                    f"edge-list file {path}, line {line}: {token!r} is not an integer"
+                ) from None
+            if abs(values[-1]) > sys.maxsize:
+                raise ValueError(
+                    f"edge-list file {path}, line {line}: {token} is too large for this platform"
+                )
+    if len(values) < 2:
         raise ValueError(f"edge-list file {path} is missing the 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
+    n, m = values[0], values[1]
+    if len(values) != 2 + 2 * m:
         raise ValueError(
             f"edge-list file {path} declares {m} edges but carries "
-            f"{(len(tokens) - 2) // 2} pairs"
+            f"{(len(values) - 2) // 2} pairs"
         )
-    it = iter(tokens[2:])
-    edges = [(int(i), int(j)) for i, j in zip(it, it)]
-    return _build(n, edges)
+    it = iter(values[2:])
+    return _build(n, list(zip(it, it)))

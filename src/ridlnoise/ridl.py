@@ -40,7 +40,9 @@ class RidlConfig:
     """Sampling and dynamics parameters tied to a graph's maximum degree.
 
     ``epsilon`` must satisfy 0 < eps < 1/d_max (strict), so the
-    normalized step size k = eps * d_max stays in (0, 1). ``sigma2`` is
+    normalized step size k = eps * d_max stays in (0, 1), and eps p^2, the
+    scale of every moment spectrum, must be at least the smallest normal
+    float: below it those spectra lose their digits or vanish. ``sigma2`` is
     the per-node noise variance, finite (0 allowed as the noiseless
     degenerate case). ``p`` is the per-node activation probability; p = 1 is the
     deterministic mode, p = 0 is rejected because the dynamics freeze.
@@ -60,6 +62,11 @@ class RidlConfig:
             raise ValueError(
                 f"step size must satisfy 0 < eps < 1/d_max = {1.0 / self.d_max:.6g}, "
                 f"got {self.epsilon}"
+            )
+        if self.epsilon * self.p**2 < np.finfo(float).tiny:
+            raise ValueError(
+                f"step size is too small: eps * p^2 = {self.epsilon * self.p**2:.6g} "
+                f"underflows (eps={self.epsilon}, p={self.p})"
             )
         if not np.isfinite(self.sigma2):
             raise ValueError(f"noise variance must be finite, got {self.sigma2}")

@@ -10,11 +10,10 @@ passes through k update matrices. The P's are i.i.d. and symmetric and
 commute with Omega, so the k-th term is also E |P_k ... P_1 Omega|_F^2,
 and |Q Omega|_F^2 = E_z |Q Omega z|^2 for any probe z with E[z z^T] = I
 (Hutchinson's trace estimator). Each replication therefore draws one
-probe z of N values from the requested noise law, sets y_0 = Omega z,
-steps the noiseless y_k = P_k y_(k-1) and returns
-Y = sigma^2 sum_{k<T} |y_k|^2, with E[Y] = E[d(x_T)]: (T - 1) N
-activations and N probe values per replication, where the forward
-dynamics would also draw T N noise values.
+Gaussian probe z of N values, sets y_0 = Omega z, steps the noiseless
+y_k = P_k y_(k-1) and returns Y = sigma^2 sum_{k<T} |y_k|^2, with
+E[Y] = E[d(x_T)]: (T - 1) N activations and N probe values per
+replication, where the forward dynamics would also draw T N noise values.
 
 Each probe has a mean-field shadow, the sum Y~ = sigma^2 sum_{k<T}
 |E[P]^k y_0|^2, which needs no stepping: with E[P] = I - eps p^2 L and
@@ -73,16 +72,9 @@ __all__ = [
     "BURN_IN_CHECK",
     "SimConfig",
     "SimEstimate",
-    "NOISE_DISTRIBUTIONS",
     "default_horizon",
     "estimate_noise_index",
 ]
-
-# Laws of the probe z, each with mean 0 and variance 1. The index
-# depends on the noise only through its variance, and the reverse-time
-# estimator is unbiased for any probe with E[z z^T] = I; the alternatives
-# to gaussian demonstrate both.
-NOISE_DISTRIBUTIONS = ("gaussian", "rademacher", "uniform")
 
 # a run is converged when its drift statistic is below this
 BURN_IN_CHECK = 0.05
@@ -105,7 +97,6 @@ class SimConfig:
 
     horizon: int
     ensemble: int
-    noise_dist: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -113,11 +104,6 @@ class SimConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.ensemble < 1:
             raise ValueError(f"ensemble must be >= 1, got {self.ensemble}")
-        if self.noise_dist not in NOISE_DISTRIBUTIONS:
-            raise ValueError(
-                f"unknown noise distribution {self.noise_dist!r}; "
-                f"use one of {NOISE_DISTRIBUTIONS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -166,19 +152,6 @@ def _mean_field_gains(lam: np.ndarray, cfg: RidlConfig, t: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs_mu = np.where(delta < 1.0, np.log1p(-delta), np.log(delta - 1.0))
     return -np.expm1(2 * t * log_abs_mu) / one_minus_mu_sq
-
-
-def _probe(rng: np.random.Generator, n: int, dist: str) -> np.ndarray:
-    """N draws of unit variance from the law ``dist``, minus their mean:
-    the start Omega z of one replication."""
-    if dist == "gaussian":
-        z = rng.standard_normal(n)
-    elif dist == "rademacher":
-        z = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    else:
-        # uniform on [-sqrt(3), sqrt(3)] has unit variance
-        z = math.sqrt(3.0) * (2.0 * rng.random(n) - 1.0)
-    return z - z.mean()
 
 
 def _step_words(n: int) -> int:
@@ -327,7 +300,8 @@ def _run_ensemble(
         rngs = [np.random.default_rng(s) for s in seeds[start:start + c]]
         y = np.empty((n, c))
         for j, rng in enumerate(rngs):
-            y[:, j] = _probe(rng, n, sim.noise_dist)
+            z = rng.standard_normal(n)
+            y[:, j] = z - z.mean()  # the start Omega z
         shadow_sums[start:start + c] = _shadow_sums(vecs, gains, y)
         # a replication's tie uniforms follow its last activation byte: in
         # a single block they are the next draws, otherwise a copy of its
@@ -366,13 +340,13 @@ def estimate_noise_index(
     """Ensemble estimate of the noise index.
 
     Runs ``sim.ensemble`` independent replications of the reverse-time
-    estimator: one probe y_0 = Omega z, z drawn from ``sim.noise_dist``,
-    stepped through ``sim.horizon - 1`` fresh update matrices. Every
-    replication contributes Y - Y~ + E[Y~], with Y = sigma^2
-    sum_{k<T} |y_k|^2 and Y~ its mean-field shadow
-    sigma^2 sum_{k<T} |E[P]^k y_0|^2, both Y~ and E[Y~] in closed form from
-    the Laplacian eigenpairs (``laplacian_eigenpairs``, solved once per
-    graph), so its mean is E[d(x_T)] exactly for the forward dynamics
+    estimator: one probe y_0 = Omega z, z standard Gaussian, stepped
+    through ``sim.horizon - 1`` fresh update matrices. Every replication
+    contributes Y - Y~ + E[Y~], with Y = sigma^2 sum_{k<T} |y_k|^2 and Y~
+    its mean-field shadow sigma^2 sum_{k<T} |E[P]^k y_0|^2, both Y~ and
+    E[Y~] in closed form from the Laplacian eigenpairs
+    (``laplacian_eigenpairs``, solved once per graph), so its mean is
+    E[d(x_T)] exactly for the forward dynamics
     x <- P x + n from x(0) = 0: ``j_hat`` is the mean over N and
     ``std_error`` comes from the spread. Only the random walk is stepped;
     there is no second ensemble and no fitted coefficient. ``mf_corr`` is

@@ -16,10 +16,12 @@ library's sparse step, each replication's whole horizon drawn at once
 instead of in time blocks, and the mean-field control variate's known
 mean from the propagated noise covariance instead of the spectral sum.
 ``dense_forward_estimate`` runs the forward noisy dynamics instead, with
-two dense N x N products per step, and ``finite_horizon_index`` gives
+two dense N x N products per step and the noise drawn from a Gaussian,
+Rademacher or uniform law, and ``finite_horizon_index`` gives
 E[d(x_T)] / N by propagating the disagreement covariance through the
 Stein map; both check that the reverse-time estimator estimates what the
-forward dynamics produce.
+forward dynamics produce, and the noise laws check that the index depends
+on the noise only through its covariance sigma^2 I.
 ``reference_build`` is the set-based graph construction that the
 library's edge-array ``_build`` replaced, kept to check that both give
 the same graphs, and ``reference_laplacian`` fills the Laplacian from an
@@ -611,32 +613,35 @@ def apply_dense(k_op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (k_op @ x.ravel(order="F")).reshape((n, n), order="F")
 
 
-def _unit_draws(rng: np.random.Generator, shape, dist: str) -> np.ndarray:
-    """Mean-0, variance-1 draws from the law ``dist``."""
-    if dist == "gaussian":
+def _unit_draws(rng: np.random.Generator, shape, law: str) -> np.ndarray:
+    """Mean-0, variance-1 draws from ``law``: gaussian, rademacher or
+    uniform (on [-sqrt(3), sqrt(3)])."""
+    if law == "gaussian":
         return rng.standard_normal(shape)
-    if dist == "rademacher":
+    if law == "rademacher":
         return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return math.sqrt(3.0) * (2.0 * rng.random(shape) - 1.0)
+    if law == "uniform":
+        return math.sqrt(3.0) * (2.0 * rng.random(shape) - 1.0)
+    raise ValueError(f"unknown noise law {law!r}")
 
 
-def _dense_draws(seed: np.random.SeedSequence, t: int, n: int, p: float, dist: str,
+def _dense_draws(seed: np.random.SeedSequence, t: int, n: int, p: float, law: str,
                  sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Activations then noise for one forward replication, from its own
     stream."""
     rng = np.random.default_rng(seed)
     acts = rng.random((t, n)) < p
-    return acts, sigma * _unit_draws(rng, (t, n), dist)
+    return acts, sigma * _unit_draws(rng, (t, n), law)
 
 
-def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
+def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig, law: str):
     """Final disagreement per replication of the trajectory and of its
-    mean-field shadow x~ <- E[P] x~ + n on the same noise, and the
-    per-step disagreement summed over replications, all replications
-    stacked at once."""
+    mean-field shadow x~ <- E[P] x~ + n on the same noise, drawn from
+    ``law``, and the per-step disagreement summed over replications, all
+    replications stacked at once."""
     adj = dense_adjacency(g.n, g.edges)
-    draws = [_dense_draws(s, sim.horizon, g.n, cfg.p, sim.noise_dist,
-                          math.sqrt(cfg.sigma2)) for s in seeds]
+    draws = [_dense_draws(s, sim.horizon, g.n, cfg.p, law, math.sqrt(cfg.sigma2))
+             for s in seeds]
     acts = np.stack([a for a, _ in draws])
     noise = np.stack([w for _, w in draws])
     p_bar = expected_p(g, cfg)
@@ -686,8 +691,8 @@ def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     y_k = P_k y_(k-1) from y_0 = Omega z, and the same for its shadow
     y~_k = E[P] y~_(k-1); and the per-step sigma^2 |y_k|^2 summed over
     replications. Each P_k is formed as a dense matrix from the
-    replication's stream: z first, then the activation bytes of each step,
-    then the uniforms that refine ties."""
+    replication's stream: the standard Gaussian z first, then the
+    activation bytes of each step, then the uniforms that refine ties."""
     n, t_steps = g.n, sim.horizon
     omega = omega_projector(n)
     p_bar = expected_p(g, cfg)
@@ -696,7 +701,7 @@ def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     series = np.zeros(t_steps)
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        y = omega @ _unit_draws(rng, n, sim.noise_dist)
+        y = omega @ rng.standard_normal(n)
         ys = y.copy()
         acts = _byte_activations(rng, t_steps - 1, n, cfg.p)
         for k in range(t_steps):
@@ -778,14 +783,16 @@ def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     return _summary(energy, shadow, np.cumsum(series), g, cfg, sim)
 
 
-def dense_forward_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
+def dense_forward_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig,
+                           law: str = "gaussian") -> dict:
     """Monte Carlo estimate from the forward noisy dynamics
-    x <- P x + n from x(0) = 0, with its mean-field shadow on the same
-    noise: d(x_T) per replication, whole-horizon draws per replication
-    (activations, then noise) from the same seeds as the library, and
-    ``mean_trace`` the per-step mean of d(x_t) / N."""
+    x <- P x + n from x(0) = 0, with the noise n drawn from ``law`` (see
+    ``_unit_draws``) and scaled to variance sigma^2, and its mean-field
+    shadow on the same noise: d(x_T) per replication, whole-horizon draws
+    per replication (activations, then noise) from the same seeds as the
+    library, and ``mean_trace`` the per-step mean of d(x_t) / N."""
     seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
-    return _summary(*_dense_dynamics(seeds, g, cfg, sim), g, cfg, sim)
+    return _summary(*_dense_dynamics(seeds, g, cfg, sim, law), g, cfg, sim)
 
 
 def step(x: np.ndarray, p_sample: StochasticMatrixSample, noise: np.ndarray) -> np.ndarray:

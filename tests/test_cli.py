@@ -146,16 +146,18 @@ class TestValidationErrors:
         assert res.stderr.strip().count("\n") == 0
         assert "disconnected" in res.stderr
 
-    @pytest.mark.parametrize("text", ["99999999999999999999 1\n0 1\n",
-                                      "3 2\n0 1\n1 99999999999999999999\n"],
+    @pytest.mark.parametrize("text,line", [("99999999999999999999 1\n0 1\n", 1),
+                                           ("3 2\n0 1\n1 99999999999999999999\n", 3)],
                              ids=["node-count", "node-id"])
-    def test_oversized_graph_file_integer(self, tmp_path, text):
+    def test_oversized_graph_file_integer(self, tmp_path, text, line):
         path = tmp_path / "g.edges"
         path.write_text(text)
         res = invoke("bounds", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
-        assert res.stderr.startswith("invalid input: ")
+        assert res.stderr.startswith(
+            f"invalid input: edge-list file {path}, line {line}: 99999999999999999999 "
+            "is too large for this platform")
 
     def test_out_of_memory_exit_3(self, monkeypatch):
         # the dense Laplacian of path 100000 would need 74.5 GiB; the stand-in
@@ -215,12 +217,25 @@ class TestValidationErrors:
          "activation probability must lie in (0, 1], got nan"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "nan"), "--k must lie in (0, 1), got nan"),
         (("bounds", "--graph", "grid2d", "--n-range", "3:99999999999999999999", "--k", "0.8"),
-         "too large"),
+         "--n-range is too large for this platform, got 99999999999999999999"),
+        (("bounds", "--graph", "path", "--n", "99999999999999999999", "--k", "0.8"),
+         "--n is too large for this platform, got 99999999999999999999"),
+        # 2^32 x 2^32 nodes: a product in int64 would wrap to 0
+        (("bounds", "--graph", "grid2d", "--dims", "4294967296x4294967296", "--k", "0.8"),
+         "--dims is too large for this platform, got 18446744073709551616"),
+        (("report", "--output", "/nonexistent/report", "--sweep-p-n", "99999999999999999999"),
+         "--sweep-p-n is too large for this platform"),
+        # eps p^2 underflows: at p = 0.01 it is 0, at p = 0.9 subnormal
+        (("bounds", "--graph", "path", "--n", "5", "--eps", "1e-320", "--p", "0.01"),
+         "step size is too small"),
+        (("bounds", "--graph", "path", "--n", "5", "--eps", "1e-320", "--p", "0.9"),
+         "step size is too small"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
             "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
             "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many",
             "sigma2-nan", "sigma2-inf", "eps-nan", "eps-inf", "p-nan", "k-nan",
-            "n-range-oversized"])
+            "n-range-oversized", "n-oversized", "dims-oversized", "sweep-p-n-oversized",
+            "eps-underflow-zero", "eps-underflow-subnormal"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -707,6 +722,7 @@ class TestRemovedOptions:
         ("sweep-p", "--exact-n"), ("report", "--exact-n"),
         ("bounds", "--strict"), ("exact", "--strict"), ("sweep-n", "--strict"),
         ("sweep-p", "--strict"), ("sweep-p", "--p"), ("simulate", "--realizations"),
+        ("simulate", "--noise"),
     ]
     @pytest.mark.parametrize("command,option", REMOVED,
                              ids=[f"{c}{o}" for c, o in REMOVED])
@@ -731,7 +747,7 @@ class TestCommandOptions:
         "sweep-n": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
         "sweep-p": GRAPH + ["--realizations"] + STEP + OUTPUT + ["--families", "--p-grid"],
         "simulate": GRAPH + ["--p"] + STEP + OUTPUT
-        + ["--strict", "--horizon", "--ensemble", "--noise"],
+        + ["--strict", "--horizon", "--ensemble"],
         "report": ["--output", "--p", "--k", "--sigma2", "--p-er", "--seed", "--n-range",
                    "--sweep-p-n", "--realizations"],
     }
@@ -743,7 +759,7 @@ class TestCommandOptions:
         }
         assert offered == self.OFFERED
         assert {name: len(opts) for name, opts in offered.items()} == {
-            "bounds": 14, "exact": 14, "sweep-n": 14, "sweep-p": 15, "simulate": 17,
+            "bounds": 14, "exact": 14, "sweep-n": 14, "sweep-p": 15, "simulate": 16,
             "report": 9,
         }
 
@@ -753,7 +769,7 @@ class TestPublicApi:
     removed name stays removed and a new export is a deliberate choice."""
 
     EXPORTED = [
-        "ErdosRenyiDraw", "ExactIndex", "NOISE_DISTRIBUTIONS", "NoiseReport",
+        "ErdosRenyiDraw", "ExactIndex", "NoiseReport",
         "NumericalError", "RidlConfig", "SimConfig", "SimEstimate", "SpectralData",
         "UndirectedGraph", "average_effective_resistance", "compute_noise_report",
         "default_horizon", "draw_erdos_renyi", "estimate_noise_index",

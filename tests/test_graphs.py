@@ -481,3 +481,9 @@ class TestEdgeListFormat:
         path.write_text("3 2\n0 1\n")
         with pytest.raises(ValueError, match="declares"):
             read_edge_list(path)
+
+    def test_non_integer_token_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("3 2\n0 1\n\n1 x\n")
+        with pytest.raises(ValueError, match=r"bad.edges, line 4: 'x' is not an integer"):
+            read_edge_list(path)

@@ -65,6 +65,14 @@ class TestRidlConfig:
             RidlConfig.for_graph(g, p=0.9, sigma2=1.0, epsilon=0.5)
         RidlConfig.for_graph(g, p=0.9, sigma2=1.0, epsilon=0.499)
 
+    @pytest.mark.parametrize("p", [0.01, 0.9])
+    def test_step_size_too_small_to_represent(self, p):
+        # eps p^2 below the smallest normal float: 0 at p = 0.01, subnormal
+        # at p = 0.9; the smallest normal value itself is accepted
+        with pytest.raises(ValueError, match="step size is too small"):
+            RidlConfig(p=p, epsilon=1e-320, sigma2=1.0, d_max=2)
+        RidlConfig(p=1.0, epsilon=np.finfo(float).tiny, sigma2=1.0, d_max=2)
+
     def test_p_range(self):
         with pytest.raises(ValueError):
             RidlConfig(p=0.0, epsilon=0.1, sigma2=1.0, d_max=2)

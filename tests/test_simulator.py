@@ -38,6 +38,13 @@ from oracles import (
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
 
+# finite horizons at which E[d(x_T)] is still well below its limit
+FINITE_HORIZON_CASES = {
+    "grid4x4": (make_grid((4, 4)), 0.5, 60),
+    "star8": (make_star(8), 0.3, 40),
+    "path6": (make_path(6), 0.7, 80),
+}
+
 
 class TestStep:
     def test_zero_state_zero_noise(self):
@@ -135,23 +142,17 @@ class TestEstimator:
         assert trace[-1] <= est.j_hat + 10.0 * est.std_error
 
     def test_noise_distribution_invariance(self):
-        g = make_path(6)
-        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        t = default_horizon(g, cfg)
-        results = {}
-        for dist in ("gaussian", "rademacher", "uniform"):
-            results[dist] = estimate_noise_index(
-                g, cfg, SimConfig(horizon=t, ensemble=8000, noise_dist=dist, seed=17)
-            )
-        j_exact = exact_noise_index(g, cfg).j
-        names = list(results)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                ra, rb = results[a], results[b]
-                combined = np.hypot(ra.std_error, rb.std_error)
-                assert abs(ra.j_hat - rb.j_hat) <= 4.0 * combined
-        for est in results.values():
-            assert abs(est.j_hat - j_exact) <= 4.0 * est.std_error
+        # the index depends on the noise only through its variance: the
+        # forward dynamics under non-Gaussian noise give what the library
+        # estimates with its Gaussian probe
+        for g, p, horizon in FINITE_HORIZON_CASES.values():
+            cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+            sim = SimConfig(horizon=horizon, ensemble=2000, seed=17)
+            est = estimate_noise_index(g, cfg, sim)
+            for law in ("rademacher", "uniform"):
+                fwd = dense_forward_estimate(g, cfg, sim, law)
+                assert abs(est.j_hat - fwd["j_hat"]) <= 4.0 * math.hypot(
+                    est.std_error, fwd["std_error"])
 
     def test_short_horizon_flagged_unconverged(self):
         g = make_path(10)
@@ -176,8 +177,6 @@ class TestEstimator:
             SimConfig(horizon=0, ensemble=10)
         with pytest.raises(ValueError):
             SimConfig(horizon=10, ensemble=0)
-        with pytest.raises(ValueError):
-            SimConfig(horizon=10, ensemble=10, noise_dist="poisson")
 
 
 ORACLE_GRAPHS = {
@@ -189,19 +188,18 @@ ORACLE_GRAPHS = {
 }
 
 
-# every graph with every noise distribution, plus short horizons where
-# both loops flag the run as unconverged
-ORACLE_CASES = [(name, dist, 60) for name in ORACLE_GRAPHS
-                for dist in ("gaussian", "rademacher", "uniform")]
-ORACLE_CASES += [("path", "gaussian", 1), ("path", "gaussian", 3)]
+# every graph, plus short horizons where both loops flag the run as
+# unconverged; the ids name the probe law, which is Gaussian
+ORACLE_CASES = [(name, 60) for name in ORACLE_GRAPHS] + [("path", 1), ("path", 3)]
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("name,dist,horizon", ORACLE_CASES)
-    def test_matches_dense_dynamics(self, name, dist, horizon):
+    @pytest.mark.parametrize("name,horizon", ORACLE_CASES,
+                             ids=[f"{name}-gaussian-{t}" for name, t in ORACLE_CASES])
+    def test_matches_dense_dynamics(self, name, horizon):
         g = ORACLE_GRAPHS[name]
         cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.8)
-        sim = SimConfig(horizon=horizon, ensemble=90, noise_dist=dist, seed=23)
+        sim = SimConfig(horizon=horizon, ensemble=90, seed=23)
         est = estimate_noise_index(g, cfg, sim)
         ref = dense_estimate(g, cfg, sim)
         assert est.j_hat == pytest.approx(ref["j_hat"], rel=1e-12)
@@ -212,14 +210,6 @@ class TestDenseOracle:
         np.testing.assert_allclose(est.mean_trace, ref["mean_trace"], rtol=1e-12)
         if horizon < 10:
             assert not est.converged
-
-
-# finite horizons at which E[d(x_T)] is still well below its limit
-FINITE_HORIZON_CASES = {
-    "grid4x4": (make_grid((4, 4)), 0.5, 60),
-    "star8": (make_star(8), 0.3, 40),
-    "path6": (make_path(6), 0.7, 80),
-}
 
 
 class TestUnbiased:
