@@ -314,7 +314,6 @@ def _build_spec(
         ensemble=params.get("ensemble"),
     )
     _validate_spec(spec)
-    _warn_slow_mixing(p_values)
     return spec
 
 
@@ -564,11 +563,16 @@ _TABLE_OPTIONS = (*_GRAPH_OPTIONS, _REALIZATIONS_OPTION, _P_OPTION, *_STEP_OPTIO
 
 def _run_table(
     command: str, params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
-) -> list[dict]:
+) -> None:
     spec = _build_spec(params, families, p_values)
     rows = _compute_rows(spec, _EXACT_LIMIT[command])
     _emit(render_rows(rows, COMMAND_COLUMNS[command], params["fmt"]), params["output"])
-    return rows
+    if params.get("strict") and any(not r["converged"] for r in rows):
+        raise NumericalError(
+            "drift test failed for at least one row (strict mode); raise --horizon"
+        )
+    # last, so that a run that fails writes its one error line alone
+    _warn_slow_mixing(p_values)
 
 
 @click.group()
@@ -658,11 +662,7 @@ def simulate_cmd(**params) -> None:
     between the replications and their shadows. The row's one eigensolve
     gives both the bounds and the shadow. The exact reference columns are
     filled for N <= 24. An Erdos-Renyi row simulates one draw per N."""
-    rows = _run_table("simulate", params, (params["graph"],), (params["p"],))
-    if params["strict"] and any(not r["converged"] for r in rows):
-        raise NumericalError(
-            "drift test failed for at least one row (strict mode); raise --horizon"
-        )
+    _run_table("simulate", params, (params["graph"],), (params["p"],))
 
 
 def _runtime() -> dict:
@@ -744,7 +744,6 @@ def report_cmd(**params) -> None:
             f"{_FAMILY_MIN_N[family]}, above --n-range {params['n_range']}",
             err=True,
         )
-    _warn_slow_mixing([p for _, spec in tables.values() for p in spec.p_values])
     manifest_files = {}
     for name, (command, spec) in tables.items():
         t0 = time.time()
@@ -771,6 +770,7 @@ def report_cmd(**params) -> None:
         "runtime": _runtime(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _warn_slow_mixing([p for _, spec in tables.values() for p in spec.p_values])
     click.echo(f"report written to {out_dir} ({len(manifest_files)} data files)")
 
 

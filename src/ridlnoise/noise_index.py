@@ -206,7 +206,9 @@ def resistance_bounds(r_ave: float, cfg: RidlConfig) -> tuple[float, float]:
         raise ValueError(f"average effective resistance must be positive, got {r_ave}")
     e, p, s2, k = cfg.epsilon, cfg.p, cfg.sigma2, cfg.k
     lb = s2 / (2.0 * p**2) * (r_ave / e)
-    ub = s2 / (2.0 * p**3 * (1.0 - k)) * (r_ave / e)
+    # p^3 (1 - k) can underflow to 0 where eps p^2 cannot
+    den = 2.0 * p**3 * (1.0 - k)
+    ub = s2 / den * (r_ave / e) if den > 0.0 else lb / (p * (1.0 - k))
     return lb, ub
 
 
@@ -221,12 +223,20 @@ def compute_noise_report(
     eigensolve serves the bounds and the exact solve's preconditioner.
     The report is checked (finite, positive values and the sandwich
     inequalities, to the configured slack scaled by max(1, J)) before it
-    is returned.
+    is returned; a bound that overflows raises ValueError, as eps p^2 is
+    then too small.
     """
     spec = laplacian_eigenpairs(g) if exact else laplacian_spectrum(g)
     j_lb, j_ub = ridl_bounds(spec, cfg)
     r_ave = average_effective_resistance(g)
     j_res_lb, j_res_ub = resistance_bounds(r_ave, cfg)
+    # the bounds are closed forms that scale like sigma^2 / (eps p^2):
+    # one that overflows is an input out of range, not a failed solve
+    if not np.isfinite([j_lb, j_ub, j_res_lb, j_res_ub]).all():
+        raise ValueError(
+            f"step size is too small: eps * p^2 = {cfg.epsilon * cfg.p**2:.6g} makes "
+            f"the index bounds overflow at sigma2 = {cfg.sigma2:.6g}"
+        )
     tags = {
         "j_lb": "laplacian-spectrum",
         "j_ub": "laplacian-spectrum",

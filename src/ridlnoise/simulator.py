@@ -37,28 +37,27 @@ costs O(m) per replication on a graph with m edges. Replications step
 together in chunks sized to keep the (N, chunk) state in cache. A
 Bernoulli(p) activation takes one random byte, refined on the 1/256 of
 ties by one uniform (Devroye, "Non-Uniform Random Variate Generation",
-1986), and the activations are drawn ahead in blocks of steps, a bool
-buffer within ``_DRAW_BUDGET``; on small graphs a block is the whole
-horizon. All of it runs on the calling thread. Neither the step loop nor
-the shadow makes a BLAS call: the sums of squares and the coefficients
-v_i^T y_0 are numpy reductions, not ``vdot`` or a matrix product, so
-numpy's OpenBLAS pool stays asleep and the results do not depend on how
-many threads OpenBLAS would split a product over. (The eigenpairs
-themselves come from LAPACK, whose last bits do.)
+1986), and the activations are drawn in blocks of ``_DRAW_STEPS`` (1024)
+steps into a bool buffer. All of it runs on the calling thread. Neither
+the step loop nor the shadow makes a BLAS call: the sums of squares and
+the coefficients v_i^T y_0 are numpy reductions, not ``vdot`` or a
+matrix product, so numpy's OpenBLAS pool stays asleep and the results do
+not depend on how many threads OpenBLAS would split a product over. (The
+eigenpairs themselves come from LAPACK, whose last bits do.)
 
 Each replication owns one independently spawned RNG stream derived from
-the master seed: its probe first, then ceil(N/8) 64-bit words of
-activation bytes per step, then the uniforms of its ties in time order.
-A horizon drawn in several blocks reads its ties from a copy of the
-generator advanced past the last byte, so block-wise draws reproduce the
-whole-horizon stream value for value. Every replication's arithmetic is
-independent of the others in its chunk, and replications are reduced in
-fixed order, so estimates are reproducible bit for bit and neither the
-chunk size nor the block length affects them.
+the master seed: its probe first, then, block by block of
+``_DRAW_STEPS`` steps, ceil(N/8) 64-bit words of activation bytes per
+step followed by the uniforms of that block's ties in time order. The
+block length is part of the stream's definition, not a memory setting
+(substreams of fixed length, as in L'Ecuyer, Simard, Chen & Kelton,
+Operations Research 2002). Every replication's arithmetic is independent
+of the others in its chunk, and replications are reduced in fixed
+order, so estimates are reproducible bit for bit and the chunk size does
+not affect them.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -83,9 +82,9 @@ BURN_IN_CHECK = 0.05
 _HORIZON_TARGET = 1e-4
 _HORIZON_CAP = 100_000
 
-# bytes of activation draws held at once: the bool buffer, plus one
-# replication's random bytes and tie mask
-_DRAW_BUDGET = 1 << 25
+# steps of activations per block of draws: each replication's stream
+# takes a block's bytes, then that block's tie uniforms
+_DRAW_STEPS = 1024
 # bytes of one (N, chunk) state array; a step touches about ten of them,
 # and stepping is memory-bound once they spill out of a core's L2 cache
 _STATE_BYTES = 1 << 17
@@ -159,19 +158,17 @@ def _step_words(n: int) -> int:
     return -(-n // 8)
 
 
-def _draw_activations(
-    rng: np.random.Generator, ties: np.random.Generator, p: float, out: np.ndarray
-) -> None:
+def _draw_activations(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
     """Fill the (b, N) bool array ``out`` with the Bernoulli(p) activations
     of b steps, one random byte u per node and step.
 
     With t = floor(256 p) and f = 256 p - t (both exact), a node is active
     when u < t; a tie u = t, of probability 1/256, is active when a
-    uniform from ``ties`` is below f, so P(active) = t/256 + f/256 = p to
-    the 2^-53 of ``random() < p``. A step takes ``_step_words(N)`` 64-bit
-    words of ``rng``, read as little-endian bytes, and the ties take their
-    uniforms in time order. At p = 1 nothing is drawn, and with f = 0 no
-    tie is refined."""
+    uniform is below f, so P(active) = t/256 + f/256 = p to the 2^-53 of
+    ``random() < p``. A step takes ``_step_words(N)`` 64-bit words of
+    ``rng``, read as little-endian bytes, and the ties then take their
+    uniforms from ``rng`` in time order. At p = 1 nothing is drawn, and
+    with f = 0 no tie is refined."""
     b, n = out.shape
     if p >= 1.0:
         out[...] = True
@@ -188,32 +185,7 @@ def _draw_activations(
         if count:
             # ``out`` is a strided view: index it in place, never through a
             # reshaped copy
-            out[tie] = ties.random(count) < scaled - thr
-
-
-def _tie_cursor(rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """A copy of ``rng`` moved past the ``skip`` 64-bit words of activation
-    bytes still to be drawn from it: where the replication's tie uniforms
-    start when its horizon is drawn in more than one block."""
-    ties = copy.deepcopy(rng)
-    ties.bit_generator.advance(skip)
-    return ties
-
-
-def _block_shape(t: int, n: int, m: int) -> tuple[int, int]:
-    """Replications per chunk and steps per block of draws, for ``t``
-    steps of ``m`` replications on ``n`` nodes.
-
-    A chunk's (N, chunk) state arrays stay near ``_STATE_BYTES`` each,
-    keeping a step's working set in a core's cache. A block is the
-    longest run of steps whose (block, chunk, N) bool activations, plus
-    one replication's random bytes (8 ceil(N/8) per step) and its (block,
-    N) bool tie mask, fit in ``_DRAW_BUDGET``; on small graphs that is the
-    whole horizon, one draw per replication."""
-    chunk = max(1, min(m, _STATE_BYTES // (8 * n)))
-    per_step = n * (chunk + 1) + 8 * _step_words(n)
-    block = max(1, min(t, _DRAW_BUDGET // per_step))
-    return chunk, block
+            out[tie] = rng.random(count) < scaled - thr
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -290,8 +262,9 @@ def _run_ensemble(
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     adj = sparse.csr_array((np.full(rows.size, cfg.epsilon), (rows, cols)), shape=(n, n))
 
-    chunk, block = _block_shape(steps, n, m)
-    acts = np.empty((block, chunk, n), dtype=bool)
+    # a chunk's (N, chunk) state arrays stay near ``_STATE_BYTES`` each
+    chunk = max(1, min(m, _STATE_BYTES // (8 * n)))
+    acts = np.empty((min(steps, _DRAW_STEPS), chunk, n), dtype=bool)
     energy_sums = np.empty(m)
     shadow_sums = np.empty(m)
     series = np.zeros(sim.horizon)
@@ -303,17 +276,12 @@ def _run_ensemble(
             z = rng.standard_normal(n)
             y[:, j] = z - z.mean()  # the start Omega z
         shadow_sums[start:start + c] = _shadow_sums(vecs, gains, y)
-        # a replication's tie uniforms follow its last activation byte: in
-        # a single block they are the next draws, otherwise a copy of its
-        # generator jumps there
-        ties = (rngs if block >= steps
-                else [_tie_cursor(rng, steps * _step_words(n)) for rng in rngs])
         energy = y * y
         series[0] += energy.sum()
-        for t0 in range(0, steps, block):
-            b = min(block, steps - t0)
-            for j in range(c):
-                _draw_activations(rngs[j], ties[j], cfg.p, acts[:b, j])
+        for t0 in range(0, steps, _DRAW_STEPS):
+            b = min(_DRAW_STEPS, steps - t0)
+            for j, rng in enumerate(rngs):
+                _draw_activations(rng, cfg.p, acts[:b, j])
             _step_block(y, acts[:b, :c], adj, energy, series[1 + t0:1 + t0 + b])
         energy_sums[start:start + c] = _column_sums(energy)
     return energy_sums, shadow_sums, series
@@ -361,9 +329,9 @@ def estimate_noise_index(
     error (raise the horizon).
 
     The activations, one random byte each with a uniform for the 1/256 of
-    ties, are drawn in blocks of steps from the generator that drew the
-    probe, so the values equal those of whole-horizon draws from the same
-    seeds. Everything runs on the calling thread.
+    ties, come from the generator that drew the probe, in blocks of 1024
+    steps: a block's bytes, then that block's tie uniforms. Everything
+    runs on the calling thread.
 
     Raises ValueError unless both almost-sure consensus conditions hold:
     eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,

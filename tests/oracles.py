@@ -12,9 +12,10 @@ LU solve with one refinement step, instead of the library's matrix-free
 Stein solve. The Monte Carlo reference ``dense_estimate`` runs the
 library's reverse-time estimator one replication at a time, with each
 update matrix formed densely from the induced Laplacian instead of the
-library's sparse step, each replication's whole horizon drawn at once
-instead of in time blocks, and the mean-field control variate's known
-mean from the propagated noise covariance instead of the spectral sum.
+library's sparse step, each replication's draws taken one block at a
+time into a whole-horizon array instead of into a chunk's buffer, and
+the mean-field control variate's known mean from the propagated noise
+covariance instead of the spectral sum.
 ``dense_forward_estimate`` runs the forward noisy dynamics instead, with
 two dense N x N products per step and the noise drawn from a Gaussian,
 Rademacher or uniform law, and ``finite_horizon_index`` gives
@@ -664,25 +665,34 @@ def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig, 
     return final(x), final(x_mf), series
 
 
+# steps per substream block of a replication's activation draws
+_BLOCK_STEPS = 1024
+
+
 def _byte_activations(rng: np.random.Generator, steps: int, n: int, p: float) -> np.ndarray:
-    """(steps, n) Bernoulli(p) activations by the byte law, whole horizon at
-    once: node i at step k reads byte i of the step's ceil(n/8) 64-bit
-    words of ``rng`` as an integer u in [0, 256). With 256 p = t + f,
-    t an integer and 0 <= f < 1, the node is active when u < t, and when
-    u = t and the next uniform of ``rng`` after the last byte, taken in
-    step-major order, is below f. At p = 1 nothing is drawn."""
+    """(steps, n) Bernoulli(p) activations by the byte law, in blocks of
+    1024 steps: node i at step k reads byte i of the step's ceil(n/8)
+    64-bit words of ``rng`` as an integer u in [0, 256). With
+    256 p = t + f, t an integer and 0 <= f < 1, the node is active when
+    u < t, and when u = t and the next uniform of ``rng`` is below f. Each
+    block draws the bytes of all its steps, then the uniforms of its ties
+    in step-major order, before the next block's bytes. At p = 1 nothing
+    is drawn."""
     if p == 1.0:
         return np.ones((steps, n), dtype=bool)
     t = int(256.0 * p)
     f = 256.0 * p - t
     stride = 8 * ((n + 7) // 8)
-    u = rng.integers(0, 256, size=(steps, stride), dtype=np.uint8)[:, :n].astype(int)
-    acts = u < t
-    if f > 0.0:
-        for k in range(steps):
-            for i in range(n):
-                if u[k, i] == t:
-                    acts[k, i] = rng.random() < f
+    acts = np.zeros((steps, n), dtype=bool)
+    for k0 in range(0, steps, _BLOCK_STEPS):
+        rows = min(_BLOCK_STEPS, steps - k0)
+        u = rng.integers(0, 256, size=(rows, stride), dtype=np.uint8)[:, :n].astype(int)
+        acts[k0:k0 + rows] = u < t
+        if f > 0.0:
+            for k in range(rows):
+                for i in range(n):
+                    if u[k, i] == t:
+                        acts[k0 + k, i] = rng.random() < f
     return acts
 
 
@@ -691,8 +701,9 @@ def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     y_k = P_k y_(k-1) from y_0 = Omega z, and the same for its shadow
     y~_k = E[P] y~_(k-1); and the per-step sigma^2 |y_k|^2 summed over
     replications. Each P_k is formed as a dense matrix from the
-    replication's stream: the standard Gaussian z first, then the
-    activation bytes of each step, then the uniforms that refine ties."""
+    replication's stream: the standard Gaussian z first, then, per block
+    of 1024 steps, the activation bytes of each step and the uniforms
+    that refine the block's ties."""
     n, t_steps = g.n, sim.horizon
     omega = omega_projector(n)
     p_bar = expected_p(g, cfg)
@@ -728,12 +739,16 @@ def mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> floa
 def finite_horizon_index(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
     """E[d(x_t)] / N for x <- P x + n from x(0) = 0, with the disagreement
     covariance propagated exactly: Sigma_0 = 0,
-    Sigma_{s+1} = Sigma_s - S(Sigma_s) + Omega with S(X) = X - E[P X P]."""
+    Sigma_{s+1} = Sigma_s - S(Sigma_s) + Omega with S(X) = X - E[P X P].
+    ``stein_operator`` is written for symmetric arguments and amplifies an
+    antisymmetric part, so each step is symmetrized: without it rounding
+    asymmetry grows until the trace diverges after a few hundred steps."""
     stein = stein_operator(g, cfg)
     omega = omega_projector(g.n)
     sigma = np.zeros((g.n, g.n))
     for _ in range(t):
         sigma = sigma - stein(sigma) + omega
+        sigma = 0.5 * (sigma + sigma.T)
     return cfg.sigma2 * float(np.trace(sigma)) / g.n
 
 

@@ -230,12 +230,23 @@ class TestValidationErrors:
          "step size is too small"),
         (("bounds", "--graph", "path", "--n", "5", "--eps", "1e-320", "--p", "0.9"),
          "step size is too small"),
+        # eps p^2 is normal, but the bound sums 1/(1 - mu_i^2) overflow
+        (("bounds", "--graph", "path", "--n", "300", "--eps", "1e-307", "--p", "1"),
+         "step size is too small: eps * p^2 = 1e-307 makes the index bounds overflow"),
+        # --k p^2 passes, eps p^2 = k p^2 / d_max underflows on the built star;
+        # the slow-mixing warning of p < 0.1 is not printed before the error
+        (("bounds", "--graph", "star", "--n", "5000", "--k", "1e-300", "--p", "0.01"),
+         "step size is too small: eps * p^2"),
+        # p^3 (1 - k) underflows to 0 in the resistance upper bound
+        (("bounds", "--graph", "path", "--n", "30", "--k", "0.999999999999", "--p", "1e-150"),
+         "makes the index bounds overflow"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
             "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
             "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many",
             "sigma2-nan", "sigma2-inf", "eps-nan", "eps-inf", "p-nan", "k-nan",
             "n-range-oversized", "n-oversized", "dims-oversized", "sweep-p-n-oversized",
-            "eps-underflow-zero", "eps-underflow-subnormal"])
+            "eps-underflow-zero", "eps-underflow-subnormal", "bounds-overflow",
+            "eps-underflow-on-graph", "resistance-underflow"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2

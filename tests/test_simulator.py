@@ -188,18 +188,21 @@ ORACLE_GRAPHS = {
 }
 
 
-# every graph, plus short horizons where both loops flag the run as
-# unconverged; the ids name the probe law, which is Gaussian
-ORACLE_CASES = [(name, 60) for name in ORACLE_GRAPHS] + [("path", 1), ("path", 3)]
+# every graph at 90 replications, plus short horizons where both loops
+# flag the run as unconverged, and a horizon of three blocks of draws
+# whose ties (256 p = 179.2) take uniforms between blocks; the ids name
+# the probe law, which is Gaussian
+ORACLE_CASES = ([(name, 60, 90) for name in ORACLE_GRAPHS]
+                + [("path", 1, 90), ("path", 3, 90), ("path", 2 * simulator._DRAW_STEPS + 3, 20)])
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("name,horizon", ORACLE_CASES,
-                             ids=[f"{name}-gaussian-{t}" for name, t in ORACLE_CASES])
-    def test_matches_dense_dynamics(self, name, horizon):
+    @pytest.mark.parametrize("name,horizon,ensemble", ORACLE_CASES,
+                             ids=[f"{name}-gaussian-{t}" for name, t, _ in ORACLE_CASES])
+    def test_matches_dense_dynamics(self, name, horizon, ensemble):
         g = ORACLE_GRAPHS[name]
         cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.8)
-        sim = SimConfig(horizon=horizon, ensemble=90, seed=23)
+        sim = SimConfig(horizon=horizon, ensemble=ensemble, seed=23)
         est = estimate_noise_index(g, cfg, sim)
         ref = dense_estimate(g, cfg, sim)
         assert est.j_hat == pytest.approx(ref["j_hat"], rel=1e-12)
@@ -235,6 +238,15 @@ class TestUnbiased:
         assert abs(est.j_hat - fwd["j_hat"]) <= 4.0 * math.hypot(est.std_error,
                                                                  fwd["std_error"])
 
+    def test_finite_horizon_oracle_stays_below_the_limit(self):
+        # E[d(x_T)] / N rises to J from below; at T = 600 on the 8x8 grid
+        # it is within 1e-4 of it, where an unsymmetrized propagation had
+        # diverged to about -2e9
+        g = make_grid((8, 8))
+        cfg = RidlConfig.for_graph(g, p=0.5, sigma2=1.0, k=0.8)
+        j = exact_noise_index(g, cfg).j
+        assert j * (1.0 - 1e-4) <= finite_horizon_index(g, cfg, 600) <= j
+
 
 class TestActivationLaw:
     @pytest.mark.parametrize("p", [0.9, 1.0 / 3.0, 0.001, 0.5, 1.0])
@@ -247,7 +259,7 @@ class TestActivationLaw:
         acts = np.zeros((steps + 7, chunk, n), dtype=bool)
         for j, seed in enumerate(np.random.SeedSequence(12).spawn(chunk)):
             rng = np.random.default_rng(seed)
-            simulator._draw_activations(rng, rng, p, acts[:steps, j])
+            simulator._draw_activations(rng, p, acts[:steps, j])
         assert not acts[steps:].any()
         draws = acts[:steps].size
         freq = np.count_nonzero(acts[:steps]) / draws
@@ -257,32 +269,29 @@ class TestActivationLaw:
 class TestChunking:
     @pytest.mark.parametrize("chunk", [1, 7, "ensemble"])
     def test_chunk_size_does_not_change_the_estimate(self, monkeypatch, chunk):
-        # every chunk size with time blocks of 1 step, 7 steps and the
-        # whole horizon gives the estimate bit for bit
+        # every chunk size gives the estimate bit for bit, over a horizon
+        # that crosses a block of draws with ties to refine (256 p = 204.8)
         g = make_grid((3, 3))
         cfg = RidlConfig.for_graph(g, p=0.8, sigma2=1.0, k=0.8)
-        sim = SimConfig(horizon=40, ensemble=50, seed=8)
+        sim = SimConfig(horizon=simulator._DRAW_STEPS + 80, ensemble=50, seed=8)
         base = estimate_noise_index(g, cfg, sim)
         size = sim.ensemble if chunk == "ensemble" else chunk
-        for block in (1, 7, sim.horizon):
-            monkeypatch.setattr(simulator, "_block_shape",
-                                lambda t, n, m, block=block: (size, block))
-            est = estimate_noise_index(g, cfg, sim)
-            assert est.j_hat == base.j_hat, block
-            assert est.std_error == base.std_error, block
+        # the chunk holds _STATE_BYTES // (8 N) replications
+        monkeypatch.setattr(simulator, "_STATE_BYTES", 8 * g.n * size)
+        est = estimate_noise_index(g, cfg, sim)
+        assert est.j_hat == base.j_hat
+        assert est.std_error == base.std_error
 
     def test_peak_memory_within_chunk_budget(self):
-        # 64 replications of a 10x10 grid over 8000 steps need 53 MB of
-        # activations, random bytes and tie mask, more than one block of
-        # the budget holds, and more than 1.5 budgets
+        # 64 replications of a 10x10 grid over 8000 steps, eight blocks of
+        # draws, need 51 MB of activations, more than 1.5 x 32 MiB
         g = make_grid((10, 10))
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=8000, ensemble=64, seed=2)
         budget = 1 << 25
         steps = sim.horizon - 1
-        chunk, block = simulator._block_shape(steps, g.n, sim.ensemble)
-        per_step = g.n * (chunk + 1) + 8 * math.ceil(g.n / 8)
-        assert block < steps and steps * per_step > 1.5 * budget
+        assert steps > 7 * simulator._DRAW_STEPS
+        assert steps * g.n * sim.ensemble > 1.5 * budget
         tracemalloc.start()
         try:
             estimate_noise_index(g, cfg, sim)
@@ -291,25 +300,24 @@ class TestChunking:
             tracemalloc.stop()
         assert peak <= 1.5 * budget
 
-    @pytest.mark.parametrize("t, n, m", [
-        (469, 10, 10000), (200, 2, 20000), (738, 256, 300), (603, 64, 3000),
-        (700, 100, 64), (100_000, 5000, 10),
-    ])
-    def test_block_shape_fits_the_budget(self, t, n, m):
-        chunk, block = simulator._block_shape(t, n, m)
-        assert 1 <= chunk <= m and 1 <= block <= t
-        # bool activations, plus one replication's random bytes (whole
-        # 64-bit words per step) and its bool tie mask
-        per_step = n * chunk + 8 * math.ceil(n / 8) + n
-        assert per_step * block <= 1 << 25 or block == 1
+    def test_small_graph_draws_each_horizon_in_one_block(self, monkeypatch):
+        # horizons of at most one block of draws, path(10) over two chunks
+        # and the 16x16 grid at 300 replications: one draw of activations
+        # per replication
+        draw = simulator._draw_activations
+        calls = []
 
-    def test_small_graph_draws_each_horizon_in_one_block(self):
-        # path(10) at the default 10000 replications, horizon 469: one
-        # byte draw per replication, not one per block
-        assert simulator._block_shape(468, 10, 10000) == (1638, 468)
-        # a 16x16 grid at 300 replications, horizon 738, in 64-replication
-        # chunks, each (N, chunk) state array 128 KiB
-        assert simulator._block_shape(737, 256, 300) == (64, 737)
+        def counted(rng, p, out):
+            calls.append(out.shape[0])
+            draw(rng, p, out)
+
+        monkeypatch.setattr(simulator, "_draw_activations", counted)
+        for g, horizon, ensemble in ((make_path(10), 469, 2000),
+                                     (make_grid((16, 16)), 738, 300)):
+            calls.clear()
+            cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+            estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=ensemble, seed=1))
+            assert calls == [horizon - 1] * ensemble
 
 
 # run in a fresh interpreter, so that OpenBLAS reads its thread count at
