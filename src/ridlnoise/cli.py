@@ -656,12 +656,13 @@ def simulate_cmd(**params) -> None:
     with its mean-field shadow under E[P], whose sum and expected sum are
     both closed forms in the Laplacian eigenpairs, so only the random walk
     is stepped; the difference is a control variate that keeps j_hat
-    unbiased and cuts its standard error. drift is the running-mean
-    spread of the ensemble's estimated disagreement over the last 10% of
-    steps (converged means below 0.05), and mf_corr the correlation
-    between the replications and their shadows. The row's one eigensolve
-    gives both the bounds and the shadow. The exact reference columns are
-    filled for N <= 24. An Erdos-Renyi row simulates one draw per N."""
+    unbiased and cuts its standard error. drift is the share of the
+    replications' summed squared disagreement that the last 10% of steps
+    add, at least one step (converged means below 0.001), and mf_corr
+    the correlation between the replications and their shadows. The
+    row's one eigensolve gives both the bounds and the shadow. The exact
+    reference columns are filled for N <= 24. An Erdos-Renyi row
+    simulates one draw per N."""
     _run_table("simulate", params, (params["graph"],), (params["p"],))
 
 

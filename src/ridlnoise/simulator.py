@@ -25,10 +25,9 @@ E[Y~] = sigma^2 sum_i g_i is the expected final disagreement of
 x~(t+1) = E[P] x~(t) + n(t) (as T grows it tends to N times the generic
 lower bound j_lb), so Y - Y~ + E[Y~] is an unbiased per-replication value
 with far less spread than Y: a control variate with coefficient one,
-nothing fitted. The ensemble mean of the running sums
-sigma^2 sum_{k<t} |y_k|^2 is an unbiased estimate of E[d(x_t)] at every
-t, and the drift test reads this series; no second ensemble runs beside
-it.
+nothing fitted. The same sum stopped at t < T has mean E[d(x_t)], so
+one snapshot of each replication's sum, w = max(1, T // 10) steps before
+the end, is all the drift test needs.
 
 P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
 activation vector and A the sparse (CSR) adjacency, stored as eps A,
@@ -76,7 +75,7 @@ __all__ = [
 ]
 
 # a run is converged when its drift statistic is below this
-BURN_IN_CHECK = 0.05
+BURN_IN_CHECK = 1e-3
 
 # target and cap of ``default_horizon``
 _HORIZON_TARGET = 1e-4
@@ -113,9 +112,6 @@ class SimEstimate:
     closed-form Y~ = sigma^2 sum_i g_i (v_i^T y_0)^2 across replications,
     which sets the control variate's variance reduction (1 - rho^2 at
     best); nan with fewer than two replications or zero variance.
-    ``mean_trace`` has one entry per step t = 1..T: the ensemble mean of
-    the running sums sigma^2 sum_{k<t} |y_k|^2 over N, an unbiased
-    estimate of E[d(x_t)] / N, and the series the drift test reads.
     """
 
     j_hat: float
@@ -123,7 +119,6 @@ class SimEstimate:
     converged: bool
     drift: float
     mf_corr: float
-    mean_trace: np.ndarray
 
 
 def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
@@ -217,13 +212,11 @@ def _step_block(
     acts: np.ndarray,
     adj: sparse.csr_array,
     energy: np.ndarray,
-    series: np.ndarray,
 ) -> None:
     """Advance the (N, c) probes y <- P y through the b steps whose
     activations are the (b, c, N) ``acts``, adding each new |y|^2
-    entrywise to ``energy`` and its sum over the chunk to ``series``
-    (length b). ``adj`` is eps times the adjacency. No call here reaches
-    BLAS."""
+    entrywise to ``energy``. ``adj`` is eps times the adjacency. No call
+    here reaches BLAS."""
     n, c = y.shape
     gam, gam_y, update, sq = (np.empty((n, c)) for _ in range(4))
     for t in range(acts.shape[0]):
@@ -238,7 +231,6 @@ def _step_block(
         y -= update
         np.multiply(y, y, out=sq)
         energy += sq
-        series[t] += sq.sum()
 
 
 def _run_ensemble(
@@ -253,9 +245,9 @@ def _run_ensemble(
 
     ``vecs`` holds the Laplacian eigenvectors as columns and ``gains``
     the :func:`_mean_field_gains` of v_2..v_N. Returns, per replication,
-    the sum over k < T of |y_k|^2 and its mean-field shadow
-    sum_i g_i (v_i^T y_0)^2, and the per-step |y_k|^2 summed over
-    replications.
+    the sum over k < T of |y_k|^2, its mean-field shadow
+    sum_i g_i (v_i^T y_0)^2, and the sum over k < T - w of |y_k|^2, with
+    w = max(1, T // 10).
     """
     n, steps, m = g.n, sim.horizon - 1, len(seeds)
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
@@ -267,7 +259,9 @@ def _run_ensemble(
     acts = np.empty((min(steps, _DRAW_STEPS), chunk, n), dtype=bool)
     energy_sums = np.empty(m)
     shadow_sums = np.empty(m)
-    series = np.zeros(sim.horizon)
+    # after step T - w - 1 the energy sums k < T - w; at T = 1 it is 0
+    snap = sim.horizon - max(1, sim.horizon // 10) - 1
+    early_sums = np.zeros(m)
     for start in range(0, m, chunk):
         c = min(chunk, m - start)
         rngs = [np.random.default_rng(s) for s in seeds[start:start + c]]
@@ -277,29 +271,27 @@ def _run_ensemble(
             y[:, j] = z - z.mean()  # the start Omega z
         shadow_sums[start:start + c] = _shadow_sums(vecs, gains, y)
         energy = y * y
-        series[0] += energy.sum()
         for t0 in range(0, steps, _DRAW_STEPS):
             b = min(_DRAW_STEPS, steps - t0)
             for j, rng in enumerate(rngs):
                 _draw_activations(rng, cfg.p, acts[:b, j])
-            _step_block(y, acts[:b, :c], adj, energy, series[1 + t0:1 + t0 + b])
+            k = snap - t0 if t0 <= snap < t0 + b else b
+            _step_block(y, acts[:k, :c], adj, energy)
+            if k < b:
+                early_sums[start:start + c] = _column_sums(energy)
+                _step_block(y, acts[k:b, :c], adj, energy)
         energy_sums[start:start + c] = _column_sums(energy)
-    return energy_sums, shadow_sums, series
+    return energy_sums, shadow_sums, early_sums
 
 
-def _drift(series: np.ndarray) -> float:
-    """Spread of the running mean of ``series`` over its final 10% of
-    steps, relative to its final value; 0 for an all-zero series and
-    infinite when a single step leaves nothing to compare."""
-    t_steps = series.size
-    running = np.cumsum(series) / np.arange(1, t_steps + 1)
-    scale = abs(running[-1])
-    if scale == 0.0:
+def _drift(d_final: np.ndarray, d_early: np.ndarray) -> float:
+    """(E_T - E_(T-w)) / E_T, with E_t the ensemble's disagreement sums
+    over k < t: the share of the estimate gained over the last w steps;
+    0 when E_T = 0."""
+    total = float(d_final.sum())
+    if total == 0.0:
         return 0.0
-    if t_steps < 2:
-        return math.inf
-    window = running[-max(2, t_steps // 10):]
-    return float((window.max() - window.min()) / scale)
+    return (total - float(d_early.sum())) / total
 
 
 def estimate_noise_index(
@@ -320,13 +312,13 @@ def estimate_noise_index(
     there is no second ensemble and no fitted coefficient. ``mf_corr`` is
     the correlation of Y and Y~ across replications.
 
-    ``drift`` is the steady-state statistic of ``mean_trace``, the
-    ensemble's estimate of E[d(x_t)] / N for t = 1..T: the spread of its
-    running mean over the final 10% of steps, relative to its final value.
-    From x(0) = 0 the expectation rises monotonically, so residual drift
-    means the horizon ended inside the transient. ``converged`` is
-    ``drift < BURN_IN_CHECK`` (0.05); a False value is a flag, not an
-    error (raise the horizon).
+    ``drift`` is (E_T - E_(T-w)) / E_T with w = max(1, T // 10) and
+    E_t = sigma^2 sum over replications of sum_{k<t} |y_k|^2, the
+    ensemble's uncorrected estimate of M E[d(x_t)]: the share of it
+    gained over the last w steps. From x(0) = 0 the expectation rises
+    monotonically to its limit, so a large share means the horizon ended
+    inside the transient. ``converged`` is ``drift < BURN_IN_CHECK``
+    (1e-3); a False value is a flag, not an error (raise the horizon).
 
     The activations, one random byte each with a uniform for the 1/256 of
     ties, come from the generator that drew the probe, in blocks of 1024
@@ -351,12 +343,11 @@ def estimate_noise_index(
     spectrum = laplacian_eigenpairs(g)
     gains = _mean_field_gains(spectrum.eigenvalues, cfg, sim.horizon)
     seeds = np.random.SeedSequence(sim.seed).spawn(m)
-    energy, shadow, series = _run_ensemble(seeds, g, cfg, sim, spectrum.eigenvectors, gains)
+    energy, shadow, early = _run_ensemble(seeds, g, cfg, sim, spectrum.eigenvectors, gains)
     d_final = cfg.sigma2 * energy
     d_shadow = cfg.sigma2 * shadow
     per_rep = (d_final - d_shadow + cfg.sigma2 * float(gains.sum())) / n
-    mean_trace = cfg.sigma2 * np.cumsum(series) / (n * m)
-    drift = _drift(mean_trace)
+    drift = _drift(d_final, cfg.sigma2 * early)
     if m > 1 and d_final.std() > 0.0 and d_shadow.std() > 0.0:
         mf_corr = float(np.corrcoef(d_final, d_shadow)[0, 1])
     else:
@@ -367,5 +358,4 @@ def estimate_noise_index(
         converged=bool(drift < BURN_IN_CHECK),
         drift=drift,
         mf_corr=mf_corr,
-        mean_trace=mean_trace,
     )

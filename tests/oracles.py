@@ -752,12 +752,14 @@ def finite_horizon_index(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
     return cfg.sigma2 * float(np.trace(sigma)) / g.n
 
 
-def _summary(d_final: np.ndarray, d_mf: np.ndarray, series: np.ndarray,
+def _summary(d_final: np.ndarray, d_mf: np.ndarray, trace: np.ndarray,
              g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     """The control-variate ``j_hat`` and ``std_error``, the uncorrected
     ``j_hat_raw`` and ``std_error_raw``, ``drift``, ``converged`` and
     ``mf_corr`` of per-replication values ``d_final`` with shadows
-    ``d_mf``, and the trace ``series / (N M)``."""
+    ``d_mf``. ``trace[t - 1]`` is the ensemble's summed d(x_t) for
+    t = 1..T, and ``drift`` the share of trace[-1] gained over the last
+    w = max(1, T // 10) steps."""
     n, m = g.n, sim.ensemble
 
     def mean_and_se(values):
@@ -767,32 +769,24 @@ def _summary(d_final: np.ndarray, d_mf: np.ndarray, series: np.ndarray,
     j_hat, std_error = mean_and_se(
         (d_final - d_mf + mean_field_disagreement(g, cfg, sim.horizon)) / n)
     j_hat_raw, std_error_raw = mean_and_se(d_final / n)
-    series = series / (n * m)
-    running = np.cumsum(series) / np.arange(1, sim.horizon + 1)
-    scale = abs(running[-1])
-    if scale == 0.0:
-        drift = 0.0
-    elif sim.horizon < 2:
-        drift = math.inf
-    else:
-        window = running[-max(2, sim.horizon // 10):]
-        drift = float((window.max() - window.min()) / scale)
+    back = sim.horizon - max(1, sim.horizon // 10)
+    early = float(trace[back - 1]) if back else 0.0
+    total = float(trace[-1])
+    drift = (total - early) / total if total else 0.0
     if m > 1 and d_final.std() > 0.0 and d_mf.std() > 0.0:
         mf_corr = float(np.corrcoef(d_final, d_mf)[0, 1])
     else:
         mf_corr = math.nan
     return {"j_hat": j_hat, "std_error": std_error, "j_hat_raw": j_hat_raw,
             "std_error_raw": std_error_raw, "drift": drift,
-            "converged": bool(drift < BURN_IN_CHECK), "mf_corr": mf_corr,
-            "mean_trace": series}
+            "converged": bool(drift < BURN_IN_CHECK), "mf_corr": mf_corr}
 
 
 def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     """The library's reverse-time estimate with dense update matrices:
     the same seeds and draw order, one replication at a time, and the
     mean-field control variate's known mean from the propagated noise
-    covariance. ``mean_trace`` is the running sum of the per-step energy,
-    over N M."""
+    covariance."""
     seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
     energy, shadow, series = _dense_reverse(seeds, g, cfg, sim)
     return _summary(energy, shadow, np.cumsum(series), g, cfg, sim)
@@ -805,7 +799,7 @@ def dense_forward_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig,
     ``_unit_draws``) and scaled to variance sigma^2, and its mean-field
     shadow on the same noise: d(x_T) per replication, whole-horizon draws
     per replication (activations, then noise) from the same seeds as the
-    library, and ``mean_trace`` the per-step mean of d(x_t) / N."""
+    library."""
     seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
     return _summary(*_dense_dynamics(seeds, g, cfg, sim, law), g, cfg, sim)
 

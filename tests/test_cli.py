@@ -16,6 +16,7 @@ from click.testing import CliRunner
 import ridlnoise
 from ridlnoise import graphs, make_grid, make_path, read_edge_list, write_edge_list
 from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli, main
+from ridlnoise.simulator import BURN_IN_CHECK
 
 runner = CliRunner()
 
@@ -491,13 +492,14 @@ class TestSimulateCommand:
                      "--horizon", "40", "--ensemble", "100")
         assert res.output.splitlines()[0].split(",")[-2:] == ["drift", "mf_corr"]
         row = parse_csv(res.output)[0]
-        assert row["converged"] == ("true" if as_float(row["drift"]) < 0.05 else "false")
+        assert row["converged"] == ("true" if as_float(row["drift"]) < BURN_IN_CHECK
+                                    else "false")
         assert 0.0 < as_float(row["mf_corr"]) <= 1.0
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--horizon", "40", "--ensemble", "100", "--format", "json")
         record = json.loads(res.output)[0]
         assert list(record)[-2:] == ["drift", "mf_corr"]
-        assert record["converged"] == (record["drift"] < 0.05)
+        assert record["converged"] == (record["drift"] < BURN_IN_CHECK)
         assert record["mf_corr"] == pytest.approx(as_float(row["mf_corr"]), rel=1e-11)
 
     def test_zero_variance(self):
@@ -533,7 +535,7 @@ class TestSimulateCommand:
         assert int(parse_csv(res.output)[0]["realizations"]) == 1
 
     @pytest.mark.parametrize("extra,nulls", [
-        (("--horizon", "1", "--ensemble", "1"), {"drift", "mf_corr"}),
+        (("--horizon", "1", "--ensemble", "1"), {"mf_corr"}),
         (("--sigma2", "0", "--horizon", "20", "--ensemble", "10"), {"mf_corr"}),
     ], ids=["one-step", "noiseless"])
     def test_json_writes_non_finite_as_null(self, extra, nulls):
