@@ -23,11 +23,13 @@ environment variable changes a run. Exit codes: 0 success, 2 validation
 error, 3 numerical failure (including an eigensolver that does not
 converge, and running out of memory), 4 I/O failure. A validation error,
 whether a bad option value (a nan, an infinity, or an integer too large
-for the platform among them), an option that the chosen family would
-ignore (``--graph-file`` without ``--graph file``, ``--p-er`` without an
-Erdos-Renyi family), or invalid graph input such as a malformed or
-disconnected ``--graph-file`` edge list or an Erdos-Renyi draw that never
-comes out connected, exits 2 with a one-line message on stderr.
+for the platform among them), a ``--sigma2`` and step whose index bounds
+fall outside the floating-point range (overflow, or underflow to 0), an
+option that the chosen family would ignore (``--graph-file`` without
+``--graph file``, ``--p-er`` without an Erdos-Renyi family), or invalid
+graph input such as a malformed or disconnected ``--graph-file`` edge
+list or an Erdos-Renyi draw that never comes out connected, exits 2 with
+a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -356,6 +358,7 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> d
     if spec.ensemble is not None:  # the shadow's eigenvectors; the bounds read the same solve
         laplacian_eigenpairs(job.graph)
     rep = compute_noise_report(job.graph, cfg, exact=exact)
+    j = rep.exact.j if rep.exact is not None else None
     row = {
         "family": job.family,
         "n_requested": job.n_requested,
@@ -379,10 +382,10 @@ def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> d
         "j_res_ub": rep.j_res_ub,
         "j_lb_std": None,
         "j_ub_std": None,
-        "n_exact": job.graph.n if rep.j_exact is not None else None,
-        "j_exact": rep.j_exact,
-        "rel_lb": (rep.j_exact - rep.j_lb) / rep.j_exact if rep.j_exact else None,
-        "rel_ub": (rep.j_ub - rep.j_exact) / rep.j_exact if rep.j_exact else None,
+        "n_exact": job.graph.n if rep.exact is not None else None,
+        "j_exact": j,
+        "rel_lb": (j - rep.j_lb) / j if j else None,
+        "rel_ub": (rep.j_ub - j) / j if j else None,
         "j_exact_std": None,
     }
     if spec.ensemble is not None:

@@ -57,12 +57,13 @@ _SANDWICH_SLACK = 1e-9
 class NoiseReport:
     """All computed index values for one (graph, config) pair.
 
-    ``j_exact`` is absent when the caller asked for the bounds only;
-    the bounds are always present. ``method_tags`` records how each
-    number was produced.
+    The four bounds are always present: ``j_lb``/``j_ub`` from the
+    Laplacian spectrum, ``j_res_lb``/``j_res_ub`` from the average
+    effective resistance. ``exact`` is the exact solve's record, None
+    when the caller asked for the bounds only.
     """
 
-    j_exact: float | None
+    exact: ExactIndex | None
     j_lb: float
     j_ub: float
     j_res_lb: float
@@ -70,7 +71,6 @@ class NoiseReport:
     r_ave: float
     lambda2: float
     lambda_n: float
-    method_tags: dict
 
 
 class ExactIndex(NamedTuple):
@@ -217,43 +217,30 @@ def compute_noise_report(
 ) -> NoiseReport:
     """Assemble every index value for one configuration.
 
-    The exact index is computed when ``exact`` is true; bounds are always
+    The exact index is solved when ``exact`` is true; bounds are always
     present. A bounds-only report reads the graph's Laplacian eigenvalues
     alone; an exact one asks for the eigenpairs first, so that one
     eigensolve serves the bounds and the exact solve's preconditioner.
-    The report is checked (finite, positive values and the sandwich
-    inequalities, to the configured slack scaled by max(1, J)) before it
-    is returned; a bound that overflows raises ValueError, as eps p^2 is
-    then too small.
+
+    The bounds are closed forms that scale like sigma^2 / (eps p^2), so
+    one that is not finite, or not positive at sigma^2 > 0, is an input
+    outside the floating-point range: ValueError, before any solve. The
+    exact index is then checked against both sandwiches, to a slack of
+    1e-9 max(1, J), and a violation raises :class:`NumericalError`.
     """
     spec = laplacian_eigenpairs(g) if exact else laplacian_spectrum(g)
     j_lb, j_ub = ridl_bounds(spec, cfg)
     r_ave = average_effective_resistance(g)
     j_res_lb, j_res_ub = resistance_bounds(r_ave, cfg)
-    # the bounds are closed forms that scale like sigma^2 / (eps p^2):
-    # one that overflows is an input out of range, not a failed solve
-    if not np.isfinite([j_lb, j_ub, j_res_lb, j_res_ub]).all():
+    bounds = np.array([j_lb, j_ub, j_res_lb, j_res_ub])
+    finite = np.isfinite(bounds).all()
+    if not finite or (cfg.sigma2 > 0.0 and bounds.min() <= 0.0):
         raise ValueError(
-            f"step size is too small: eps * p^2 = {cfg.epsilon * cfg.p**2:.6g} makes "
-            f"the index bounds overflow at sigma2 = {cfg.sigma2:.6g}"
+            f"sigma2 = {cfg.sigma2:.6g} with eps * p^2 = {cfg.epsilon * cfg.p**2:.6g} "
+            f"makes the index bounds {'underflow to 0' if finite else 'overflow'}"
         )
-    tags = {
-        "j_lb": "laplacian-spectrum",
-        "j_ub": "laplacian-spectrum",
-        "j_res_lb": "effective-resistance",
-        "j_res_ub": "effective-resistance",
-    }
-    if exact:
-        solve = exact_noise_index(g, cfg)
-        j_exact = solve.j
-        tags["j_exact"] = (
-            f"stein-pcg[iterations={solve.iterations}, gap={solve.gap:.2e}]"
-        )
-    else:
-        j_exact = None
-        tags["j_exact"] = "absent (bounds only)"
     report = NoiseReport(
-        j_exact=j_exact,
+        exact=exact_noise_index(g, cfg) if exact else None,
         j_lb=j_lb,
         j_ub=j_ub,
         j_res_lb=j_res_lb,
@@ -261,29 +248,24 @@ def compute_noise_report(
         r_ave=r_ave,
         lambda2=float(spec.eigenvalues[1]),
         lambda_n=float(spec.eigenvalues[-1]),
-        method_tags=tags,
     )
-    _validate_report(report, cfg)
+    _validate_report(report)
     return report
 
 
-def _validate_report(report: NoiseReport, cfg: RidlConfig) -> None:
-    values = [report.j_lb, report.j_ub, report.j_res_lb, report.j_res_ub]
-    if report.j_exact is not None:
-        values.append(report.j_exact)
-    if not all(np.isfinite(v) for v in values):
-        raise NumericalError(f"non-finite index values in report: {values}")
-    if cfg.sigma2 > 0.0 and min(values) <= 0.0:
-        raise NumericalError(f"nonpositive index values in report: {values}")
-    if report.j_exact is not None:
-        j = report.j_exact
-        slack = _SANDWICH_SLACK * max(1.0, abs(j))
-        if not (report.j_lb - slack <= j <= report.j_ub + slack):
-            raise NumericalError(
-                f"spectral sandwich violated: {report.j_lb} <= {j} <= {report.j_ub}"
-            )
-        if not (report.j_res_lb - slack <= j <= report.j_res_ub + slack):
-            raise NumericalError(
-                f"resistance sandwich violated: "
-                f"{report.j_res_lb} <= {j} <= {report.j_res_ub}"
-            )
+def _validate_report(report: NoiseReport) -> None:
+    """Check the exact index against both sandwiches, the independent
+    check on every exact value."""
+    if report.exact is None:
+        return
+    j = report.exact.j
+    slack = _SANDWICH_SLACK * max(1.0, abs(j))
+    if not (report.j_lb - slack <= j <= report.j_ub + slack):
+        raise NumericalError(
+            f"spectral sandwich violated: {report.j_lb} <= {j} <= {report.j_ub}"
+        )
+    if not (report.j_res_lb - slack <= j <= report.j_res_ub + slack):
+        raise NumericalError(
+            f"resistance sandwich violated: "
+            f"{report.j_res_lb} <= {j} <= {report.j_res_ub}"
+        )

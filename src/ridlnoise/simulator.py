@@ -234,22 +234,25 @@ def _step_block(
 
 
 def _run_ensemble(
-    seeds: list[np.random.SeedSequence],
+    root: np.random.SeedSequence,
     g: UndirectedGraph,
     cfg: RidlConfig,
     sim: SimConfig,
     vecs: np.ndarray,
     gains: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate one probe per seed through ``sim.horizon - 1`` steps.
+    """Propagate ``sim.ensemble`` probes through ``sim.horizon - 1`` steps.
 
-    ``vecs`` holds the Laplacian eigenvectors as columns and ``gains``
-    the :func:`_mean_field_gains` of v_2..v_N. Returns, per replication,
-    the sum over k < T of |y_k|^2, its mean-field shadow
+    Each chunk spawns its replications' seeds from ``root`` as it starts;
+    numpy counts the children spawned, so they are the ones a single
+    ``root.spawn(sim.ensemble)`` gives, without holding all of them at
+    once. ``vecs`` holds the Laplacian eigenvectors as columns and
+    ``gains`` the :func:`_mean_field_gains` of v_2..v_N. Returns, per
+    replication, the sum over k < T of |y_k|^2, its mean-field shadow
     sum_i g_i (v_i^T y_0)^2, and the sum over k < T - w of |y_k|^2, with
     w = max(1, T // 10).
     """
-    n, steps, m = g.n, sim.horizon - 1, len(seeds)
+    n, steps, m = g.n, sim.horizon - 1, sim.ensemble
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     adj = sparse.csr_array((np.full(rows.size, cfg.epsilon), (rows, cols)), shape=(n, n))
@@ -264,7 +267,7 @@ def _run_ensemble(
     early_sums = np.zeros(m)
     for start in range(0, m, chunk):
         c = min(chunk, m - start)
-        rngs = [np.random.default_rng(s) for s in seeds[start:start + c]]
+        rngs = [np.random.default_rng(s) for s in root.spawn(c)]
         y = np.empty((n, c))
         for j, rng in enumerate(rngs):
             z = rng.standard_normal(n)
@@ -342,8 +345,8 @@ def estimate_noise_index(
     n, m = g.n, sim.ensemble
     spectrum = laplacian_eigenpairs(g)
     gains = _mean_field_gains(spectrum.eigenvalues, cfg, sim.horizon)
-    seeds = np.random.SeedSequence(sim.seed).spawn(m)
-    energy, shadow, early = _run_ensemble(seeds, g, cfg, sim, spectrum.eigenvectors, gains)
+    energy, shadow, early = _run_ensemble(
+        np.random.SeedSequence(sim.seed), g, cfg, sim, spectrum.eigenvectors, gains)
     d_final = cfg.sigma2 * energy
     d_shadow = cfg.sigma2 * shadow
     per_rep = (d_final - d_shadow + cfg.sigma2 * float(gains.sum())) / n

@@ -233,7 +233,7 @@ class TestValidationErrors:
          "step size is too small"),
         # eps p^2 is normal, but the bound sums 1/(1 - mu_i^2) overflow
         (("bounds", "--graph", "path", "--n", "300", "--eps", "1e-307", "--p", "1"),
-         "step size is too small: eps * p^2 = 1e-307 makes the index bounds overflow"),
+         "sigma2 = 1 with eps * p^2 = 1e-307 makes the index bounds overflow"),
         # --k p^2 passes, eps p^2 = k p^2 / d_max underflows on the built star;
         # the slow-mixing warning of p < 0.1 is not printed before the error
         (("bounds", "--graph", "star", "--n", "5000", "--k", "1e-300", "--p", "0.01"),
@@ -241,13 +241,23 @@ class TestValidationErrors:
         # p^3 (1 - k) underflows to 0 in the resistance upper bound
         (("bounds", "--graph", "path", "--n", "30", "--k", "0.999999999999", "--p", "1e-150"),
          "makes the index bounds overflow"),
+        # sigma2 alone puts the bounds outside the floating-point range
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "5e-324"),
+         "sigma2 = 4.94066e-324 with eps * p^2 = 0.324 makes the index bounds underflow to 0"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "1e308"),
+         "sigma2 = 1e+308 with eps * p^2 = 0.324 makes the index bounds overflow"),
+        (("exact", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "5e-324"),
+         "makes the index bounds underflow to 0"),
+        (("exact", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "1e308"),
+         "makes the index bounds overflow"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
             "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
             "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many",
             "sigma2-nan", "sigma2-inf", "eps-nan", "eps-inf", "p-nan", "k-nan",
             "n-range-oversized", "n-oversized", "dims-oversized", "sweep-p-n-oversized",
             "eps-underflow-zero", "eps-underflow-subnormal", "bounds-overflow",
-            "eps-underflow-on-graph", "resistance-underflow"])
+            "eps-underflow-on-graph", "resistance-underflow", "sigma2-underflow",
+            "sigma2-overflow", "exact-sigma2-underflow", "exact-sigma2-overflow"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -799,9 +809,23 @@ class TestPublicApi:
         )
         assert exported == self.EXPORTED
 
+    RECORD_FIELDS = {
+        "UndirectedGraph": ["n", "edges", "degrees", "d_max"],
+        "NoiseReport": ["exact", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
+                        "lambda2", "lambda_n"],
+        "ExactIndex": ["j", "iterations", "gap"],
+        "SimEstimate": ["j_hat", "std_error", "converged", "drift", "mf_corr"],
+        "SimConfig": ["horizon", "ensemble", "seed"],
+        "RidlConfig": ["p", "epsilon", "sigma2", "d_max"],
+    }
+
     def test_record_fields(self):
-        fields = [f.name for f in dataclasses.fields(ridlnoise.UndirectedGraph)]
-        assert fields == ["n", "edges", "degrees", "d_max"]
+        fields = {}
+        for name in self.RECORD_FIELDS:
+            record = getattr(ridlnoise, name)
+            fields[name] = (list(record._fields) if hasattr(record, "_fields")
+                            else [f.name for f in dataclasses.fields(record)])
+        assert fields == self.RECORD_FIELDS
 
 
 class TestBenchCommandsParse:

@@ -413,8 +413,8 @@ class TestNoiseReport:
                 rep = compute_noise_report(g, cfg)
                 slack = 1e-9
                 assert rep.j_res_lb <= rep.j_lb + slack
-                assert rep.j_lb <= rep.j_exact + slack
-                assert rep.j_exact <= rep.j_ub + slack
+                assert rep.j_lb <= rep.exact.j + slack
+                assert rep.exact.j <= rep.j_ub + slack
                 assert rep.j_ub <= rep.j_res_ub + slack
 
     def test_exact_tag_records_the_solve(self):
@@ -422,31 +422,32 @@ class TestNoiseReport:
         cfg = RidlConfig.for_graph(g, p=0.6, sigma2=1.0, k=0.8)
         exact = exact_noise_index(g, cfg)
         assert 1 <= exact.iterations and 0.0 <= exact.gap <= noise_index._J_GAP
-        tag = compute_noise_report(g, cfg).method_tags["j_exact"]
-        assert tag == f"stein-pcg[iterations={exact.iterations}, gap={exact.gap:.2e}]"
+        assert compute_noise_report(g, cfg).exact == exact
 
     def test_sandwich_slack_scales_with_large_index(self):
         g = make_complete(2)
         cfg = RidlConfig.for_graph(g, p=0.01, sigma2=1.0, k=0.99)
         rep = compute_noise_report(g, cfg)
-        assert rep.j_exact > 1e5
-        noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-12)), cfg)
+        assert rep.exact.j > 1e5
+        noise_index._validate_report(
+            replace(rep, exact=rep.exact._replace(j=rep.j_ub * (1.0 + 1e-12))))
         with pytest.raises(NumericalError, match="spectral sandwich"):
-            noise_index._validate_report(replace(rep, j_exact=rep.j_ub * (1.0 + 1e-8)), cfg)
+            noise_index._validate_report(
+                replace(rep, exact=rep.exact._replace(j=rep.j_ub * (1.0 + 1e-8))))
 
     def test_sandwich_slack_absolute_for_small_index(self):
         g = make_path(5)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=0.1, k=0.8)
         rep = compute_noise_report(g, cfg)
         assert rep.j_ub < 1.0
-        noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 0.5e-9), cfg)
+        noise_index._validate_report(replace(rep, exact=rep.exact._replace(j=rep.j_ub + 0.5e-9)))
         with pytest.raises(NumericalError, match="spectral sandwich"):
-            noise_index._validate_report(replace(rep, j_exact=rep.j_ub + 2e-9), cfg)
+            noise_index._validate_report(
+                replace(rep, exact=rep.exact._replace(j=rep.j_ub + 2e-9)))
 
     def test_exact_absent_when_not_requested(self):
         g = make_path(12)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
         rep = compute_noise_report(g, cfg, exact=False)
-        assert rep.j_exact is None
-        assert "absent" in rep.method_tags["j_exact"]
+        assert rep.exact is None
         assert rep.j_lb > 0 and rep.j_ub > 0

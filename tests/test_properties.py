@@ -29,6 +29,6 @@ def connected_graphs(draw):
 def test_stein_solve_matches_dense_and_sandwich(g, p, k):
     cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
     rep = compute_noise_report(g, cfg)
-    assert rep.j_exact == pytest.approx(dense_exact(g, cfg), rel=1e-10)
-    chain = [rep.j_res_lb, rep.j_lb, rep.j_exact, rep.j_ub, rep.j_res_ub]
+    assert rep.exact.j == pytest.approx(dense_exact(g, cfg), rel=1e-10)
+    chain = [rep.j_res_lb, rep.j_lb, rep.exact.j, rep.j_ub, rep.j_res_ub]
     assert np.all(np.diff(chain) >= -1e-9)

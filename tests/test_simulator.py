@@ -272,6 +272,38 @@ class TestChunking:
         assert est.drift == base.drift
         assert est.converged == base.converged
 
+    def test_seeds_spawn_per_chunk(self, monkeypatch):
+        # chunks of 7 spawn 7 seeds each, and the estimate is the one that
+        # one spawn of all 50 seeds up front gives, bit for bit
+        g = make_grid((3, 3))
+        cfg = RidlConfig.for_graph(g, p=0.8, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=simulator._DRAW_STEPS + 80, ensemble=50, seed=8)
+        monkeypatch.setattr(simulator, "_STATE_BYTES", 8 * g.n * 7)
+        children = iter(np.random.SeedSequence(sim.seed).spawn(sim.ensemble))
+        spawned = []
+
+        class SpawnSpy(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        class OneShot:
+            """Hands out the children of one spawn of the whole ensemble."""
+
+            def __init__(self, seed):
+                assert seed == sim.seed
+
+            def spawn(self, n_children):
+                return [next(children) for _ in range(n_children)]
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
+        per_chunk = estimate_noise_index(g, cfg, sim)
+        assert spawned == [7] * 7 + [1]
+        monkeypatch.setattr(np.random, "SeedSequence", OneShot)
+        one_shot = estimate_noise_index(g, cfg, sim)
+        for name in ("j_hat", "std_error", "drift", "mf_corr"):
+            assert getattr(per_chunk, name).hex() == getattr(one_shot, name).hex(), name
+
     def test_peak_memory_within_chunk_budget(self):
         # 64 replications of a 10x10 grid over 8000 steps, eight blocks of
         # draws, need 51 MB of activations, more than 1.5 x 32 MiB
