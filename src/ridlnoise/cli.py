@@ -26,10 +26,10 @@ whether a bad option value (a nan, an infinity, or an integer too large
 for the platform among them), a ``--sigma2`` and step whose index bounds
 fall outside the floating-point range (overflow, or underflow to 0), an
 option that the chosen family would ignore (``--graph-file`` without
-``--graph file``, ``--p-er`` without an Erdos-Renyi family), or invalid
-graph input such as a malformed or disconnected ``--graph-file`` edge
-list or an Erdos-Renyi draw that never comes out connected, exits 2 with
-a one-line message on stderr.
+``--graph file``; ``--p-er``, and ``--seed`` but on ``simulate``, with
+no Erdos-Renyi family), or invalid graph input such as a malformed or
+disconnected ``--graph-file`` edge list or an Erdos-Renyi draw that
+never comes out connected, exits 2 with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -130,17 +130,6 @@ class ExperimentSpec:
     seed: int
     horizon: int | None = None  # simulate only
     ensemble: int | None = None  # simulate only; set, it adds Monte Carlo columns
-
-
-@dataclass
-class GraphJob:
-    family: str
-    n_requested: int
-    graph: UndirectedGraph
-    dims: tuple[int, ...] | None = None
-    p_er: float | None = None
-    er_seed: int | None = None
-    er_resamples: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +286,13 @@ def _build_spec(
     params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
 ) -> ExperimentSpec:
     """The validated spec of a table command's options."""
-    p_er_source = click.get_current_context().get_parameter_source("p_er")
-    if p_er_source is not ParameterSource.DEFAULT and "erdos-renyi" not in families:
-        raise click.UsageError("--p-er only applies to erdos-renyi graphs")
+    if "erdos-renyi" not in families:
+        ctx = click.get_current_context()
+        # simulate's Monte Carlo reads --seed on every family
+        for name in ("p_er",) if "ensemble" in params else ("p_er", "seed"):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                option = "--" + name.replace("_", "-")
+                raise click.UsageError(f"{option} only applies to erdos-renyi graphs")
     n_values, dims, graph = _resolve_sizes(families, params)
     spec = ExperimentSpec(
         graphs=tuple((family, n) for family in families for n in n_values),
@@ -325,71 +318,62 @@ def _build_spec(
 
 def _make_family_graph(
     family: str, n: int, spec: ExperimentSpec, realization: int = 0
-) -> GraphJob:
-    if family == "star":
-        return GraphJob(family, n, make_star(n))
-    if family == "path":
-        return GraphJob(family, n, make_path(n))
-    if family == "complete":
-        return GraphJob(family, n, make_complete(n))
+) -> tuple[UndirectedGraph, dict]:
+    """The graph of one family at a requested N and its row cells, the same at every p."""
+    cells = {"family": family, "n_requested": n}
     if family in ("grid2d", "grid3d"):
-        d = spec.dims if spec.dims is not None else _grid_dims_near(family, n)
-        return GraphJob(family, n, make_grid(d), dims=d)
-    if family == "erdos-renyi":
+        dims = spec.dims if spec.dims is not None else _grid_dims_near(family, n)
+        graph = make_grid(dims)
+        cells["dims"] = "x".join(str(side) for side in dims)
+    elif family == "erdos-renyi":
         entropy = np.random.SeedSequence([spec.seed, n, realization])
         draw = draw_erdos_renyi(n, spec.p_er, np.random.default_rng(entropy))
-        return GraphJob(
-            family, n, draw.graph,
-            p_er=spec.p_er, er_seed=spec.seed, er_resamples=draw.attempts,
-        )
-    return GraphJob(family, spec.graph.n, spec.graph)  # the --graph-file graph
+        graph = draw.graph
+        cells.update(p_er=spec.p_er, er_seed=spec.seed, er_resamples=draw.attempts, realizations=1)
+    elif family == "file":
+        graph = spec.graph
+    else:  # the builders are looked up per call, so a patched one is the one called
+        graph = {"star": make_star, "path": make_path, "complete": make_complete}[family](n)
+    return graph, {**cells, "n": graph.n, "d_max": graph.d_max}
 
 
-def _single_row(job: GraphJob, spec: ExperimentSpec, p: float, exact: bool) -> dict:
-    """The row of one graph at p. Its one RidlConfig also drives the Monte
-    Carlo columns when the spec sets an ensemble."""
+def _single_row(
+    graph: UndirectedGraph, cells: dict, spec: ExperimentSpec, p: float, exact: bool
+) -> dict:
+    """The row of one graph at p: its graph cells, then what depends on p.
+    Its one RidlConfig also drives the Monte Carlo columns when the spec
+    sets an ensemble."""
     # the one limit that depends on the built graph: eps < 1/d_max
-    if spec.epsilon is not None and not spec.epsilon < 1.0 / job.graph.d_max:
+    if spec.epsilon is not None and not spec.epsilon < 1.0 / graph.d_max:
         raise click.UsageError(
-            f"invalid configuration for n={job.graph.n}: --eps must be below "
-            f"1/d_max = {1.0 / job.graph.d_max:.6g}, got {spec.epsilon}"
+            f"invalid configuration for n={graph.n}: --eps must be below "
+            f"1/d_max = {1.0 / graph.d_max:.6g}, got {spec.epsilon}"
         )
-    cfg = RidlConfig.for_graph(job.graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k)
+    cfg = RidlConfig.for_graph(graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k)
     if spec.ensemble is not None:  # the shadow's eigenvectors; the bounds read the same solve
-        laplacian_eigenpairs(job.graph)
-    rep = compute_noise_report(job.graph, cfg, exact=exact)
+        laplacian_eigenpairs(graph)
+    rep = compute_noise_report(graph, cfg, exact=exact)
     j = rep.exact.j if rep.exact is not None else None
     row = {
-        "family": job.family,
-        "n_requested": job.n_requested,
-        "n": job.graph.n,
-        "dims": "x".join(str(d) for d in job.dims) if job.dims else None,
+        **cells,
         "p": cfg.p,
         "eps": cfg.epsilon,
         "k": cfg.k,
         "sigma2": cfg.sigma2,
-        "d_max": job.graph.d_max,
         "lambda2": rep.lambda2,
         "lambda_n": rep.lambda_n,
         "r_ave": rep.r_ave,
-        "p_er": job.p_er,
-        "er_seed": job.er_seed,
-        "er_resamples": job.er_resamples,
-        "realizations": 1 if job.family == "erdos-renyi" else None,
         "j_lb": rep.j_lb,
         "j_ub": rep.j_ub,
         "j_res_lb": rep.j_res_lb,
         "j_res_ub": rep.j_res_ub,
-        "j_lb_std": None,
-        "j_ub_std": None,
-        "n_exact": job.graph.n if rep.exact is not None else None,
+        "n_exact": graph.n if rep.exact is not None else None,
         "j_exact": j,
         "rel_lb": (j - rep.j_lb) / j if j else None,
         "rel_ub": (rep.j_ub - j) / j if j else None,
-        "j_exact_std": None,
     }
     if spec.ensemble is not None:
-        row.update(_estimate_columns(job, spec, cfg))
+        row.update(_estimate_columns(graph, spec, cfg))
     return row
 
 
@@ -409,10 +393,10 @@ def _aggregate(rows: list[dict]) -> dict:
     return agg
 
 
-def _estimate_columns(job: GraphJob, spec: ExperimentSpec, cfg: RidlConfig) -> dict:
-    horizon = spec.horizon or default_horizon(job.graph, cfg)
+def _estimate_columns(graph: UndirectedGraph, spec: ExperimentSpec, cfg: RidlConfig) -> dict:
+    horizon = spec.horizon or default_horizon(graph, cfg)
     sim = SimConfig(horizon=horizon, ensemble=spec.ensemble, seed=spec.seed)
-    est = estimate_noise_index(job.graph, cfg, sim)
+    est = estimate_noise_index(graph, cfg, sim)
     return dict(
         horizon=horizon,
         ensemble=spec.ensemble,
@@ -434,9 +418,9 @@ def _compute_rows(spec: ExperimentSpec, exact_max_n: float) -> list[dict]:
     rows = []
     for family, n in spec.graphs:
         # several draws only for Erdos-Renyi, which --realizations requires
-        jobs = [_make_family_graph(family, n, spec, r) for r in range(spec.realizations)]
-        exact = jobs[0].graph.n <= exact_max_n
-        rows += [_aggregate([_single_row(job, spec, p, exact) for job in jobs])
+        built = [_make_family_graph(family, n, spec, r) for r in range(spec.realizations)]
+        exact = built[0][0].n <= exact_max_n
+        rows += [_aggregate([_single_row(graph, cells, spec, p, exact) for graph, cells in built])
                  for p in spec.p_values]
     return rows
 

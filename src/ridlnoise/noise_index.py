@@ -206,10 +206,7 @@ def resistance_bounds(r_ave: float, cfg: RidlConfig) -> tuple[float, float]:
         raise ValueError(f"average effective resistance must be positive, got {r_ave}")
     e, p, s2, k = cfg.epsilon, cfg.p, cfg.sigma2, cfg.k
     lb = s2 / (2.0 * p**2) * (r_ave / e)
-    # p^3 (1 - k) can underflow to 0 where eps p^2 cannot
-    den = 2.0 * p**3 * (1.0 - k)
-    ub = s2 / den * (r_ave / e) if den > 0.0 else lb / (p * (1.0 - k))
-    return lb, ub
+    return lb, lb / (p * (1.0 - k))
 
 
 def compute_noise_report(

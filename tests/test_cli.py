@@ -199,7 +199,7 @@ class TestValidationErrors:
           "--graph-file", "/nonexistent.edges"), "--graph-file only applies to --graph file"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p-er", "0.5"),
          "--p-er only applies to erdos-renyi graphs"),
-        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--seed", "-1"),
+        (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--seed", "-1"),
          "--seed must be >= 0"),
         (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.1:inf:0.1"),
          "--p-grid must look like LO:HI:STEP"),
@@ -250,6 +250,40 @@ class TestValidationErrors:
          "makes the index bounds underflow to 0"),
         (("exact", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "1e308"),
          "makes the index bounds overflow"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--seed", "3"),
+         "--seed only applies to erdos-renyi graphs"),
+        (("exact", "--graph", "path", "--n", "5", "--k", "0.8", "--seed", "3"),
+         "--seed only applies to erdos-renyi graphs"),
+        (("sweep-n", "--graph", "path", "--n-range", "3:5", "--k", "0.8", "--seed", "3"),
+         "--seed only applies to erdos-renyi graphs"),
+        (("sweep-p", "--families", "path,star", "--n", "5", "--k", "0.8", "--seed", "3"),
+         "--seed only applies to erdos-renyi graphs"),
+        (("sweep-p", "--families", "path,ring", "--k", "0.8"), "unknown family 'ring'"),
+        (("bounds", "--graph", "path", "--n", "5", "--eps", "-0.1"), "--eps must be positive"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "-1"),
+         "--sigma2 must be >= 0"),
+        (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--p-er", "1.5"),
+         "--p-er in (0, 1] is required"),
+        (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--realizations", "0"),
+         "--realizations must be >= 1"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--realizations", "2"),
+         "--realizations only applies to erdos-renyi"),
+        (("simulate", "--graph", "path", "--n", "5", "--k", "0.8", "--ensemble", "0"),
+         "--ensemble and --horizon must be >= 1"),
+        (("simulate", "--graph", "path", "--n", "5", "--k", "0.8", "--horizon", "0"),
+         "--ensemble and --horizon must be >= 1"),
+        (("bounds", "--graph", "file", "--graph-file", "/nonexistent.edges", "--n", "5",
+          "--k", "0.8"), "--graph file takes no --n"),
+        (("bounds", "--graph", "file", "--k", "0.8"), "--graph file requires --graph-file PATH"),
+        (("bounds", "--graph", "path", "--dims", "3x3", "--k", "0.8"),
+         "--dims only applies to grid graphs"),
+        (("bounds", "--graph", "grid2d", "--dims", "3x3x3", "--k", "0.8"),
+         "grid2d needs 2 sides in --dims"),
+        (("bounds", "--graph", "grid2d", "--dims", "3x3", "--n", "9", "--k", "0.8"),
+         "give either --dims or --n/--n-range"),
+        # the null device reads as an empty file
+        (("bounds", "--graph", "file", "--graph-file", os.devnull, "--k", "0.8"),
+         "is missing the 'n m' header"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
             "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
             "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many",
@@ -257,7 +291,12 @@ class TestValidationErrors:
             "n-range-oversized", "n-oversized", "dims-oversized", "sweep-p-n-oversized",
             "eps-underflow-zero", "eps-underflow-subnormal", "bounds-overflow",
             "eps-underflow-on-graph", "resistance-underflow", "sigma2-underflow",
-            "sigma2-overflow", "exact-sigma2-underflow", "exact-sigma2-overflow"])
+            "sigma2-overflow", "exact-sigma2-underflow", "exact-sigma2-overflow",
+            "seed-ignored-bounds", "seed-ignored-exact", "seed-ignored-sweep-n",
+            "seed-ignored-sweep-p", "unknown-family", "eps-negative", "sigma2-negative",
+            "p-er-out-of-range", "realizations-zero", "realizations-ignored", "ensemble-zero",
+            "horizon-zero", "graph-file-with-n", "graph-file-missing", "dims-not-grid",
+            "dims-wrong-sides", "dims-and-n", "graph-file-empty"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -563,6 +602,12 @@ class TestSimulateCommand:
 
 
 class TestErdosRenyiRows:
+    def test_seed_reaches_the_erdos_renyi_rows_of_a_family_list(self):
+        res = invoke("sweep-p", "--families", "path,erdos-renyi", "--n", "6", "--k", "0.8",
+                     "--p-grid", "0.5:0.5:0.1", "--seed", "5")
+        assert res.exit_code == 0
+        assert [row["er_seed"] for row in parse_csv(res.output)] == ["", "5"]
+
     def test_seed_and_resamples_recorded(self):
         res = invoke("bounds", "--graph", "erdos-renyi", "--n", "15", "--k", "0.8",
                      "--p-er", "0.4", "--seed", "7")

@@ -95,6 +95,17 @@ class TestDefaultHorizon:
         cfg = RidlConfig.for_graph(g, p=0.1, sigma2=1.0, k=0.1)
         assert default_horizon(g, cfg) == simulator._HORIZON_CAP == 100_000
 
+    def test_rate_zero(self):
+        # K2 with eps p^2 lambda_2 = 1: one step removes all disagreement,
+        # and log(0) is never taken
+        cfg = RidlConfig(p=1.0, epsilon=0.5, sigma2=1.0, d_max=1)
+        assert default_horizon(make_complete(2), cfg) == 1
+
+    def test_rate_rounds_to_one(self):
+        # 1 - 2e-17 rounds to 1: the cap, not a division by log(1) = 0
+        cfg = RidlConfig(p=1.0, epsilon=1e-17, sigma2=1.0, d_max=1)
+        assert default_horizon(make_complete(2), cfg) == simulator._HORIZON_CAP
+
 
 class TestEstimator:
     def test_k2_reference_within_three_sigma(self):
