@@ -3,35 +3,51 @@ Laplacian spectra, and effective resistance.
 
 All graphs are simple and undirected (no self-loops, no multi-edges).
 A graph is stored as its integer edge array only: an (m, 2) array of
-pairs (i, j) with i < j in lexicographic order, canonicalised with array
-operations when the graph is built, beside the degrees and d_max derived
-from it. No N x N matrix is formed when a graph is built; the dense
-Laplacian is filled from the edges where a caller needs it, for the
-eigensolve and the exact solve's Stein operator. Randomized generators
-take a caller-owned seeded generator so repeated runs are reproducible.
+pairs (i, j) with i < j in lexicographic order, beside the degrees and
+d_max derived from it. The named makers write that array in order
+directly; other graphs are canonicalised with array operations when
+they are built. No N x N matrix is formed when a graph is built; the
+dense Laplacian is filled from the edges where a caller needs it, for
+an eigensolve, the eigenpair certificate and the exact solve's Stein
+operator. Randomized generators take a caller-owned seeded generator so
+repeated runs are reproducible.
 
 A graph keeps two Laplacian spectral records, each computed at most
 once, each with its own certificate:
 
 * the eigenvalues (``laplacian_spectrum``), which are all the bounds and
-  the effective resistance need. A values-only solve, certified by the
-  power sums sum(lambda) = tr L = 2m and
-  sum(lambda^2) = ||L||_F^2 = sum(d_i^2) + 2m; it costs O(N) beyond the
-  solve.
+  the effective resistance need, certified by the power sums
+  sum(lambda) = tr L = 2m and sum(lambda^2) = ||L||_F^2 = sum(d_i^2) + 2m;
+  the certificate costs O(N).
 * the eigenpairs (``laplacian_eigenpairs``), which the exact solve's
   preconditioner and the Monte Carlo shadow ask for, certified by the
   residual max_i ||L v_i - lambda_i v_i|| from one product L V.
 
 Once the eigenpairs exist, the eigenvalue record is taken from them, so
-a graph is eigensolved once. Both certificates are relative to
+a graph's spectrum is computed once. Both certificates are relative to
 max(||L||_2, 1) and must stay within ``_EIGEN_RESIDUAL``; a failed check,
-or a LAPACK failure to converge, raises :class:`NumericalError`. Both
-solves run LAPACK's divide-and-conquer ``syevd`` through ``numpy.linalg``
-(``eigvalsh`` and ``eigh``), on numpy's OpenBLAS, the same library as
-every other dense product in the package. scipy bundles a second
-OpenBLAS with its own thread pool, which its LAPACK wrappers would load;
-with two pools on a machine with few cores, each pool's idle workers
-spin while the other pool works.
+or a LAPACK failure to converge, raises :class:`NumericalError`.
+
+The star, path, grid (1 to 3 axes) and complete graphs of the named
+makers have their spectra in closed form (``_closed_form``), recorded in
+the graph's ``family`` when it is built:
+
+* path and grid: eigenvalues sum_axes 4 sin^2(pi k / 2 n_a), and
+  eigenvectors the Kronecker products of the axes' DCT-II columns
+  (Strang, "The discrete cosine transform", SIAM Review 1999);
+* star: eigenvalues {0, 1 (N - 2 times), N}; complete: {0, N (N - 1
+  times)}; eigenvectors the constant vector, Helmert columns (on the
+  leaves of the star, on every node of the complete graph), and the
+  star's hub vector.
+
+Values-only records of these graphs need no N x N matrix, so their
+bounds reach N = 10^5. Every other graph (Erdos-Renyi draws, edge-list
+files) is eigensolved by LAPACK's divide-and-conquer ``syevd`` through
+``numpy.linalg`` (``eigvalsh`` and ``eigh``), on numpy's OpenBLAS, the
+same library as every other dense product in the package. scipy bundles
+a second OpenBLAS with its own thread pool, which its LAPACK wrappers
+would load; with two pools on a machine with few cores, each pool's idle
+workers spin while the other pool works.
 """
 from __future__ import annotations
 
@@ -68,6 +84,7 @@ __all__ = [
 # bound on both spectral certificates, relative to max(||L||_2, 1)
 _EIGEN_RESIDUAL = 1e-8
 # a graph is disconnected when lambda_2 <= this times max(lambda_N, 1)
+# and <= half the least lambda_2 of a connected graph on N nodes
 _CONNECTIVITY_RTOL = 1e-9
 # connectivity resampling budget of ``draw_erdos_renyi``
 _ER_MAX_RESAMPLES = 1000
@@ -96,19 +113,26 @@ class UndirectedGraph:
 
     ``edges`` is an (m, 2) int64 array of pairs (i, j) with i < j, rows
     in lexicographic order; ``degrees`` counts the edges at each node,
-    and ``d_max`` is the maximum degree. The certified Laplacian
-    eigenvalues and eigenpairs are computed on first use and kept.
+    and ``d_max`` is the maximum degree. ``family`` names the closed form
+    of the Laplacian spectrum: ``("star",)``, ``("complete",)`` or
+    ``("grid", n_1, ..., n_k)`` for paths and grids, and None for a graph
+    that is eigensolved. The certified Laplacian eigenvalues and
+    eigenpairs are computed on first use and kept.
     """
 
     n: int
     edges: np.ndarray
     degrees: np.ndarray
     d_max: int
+    family: tuple | None = None
 
     @cached_property
     def _eigenpairs(self) -> SpectralData:
         lap = laplacian(self)
-        w, v = _syevd(np.linalg.eigh, lap)
+        if self.family is None:
+            w, v = _syevd(np.linalg.eigh, lap)
+        else:
+            w, v = _closed_form(self, vectors=True)
         # certificate: max_i ||L v_i - w_i v_i|| / max(||L||_2, 1)
         norm = float(np.abs(w).max(initial=0.0))
         res_cols = np.linalg.norm(lap @ v - v * w, axis=0)
@@ -125,7 +149,10 @@ class UndirectedGraph:
         pairs = self.__dict__.get("_eigenpairs")
         if pairs is not None:
             return pairs
-        w = _syevd(np.linalg.eigvalsh, laplacian(self))
+        if self.family is None:
+            w = _syevd(np.linalg.eigvalsh, laplacian(self))
+        else:
+            w, _ = _closed_form(self, vectors=False)
         # certificate: the power sums tr L = sum d_i = 2m and
         # ||L||_F^2 = sum d_i^2 + 2m, relative to N s and N s^2 with
         # s = max(||L||_2, 1)
@@ -155,6 +182,57 @@ def _syevd(solver, lap: np.ndarray):
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _closed_form(g: UndirectedGraph, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ascending Laplacian eigenvalues of a graph with a ``family``,
+    and its orthonormal eigenvectors as columns when ``vectors`` is true
+    (else None), from the formulas in the module docstring."""
+    kind, *sides = g.family
+    n = g.n
+    if kind == "grid":
+        # the product of the axes' paths: eigenvalues add, eigenvectors
+        # are Kronecker products in row-major node order
+        w, v = np.zeros(1), np.ones((1, 1))
+        for m in sides:
+            k = np.arange(m)
+            w = (w[:, None] + 4.0 * np.sin(np.pi * k / (2 * m)) ** 2).ravel()
+            if vectors:
+                # DCT-II columns cos(pi k (j + 1/2) / m), orthonormal
+                dct = np.cos(np.pi * np.outer(np.arange(m) + 0.5, k) / m)
+                dct *= np.where(k == 0, math.sqrt(1.0 / m), math.sqrt(2.0 / m))
+                v = np.kron(v, dct)
+        order = np.argsort(w, kind="stable")
+        return w[order], v[:, order] if vectors else None
+    if kind == "star":
+        w = np.concatenate(([0.0], np.ones(n - 2), [float(n)]))
+    else:  # complete
+        w = np.full(n, float(n))
+        w[0] = 0.0
+    if not vectors:
+        return w, None
+    v = np.empty((n, n))
+    v[:, 0] = 1.0 / math.sqrt(n)
+    if kind == "star":
+        # Helmert columns on the leaves (eigenvalue 1), then the hub
+        # vector (n - 1, -1, ..., -1) (eigenvalue n)
+        v[0, 1:-1] = 0.0
+        v[1:, 1:-1] = _helmert(n - 1)
+        v[:, -1] = -1.0 / math.sqrt(n * (n - 1.0))
+        v[0, -1] = (n - 1.0) / math.sqrt(n * (n - 1.0))
+    else:
+        v[:, 1:] = _helmert(n)
+    return w, v
+
+
+def _helmert(n: int) -> np.ndarray:
+    """The n - 1 columns orthogonal to the constant vector of the order-n
+    Helmert matrix: column k (1 <= k < n) holds 1 in rows 0..k-1, -k in
+    row k and 0 below, divided by sqrt(k (k + 1))."""
+    i = np.arange(n)[:, None]
+    k = np.arange(1, n)[None, :]
+    h = np.where(i < k, 1.0, 0.0) - k * (i == k)
+    return h / np.sqrt(k * (k + 1.0))
+
+
 @dataclass(frozen=True)
 class ErdosRenyiDraw:
     """An Erdos-Renyi sample plus how many attempts connectivity took."""
@@ -182,23 +260,31 @@ def _build(n: int, edges) -> UndirectedGraph:
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     lo, hi = np.divmod(keys, n)
     degrees = np.bincount(np.concatenate((lo, hi)), minlength=n).astype(np.int64)
-    d_max = int(degrees.max(initial=0))
-    return UndirectedGraph(n=n, edges=np.column_stack((lo, hi)), degrees=degrees, d_max=d_max)
+    return _graph(n, lo, hi, degrees)
+
+
+def _graph(n: int, lo, hi, degrees: np.ndarray, family: tuple | None = None) -> UndirectedGraph:
+    """The graph record of canonical edges (lo[e], hi[e]), lo < hi in
+    lexicographic order, with their degrees."""
+    edges = np.column_stack((lo, hi)).astype(np.int64, copy=False)
+    return UndirectedGraph(n=n, edges=edges, degrees=degrees.astype(np.int64, copy=False),
+                           d_max=int(degrees.max(initial=0)), family=family)
 
 
 def make_star(n: int) -> UndirectedGraph:
     """Star graph: node 0 is the hub, connected to every other node."""
     if n < 3:
         raise ValueError(f"star graph needs n >= 3, got {n}")
-    leaves = np.arange(1, n)
-    return _build(n, np.column_stack((np.zeros_like(leaves), leaves)))
+    degrees = np.ones(n, dtype=np.int64)
+    degrees[0] = n - 1
+    return _graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), degrees, ("star",))
 
 
 def make_path(n: int) -> UndirectedGraph:
     """Path graph with edges (i, i+1)."""
     if n < 2:
         raise ValueError(f"path graph needs n >= 2, got {n}")
-    return _build(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
+    return make_grid((n,))
 
 
 def make_grid(dims: list[int] | tuple[int, ...]) -> UndirectedGraph:
@@ -213,21 +299,24 @@ def make_grid(dims: list[int] | tuple[int, ...]) -> UndirectedGraph:
     if any(d < 2 for d in dims):
         raise ValueError(f"grid sides must be >= 2, got {dims}")
     n = math.prod(dims)
-    index = np.arange(n).reshape(dims)
-    edges = []
-    for axis in range(len(dims)):
-        # each node paired with its successor along this axis
-        src = np.delete(index, -1, axis=axis)
-        dst = np.delete(index, 0, axis=axis)
-        edges.append(np.column_stack((src.ravel(), dst.ravel())))
-    return _build(n, np.concatenate(edges))
+    node = np.arange(n)
+    coords = np.unravel_index(node, dims)
+    # each node's successor along every axis, the last axis (stride 1)
+    # first: row-major selection then gives the lexicographic edge order
+    axes = range(len(dims) - 1, -1, -1)
+    hi = np.column_stack([node + math.prod(dims[a + 1:]) for a in axes])
+    has = np.column_stack([coords[a] < dims[a] - 1 for a in axes])
+    lo = np.broadcast_to(node[:, None], hi.shape)
+    degrees = has.sum(axis=1) + sum((c > 0).astype(np.int64) for c in coords)
+    return _graph(n, lo[has], hi[has], degrees, ("grid", *dims))
 
 
 def make_complete(n: int) -> UndirectedGraph:
     """Complete graph on n >= 2 nodes."""
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
-    return _build(n, np.column_stack(np.triu_indices(n, k=1)))
+    lo, hi = np.triu_indices(n, k=1)
+    return _graph(n, lo, hi, np.full(n, n - 1, dtype=np.int64), ("complete",))
 
 
 def draw_erdos_renyi(
@@ -272,28 +361,40 @@ def laplacian_spectrum(g: UndirectedGraph) -> Eigenvalues:
     """Ascending Laplacian eigenvalues, certified; the same record on
     every call for the same graph.
 
-    Bounds-only rows get eigenvalues alone, from a values-only solve
-    certified by the power sums sum(lambda) = 2m and
-    sum(lambda^2) = sum(d_i^2) + 2m. Rows with the exact index or a Monte
-    Carlo estimate ask for :func:`laplacian_eigenpairs` first; this record
-    is then those eigenpairs, carrying their A V residual certificate,
-    and no second solve runs."""
+    Bounds-only rows get eigenvalues alone, certified by the power sums
+    sum(lambda) = 2m and sum(lambda^2) = sum(d_i^2) + 2m. They are the
+    closed forms of the star, path, grid and complete graphs built by the
+    named makers, with no N x N matrix, and a values-only LAPACK solve of
+    the dense Laplacian for any other graph. Rows with the exact index or
+    a Monte Carlo estimate ask for :func:`laplacian_eigenpairs` first;
+    this record is then those eigenpairs, carrying their L V residual
+    certificate, and no second solve runs."""
     return g._eigenvalues
 
 
 def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
     """Ascending Laplacian eigenpairs with the residual certificate
     max_i ||L v_i - lambda_i v_i|| / ||L||; the same record on every call
-    for the same graph. The exact solve's preconditioner and the Monte
-    Carlo shadow need the eigenvectors."""
+    for the same graph. The star, path, grid and complete graphs of the
+    named makers take them in closed form (DCT-II products, Helmert
+    columns); any other graph is eigensolved by LAPACK. The exact solve's
+    preconditioner and the Monte Carlo shadow need the eigenvectors."""
     return g._eigenpairs
 
 
 def spectrum_disconnected(lam: np.ndarray) -> bool:
     """Whether the graph with ascending Laplacian eigenvalues ``lam`` is
-    disconnected: fewer than two nodes, or lambda_2 at most
-    ``_CONNECTIVITY_RTOL`` * max(lambda_N, 1)."""
-    return lam.shape[0] < 2 or lam[1] <= _CONNECTIVITY_RTOL * max(float(lam[-1]), 1.0)
+    disconnected: fewer than two nodes, or lambda_2 at most both
+    ``_CONNECTIVITY_RTOL`` * max(lambda_N, 1) and 2 / (N (N - 1)). The
+    second term is half the least lambda_2 of a connected graph on N
+    nodes, 4 / (N diam) >= 4 / (N (N - 1)) (Mohar, "Eigenvalues, diameter,
+    and mean distance in graphs", Graphs Combin. 1991); it is the smaller
+    one only at large N, where a connected graph such as path 10^5
+    (lambda_2 = 9.87e-10) has lambda_2 below the first."""
+    n = lam.shape[0]
+    if n < 2:
+        return True
+    return lam[1] <= min(_CONNECTIVITY_RTOL * max(float(lam[-1]), 1.0), 2.0 / (n * (n - 1.0)))
 
 
 def is_connected(g: UndirectedGraph) -> bool:

@@ -128,7 +128,8 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     # D = P - E[P], S = M - E[D X D], and <X, D X D> <= (|D X|^2 + |X D|^2)/2
     # bounds that term by X -> (G X + X G)/2, G = E[P^2] - E[P]^2 = diag(nu - mu^2)
     # in the Laplacian eigenbasis, where M is entrywise 1 - mu_i mu_j >=
-    # (1 - mu_i^2 + 1 - mu_j^2)/2; so c = min_i (1 - nu_i)/(1 - mu_i^2) > 0 serves.
+    # (1 - mu_i^2 + 1 - mu_j^2)/2; so c = min_i (1 - nu_i)/(1 - mu_i^2) > 0 serves,
+    # at most 1 since moment_spectra caps 1 - nu at 1 - mu^2.
     margin = float(np.min(one_minus_nu / one_minus_mu_sq))
     # 1 - mu_i mu_j with mu = 1 - delta, written without cancellation
     gain = np.zeros((n, n))

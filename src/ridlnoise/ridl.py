@@ -108,19 +108,23 @@ def moment_spectra(lam: np.ndarray, cfg: RidlConfig) -> tuple[np.ndarray, ...]:
     E[P] = I - eps p^2 L, and nu, 1 - nu = eps p^2 (2 (1 + eps p - eps)
     lambda - eps p lambda^2), those of E[P^2] (Fagnani & Zampieri, IEEE
     JSAC 2008). nu >= mu^2, as E[P^2] - E[P]^2 is positive semidefinite,
-    and 1 - nu > 0 when eps < 1/d_max on the graph, since lambda_N <= 2
-    d_max. Raises :class:`NumericalError` when some 1 - nu <= 0.
+    so 1 - nu is capped at 1 - mu^2, which the two forms' rounding can
+    reverse at p = 1 where they agree; 1 - nu > 0 when eps < 1/d_max on the
+    graph, since lambda_N <= 2 d_max. Raises :class:`NumericalError` when
+    some 1 - nu <= 0.
     """
     e, p = cfg.epsilon, cfg.p
     tail = lam[1:]
     delta = e * p**2 * tail
-    one_minus_nu = e * p**2 * (2.0 * (1.0 + e * p - e) * tail - e * p * tail**2)
+    one_minus_mu_sq = delta * (2.0 - delta)
+    one_minus_nu = np.minimum(
+        e * p**2 * (2.0 * (1.0 + e * p - e) * tail - e * p * tail**2), one_minus_mu_sq)
     if one_minus_nu.min() <= 0.0:
         raise NumericalError(
             f"E[P^2] has an eigenvalue >= 1 at Laplacian eigenvalue "
             f"{tail[np.argmin(one_minus_nu)]:.12g}; step size eps={e} is too large"
         )
-    return delta, delta * (2.0 - delta), one_minus_nu
+    return delta, one_minus_mu_sq, one_minus_nu
 
 
 def stein_operator(

@@ -161,16 +161,33 @@ class TestValidationErrors:
             "is too large for this platform")
 
     def test_out_of_memory_exit_3(self, monkeypatch):
-        # the dense Laplacian of path 100000 would need 74.5 GiB; the stand-in
-        # raises what numpy raises then, without allocating
+        # an Erdos-Renyi graph is eigensolved from its dense Laplacian; the
+        # stand-in raises what numpy raises when that does not fit, without
+        # allocating
         def too_large(g):
             raise MemoryError(f"Unable to allocate for an array with shape ({g.n}, {g.n})")
 
         monkeypatch.setattr(graphs, "laplacian", too_large)
-        res = invoke("bounds", "--graph", "path", "--n", "100000", "--k", "0.8")
+        res = invoke("bounds", "--graph", "erdos-renyi", "--n", "30", "--p-er", "0.5",
+                     "--k", "0.8")
         assert res.exit_code == 3
         assert res.stderr.strip().count("\n") == 0
         assert res.stderr.startswith("numerical failure: Unable to allocate")
+
+    def test_bounds_at_n_100000_form_no_dense_matrix(self, monkeypatch):
+        # the closed-form eigenvalues of path 10^5 need no N x N matrix (the
+        # dense Laplacian alone would be 74.5 GiB), and its lambda_2 =
+        # 9.87e-10, below 1e-9 lambda_N, still reads as connected
+        def dense(g):
+            raise AssertionError("dense Laplacian formed")
+
+        monkeypatch.setattr(graphs, "laplacian", dense)
+        res = invoke("bounds", "--graph", "path", "--n", "100000", "--k", "0.8")
+        assert res.exit_code == 0
+        (row,) = parse_csv(res.output)
+        assert int(row["n"]) == 100000
+        lam2 = 4.0 * np.sin(np.pi / 200000) ** 2
+        assert as_float(row["lambda2"]) == pytest.approx(lam2, rel=1e-11)
 
     def test_exhausted_erdos_renyi_draw(self):
         res = invoke("bounds", "--graph", "erdos-renyi", "--n", "30", "--p-er", "0.01",
@@ -855,7 +872,7 @@ class TestPublicApi:
         assert exported == self.EXPORTED
 
     RECORD_FIELDS = {
-        "UndirectedGraph": ["n", "edges", "degrees", "d_max"],
+        "UndirectedGraph": ["n", "edges", "degrees", "d_max", "family"],
         "NoiseReport": ["exact", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
                         "lambda2", "lambda_n"],
         "ExactIndex": ["j", "iterations", "gap"],
@@ -905,71 +922,101 @@ class TestBenchCommandsParse:
 
 
 class TestOneSpectrumPerGraph:
-    """Each built graph is eigensolved once, however many rows and
-    estimates read its spectrum: eigenvalues only for a bounds-only row,
-    eigenpairs where the exact solve or a Monte Carlo estimate runs."""
+    """Each built graph gets one spectrum, however many rows and
+    estimates read it: eigenvalues only for a bounds-only row, eigenpairs
+    where the exact solve or a Monte Carlo estimate runs. The named
+    families take it in closed form; other graphs are eigensolved."""
 
     @pytest.fixture
-    def eigensolves(self, monkeypatch):
-        """The order of every numpy.linalg symmetric eigensolve, by kind."""
-        calls = {"values": [], "pairs": []}
+    def spectra(self, monkeypatch):
+        """The order of every spectrum computed, by kind and by route:
+        the closed forms, or the LAPACK solve ``graphs._syevd``."""
+        calls = {"values": [], "pairs": [], "syevd": []}
+        closed_form, syevd = graphs._closed_form, graphs._syevd
 
-        def counting(kind, original):
-            def counted(a, *args):
-                calls[kind].append(a.shape[0])
-                return original(a, *args)
-            return counted
+        def counted_closed_form(g, vectors):
+            calls["pairs" if vectors else "values"].append(g.n)
+            return closed_form(g, vectors)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("values", np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "eigh", counting("pairs", np.linalg.eigh))
+        def counted_syevd(solver, lap):
+            calls["pairs" if solver is np.linalg.eigh else "values"].append(lap.shape[0])
+            calls["syevd"].append(lap.shape[0])
+            return syevd(solver, lap)
+
+        monkeypatch.setattr(graphs, "_closed_form", counted_closed_form)
+        monkeypatch.setattr(graphs, "_syevd", counted_syevd)
         return calls
 
-    def test_sweep_p_one_eigensolve_per_family(self, eigensolves):
+    def test_sweep_p_one_eigensolve_per_family(self, spectra):
         res = invoke("sweep-p", "--families", "star,path", "--n", "40", "--k", "0.8")
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 18
-        assert eigensolves == {"values": [], "pairs": [40, 40]}
+        assert spectra == {"values": [], "pairs": [40, 40], "syevd": []}
 
-    def test_simulate_default_horizon_reuses_spectrum(self, eigensolves):
+    def test_simulate_default_horizon_reuses_spectrum(self, spectra):
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--ensemble", "50")
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["j_exact"] != ""
-        assert eigensolves == {"values": [], "pairs": [6]}
+        assert spectra == {"values": [], "pairs": [6], "syevd": []}
 
-    def test_bounds_rows_solve_eigenvalues_only(self, eigensolves):
+    def test_bounds_rows_solve_eigenvalues_only(self, spectra):
         res = invoke("bounds", "--graph", "path", "--n-range", "30:32", "--k", "0.8")
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 3
-        assert eigensolves == {"values": [30, 31, 32], "pairs": []}
+        assert spectra == {"values": [30, 31, 32], "pairs": [], "syevd": []}
 
-    def test_exact_row_solves_eigenpairs_once(self, eigensolves):
+    def test_exact_row_solves_eigenpairs_once(self, spectra):
         res = invoke("exact", "--graph", "path", "--n", "30", "--k", "0.8")
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["j_exact"] != ""
-        assert eigensolves == {"values": [], "pairs": [30]}
+        assert spectra == {"values": [], "pairs": [30], "syevd": []}
 
-    def test_simulate_above_exact_cap_solves_eigenpairs_once(self, eigensolves):
+    def test_simulate_above_exact_cap_solves_eigenpairs_once(self, spectra):
         # the shadow's closed form needs the eigenvectors; the bounds and
-        # the default horizon read the same solve
+        # the default horizon read the same record
         n = EXACT_MAX_N + 6
         res = invoke("simulate", "--graph", "path", "--n", str(n), "--k", "0.8",
                      "--ensemble", "20")
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         assert row["j_exact"] == "" and int(row["horizon"]) > 1
-        assert eigensolves == {"values": [], "pairs": [n]}
+        assert spectra == {"values": [], "pairs": [n], "syevd": []}
+
+    def test_named_families_skip_lapack_other_graphs_use_it(self, spectra, tmp_path):
+        for family in ("star", "path", "grid2d", "grid3d", "complete"):
+            res = invoke("bounds", "--graph", family, "--n", "30", "--k", "0.8")
+            assert res.exit_code == 0
+        assert spectra["syevd"] == [] and len(spectra["values"]) == 5
+        path = tmp_path / "g.edges"
+        write_edge_list(make_path(12), path)
+        for args in (("--graph", "file", "--graph-file", str(path)),
+                     ("--graph", "erdos-renyi", "--n", "14", "--p-er", "0.5")):
+            res = invoke("exact", *args, "--k", "0.8")
+            assert res.exit_code == 0
+        assert spectra["syevd"] == [12, 14]
+        assert spectra["pairs"] == [12, 14]
 
 
 class TestEigenvalueCertificate:
-    def test_perturbed_eigenvalues_exit_3(self, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
+    """A spectrum that fails its certificate, or a LAPACK solve that fails,
+    exits 3 with one line, on both routes."""
 
-        def perturbed(a):
-            return eigvalsh(a) * (1.0 + 1e-6)
+    @staticmethod
+    def edge_file(tmp_path):
+        path = tmp_path / "p30.edges"
+        write_edge_list(make_path(30), path)
+        return str(path)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
-        res = invoke("bounds", "--graph", "path", "--n", "30", "--k", "0.8")
+    def test_perturbed_eigenvalues_exit_3(self, monkeypatch, tmp_path):
+        syevd = graphs._syevd
+
+        def perturbed(solver, lap):
+            return syevd(solver, lap) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(graphs, "_syevd", perturbed)
+        res = invoke("bounds", "--graph", "file", "--graph-file", self.edge_file(tmp_path),
+                     "--k", "0.8")
         assert res.exit_code == 3
         assert res.stderr.strip().count("\n") == 0
         assert "power-sum residual" in res.stderr
@@ -979,10 +1026,26 @@ class TestEigenvalueCertificate:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        res = invoke("bounds", "--graph", "path", "--n", "30", "--k", "0.8")
+        res = invoke("bounds", "--graph", "erdos-renyi", "--n", "30", "--p-er", "0.5",
+                     "--k", "0.8")
         assert res.exit_code == 3
         assert res.stderr.strip().count("\n") == 0
         assert "Eigenvalues did not converge" in res.stderr
+
+    @pytest.mark.parametrize("command,pairs", [("bounds", False), ("exact", True)])
+    def test_perturbed_closed_form_exit_3(self, monkeypatch, command, pairs):
+        closed_form = graphs._closed_form
+
+        def perturbed(g, vectors):
+            assert vectors == pairs
+            w, v = closed_form(g, vectors)
+            return w * (1.0 + 1e-6), v
+
+        monkeypatch.setattr(graphs, "_closed_form", perturbed)
+        res = invoke(command, "--graph", "grid2d", "--dims", "5x6", "--k", "0.8")
+        assert res.exit_code == 3
+        assert res.stderr.strip().count("\n") == 0
+        assert ("eigensolver residual" if pairs else "power-sum residual") in res.stderr
 
 
 class TestBenchRowChecks:

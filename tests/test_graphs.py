@@ -19,6 +19,7 @@ from ridlnoise import (
     read_edge_list,
     write_edge_list,
 )
+from ridlnoise import graphs
 from ridlnoise.graphs import _build, laplacian_eigenpairs
 
 from oracles import (
@@ -353,6 +354,67 @@ class TestLaplacian:
         lam = laplacian_spectrum(g).eigenvalues
         assert lam[0] >= -1e-9
         assert abs(lam[0]) <= 1e-9
+
+
+# every named family at N <= 200, grids with 1 to 3 axes
+CLOSED_FORM_GRAPHS = [
+    make_star(3), make_star(7), make_star(200), make_path(2), make_path(9), make_path(200),
+    make_grid([2, 2]), make_grid([5, 7]), make_grid([14, 14]), make_grid([3, 5, 7]),
+    make_grid([4, 4, 4]), make_grid([2, 10, 10]), make_complete(2), make_complete(9),
+    make_complete(200),
+]
+CLOSED_FORM_IDS = ["star3", "star7", "star200", "path2", "path9", "path200", "grid2x2",
+                   "grid5x7", "grid14x14", "grid3x5x7", "grid4x4x4", "grid2x10x10",
+                   "complete2", "complete9", "complete200"]
+
+
+class TestClosedFormSpectra:
+    """The star, path, grid and complete makers' closed-form spectra agree
+    with LAPACK's eigensolve of the same edges."""
+
+    @pytest.mark.parametrize("g", CLOSED_FORM_GRAPHS, ids=CLOSED_FORM_IDS)
+    def test_matches_eigh(self, g):
+        lam, vecs = np.linalg.eigh(laplacian(g))
+        values = laplacian_spectrum(g).eigenvalues
+        pairs = laplacian_eigenpairs(g)
+        scale = lam[-1]
+        assert np.abs(values - lam).max() <= 1e-12 * scale
+        assert np.abs(pairs.eigenvalues - lam).max() <= 1e-12 * scale
+        v = pairs.eigenvectors
+        assert np.abs(v.T @ v - np.eye(g.n)).max() <= 1e-12
+        # the projector onto each distinct eigenvalue's eigenspace
+        cuts = np.flatnonzero(np.diff(pairs.eigenvalues) > 1e-9 * scale) + 1
+        for block in np.split(np.arange(g.n), cuts):
+            ours, theirs = v[:, block], vecs[:, block]
+            assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("g", CLOSED_FORM_GRAPHS, ids=CLOSED_FORM_IDS)
+    def test_edges_are_the_canonical_form(self, g):
+        # the same pairs, shuffled and half of them reversed
+        rng = np.random.default_rng(g.n)
+        pairs = g.edges[rng.permutation(len(g.edges))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        built = _build(g.n, pairs)
+        assert g.edges.dtype == built.edges.dtype == np.int64
+        assert np.array_equal(g.edges, built.edges)
+        assert np.array_equal(g.degrees, built.degrees) and g.degrees.dtype == np.int64
+        assert g.d_max == built.d_max
+        assert built.family is None and g.family is not None
+
+    def test_families(self):
+        assert make_star(5).family == ("star",)
+        assert make_path(5).family == ("grid", 5)
+        assert make_grid([3, 4, 2]).family == ("grid", 3, 4, 2)
+        assert make_complete(5).family == ("complete",)
+
+    def test_bounds_spectrum_forms_no_dense_matrix(self, monkeypatch):
+        def dense(g):
+            raise AssertionError("dense Laplacian formed")
+
+        monkeypatch.setattr(graphs, "laplacian", dense)
+        for g in (make_star(500), make_path(500), make_grid([20, 25]), make_complete(500)):
+            assert laplacian_spectrum(g).residual <= 1e-14
 
 
 class TestConnectivity:

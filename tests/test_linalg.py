@@ -76,10 +76,11 @@ class TestSymEigen:
             w, v = eigh(a)
             return w, v + 1e-6 * np.random.default_rng(0).standard_normal(v.shape)
 
-        assert laplacian_eigenpairs(make_path(6)).residual <= 1e-12
+        # path 6 read from its edges, as from a file: eigensolved by LAPACK
+        assert laplacian_eigenpairs(copy_of(make_path(6))).residual <= 1e-12
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericalError, match="residual"):
-            laplacian_eigenpairs(make_path(6))
+            laplacian_eigenpairs(copy_of(make_path(6)))
 
     @staticmethod
     def assert_reconstructs(g):
@@ -214,7 +215,7 @@ class TestSymEigvals:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(NumericalError, match="power-sum residual"):
-            laplacian_spectrum(make_path(30))
+            laplacian_spectrum(copy_of(make_path(30)))
 
 
 # Runs in a fresh interpreter, so that no test's imports count.

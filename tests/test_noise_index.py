@@ -304,6 +304,10 @@ class TestConnectivityThreshold:
         ([0.0, 6e-9, 5.0], False),
         ([0.0, 0.0, 2.0], True),
         ([0.0, 0.5, 0.5], False),
+        # N = 10^5: path 10^5 has lambda_2 = 9.87e-10 < 1e-9 lambda_N, yet no
+        # connected graph on N nodes has lambda_2 below 4 / (N (N - 1))
+        ([0.0, 9.87e-10] + [4.0] * 99_998, False),
+        ([0.0, 1.9e-10] + [4.0] * 99_998, True),
     ])
     def test_threshold_scales_with_lambda_n(self, lam, disconnected):
         assert spectrum_disconnected(np.array(lam)) == disconnected
@@ -402,6 +406,67 @@ class TestFamilyAsymptotics:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             family_asymptotics("torus", 10, K2_CFG)
+
+
+class TestGrowthAtLargeN:
+    """The paper's growth rates of the index at fixed k = eps d_max, read
+    off bounds-only reports up to N = 10^5: linear in N for the path and
+    the star, like log N on the 2-D grid, bounded on the 3-D grid and the
+    complete graph (whose edge list is O(N^2), so it stops at N = 2000)."""
+
+    P, K = 0.9, 0.8
+
+    def j_lb(self, g):
+        cfg = RidlConfig.for_graph(g, p=self.P, sigma2=1.0, k=self.K)
+        return compute_noise_report(g, cfg, exact=False).j_lb
+
+    def test_path_linear(self):
+        # (1/N^2) sum_i 1/(2 delta_i) -> d_max / (2 k p^2) * sum_k 1/(pi k)^2
+        slope = 2.0 / (12.0 * self.K * self.P**2)
+        for n in (50_000, 100_000):
+            assert self.j_lb(make_path(n)) / n == pytest.approx(slope, rel=1e-4)
+
+    def test_star_linear(self):
+        slope = family_asymptotics("star", 100_000, RidlConfig(
+            p=self.P, epsilon=self.K / 99_999, sigma2=1.0, d_max=99_999)).slope
+        for n in (50_000, 100_000):
+            assert self.j_lb(make_star(n)) / n == pytest.approx(slope, rel=1e-4)
+
+    def test_grid2d_logarithmic(self):
+        # each 4x in N adds c ln 4, c = d_max / (8 pi k p^2) from
+        # (1/N) sum 1/lambda ~ ln N / (4 pi)
+        c = 4.0 / (8.0 * np.pi * self.K * self.P**2)
+        j = [self.j_lb(make_grid([m, m])) for m in (79, 158, 316)]
+        for step in np.diff(j):
+            assert step == pytest.approx(c * np.log(4.0), rel=0.03)
+
+    def test_grid3d_bounded(self):
+        # decreasing, by less at each 8x in N, toward a finite limit
+        j = [self.j_lb(make_grid([m, m, m])) for m in (12, 23, 46)]
+        assert j[0] - j[1] > j[1] - j[2] > 0.0
+
+    def test_complete_bounded(self):
+        limit = family_asymptotics("complete", 2000, RidlConfig(
+            p=self.P, epsilon=self.K / 1999, sigma2=1.0, d_max=1999)).lb_limit
+        j = [self.j_lb(make_complete(n)) for n in (500, 1000, 2000)]
+        assert abs(j[2] - limit) < abs(j[1] - limit) < abs(j[0] - limit)
+        assert j[2] == pytest.approx(limit, rel=1e-3)
+
+    def test_path300_j_lb_to_extended_precision(self):
+        # eigvalsh's absolute error of about 1e-16 lambda_N put j_lb 9.5e-12
+        # off; the closed-form eigenvalues leave rounding alone
+        mpmath = pytest.importorskip("mpmath")
+        g = make_path(300)
+        cfg = RidlConfig.for_graph(g, p=1.0, sigma2=1.0, k=0.8)
+        with mpmath.workdps(40):
+            eps = mpmath.mpf(cfg.epsilon)
+            total = mpmath.mpf(0)
+            for k in range(1, 300):
+                delta = eps * 4 * mpmath.sin(mpmath.pi * k / 600) ** 2
+                total += 1 / (delta * (2 - delta))
+            reference = float(total / 300)
+        j_lb, _ = ridl_bounds(laplacian_spectrum(g), cfg)
+        assert j_lb == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 class TestNoiseReport:
