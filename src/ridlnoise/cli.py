@@ -2,20 +2,21 @@
 
 Subcommands reproduce the family computations end to end: ``bounds``
 (spectral and resistance bounds vs N), ``exact`` (adds the exact index
-and the relative errors of both bounds), ``simulate`` (Monte Carlo
-estimates), ``sweep-n`` (bound/exact curves over a node range),
-``sweep-p`` (relative errors over the activation probability), and
-``report`` (the full suite as a directory of CSVs plus a JSON manifest).
+and the relative errors of both bounds), ``sweep-p`` (relative errors
+over the activation probability), ``simulate`` (Monte Carlo estimates)
+and ``report`` (the full suite as a directory of CSVs plus a JSON
+manifest).
 
 Every table has one row per graph x activation probability, in that
 order, where a graph is a family at a requested node count; only
 ``sweep-p`` (and the report's ``sweep_p.csv``) lists several families
-and probabilities. Which rows carry the exact index follows one rule:
-``bounds`` never solves, ``exact`` and ``sweep-p`` always solve, and a
-``sweep-n``, ``simulate`` or ``report`` sweep-n row gets ``j_exact``
-when its built graph has N <= ``EXACT_MAX_N`` (24). For exact values at
-larger N on the other commands, run ``exact --n N`` or ``exact
---n-range A:B``.
+and probabilities. The command decides which rows carry the exact
+index, and its schema shows it: ``exact`` and ``sweep-p``, whose columns
+include ``j_exact``, solve every row, and ``bounds`` and ``simulate``
+never solve. The one size rule is the report's: a row of its
+per-family ``*_sweep_n.csv`` tables gets ``j_exact`` when its built
+graph has N <= ``EXACT_MAX_N`` (24). For exact values at any N, run
+``exact --n N`` or ``exact --n-range A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every input is a command-line option; no
@@ -73,11 +74,9 @@ EXIT_IO = 4
 SWEEP_FAMILIES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi")
 GRAPH_CHOICES = SWEEP_FAMILIES + ("file",)
 
-#: largest built graph whose sweep-n, simulate and report sweep-n rows
-#: get the exact index; sweep-p rows are exact at their own N
+#: largest built graph whose rows of the report's per-family sweep-n
+#: tables get the exact index; every other table solves all rows or none
 EXACT_MAX_N = 24
-_EXACT_LIMIT = {"bounds": 0, "exact": math.inf, "sweep-n": EXACT_MAX_N,
-                "sweep-p": math.inf, "simulate": EXACT_MAX_N}
 
 DEFAULT_P_GRID = "0.1:0.9:0.1"
 #: most points a --p-grid may have; every point is a full row of solves
@@ -97,9 +96,8 @@ _SIM_COLUMNS = ["horizon", "ensemble", "noise", "seed", "j_hat", "std_error", "c
 COMMAND_COLUMNS = {
     "bounds": _COMMON_COLUMNS + _BOUND_COLUMNS,
     "exact": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS,
-    "sweep-n": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS,
     "sweep-p": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS,
-    "simulate": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS + _SIM_COLUMNS,
+    "simulate": _COMMON_COLUMNS + _BOUND_COLUMNS + _SIM_COLUMNS,
 }
 
 # aggregated across Erdos-Renyi realizations, which share n: the mean of
@@ -552,7 +550,8 @@ def _run_table(
     command: str, params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
 ) -> None:
     spec = _build_spec(params, families, p_values)
-    rows = _compute_rows(spec, _EXACT_LIMIT[command])
+    # a command solves every row or none, as its schema says
+    rows = _compute_rows(spec, math.inf if "j_exact" in COMMAND_COLUMNS[command] else 0)
     _emit(render_rows(rows, COMMAND_COLUMNS[command], params["fmt"]), params["output"])
     if params.get("strict") and any(not r["converged"] for r in rows):
         raise NumericalError(
@@ -582,14 +581,6 @@ def bounds_cmd(**params) -> None:
 def exact_cmd(**params) -> None:
     """Exact index plus bound relative errors."""
     _run_table("exact", params, (params["graph"],), (params["p"],))
-
-
-@cli.command("sweep-n")
-@_options(*_TABLE_OPTIONS)
-@_guard
-def sweep_n_cmd(**params) -> None:
-    """Bound curves over a node range; exact columns filled for N <= 24."""
-    _run_table("sweep-n", params, (params["graph"],), (params["p"],))
 
 
 @cli.command("sweep-p")
@@ -647,9 +638,9 @@ def simulate_cmd(**params) -> None:
     replications' summed squared disagreement that the last 10% of steps
     add, at least one step (converged means below 0.001), and mf_corr
     the correlation between the replications and their shadows. The
-    row's one eigensolve gives both the bounds and the shadow. The exact
-    reference columns are filled for N <= 24. An Erdos-Renyi row
-    simulates one draw per N."""
+    row's one eigensolve gives both the bounds and the shadow; no row
+    solves for the exact index, which ``exact`` gives for the same graph
+    and step. An Erdos-Renyi row simulates one draw per N."""
     _run_table("simulate", params, (params["graph"],), (params["p"],))
 
 
@@ -694,9 +685,11 @@ def report_cmd(**params) -> None:
     when unset), which set BLAS's thread count and with it the last
     digits of some exact values.
 
-    A sweep-n row gets the exact index when its graph has N <= 24. The
-    sweep-p rows are exact at their own N (--sweep-p-n, at least the
-    family's smallest graph, or the nearest grid), so n_exact equals n.
+    The per-family sweep-n tables have ``exact``'s columns, and a row
+    gets the exact index when its built graph has N <= 24 (EXACT_MAX_N),
+    the one size cap of any command. The sweep-p rows are exact at their
+    own N (--sweep-p-n, at least the family's smallest graph, or the
+    nearest grid), so n_exact equals n.
 
     A family whose smallest graph is larger than the top of --n-range has
     no rows in the range: its sweep-n file is not written, the family is
@@ -708,8 +701,8 @@ def report_cmd(**params) -> None:
                   sigma2=params["sigma2"], seed=params["seed"])
     # a family whose smallest graph lies above the range has no sweep-n rows
     skipped = [family for family in SWEEP_FAMILIES if _FAMILY_MIN_N[family] > n_hi]
-    tables = {  # file name -> (command whose table it is, its spec)
-        f"{family}_sweep_n.csv": ("sweep-n", ExperimentSpec(
+    tables = {  # file name -> (command whose columns it has, largest exact N, its spec)
+        f"{family}_sweep_n.csv": ("exact", EXACT_MAX_N, ExperimentSpec(
             graphs=tuple((family, n) for n in range(max(n_lo, _FAMILY_MIN_N[family]), n_hi + 1)),
             p_values=(params["p"],),
             realizations=params["realizations"] if family == "erdos-renyi" else 1, **shared,
@@ -717,12 +710,12 @@ def report_cmd(**params) -> None:
         for family in SWEEP_FAMILIES if family not in skipped
     }
     sweep_p_n = _platform_int(params["sweep_p_n"], "--sweep-p-n")
-    tables["sweep_p.csv"] = ("sweep-p", ExperimentSpec(
+    tables["sweep_p.csv"] = ("sweep-p", math.inf, ExperimentSpec(
         graphs=tuple((family, max(sweep_p_n, _FAMILY_MIN_N[family]))
                      for family in SWEEP_FAMILIES),
         p_values=_parse_p_grid(DEFAULT_P_GRID), realizations=1, **shared,
     ))
-    for _, spec in tables.values():
+    for _, _, spec in tables.values():
         _validate_spec(spec)
     out_dir = Path(params["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -733,9 +726,9 @@ def report_cmd(**params) -> None:
             err=True,
         )
     manifest_files = {}
-    for name, (command, spec) in tables.items():
+    for name, (command, exact_max_n, spec) in tables.items():
         t0 = time.time()
-        rows = _compute_rows(spec, _EXACT_LIMIT[command])
+        rows = _compute_rows(spec, exact_max_n)
         text = render_rows(rows, COMMAND_COLUMNS[command], "csv")
         (out_dir / name).write_text(text)
         manifest_files[name] = {
@@ -758,7 +751,7 @@ def report_cmd(**params) -> None:
         "runtime": _runtime(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    _warn_slow_mixing([p for _, spec in tables.values() for p in spec.p_values])
+    _warn_slow_mixing([p for _, _, spec in tables.values() for p in spec.p_values])
     click.echo(f"report written to {out_dir} ({len(manifest_files)} data files)")
 
 

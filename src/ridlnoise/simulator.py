@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse  # loaded at start-up, not inside the first Monte Carlo run
 
-from .graphs import UndirectedGraph, is_connected, laplacian_eigenpairs, laplacian_spectrum
+from .graphs import UndirectedGraph, laplacian_eigenpairs, laplacian_spectrum, spectrum_disconnected
 from .ridl import RidlConfig, moment_spectra
 
 __all__ = [
@@ -330,20 +330,22 @@ def estimate_noise_index(
 
     Raises ValueError unless both almost-sure consensus conditions hold:
     eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,
-    and ``g`` is connected, so E[P] has a simple consensus eigenvalue.
+    and ``g`` is connected, so E[P] has a simple consensus eigenvalue;
+    connectivity is the lambda_2 test of ``graphs.spectrum_disconnected``
+    on the eigenpairs the estimate reads.
     """
+    spectrum = laplacian_eigenpairs(g)
     failures = []
     if cfg.epsilon * g.d_max >= 1.0:
         failures.append(
             f"eps * d_max = {cfg.epsilon * g.d_max:.6g} >= 1: sampled diagonals "
             "may hit zero"
         )
-    if not is_connected(g):
+    if spectrum_disconnected(spectrum.eigenvalues):
         failures.append("graph is disconnected")
     if failures:
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble
-    spectrum = laplacian_eigenpairs(g)
     gains = _mean_field_gains(spectrum.eigenvalues, cfg, sim.horizon)
     energy, shadow, early = _run_ensemble(
         np.random.SeedSequence(sim.seed), g, cfg, sim, spectrum.eigenvectors, gains)

@@ -14,7 +14,7 @@ import scipy
 from click.testing import CliRunner
 
 import ridlnoise
-from ridlnoise import graphs, make_grid, make_path, read_edge_list, write_edge_list
+from ridlnoise import graphs, make_grid, make_path, noise_index, read_edge_list, write_edge_list
 from ridlnoise.cli import COMMAND_COLUMNS, EXACT_MAX_N, cli, main
 from ridlnoise.simulator import BURN_IN_CHECK
 
@@ -271,8 +271,6 @@ class TestValidationErrors:
          "--seed only applies to erdos-renyi graphs"),
         (("exact", "--graph", "path", "--n", "5", "--k", "0.8", "--seed", "3"),
          "--seed only applies to erdos-renyi graphs"),
-        (("sweep-n", "--graph", "path", "--n-range", "3:5", "--k", "0.8", "--seed", "3"),
-         "--seed only applies to erdos-renyi graphs"),
         (("sweep-p", "--families", "path,star", "--n", "5", "--k", "0.8", "--seed", "3"),
          "--seed only applies to erdos-renyi graphs"),
         (("sweep-p", "--families", "path,ring", "--k", "0.8"), "unknown family 'ring'"),
@@ -309,8 +307,8 @@ class TestValidationErrors:
             "eps-underflow-zero", "eps-underflow-subnormal", "bounds-overflow",
             "eps-underflow-on-graph", "resistance-underflow", "sigma2-underflow",
             "sigma2-overflow", "exact-sigma2-underflow", "exact-sigma2-overflow",
-            "seed-ignored-bounds", "seed-ignored-exact", "seed-ignored-sweep-n",
-            "seed-ignored-sweep-p", "unknown-family", "eps-negative", "sigma2-negative",
+            "seed-ignored-bounds", "seed-ignored-exact", "seed-ignored-sweep-p",
+            "unknown-family", "eps-negative", "sigma2-negative",
             "p-er-out-of-range", "realizations-zero", "realizations-ignored", "ensemble-zero",
             "horizon-zero", "graph-file-with-n", "graph-file-missing", "dims-not-grid",
             "dims-wrong-sides", "dims-and-n", "graph-file-empty"])
@@ -405,11 +403,23 @@ class TestExactCommand:
 
 
 class TestSweepN:
-    def test_exact_fades_beyond_cap(self):
+    """The report's per-family sweep-n tables, the one place where the
+    built N decides whether a row gets the exact index (EXACT_MAX_N)."""
+
+    SEED = "3"  # the Erdos-Renyi draws; the report's --p-er is 0.8
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sweep_n") / "rep"
+        res = invoke("report", "--output", str(out), "--n-range", "14:30",
+                     "--sweep-p-n", "8", "--seed", self.SEED)
+        assert res.exit_code == 0
+        return out
+
+    def test_exact_fades_beyond_cap(self, report):
         assert EXACT_MAX_N == 24
-        res = invoke("sweep-n", "--graph", "path", "--n-range", "3:30", "--k", "0.8")
-        rows = parse_csv(res.output)
-        assert {int(r["n"]) for r in rows} == set(range(3, 31))
+        rows = parse_csv((report / "path_sweep_n.csv").read_text())
+        assert {int(r["n"]) for r in rows} == set(range(14, 31))
         for row in rows:
             if int(row["n"]) <= 24:
                 assert row["j_exact"] != ""
@@ -417,17 +427,40 @@ class TestSweepN:
                 assert row["j_exact"] == ""
                 assert row["j_lb"] != ""
 
-    def test_grid_rows_record_actual_n(self):
-        res = invoke("sweep-n", "--graph", "grid2d", "--n-range", "4:30", "--k", "0.8")
-        for row in parse_csv(res.output):
+    def test_grid_rows_record_actual_n(self, report):
+        rows = parse_csv((report / "grid2d_sweep_n.csv").read_text())
+        assert [int(r["n_requested"]) for r in rows] == list(range(14, 31))
+        for row in rows:
             side = round(int(row["n_requested"]) ** 0.5)
-            assert int(row["n"]) == max(2, side) ** 2
-            assert row["dims"].count("x") == 1
+            assert int(row["n"]) == side**2
+            assert row["dims"] == f"{side}x{side}"
             # the cap applies to the built N: requests 21..30 round to 5x5
-            if int(row["n"]) <= 24:
-                assert int(row["n_exact"]) == int(row["n"])
+            if int(row["n_requested"]) <= 20:
+                assert int(row["n_exact"]) == int(row["n"]) == 16
             else:
-                assert row["j_exact"] == ""
+                assert int(row["n"]) == 25
+                assert row["n_exact"] == "" and row["j_exact"] == ""
+
+    def test_exact_rows_match_the_exact_command(self, report):
+        compared = {}
+        for family in ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi"):
+            lines = (report / f"{family}_sweep_n.csv").read_text().splitlines()
+            seeded = (("--seed", self.SEED, "--p-er", "0.8") if family == "erdos-renyi"
+                      else ())
+            res = invoke("exact", "--graph", family, "--n-range", "14:24", "--k", "0.8",
+                         "--p", "0.9", *seeded)
+            assert res.exit_code == 0
+            exact_lines = res.output.splitlines()
+            assert exact_lines[0] == lines[0]
+            # rows in requested-N order from 14, on both sides
+            compared[family] = 0
+            for line, row in zip(lines[1:], parse_csv("\n".join(lines))):
+                if row["j_exact"] != "":
+                    assert line == exact_lines[1 + int(row["n_requested"]) - 14]
+                    compared[family] += 1
+        # grid2d: requests 14..20 build 4x4; grid3d: 14 and 15 build 2x2x2
+        assert compared == {"star": 11, "path": 11, "grid2d": 7, "grid3d": 2,
+                            "complete": 11, "erdos-renyi": 11}
 
 
 class TestSweepP:
@@ -550,7 +583,21 @@ class TestSimulateCommand:
         j_hat, se = as_float(row["j_hat"]), as_float(row["std_error"])
         assert abs(j_hat - 25.0 / 12.0) <= 3.0 * se
         assert row["converged"] == "true"
-        assert as_float(row["j_exact"]) == pytest.approx(25.0 / 12.0, rel=1e-11)
+
+    def test_schema_has_no_exact_columns(self, monkeypatch):
+        # no row solves for the exact index, at any N
+        def unused(*args):
+            raise AssertionError("simulate solved for the exact index")
+
+        monkeypatch.setattr(noise_index, "exact_noise_index", unused)
+        assert "j_exact" not in COMMAND_COLUMNS["simulate"]
+        args = ("simulate", "--graph", "path", "--n", "10", "--k", "0.8", "--ensemble", "50")
+        res = invoke(*args)
+        assert res.exit_code == 0
+        assert res.output.splitlines()[0].split(",") == COMMAND_COLUMNS["simulate"]
+        res = invoke(*args, "--format", "json")
+        assert res.exit_code == 0
+        assert list(json.loads(res.output)[0]) == COMMAND_COLUMNS["simulate"]
 
     def test_drift_column_last(self):
         # the schema's tail is drift, then the control variate's correlation
@@ -732,7 +779,7 @@ class TestReportCommand:
                "--sweep-p-n", "6")
         for path in out.glob("*_sweep_n.csv"):
             rows = parse_csv(path.read_text())
-            assert list(rows[0]) == COMMAND_COLUMNS["sweep-n"]
+            assert list(rows[0]) == COMMAND_COLUMNS["exact"]
         rows = parse_csv((out / "sweep_p.csv").read_text())
         assert list(rows[0]) == COMMAND_COLUMNS["sweep-p"]
 
@@ -801,11 +848,11 @@ class TestRemovedOptions:
     # the options each command had before the exact-size rule became
     # fixed, and the ones it offered but never read
     REMOVED = [
-        ("bounds", "--workers"), ("exact", "--workers"), ("sweep-n", "--workers"),
+        ("bounds", "--workers"), ("exact", "--workers"),
         ("sweep-p", "--workers"), ("simulate", "--workers"), ("report", "--workers"),
-        ("sweep-n", "--exact-cap"), ("simulate", "--exact-cap"), ("report", "--exact-cap"),
+        ("simulate", "--exact-cap"), ("report", "--exact-cap"),
         ("sweep-p", "--exact-n"), ("report", "--exact-n"),
-        ("bounds", "--strict"), ("exact", "--strict"), ("sweep-n", "--strict"),
+        ("bounds", "--strict"), ("exact", "--strict"),
         ("sweep-p", "--strict"), ("sweep-p", "--p"), ("simulate", "--realizations"),
         ("simulate", "--noise"),
     ]
@@ -818,6 +865,13 @@ class TestRemovedOptions:
         # whole names: --p is a prefix of --p-er and --p-grid
         assert option not in re.findall(r"--[\w-]+", invoke(command, "--help").output)
 
+    def test_sweep_n_command_exits_2(self):
+        # it was exact with an N <= 24 cap; exact --n-range gives every row
+        res = invoke("sweep-n", "--graph", "path", "--n-range", "3:5", "--k", "0.8")
+        assert res.exit_code == 2
+        assert "No such command" in res.stderr
+        assert "sweep-n" not in cli.commands
+
 
 class TestCommandOptions:
     """Each command offers exactly the options it reads, so an option
@@ -829,7 +883,6 @@ class TestCommandOptions:
     OFFERED = {
         "bounds": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
         "exact": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
-        "sweep-n": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
         "sweep-p": GRAPH + ["--realizations"] + STEP + OUTPUT + ["--families", "--p-grid"],
         "simulate": GRAPH + ["--p"] + STEP + OUTPUT
         + ["--strict", "--horizon", "--ensemble"],
@@ -843,10 +896,11 @@ class TestCommandOptions:
             for name, command in cli.commands.items()
         }
         assert offered == self.OFFERED
-        assert {name: len(opts) for name, opts in offered.items()} == {
-            "bounds": 14, "exact": 14, "sweep-n": 14, "sweep-p": 15, "simulate": 16,
-            "report": 9,
+        counts = {name: len(opts) for name, opts in offered.items()}
+        assert counts == {
+            "bounds": 14, "exact": 14, "sweep-p": 15, "simulate": 16, "report": 9,
         }
+        assert sum(counts.values()) == 68
 
 
 class TestPublicApi:
@@ -953,12 +1007,16 @@ class TestOneSpectrumPerGraph:
         assert len(parse_csv(res.output)) == 18
         assert spectra == {"values": [], "pairs": [40, 40], "syevd": []}
 
-    def test_simulate_default_horizon_reuses_spectrum(self, spectra):
-        res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
-                     "--ensemble", "50")
+    @pytest.mark.parametrize("n", [6, 30])
+    def test_simulate_solves_eigenpairs_once(self, spectra, n):
+        # the shadow's closed form needs the eigenvectors; the bounds and
+        # the default horizon read the same record, at N on both sides of
+        # the report's exact cap
+        res = invoke("simulate", "--graph", "path", "--n", str(n), "--k", "0.8",
+                     "--ensemble", "20")
         assert res.exit_code == 0
-        assert parse_csv(res.output)[0]["j_exact"] != ""
-        assert spectra == {"values": [], "pairs": [6], "syevd": []}
+        assert int(parse_csv(res.output)[0]["horizon"]) > 1
+        assert spectra == {"values": [], "pairs": [n], "syevd": []}
 
     def test_bounds_rows_solve_eigenvalues_only(self, spectra):
         res = invoke("bounds", "--graph", "path", "--n-range", "30:32", "--k", "0.8")
@@ -971,17 +1029,6 @@ class TestOneSpectrumPerGraph:
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["j_exact"] != ""
         assert spectra == {"values": [], "pairs": [30], "syevd": []}
-
-    def test_simulate_above_exact_cap_solves_eigenpairs_once(self, spectra):
-        # the shadow's closed form needs the eigenvectors; the bounds and
-        # the default horizon read the same record
-        n = EXACT_MAX_N + 6
-        res = invoke("simulate", "--graph", "path", "--n", str(n), "--k", "0.8",
-                     "--ensemble", "20")
-        assert res.exit_code == 0
-        row = parse_csv(res.output)[0]
-        assert row["j_exact"] == "" and int(row["horizon"]) > 1
-        assert spectra == {"values": [], "pairs": [n], "syevd": []}
 
     def test_named_families_skip_lapack_other_graphs_use_it(self, spectra, tmp_path):
         for family in ("star", "path", "grid2d", "grid3d", "complete"):

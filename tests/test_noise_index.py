@@ -6,7 +6,9 @@ import pytest
 from ridlnoise import (
     NumericalError,
     RidlConfig,
+    SimConfig,
     compute_noise_report,
+    estimate_noise_index,
     exact_noise_index,
     laplacian_spectrum,
     make_complete,
@@ -273,10 +275,11 @@ class TestRidlBounds:
 
 
 class TestConnectivityThreshold:
-    """The exact solve, the spectral bounds and the effective resistance
-    read one lambda_2 test, ``graphs.spectrum_disconnected``: lambda_2 at
-    most 1e-9 * max(lambda_N, 1) means disconnected. Each caller keeps
-    its own exception."""
+    """The exact solve, the spectral bounds, the effective resistance and
+    the Monte Carlo estimate read one lambda_2 test,
+    ``graphs.spectrum_disconnected``: lambda_2 at most
+    1e-9 * max(lambda_N, 1) means disconnected. Each caller keeps its own
+    exception."""
 
     @pytest.mark.parametrize("lam2,disconnected", [(1e-9, True), (1.5e-9, False)])
     def test_callers_agree_at_the_threshold(self, lam2, disconnected):
@@ -287,6 +290,7 @@ class TestConnectivityThreshold:
         g.__dict__["_eigenpairs"] = SpectralData(
             eigenvalues=lam, eigenvectors=np.eye(4), residual=0.0)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=5, ensemble=4, seed=0)
         if disconnected:
             with pytest.raises(ValueError, match="disconnected"):
                 ridl_bounds(laplacian_spectrum(g), cfg)
@@ -294,9 +298,12 @@ class TestConnectivityThreshold:
                 average_effective_resistance(g)
             with pytest.raises(NumericalError, match="singular"):
                 exact_noise_index(g, cfg)
+            with pytest.raises(ValueError, match="consensus conditions fail.*disconnected"):
+                estimate_noise_index(g, cfg, sim)
         else:
             assert all(np.isfinite(ridl_bounds(laplacian_spectrum(g), cfg)))
             assert np.isfinite(average_effective_resistance(g))
+            assert np.isfinite(estimate_noise_index(g, cfg, sim).j_hat)
 
     @pytest.mark.parametrize("lam,disconnected", [
         ([0.0], True),
