@@ -1,22 +1,24 @@
 """Command-line front end.
 
-Subcommands reproduce the family computations end to end: ``bounds``
-(spectral and resistance bounds vs N), ``exact`` (adds the exact index
-and the relative errors of both bounds), ``sweep-p`` (relative errors
-over the activation probability), ``simulate`` (Monte Carlo estimates)
-and ``report`` (the full suite as a directory of CSVs plus a JSON
-manifest).
+Four subcommands reproduce the family computations end to end:
+``bounds`` (spectral and resistance bounds), ``exact`` (adds the exact
+index and the relative errors of both bounds), ``simulate`` (Monte Carlo
+estimates) and ``report`` (the full suite as a directory of CSVs plus a
+JSON manifest).
 
-Every table has one row per graph x activation probability, in that
-order, where a graph is a family at a requested node count; only
-``sweep-p`` (and the report's ``sweep_p.csv``) lists several families
-and probabilities. The command decides which rows carry the exact
-index, and its schema shows it: ``exact`` and ``sweep-p``, whose columns
-include ``j_exact``, solve every row, and ``bounds`` and ``simulate``
-never solve. The one size rule is the report's: a row of its
-per-family ``*_sweep_n.csv`` tables gets ``j_exact`` when its built
-graph has N <= ``EXACT_MAX_N`` (24). For exact values at any N, run
-``exact --n N`` or ``exact --n-range A:B``.
+``--graph`` and ``--p`` repeat on ``bounds``, ``exact`` and ``simulate``,
+and every table has one row per family x N x p, in that order, where N
+runs over the requested node counts. So a sweep over N is ``--n-range``
+and a sweep over p is one ``--p`` per point: the former ``sweep-p
+--families A,B --p-grid ...`` is ``exact --graph A --graph B --p ...
+--p ...``, with ``--n`` given (it was 100 by default).
+
+The command decides which rows carry the exact index, and its schema
+shows it: ``exact``, whose columns include ``j_exact``, solves every row,
+and ``bounds`` and ``simulate`` never solve. The one size rule is the
+report's: a row of its per-family ``*_sweep_n.csv`` tables gets
+``j_exact`` when its built graph has N <= ``EXACT_MAX_N`` (24). For exact
+values at any N, run ``exact --n N`` or ``exact --n-range A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every input is a command-line option; no
@@ -26,11 +28,12 @@ converge, and running out of memory), 4 I/O failure. A validation error,
 whether a bad option value (a nan, an infinity, or an integer too large
 for the platform among them), a ``--sigma2`` and step whose index bounds
 fall outside the floating-point range (overflow, or underflow to 0), an
-option that the chosen family would ignore (``--graph-file`` without
+option that the chosen families would ignore (``--graph-file`` without
 ``--graph file``; ``--p-er``, and ``--seed`` but on ``simulate``, with
-no Erdos-Renyi family), or invalid graph input such as a malformed or
-disconnected ``--graph-file`` edge list or an Erdos-Renyi draw that
-never comes out connected, exits 2 with a one-line message on stderr.
+no Erdos-Renyi family), a ``--graph file`` beside another ``--graph``, or
+invalid graph input such as a malformed or disconnected ``--graph-file``
+edge list or an Erdos-Renyi draw that never comes out connected, exits 2
+with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -78,9 +81,8 @@ GRAPH_CHOICES = SWEEP_FAMILIES + ("file",)
 #: tables get the exact index; every other table solves all rows or none
 EXACT_MAX_N = 24
 
-DEFAULT_P_GRID = "0.1:0.9:0.1"
-#: most points a --p-grid may have; every point is a full row of solves
-_P_GRID_MAX_POINTS = 1000
+#: activation probabilities of the report's sweep_p.csv
+REPORT_P_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 _COMMON_COLUMNS = [
     "family", "n_requested", "n", "dims", "p", "eps", "k", "sigma2",
@@ -96,7 +98,6 @@ _SIM_COLUMNS = ["horizon", "ensemble", "noise", "seed", "j_hat", "std_error", "c
 COMMAND_COLUMNS = {
     "bounds": _COMMON_COLUMNS + _BOUND_COLUMNS,
     "exact": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS,
-    "sweep-p": _COMMON_COLUMNS + _BOUND_COLUMNS + _EXACT_COLUMNS,
     "simulate": _COMMON_COLUMNS + _BOUND_COLUMNS + _SIM_COLUMNS,
 }
 
@@ -134,7 +135,6 @@ class ExperimentSpec:
 # parsing and validation
 
 _INT = r"\s*[+-]?\d+\s*"
-_FLOAT = r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*"
 
 
 def _platform_int(value: int, name: str) -> int:
@@ -161,34 +161,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if not (1 <= len(dims) <= 3):
         raise click.UsageError(f"--dims supports 1 to 3 sides, got {text!r}")
     return dims
-
-
-def _parse_p_grid(text: str) -> tuple[float, ...]:
-    if not re.fullmatch(f"{_FLOAT}:{_FLOAT}:{_FLOAT}", text):
-        raise click.UsageError(f"--p-grid must look like LO:HI:STEP, got {text!r}")
-    lo, hi, step = (float(part) for part in text.split(":"))
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise click.UsageError(f"--p-grid values must be finite, got {text!r}")
-    if step <= 0 or lo > hi:
-        raise click.UsageError(f"--p-grid bounds are inconsistent: {text!r}")
-    if not (hi - lo) / step < _P_GRID_MAX_POINTS:
-        raise click.UsageError(
-            f"--p-grid has more than {_P_GRID_MAX_POINTS} points: {text!r}"
-        )
-    count = int(round((hi - lo) / step)) + 1
-    return tuple(round(lo + i * step, 12) for i in range(count) if lo + i * step <= hi + 1e-12)
-
-
-def _parse_families(text: str) -> tuple[str, ...]:
-    families = tuple(f.strip() for f in text.split(",") if f.strip())
-    if not families:
-        raise click.UsageError("--families lists no family")
-    for fam in families:
-        if fam not in SWEEP_FAMILIES:
-            raise click.UsageError(
-                f"unknown family {fam!r}; choose from {', '.join(SWEEP_FAMILIES)}"
-            )
-    return families
 
 
 def _grid_dims_near(family: str, n: int) -> tuple[int, ...]:
@@ -252,7 +224,9 @@ def _resolve_sizes(
     """Node counts, grid sides and the parsed --graph-file of a table."""
     n, n_range = params["n"], params["n_range"]
     explicit_dims = _parse_dims(params["dims"]) if params["dims"] else None
-    if families == ("file",):
+    if "file" in families:
+        if families != ("file",):
+            raise click.UsageError("--graph file must be the only --graph")
         if n is not None or n_range is not None or explicit_dims is not None:
             raise click.UsageError("--graph file takes no --n/--n-range/--dims")
         if not params["graph_file"]:
@@ -280,10 +254,9 @@ def _resolve_sizes(
     return tuple(range(lo, hi + 1)), None, None
 
 
-def _build_spec(
-    params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
-) -> ExperimentSpec:
+def _build_spec(params: dict) -> ExperimentSpec:
     """The validated spec of a table command's options."""
+    families = params["graph"]
     if "erdos-renyi" not in families:
         ctx = click.get_current_context()
         # simulate's Monte Carlo reads --seed on every family
@@ -294,7 +267,7 @@ def _build_spec(
     n_values, dims, graph = _resolve_sizes(families, params)
     spec = ExperimentSpec(
         graphs=tuple((family, n) for family in families for n in n_values),
-        p_values=p_values,
+        p_values=params["p"],
         dims=dims,
         graph=graph,
         p_er=params["p_er"],
@@ -478,7 +451,8 @@ def _guard(fn):
         try:
             return fn(*args, **kwargs)
         except (NumericalError, MemoryError) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            # numpy's MemoryError names the allocation; a bare one says nothing
+            click.echo(f"numerical failure: {str(exc) or 'out of memory'}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except OSError as exc:
             click.echo(f"I/O failure: {exc}", err=True)
@@ -511,8 +485,10 @@ def _options(*decorators):
 
 
 _GRAPH_OPTIONS = (
-    click.option("--graph", type=click.Choice(GRAPH_CHOICES), default="path",
-                 show_default=True, help="Graph family (or 'file' with --graph-file)."),
+    click.option("--graph", type=click.Choice(GRAPH_CHOICES), multiple=True,
+                 default=("path",), show_default=True,
+                 help="Graph family, repeatable: rows go family by family "
+                      "('file', with --graph-file, only alone)."),
     click.option("--graph-file", type=click.Path(), default=None,
                  help="Edge-list file: first line 'n m', then 'i j' lines."),
     click.option("--n", type=int, default=None, help="Node count."),
@@ -527,8 +503,9 @@ _REALIZATIONS_OPTION = click.option(
     "--realizations", type=int, default=1, show_default=True,
     help="Erdos-Renyi draws per N (mean and spread reported).",
 )
-_P_OPTION = click.option("--p", type=float, default=0.9, show_default=True,
-                         help="Per-node activation probability.")
+_P_OPTION = click.option("--p", type=float, multiple=True, default=(0.9,), show_default=True,
+                         help="Per-node activation probability, repeatable: each graph "
+                              "gets one row per --p, in the given order.")
 _STEP_OPTIONS = (
     click.option("--eps", type=float, default=None,
                  help="Step size (exactly one of --eps/--k)."),
@@ -546,10 +523,8 @@ _TABLE_OPTIONS = (*_GRAPH_OPTIONS, _REALIZATIONS_OPTION, _P_OPTION, *_STEP_OPTIO
                   *_OUTPUT_OPTIONS)
 
 
-def _run_table(
-    command: str, params: dict, families: tuple[str, ...], p_values: tuple[float, ...]
-) -> None:
-    spec = _build_spec(params, families, p_values)
+def _run_table(command: str, params: dict) -> None:
+    spec = _build_spec(params)
     # a command solves every row or none, as its schema says
     rows = _compute_rows(spec, math.inf if "j_exact" in COMMAND_COLUMNS[command] else 0)
     _emit(render_rows(rows, COMMAND_COLUMNS[command], params["fmt"]), params["output"])
@@ -558,7 +533,7 @@ def _run_table(
             "drift test failed for at least one row (strict mode); raise --horizon"
         )
     # last, so that a run that fails writes its one error line alone
-    _warn_slow_mixing(p_values)
+    _warn_slow_mixing(spec.p_values)
 
 
 @click.group()
@@ -572,7 +547,7 @@ def cli() -> None:
 @_guard
 def bounds_cmd(**params) -> None:
     """Spectral and resistance bounds for each configuration."""
-    _run_table("bounds", params, (params["graph"],), (params["p"],))
+    _run_table("bounds", params)
 
 
 @cli.command("exact")
@@ -580,37 +555,7 @@ def bounds_cmd(**params) -> None:
 @_guard
 def exact_cmd(**params) -> None:
     """Exact index plus bound relative errors."""
-    _run_table("exact", params, (params["graph"],), (params["p"],))
-
-
-@cli.command("sweep-p")
-@_options(*_GRAPH_OPTIONS, _REALIZATIONS_OPTION, *_STEP_OPTIONS, *_OUTPUT_OPTIONS)
-@click.option("--families", default=",".join(SWEEP_FAMILIES), show_default=True,
-              help="Comma-separated families to sweep (instead of --graph).")
-@click.option("--p-grid", default=DEFAULT_P_GRID, show_default=True,
-              help=f"Activation probability grid LO:HI:STEP, at most "
-                   f"{_P_GRID_MAX_POINTS} points.")
-@_guard
-def sweep_p_cmd(**params) -> None:
-    """Relative bound errors vs activation probability.
-
-    One row per family, N and p, in that order, for the --families list
-    or the one --graph given instead (not both). N comes from --n (100
-    by default), --n-range or --dims and must suit every family, as on
-    the other commands: grid3d needs n >= 8, --dims grids, --realizations
-    erdos-renyi. Every row is exact at its own N, a --graph file's too:
-    each graph is built once and solved at every p, so n_exact equals n.
-    """
-    ctx = click.get_current_context()
-    if ctx.get_parameter_source("graph") is ParameterSource.DEFAULT:
-        families = _parse_families(params["families"])
-    elif ctx.get_parameter_source("families") is ParameterSource.DEFAULT:
-        families = (params["graph"],)
-    else:
-        raise click.UsageError("give either --graph or --families, not both")
-    if families != ("file",) and all(params[key] is None for key in ("n", "n_range", "dims")):
-        params["n"] = 100
-    _run_table("sweep-p", params, families, _parse_p_grid(params["p_grid"]))
+    _run_table("exact", params)
 
 
 @cli.command("simulate")
@@ -640,8 +585,10 @@ def simulate_cmd(**params) -> None:
     the correlation between the replications and their shadows. The
     row's one eigensolve gives both the bounds and the shadow; no row
     solves for the exact index, which ``exact`` gives for the same graph
-    and step. An Erdos-Renyi row simulates one draw per N."""
-    _run_table("simulate", params, (params["graph"],), (params["p"],))
+    and step. An Erdos-Renyi row simulates one draw per N. Every row
+    runs from the same --seed, so it equals the run of its graph and p
+    alone."""
+    _run_table("simulate", params)
 
 
 def _runtime() -> dict:
@@ -677,19 +624,20 @@ def _runtime() -> dict:
 @click.option("--realizations", type=int, default=1, show_default=True)
 @_guard
 def report_cmd(**params) -> None:
-    """Full reproduction suite: per-family sweep-n and sweep-p CSVs plus a
-    JSON manifest with seeds, versions, and wall-clock times. Its
+    """Full reproduction suite: per-family sweep-n CSVs and one sweep-p CSV
+    plus a JSON manifest with seeds, versions, and wall-clock times. Its
     "runtime" key records the Python, numpy and scipy versions and
     numpy's BLAS, which set the last digits of the spectra, and the
     usable CPU count and OPENBLAS_NUM_THREADS and OMP_NUM_THREADS (null
     when unset), which set BLAS's thread count and with it the last
     digits of some exact values.
 
-    The per-family sweep-n tables have ``exact``'s columns, and a row
-    gets the exact index when its built graph has N <= 24 (EXACT_MAX_N),
-    the one size cap of any command. The sweep-p rows are exact at their
-    own N (--sweep-p-n, at least the family's smallest graph, or the
-    nearest grid), so n_exact equals n.
+    Every table has ``exact``'s columns. A row of the per-family sweep-n
+    tables gets the exact index when its built graph has N <= 24
+    (EXACT_MAX_N), the one size cap of any command. sweep_p.csv has the
+    rows of ``exact`` with every family as a --graph, --n at --sweep-p-n
+    (raised to a family's smallest graph) and one --p per point of 0.1,
+    0.2, ..., 0.9, so every row is exact at its built N.
 
     A family whose smallest graph is larger than the top of --n-range has
     no rows in the range: its sweep-n file is not written, the family is
@@ -701,8 +649,8 @@ def report_cmd(**params) -> None:
                   sigma2=params["sigma2"], seed=params["seed"])
     # a family whose smallest graph lies above the range has no sweep-n rows
     skipped = [family for family in SWEEP_FAMILIES if _FAMILY_MIN_N[family] > n_hi]
-    tables = {  # file name -> (command whose columns it has, largest exact N, its spec)
-        f"{family}_sweep_n.csv": ("exact", EXACT_MAX_N, ExperimentSpec(
+    tables = {  # file name -> (largest exact N, its spec)
+        f"{family}_sweep_n.csv": (EXACT_MAX_N, ExperimentSpec(
             graphs=tuple((family, n) for n in range(max(n_lo, _FAMILY_MIN_N[family]), n_hi + 1)),
             p_values=(params["p"],),
             realizations=params["realizations"] if family == "erdos-renyi" else 1, **shared,
@@ -710,12 +658,12 @@ def report_cmd(**params) -> None:
         for family in SWEEP_FAMILIES if family not in skipped
     }
     sweep_p_n = _platform_int(params["sweep_p_n"], "--sweep-p-n")
-    tables["sweep_p.csv"] = ("sweep-p", math.inf, ExperimentSpec(
+    tables["sweep_p.csv"] = (math.inf, ExperimentSpec(
         graphs=tuple((family, max(sweep_p_n, _FAMILY_MIN_N[family]))
                      for family in SWEEP_FAMILIES),
-        p_values=_parse_p_grid(DEFAULT_P_GRID), realizations=1, **shared,
+        p_values=REPORT_P_GRID, realizations=1, **shared,
     ))
-    for _, _, spec in tables.values():
+    for _, spec in tables.values():
         _validate_spec(spec)
     out_dir = Path(params["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -726,10 +674,10 @@ def report_cmd(**params) -> None:
             err=True,
         )
     manifest_files = {}
-    for name, (command, exact_max_n, spec) in tables.items():
+    for name, (exact_max_n, spec) in tables.items():
         t0 = time.time()
         rows = _compute_rows(spec, exact_max_n)
-        text = render_rows(rows, COMMAND_COLUMNS[command], "csv")
+        text = render_rows(rows, COMMAND_COLUMNS["exact"], "csv")
         (out_dir / name).write_text(text)
         manifest_files[name] = {
             "rows": len(rows),
@@ -751,7 +699,7 @@ def report_cmd(**params) -> None:
         "runtime": _runtime(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    _warn_slow_mixing([p for _, _, spec in tables.values() for p in spec.p_values])
+    _warn_slow_mixing([p for _, spec in tables.values() for p in spec.p_values])
     click.echo(f"report written to {out_dir} ({len(manifest_files)} data files)")
 
 

@@ -36,6 +36,15 @@ def as_float(cell):
     return float(cell)
 
 
+def p_args(*ps):
+    """One --p per activation probability, in the given order."""
+    return [arg for p in ps for arg in ("--p", str(p))]
+
+
+#: the p points of the report's sweep_p.csv
+P_GRID = p_args(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
 class TestBoundsCommand:
     def test_single_row_reference_values(self):
         res = invoke("bounds", "--graph", "complete", "--n", "2",
@@ -129,8 +138,9 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("args", [
         ("report", "--p", "0.05", "--n-range", "3:9", "--sweep-p-n", "9"),
-        ("sweep-p", "--families", "star,path", "--n", "5", "--k", "0.8",
-         "--p-grid", "0.02:0.06:0.02"),
+        # a sweep over p: two families, one --p per point
+        ("exact", "--graph", "star", "--graph", "path", "--n", "5", "--k", "0.8",
+         *p_args(0.02, 0.04, 0.06)),
     ], ids=["report", "sweep-p"])
     def test_small_p_warns_once_per_run(self, args, tmp_path):
         if args[0] == "report":
@@ -174,6 +184,18 @@ class TestValidationErrors:
         assert res.stderr.strip().count("\n") == 0
         assert res.stderr.startswith("numerical failure: Unable to allocate")
 
+    def test_bare_memory_error_names_the_failure(self, monkeypatch):
+        # a MemoryError without a message, as Python raises for a range
+        # that does not fit, is named rather than printed as nothing
+        def too_large(g):
+            raise MemoryError()
+
+        monkeypatch.setattr(graphs, "laplacian", too_large)
+        res = invoke("bounds", "--graph", "erdos-renyi", "--n", "30", "--p-er", "0.5",
+                     "--k", "0.8")
+        assert res.exit_code == 3
+        assert res.stderr == "numerical failure: out of memory\n"
+
     def test_bounds_at_n_100000_form_no_dense_matrix(self, monkeypatch):
         # the closed-form eigenvalues of path 10^5 need no N x N matrix (the
         # dense Laplacian alone would be 74.5 GiB), and its lambda_2 =
@@ -208,23 +230,12 @@ class TestValidationErrors:
          "--dims must look like AxB"),
         (("bounds", "--graph", "grid3d", "--dims", "2x2x2x2", "--k", "0.8"),
          "--dims supports 1 to 3 sides"),
-        (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.1-0.9"),
-         "--p-grid must look like LO:HI:STEP"),
-        (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.9:0.1:0.1"),
-         "--p-grid bounds are inconsistent"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8",
           "--graph-file", "/nonexistent.edges"), "--graph-file only applies to --graph file"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p-er", "0.5"),
          "--p-er only applies to erdos-renyi graphs"),
         (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--seed", "-1"),
          "--seed must be >= 0"),
-        (("sweep-p", "--families", "path", "--k", "0.8", "--p-grid", "0.1:inf:0.1"),
-         "--p-grid must look like LO:HI:STEP"),
-        (("sweep-p", "--graph", "path", "--n", "5", "--k", "0.8", "--p-grid", "0.1:1e400:0.1"),
-         "--p-grid values must be finite"),
-        # rejected before the grid is built: 8e8 points would not fit in memory
-        (("sweep-p", "--graph", "path", "--n", "5", "--k", "0.8", "--p-grid", "0.1:0.9:1e-9"),
-         "--p-grid has more than 1000 points"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "nan"),
          "--sigma2 must be finite, got nan"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "inf"),
@@ -271,9 +282,9 @@ class TestValidationErrors:
          "--seed only applies to erdos-renyi graphs"),
         (("exact", "--graph", "path", "--n", "5", "--k", "0.8", "--seed", "3"),
          "--seed only applies to erdos-renyi graphs"),
-        (("sweep-p", "--families", "path,star", "--n", "5", "--k", "0.8", "--seed", "3"),
-         "--seed only applies to erdos-renyi graphs"),
-        (("sweep-p", "--families", "path,ring", "--k", "0.8"), "unknown family 'ring'"),
+        # a sweep over p on two families, neither of them Erdos-Renyi
+        (("exact", "--graph", "path", "--graph", "star", "--n", "5", "--k", "0.8",
+          "--p", "0.5", "--p", "0.9", "--seed", "3"), "--seed only applies to erdos-renyi graphs"),
         (("bounds", "--graph", "path", "--n", "5", "--eps", "-0.1"), "--eps must be positive"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "-1"),
          "--sigma2 must be >= 0"),
@@ -290,6 +301,17 @@ class TestValidationErrors:
         (("bounds", "--graph", "file", "--graph-file", "/nonexistent.edges", "--n", "5",
           "--k", "0.8"), "--graph file takes no --n"),
         (("bounds", "--graph", "file", "--k", "0.8"), "--graph file requires --graph-file PATH"),
+        (("bounds", "--graph", "file", "--graph", "path", "--k", "0.8"),
+         "--graph file must be the only --graph"),
+        (("exact", "--graph", "file", "--graph", "file", "--graph-file", os.devnull,
+          "--k", "0.8"), "--graph file must be the only --graph"),
+        # every p of a list is checked, every family of a list too
+        (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p", "0.5", "--p", "1.5"),
+         "activation probability must lie in (0, 1], got 1.5"),
+        (("bounds", "--graph", "grid2d", "--graph", "path", "--dims", "3x3", "--k", "0.8"),
+         "--dims only applies to grid graphs"),
+        (("bounds", "--graph", "erdos-renyi", "--graph", "path", "--n", "5", "--k", "0.8",
+          "--realizations", "2"), "--realizations only applies to erdos-renyi"),
         (("bounds", "--graph", "path", "--dims", "3x3", "--k", "0.8"),
          "--dims only applies to grid graphs"),
         (("bounds", "--graph", "grid2d", "--dims", "3x3x3", "--k", "0.8"),
@@ -300,17 +322,18 @@ class TestValidationErrors:
         (("bounds", "--graph", "file", "--graph-file", os.devnull, "--k", "0.8"),
          "is missing the 'n m' header"),
     ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
-            "p-grid-form", "p-grid-order", "graph-file-ignored", "p-er-ignored",
-            "negative-seed", "p-grid-infinite", "p-grid-overflow", "p-grid-too-many",
-            "sigma2-nan", "sigma2-inf", "eps-nan", "eps-inf", "p-nan", "k-nan",
+            "graph-file-ignored", "p-er-ignored", "negative-seed", "sigma2-nan", "sigma2-inf",
+            "eps-nan", "eps-inf", "p-nan", "k-nan",
             "n-range-oversized", "n-oversized", "dims-oversized", "sweep-p-n-oversized",
             "eps-underflow-zero", "eps-underflow-subnormal", "bounds-overflow",
             "eps-underflow-on-graph", "resistance-underflow", "sigma2-underflow",
             "sigma2-overflow", "exact-sigma2-underflow", "exact-sigma2-overflow",
             "seed-ignored-bounds", "seed-ignored-exact", "seed-ignored-sweep-p",
-            "unknown-family", "eps-negative", "sigma2-negative",
+            "eps-negative", "sigma2-negative",
             "p-er-out-of-range", "realizations-zero", "realizations-ignored", "ensemble-zero",
-            "horizon-zero", "graph-file-with-n", "graph-file-missing", "dims-not-grid",
+            "horizon-zero", "graph-file-with-n", "graph-file-missing", "graph-file-not-alone",
+            "graph-file-twice", "p-list-out-of-range", "dims-in-mixed-list",
+            "realizations-in-mixed-list", "dims-not-grid",
             "dims-wrong-sides", "dims-and-n", "graph-file-empty"])
     def test_usage_errors_are_one_line(self, args, message):
         res = invoke(*args)
@@ -464,14 +487,18 @@ class TestSweepN:
 
 
 class TestSweepP:
+    """Sweeps over the activation probability: one --p per point, and one
+    --graph per family, on a table command. Rows go family by family, N
+    by N, then in --p order."""
+
     def test_grid_and_monotone_lower_bound(self):
-        res = invoke("sweep-p", "--families", "star,complete", "--n", "100",
-                     "--k", "0.8")
+        res = invoke("exact", "--graph", "star", "--graph", "complete", "--n", "100",
+                     "--k", "0.8", *P_GRID)
         rows = parse_csv(res.output)
         by_family = {}
         for row in rows:
             by_family.setdefault(row["family"], []).append(row)
-        assert set(by_family) == {"star", "complete"}
+        assert list(by_family) == ["star", "complete"]
         for fam_rows in by_family.values():
             assert len(fam_rows) == 9  # 0.1 .. 0.9
             ps = [as_float(r["p"]) for r in fam_rows]
@@ -480,17 +507,18 @@ class TestSweepP:
             assert all(a > b for a, b in zip(lbs, lbs[1:]))
 
     def test_reduced_exact_recorded(self):
-        # above EXACT_MAX_N, sweep-p rows are still exact at their own N
-        res = invoke("sweep-p", "--families", "path", "--n", "50", "--k", "0.8",
-                     "--p-grid", "0.5:0.9:0.4")
-        for row in parse_csv(res.output):
+        # above EXACT_MAX_N, exact rows are still exact at their own N
+        res = invoke("exact", "--graph", "path", "--n", "50", "--k", "0.8",
+                     *p_args(0.5, 0.9))
+        rows = parse_csv(res.output)
+        assert len(rows) == 2
+        for row in rows:
             assert int(row["n"]) == int(row["n_exact"]) == 50
             assert as_float(row["j_lb"]) <= as_float(row["j_exact"]) <= as_float(row["j_ub"])
 
     def test_reduced_grid3d_exact_filled(self):
         # 100 requested nodes round to a 5x5x5 grid, solved at that size
-        res = invoke("sweep-p", "--families", "grid3d", "--n", "100", "--k", "0.8",
-                     "--p-grid", "0.5:0.5:0.1")
+        res = invoke("exact", "--graph", "grid3d", "--n", "100", "--k", "0.8", "--p", "0.5")
         row = parse_csv(res.output)[0]
         assert int(row["n"]) == int(row["n_exact"]) == 125
         assert row["j_exact"] != "" and row["rel_lb"] != "" and row["rel_ub"] != ""
@@ -500,7 +528,8 @@ class TestSweepP:
         # 5x6 has 30 nodes, above EXACT_MAX_N: a file graph is solved at its own N
         path = tmp_path / "g.edges"
         write_edge_list(make_grid(list(dims)), path)
-        res = invoke("sweep-p", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8",
+                     *P_GRID)
         assert res.exit_code == 0
         rows = parse_csv(res.output)
         assert len(rows) == 9
@@ -510,24 +539,17 @@ class TestSweepP:
             assert row["j_exact"] != "" and row["rel_lb"] != "" and row["rel_ub"] != ""
 
     def test_graph_alone_sweeps_that_graph(self):
-        res = invoke("sweep-p", "--graph", "complete", "--n", "12", "--k", "0.8",
-                     "--p-grid", "0.3:0.9:0.3")
+        res = invoke("exact", "--graph", "complete", "--n", "12", "--k", "0.8",
+                     *p_args(0.3, 0.6, 0.9))
         assert res.exit_code == 0
         rows = parse_csv(res.output)
         assert [r["family"] for r in rows] == ["complete"] * 3
+        assert [as_float(r["p"]) for r in rows] == [0.3, 0.6, 0.9]
         assert all(int(r["n"]) == int(r["n_exact"]) == 12 for r in rows)
 
-    @pytest.mark.parametrize("families", ["star,path", ""], ids=["listed", "empty"])
-    def test_graph_and_families_exit_2(self, families):
-        res = invoke("sweep-p", "--graph", "star", "--families", families, "--n", "10",
-                     "--k", "0.8")
-        assert res.exit_code == 2
-        assert res.stderr.strip().count("\n") == 0
-        assert "either --graph or --families" in res.stderr
-
     def test_erdos_renyi_realizations(self):
-        res = invoke("sweep-p", "--families", "erdos-renyi", "--n", "8", "--realizations", "3",
-                     "--k", "0.8", "--p-grid", "0.3:0.9:0.3")
+        res = invoke("exact", "--graph", "erdos-renyi", "--n", "8", "--realizations", "3",
+                     "--k", "0.8", *p_args(0.3, 0.6, 0.9))
         assert res.exit_code == 0
         rows = parse_csv(res.output)
         assert len(rows) == 3
@@ -537,41 +559,73 @@ class TestSweepP:
                 assert as_float(row[col]) >= 0.0
 
     def test_grid_dims(self):
-        res = invoke("sweep-p", "--families", "grid2d", "--dims", "4x4", "--k", "0.8",
-                     "--p-grid", "0.5:0.9:0.4")
+        res = invoke("exact", "--graph", "grid2d", "--dims", "4x4", "--k", "0.8",
+                     *p_args(0.5, 0.9))
         assert res.exit_code == 0
         rows = parse_csv(res.output)
         assert len(rows) == 2
         assert all(int(r["n"]) == 16 and r["dims"] == "4x4" for r in rows)
 
     def test_n_range_rows_in_n_then_p_order(self):
-        res = invoke("sweep-p", "--families", "path", "--n-range", "5:7", "--k", "0.8",
-                     "--p-grid", "0.5:0.6:0.1")
+        res = invoke("exact", "--graph", "star", "--graph", "path", "--n-range", "5:7",
+                     "--k", "0.8", *p_args(0.6, 0.5))
         assert res.exit_code == 0
         rows = parse_csv(res.output)
-        assert [(int(r["n"]), as_float(r["p"])) for r in rows] == [
-            (n, p) for n in (5, 6, 7) for p in (0.5, 0.6)
+        assert [(r["family"], int(r["n"]), as_float(r["p"])) for r in rows] == [
+            (family, n, p) for family in ("star", "path") for n in (5, 6, 7) for p in (0.6, 0.5)
         ]
 
     @pytest.mark.parametrize("args,message", [
-        (("--families", ""), "--families lists no family"),
-        (("--families", "grid3d", "--n", "5"), "grid3d graphs need n >= 8, got 5"),
-    ], ids=["no-family", "below-family-floor"])
+        (("--graph", "grid3d", "--n", "5"), "grid3d graphs need n >= 8, got 5"),
+        # every family of the list is checked, not only the first
+        (("--graph", "path", "--graph", "grid3d", "--n", "5"), "grid3d graphs need n >= 8, got 5"),
+    ], ids=["below-family-floor", "below-floor-in-list"])
     def test_family_errors_exit_2(self, args, message):
-        res = invoke("sweep-p", *args, "--k", "0.8")
+        res = invoke("exact", *args, "--k", "0.8")
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
         assert message in res.stderr
 
     def test_endpoint_matches_sweep_n_row(self):
-        res_p = invoke("sweep-p", "--families", "star", "--n", "40", "--k", "0.8",
-                       "--p-grid", "0.9:0.9:0.1")
+        res_p = invoke("exact", "--graph", "star", "--n", "40", "--k", "0.8", *P_GRID)
         res_n = invoke("bounds", "--graph", "star", "--n", "40", "--k", "0.8",
                        "--p", "0.9")
-        row_p = parse_csv(res_p.output)[0]
+        row_p = parse_csv(res_p.output)[-1]
         row_n = parse_csv(res_n.output)[0]
-        for col in ("j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave"):
+        for col in ("p", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave"):
             assert row_p[col] == row_n[col]
+
+    @pytest.mark.parametrize("command,fmt", [("bounds", "csv"), ("exact", "csv"),
+                                             ("bounds", "json")])
+    def test_rows_equal_single_runs(self, command, fmt):
+        # rows go family by family, then in --p order, each the row of its
+        # graph and p run alone
+        args = (command, "--n", "6", "--k", "0.8", "--format", fmt)
+        res = invoke(*args, "--graph", "star", "--graph", "path", *p_args(0.9, 0.4))
+        assert res.exit_code == 0
+        singles = [invoke(*args, "--graph", family, "--p", p).output
+                   for family in ("star", "path") for p in ("0.9", "0.4")]
+        if fmt == "json":
+            assert json.loads(res.output) == [json.loads(single)[0] for single in singles]
+        else:
+            header, *rows = res.output.splitlines()
+            assert rows == [single.splitlines()[1] for single in singles]
+            assert all(single.splitlines()[0] == header for single in singles)
+
+    def test_report_rows_match_the_exact_command(self, tmp_path):
+        # sweep_p.csv is exact over every family at --sweep-p-n and the nine p
+        out = tmp_path / "rep"
+        res = invoke("report", "--output", str(out), "--n-range", "3:10", "--sweep-p-n", "10",
+                     "--seed", "3")
+        assert res.exit_code == 0
+        graphs_args = [arg for family in ("star", "path", "grid2d", "grid3d", "complete",
+                                          "erdos-renyi") for arg in ("--graph", family)]
+        res = invoke("exact", *graphs_args, "--n", "10", "--k", "0.8", *P_GRID,
+                     "--seed", "3", "--p-er", "0.8")
+        assert res.exit_code == 0
+        lines = (out / "sweep_p.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6 * 9
+        assert lines == res.output.splitlines()
 
 
 class TestSimulateCommand:
@@ -598,6 +652,17 @@ class TestSimulateCommand:
         res = invoke(*args, "--format", "json")
         assert res.exit_code == 0
         assert list(json.loads(res.output)[0]) == COMMAND_COLUMNS["simulate"]
+
+    def test_p_list_rows_equal_single_p_runs(self):
+        # every row runs from the same --seed, so a p list changes no row
+        args = ("simulate", "--graph", "path", "--n", "6", "--k", "0.8", "--ensemble", "50",
+                "--seed", "1")
+        res = invoke(*args, "--p", "0.5", "--p", "0.9")
+        assert res.exit_code == 0
+        header, *rows = res.output.splitlines()
+        singles = [invoke(*args, "--p", p).output.splitlines() for p in ("0.5", "0.9")]
+        assert [header] * 2 == [single[0] for single in singles]
+        assert rows == [single[1] for single in singles]
 
     def test_drift_column_last(self):
         # the schema's tail is drift, then the control variate's correlation
@@ -667,8 +732,8 @@ class TestSimulateCommand:
 
 class TestErdosRenyiRows:
     def test_seed_reaches_the_erdos_renyi_rows_of_a_family_list(self):
-        res = invoke("sweep-p", "--families", "path,erdos-renyi", "--n", "6", "--k", "0.8",
-                     "--p-grid", "0.5:0.5:0.1", "--seed", "5")
+        res = invoke("exact", "--graph", "path", "--graph", "erdos-renyi", "--n", "6",
+                     "--k", "0.8", "--p", "0.5", "--seed", "5")
         assert res.exit_code == 0
         assert [row["er_seed"] for row in parse_csv(res.output)] == ["", "5"]
 
@@ -781,7 +846,7 @@ class TestReportCommand:
             rows = parse_csv(path.read_text())
             assert list(rows[0]) == COMMAND_COLUMNS["exact"]
         rows = parse_csv((out / "sweep_p.csv").read_text())
-        assert list(rows[0]) == COMMAND_COLUMNS["sweep-p"]
+        assert list(rows[0]) == COMMAND_COLUMNS["exact"]
 
 
 class TestIoErrors:
@@ -849,11 +914,9 @@ class TestRemovedOptions:
     # fixed, and the ones it offered but never read
     REMOVED = [
         ("bounds", "--workers"), ("exact", "--workers"),
-        ("sweep-p", "--workers"), ("simulate", "--workers"), ("report", "--workers"),
-        ("simulate", "--exact-cap"), ("report", "--exact-cap"),
-        ("sweep-p", "--exact-n"), ("report", "--exact-n"),
-        ("bounds", "--strict"), ("exact", "--strict"),
-        ("sweep-p", "--strict"), ("sweep-p", "--p"), ("simulate", "--realizations"),
+        ("simulate", "--workers"), ("report", "--workers"),
+        ("simulate", "--exact-cap"), ("report", "--exact-cap"), ("report", "--exact-n"),
+        ("bounds", "--strict"), ("exact", "--strict"), ("simulate", "--realizations"),
         ("simulate", "--noise"),
     ]
     @pytest.mark.parametrize("command,option", REMOVED,
@@ -862,7 +925,7 @@ class TestRemovedOptions:
         res = invoke(command, option, "2")
         assert res.exit_code == 2
         assert "No such option" in res.stderr
-        # whole names: --p is a prefix of --p-er and --p-grid
+        # whole names: --p is a prefix of --p-er
         assert option not in re.findall(r"--[\w-]+", invoke(command, "--help").output)
 
     def test_sweep_n_command_exits_2(self):
@@ -871,6 +934,13 @@ class TestRemovedOptions:
         assert res.exit_code == 2
         assert "No such command" in res.stderr
         assert "sweep-n" not in cli.commands
+
+    def test_sweep_p_command_exits_2(self):
+        # it was exact over lists of families and p; exact repeats --graph and --p
+        res = invoke("sweep-p", "--graph", "path", "--n", "5", "--k", "0.8")
+        assert res.exit_code == 2
+        assert "No such command" in res.stderr
+        assert "sweep-p" not in cli.commands
 
 
 class TestCommandOptions:
@@ -883,7 +953,6 @@ class TestCommandOptions:
     OFFERED = {
         "bounds": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
         "exact": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
-        "sweep-p": GRAPH + ["--realizations"] + STEP + OUTPUT + ["--families", "--p-grid"],
         "simulate": GRAPH + ["--p"] + STEP + OUTPUT
         + ["--strict", "--horizon", "--ensemble"],
         "report": ["--output", "--p", "--k", "--sigma2", "--p-er", "--seed", "--n-range",
@@ -897,10 +966,8 @@ class TestCommandOptions:
         }
         assert offered == self.OFFERED
         counts = {name: len(opts) for name, opts in offered.items()}
-        assert counts == {
-            "bounds": 14, "exact": 14, "sweep-p": 15, "simulate": 16, "report": 9,
-        }
-        assert sum(counts.values()) == 68
+        assert counts == {"bounds": 14, "exact": 14, "simulate": 16, "report": 9}
+        assert sum(counts.values()) == 53
 
 
 class TestPublicApi:
@@ -1002,7 +1069,8 @@ class TestOneSpectrumPerGraph:
         return calls
 
     def test_sweep_p_one_eigensolve_per_family(self, spectra):
-        res = invoke("sweep-p", "--families", "star,path", "--n", "40", "--k", "0.8")
+        res = invoke("exact", "--graph", "star", "--graph", "path", "--n", "40", "--k", "0.8",
+                     *P_GRID)
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 18
         assert spectra == {"values": [], "pairs": [40, 40], "syevd": []}
