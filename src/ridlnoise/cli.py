@@ -8,17 +8,19 @@ JSON manifest).
 
 ``--graph`` and ``--p`` repeat on ``bounds``, ``exact`` and ``simulate``,
 and every table has one row per family x N x p, in that order, where N
-runs over the requested node counts. So a sweep over N is ``--n-range``
-and a sweep over p is one ``--p`` per point: the former ``sweep-p
---families A,B --p-grid ...`` is ``exact --graph A --graph B --p ...
---p ...``, with ``--n`` given (it was 100 by default).
+runs over ``--n``, one count N or an inclusive range A:B. So a sweep over
+N is ``--n A:B`` and a sweep over p is one ``--p`` per point. Migration:
+``--n-range A:B`` is ``--n A:B``; ``--graph file --graph-file P`` is
+``--graph-file P``, whose rows keep the family ``file``; ``sweep-p
+--families A,B --p-grid ...`` is ``exact --graph A --graph B --n N --p
+... --p ...``.
 
 The command decides which rows carry the exact index, and its schema
 shows it: ``exact``, whose columns include ``j_exact``, solves every row,
 and ``bounds`` and ``simulate`` never solve. The one size rule is the
 report's: a row of its per-family ``*_sweep_n.csv`` tables gets
 ``j_exact`` when its built graph has N <= ``EXACT_MAX_N`` (24). For exact
-values at any N, run ``exact --n N`` or ``exact --n-range A:B``.
+values at any N, run ``exact --n N`` or ``exact --n A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every input is a command-line option; no
@@ -28,10 +30,10 @@ converge, and running out of memory), 4 I/O failure. A validation error,
 whether a bad option value (a nan, an infinity, or an integer too large
 for the platform among them), a ``--sigma2`` and step whose index bounds
 fall outside the floating-point range (overflow, or underflow to 0), an
-option that the chosen families would ignore (``--graph-file`` without
-``--graph file``; ``--p-er``, and ``--seed`` but on ``simulate``, with
-no Erdos-Renyi family), a ``--graph file`` beside another ``--graph``, or
-invalid graph input such as a malformed or disconnected ``--graph-file``
+option that the chosen families would ignore (``--p-er``, and
+``--seed`` but on ``simulate``, with no Erdos-Renyi family), a
+``--graph-file`` beside ``--graph``, ``--n`` or ``--dims``, or invalid
+graph input such as a malformed or disconnected ``--graph-file``
 edge list or an Erdos-Renyi draw that never comes out connected, exits 2
 with a one-line message on stderr.
 """
@@ -75,7 +77,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 SWEEP_FAMILIES = ("star", "path", "grid2d", "grid3d", "complete", "erdos-renyi")
-GRAPH_CHOICES = SWEEP_FAMILIES + ("file",)
 
 #: largest built graph whose rows of the report's per-family sweep-n
 #: tables get the exact index; every other table solves all rows or none
@@ -146,9 +147,11 @@ def _platform_int(value: int, name: str) -> int:
 
 
 def _parse_range(text: str, name: str) -> tuple[int, int]:
-    if not re.fullmatch(f"{_INT}:{_INT}", text):
-        raise click.UsageError(f"{name} must look like A:B, got {text!r}")
-    lo, hi = (_platform_int(int(part), name) for part in text.split(":"))
+    """The inclusive node range of ``N`` (N:N) or ``A:B``."""
+    if not re.fullmatch(f"{_INT}(?::{_INT})?", text):
+        raise click.UsageError(f"{name} must look like N or A:B, got {text!r}")
+    parts = [_platform_int(int(part), name) for part in text.split(":")]
+    lo, hi = parts[0], parts[-1]
     if lo > hi:
         raise click.UsageError(f"{name} must satisfy A <= B, got {text!r}")
     return lo, hi
@@ -222,43 +225,39 @@ def _resolve_sizes(
     families: tuple[str, ...], params: dict
 ) -> tuple[tuple[int, ...], tuple[int, ...] | None, UndirectedGraph | None]:
     """Node counts, grid sides and the parsed --graph-file of a table."""
-    n, n_range = params["n"], params["n_range"]
-    explicit_dims = _parse_dims(params["dims"]) if params["dims"] else None
-    if "file" in families:
-        if families != ("file",):
-            raise click.UsageError("--graph file must be the only --graph")
-        if n is not None or n_range is not None or explicit_dims is not None:
-            raise click.UsageError("--graph file takes no --n/--n-range/--dims")
-        if not params["graph_file"]:
-            raise click.UsageError("--graph file requires --graph-file PATH")
+    if params["graph_file"]:
         # the node count comes from the file, so size checks see the real N
         graph = read_edge_list(params["graph_file"])
         return (graph.n,), None, graph
-    if params["graph_file"]:
-        raise click.UsageError("--graph-file only applies to --graph file")
-    if explicit_dims is not None:
-        for fam in families:
-            if fam not in ("grid2d", "grid3d"):
-                raise click.UsageError("--dims only applies to grid graphs")
-            want = 2 if fam == "grid2d" else 3
-            if len(explicit_dims) != want:
-                raise click.UsageError(f"{fam} needs {want} sides in --dims")
-        if n is not None or n_range is not None:
-            raise click.UsageError("give either --dims or --n/--n-range, not both")
-        return (_platform_int(math.prod(explicit_dims), "--dims"),), explicit_dims, None
-    if (n is None) == (n_range is None):
-        raise click.UsageError("provide exactly one of --n or --n-range (or --dims for grids)")
-    if n is not None:
-        return (_platform_int(n, "--n"),), None, None
-    lo, hi = _parse_range(n_range, "--n-range")
-    return tuple(range(lo, hi + 1)), None, None
+    if (params["n"] is None) == (params["dims"] is None):
+        raise click.UsageError("give either --dims or --n")
+    if params["n"] is not None:
+        lo, hi = _parse_range(params["n"], "--n")
+        return tuple(range(lo, hi + 1)), None, None
+    dims = _parse_dims(params["dims"])
+    for fam in families:
+        if fam not in ("grid2d", "grid3d"):
+            raise click.UsageError("--dims only applies to grid graphs")
+        want = 2 if fam == "grid2d" else 3
+        if len(dims) != want:
+            raise click.UsageError(f"{fam} needs {want} sides in --dims")
+    return (_platform_int(math.prod(dims), "--dims"),), dims, None
 
 
 def _build_spec(params: dict) -> ExperimentSpec:
     """The validated spec of a table command's options."""
+    # counts that size loops, checked before any graph is built
+    for name in ("realizations", "horizon", "ensemble"):
+        if params.get(name) is not None:
+            _platform_int(params[name], f"--{name}")
+    ctx = click.get_current_context()
     families = params["graph"]
+    if params["graph_file"]:
+        if (ctx.get_parameter_source("graph") is not ParameterSource.DEFAULT
+                or params["n"] is not None or params["dims"] is not None):
+            raise click.UsageError("--graph-file takes no --graph/--n/--dims")
+        families = ("file",)
     if "erdos-renyi" not in families:
-        ctx = click.get_current_context()
         # simulate's Monte Carlo reads --seed on every family
         for name in ("p_er",) if "ensemble" in params else ("p_er", "seed"):
             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
@@ -485,14 +484,13 @@ def _options(*decorators):
 
 
 _GRAPH_OPTIONS = (
-    click.option("--graph", type=click.Choice(GRAPH_CHOICES), multiple=True,
+    click.option("--graph", type=click.Choice(SWEEP_FAMILIES), multiple=True,
                  default=("path",), show_default=True,
-                 help="Graph family, repeatable: rows go family by family "
-                      "('file', with --graph-file, only alone)."),
+                 help="Graph family, repeatable: rows go family by family."),
     click.option("--graph-file", type=click.Path(), default=None,
-                 help="Edge-list file: first line 'n m', then 'i j' lines."),
-    click.option("--n", type=int, default=None, help="Node count."),
-    click.option("--n-range", default=None, help="Inclusive node range A:B."),
+                 help="Edge-list graph instead of --graph/--n/--dims, family 'file': "
+                      "first line 'n m', then 'i j' lines."),
+    click.option("--n", default=None, help="Node count N, or an inclusive range A:B."),
     click.option("--dims", default=None, help="Grid sides AxB or AxBxC."),
     click.option("--p-er", type=float, default=0.8, show_default=True,
                  help="Erdos-Renyi edge probability."),
@@ -645,6 +643,7 @@ def report_cmd(**params) -> None:
     """
     t_start = time.time()
     n_lo, n_hi = _parse_range(params["n_range"], "--n-range")
+    realizations = _platform_int(params["realizations"], "--realizations")
     shared = dict(dims=None, graph=None, p_er=params["p_er"], epsilon=None, k=params["k"],
                   sigma2=params["sigma2"], seed=params["seed"])
     # a family whose smallest graph lies above the range has no sweep-n rows
@@ -653,7 +652,7 @@ def report_cmd(**params) -> None:
         f"{family}_sweep_n.csv": (EXACT_MAX_N, ExperimentSpec(
             graphs=tuple((family, n) for n in range(max(n_lo, _FAMILY_MIN_N[family]), n_hi + 1)),
             p_values=(params["p"],),
-            realizations=params["realizations"] if family == "erdos-renyi" else 1, **shared,
+            realizations=realizations if family == "erdos-renyi" else 1, **shared,
         ))
         for family in SWEEP_FAMILIES if family not in skipped
     }

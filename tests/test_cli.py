@@ -45,6 +45,23 @@ def p_args(*ps):
 P_GRID = p_args(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
+@pytest.fixture
+def bounded_rows(monkeypatch):
+    """Rows are computed as usual, but a count beyond the platform's index
+    range that reaches them fails the test at once instead of looping for
+    ever or allocating without end."""
+    import ridlnoise.cli
+
+    compute_rows = ridlnoise.cli._compute_rows
+
+    def bounded(spec, exact_max_n):
+        counts = (spec.realizations, spec.horizon or 0, spec.ensemble or 0)
+        assert max(counts) <= sys.maxsize, f"unchecked count reached the rows: {counts}"
+        return compute_rows(spec, exact_max_n)
+
+    monkeypatch.setattr(ridlnoise.cli, "_compute_rows", bounded)
+
+
 class TestBoundsCommand:
     def test_single_row_reference_values(self):
         res = invoke("bounds", "--graph", "complete", "--n", "2",
@@ -57,7 +74,7 @@ class TestBoundsCommand:
         assert as_float(row["j_res_ub"]) == pytest.approx(25.0 / 6.0, rel=1e-11)
 
     def test_schema_and_header(self):
-        res = invoke("bounds", "--graph", "star", "--n-range", "3:6", "--k", "0.8")
+        res = invoke("bounds", "--graph", "star", "--n", "3:6", "--k", "0.8")
         lines = res.output.strip().splitlines()
         assert lines[0].split(",") == COMMAND_COLUMNS["bounds"]
         assert len(lines) == 5
@@ -66,7 +83,7 @@ class TestBoundsCommand:
         from oracles import star_closed_form_bounds
         from ridlnoise import RidlConfig, make_star
 
-        res = invoke("bounds", "--graph", "star", "--n-range", "3:40", "--k", "0.8")
+        res = invoke("bounds", "--graph", "star", "--n", "3:40", "--k", "0.8")
         for row in parse_csv(res.output):
             n = int(row["n"])
             cfg = RidlConfig.for_graph(make_star(n), p=0.9, sigma2=1.0, k=0.8)
@@ -92,7 +109,7 @@ class TestBoundsCommand:
         g = make_grid([3, 3])
         path = tmp_path / "g.edges"
         write_edge_list(g, path)
-        res = invoke("bounds", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        res = invoke("bounds", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         assert row["family"] == "file"
@@ -152,7 +169,7 @@ class TestValidationErrors:
     def test_disconnected_graph_file(self, tmp_path):
         path = tmp_path / "dis.edges"
         path.write_text("4 2\n0 1\n2 3\n")
-        res = invoke("bounds", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        res = invoke("bounds", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
         assert "disconnected" in res.stderr
@@ -163,7 +180,7 @@ class TestValidationErrors:
     def test_oversized_graph_file_integer(self, tmp_path, text, line):
         path = tmp_path / "g.edges"
         path.write_text(text)
-        res = invoke("bounds", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        res = invoke("bounds", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
         assert res.stderr.startswith(
@@ -222,16 +239,18 @@ class TestValidationErrors:
         (("bounds", "--graph", "star", "--n", "10", "--eps", "0.5"),
          "invalid configuration for n=10"),
         (("bounds", "--graph", "path", "--n", "5"), "exactly one of --eps or --k"),
-        (("bounds", "--graph", "path", "--n-range", "3-9", "--k", "0.8"),
-         "--n-range must look like A:B"),
-        (("bounds", "--graph", "path", "--n-range", "9:3", "--k", "0.8"),
-         "--n-range must satisfy A <= B"),
+        (("bounds", "--graph", "path", "--n", "3-9", "--k", "0.8"),
+         "--n must look like N or A:B, got '3-9'"),
+        (("bounds", "--graph", "path", "--n", "abc", "--k", "0.8"),
+         "--n must look like N or A:B, got 'abc'"),
+        (("bounds", "--graph", "path", "--n", "9:3", "--k", "0.8"),
+         "--n must satisfy A <= B"),
         (("bounds", "--graph", "grid2d", "--dims", "3by3", "--k", "0.8"),
          "--dims must look like AxB"),
         (("bounds", "--graph", "grid3d", "--dims", "2x2x2x2", "--k", "0.8"),
          "--dims supports 1 to 3 sides"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8",
-          "--graph-file", "/nonexistent.edges"), "--graph-file only applies to --graph file"),
+          "--graph-file", "/nonexistent.edges"), "--graph-file takes no --graph/--n/--dims"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p-er", "0.5"),
          "--p-er only applies to erdos-renyi graphs"),
         (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--seed", "-1"),
@@ -245,8 +264,8 @@ class TestValidationErrors:
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p", "nan"),
          "activation probability must lie in (0, 1], got nan"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "nan"), "--k must lie in (0, 1), got nan"),
-        (("bounds", "--graph", "grid2d", "--n-range", "3:99999999999999999999", "--k", "0.8"),
-         "--n-range is too large for this platform, got 99999999999999999999"),
+        (("bounds", "--graph", "grid2d", "--n", "3:99999999999999999999", "--k", "0.8"),
+         "--n is too large for this platform, got 99999999999999999999"),
         (("bounds", "--graph", "path", "--n", "99999999999999999999", "--k", "0.8"),
          "--n is too large for this platform, got 99999999999999999999"),
         # 2^32 x 2^32 nodes: a product in int64 would wrap to 0
@@ -298,13 +317,14 @@ class TestValidationErrors:
          "--ensemble and --horizon must be >= 1"),
         (("simulate", "--graph", "path", "--n", "5", "--k", "0.8", "--horizon", "0"),
          "--ensemble and --horizon must be >= 1"),
-        (("bounds", "--graph", "file", "--graph-file", "/nonexistent.edges", "--n", "5",
-          "--k", "0.8"), "--graph file takes no --n"),
-        (("bounds", "--graph", "file", "--k", "0.8"), "--graph file requires --graph-file PATH"),
-        (("bounds", "--graph", "file", "--graph", "path", "--k", "0.8"),
-         "--graph file must be the only --graph"),
-        (("exact", "--graph", "file", "--graph", "file", "--graph-file", os.devnull,
-          "--k", "0.8"), "--graph file must be the only --graph"),
+        # the file alone names the graph and its N; it is not even opened
+        (("bounds", "--graph-file", "/nonexistent.edges", "--n", "5", "--k", "0.8"),
+         "--graph-file takes no --graph/--n/--dims"),
+        (("bounds", "--graph-file", "/nonexistent.edges", "--dims", "3x3", "--k", "0.8"),
+         "--graph-file takes no --graph/--n/--dims"),
+        # an explicit --graph, even the default family, is one too many
+        (("exact", "--graph-file", "/nonexistent.edges", "--graph", "path", "--k", "0.8"),
+         "--graph-file takes no --graph/--n/--dims"),
         # every p of a list is checked, every family of a list too
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p", "0.5", "--p", "1.5"),
          "activation probability must lie in (0, 1], got 1.5"),
@@ -317,11 +337,24 @@ class TestValidationErrors:
         (("bounds", "--graph", "grid2d", "--dims", "3x3x3", "--k", "0.8"),
          "grid2d needs 2 sides in --dims"),
         (("bounds", "--graph", "grid2d", "--dims", "3x3", "--n", "9", "--k", "0.8"),
-         "give either --dims or --n/--n-range"),
+         "give either --dims or --n"),
+        (("bounds", "--graph", "path", "--k", "0.8"), "give either --dims or --n"),
+        # counts that size loops: checked before any graph is built, so that
+        # no run starts that cannot end (bounded_rows fails the test if one does)
+        (("simulate", "--graph", "path", "--n", "5", "--k", "0.8",
+          "--horizon", "99999999999999999999"),
+         "--horizon is too large for this platform, got 99999999999999999999"),
+        (("simulate", "--graph", "path", "--n", "5", "--k", "0.8",
+          "--ensemble", "99999999999999999999"),
+         "--ensemble is too large for this platform, got 99999999999999999999"),
+        (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8",
+          "--realizations", "99999999999999999999"),
+         "--realizations is too large for this platform, got 99999999999999999999"),
         # the null device reads as an empty file
-        (("bounds", "--graph", "file", "--graph-file", os.devnull, "--k", "0.8"),
+        (("bounds", "--graph-file", os.devnull, "--k", "0.8"),
          "is missing the 'n m' header"),
-    ], ids=["config", "spec", "n-range-form", "n-range-order", "dims-form", "dims-sides",
+    ], ids=["config", "spec", "n-range-form", "n-form", "n-range-order", "dims-form",
+            "dims-sides",
             "graph-file-ignored", "p-er-ignored", "negative-seed", "sigma2-nan", "sigma2-inf",
             "eps-nan", "eps-inf", "p-nan", "k-nan",
             "n-range-oversized", "n-oversized", "dims-oversized", "sweep-p-n-oversized",
@@ -331,11 +364,12 @@ class TestValidationErrors:
             "seed-ignored-bounds", "seed-ignored-exact", "seed-ignored-sweep-p",
             "eps-negative", "sigma2-negative",
             "p-er-out-of-range", "realizations-zero", "realizations-ignored", "ensemble-zero",
-            "horizon-zero", "graph-file-with-n", "graph-file-missing", "graph-file-not-alone",
-            "graph-file-twice", "p-list-out-of-range", "dims-in-mixed-list",
+            "horizon-zero", "graph-file-with-n", "graph-file-with-dims",
+            "graph-file-not-alone", "p-list-out-of-range", "dims-in-mixed-list",
             "realizations-in-mixed-list", "dims-not-grid",
-            "dims-wrong-sides", "dims-and-n", "graph-file-empty"])
-    def test_usage_errors_are_one_line(self, args, message):
+            "dims-wrong-sides", "dims-and-n", "no-size", "horizon-oversized",
+            "ensemble-oversized", "realizations-oversized", "graph-file-empty"])
+    def test_usage_errors_are_one_line(self, args, message, bounded_rows):
         res = invoke(*args)
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
@@ -359,7 +393,7 @@ class TestExactCommand:
         assert abs(as_float(row["rel_ub"])) <= 1e-9
 
     def test_sandwich_chain_per_row(self):
-        res = invoke("exact", "--graph", "path", "--n-range", "3:12", "--k", "0.8")
+        res = invoke("exact", "--graph", "path", "--n", "3:12", "--k", "0.8")
         for row in parse_csv(res.output):
             chain = [as_float(row[c]) for c in
                      ("j_res_lb", "j_lb", "j_exact", "j_ub", "j_res_ub")]
@@ -396,7 +430,7 @@ class TestExactCommand:
             return read_edge_list(*args)
 
         monkeypatch.setattr(ridlnoise.cli, "read_edge_list", counting)
-        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        res = invoke("exact", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 0
         assert int(parse_csv(res.output)[0]["n_exact"]) == 12
         assert len(reads) == 1
@@ -404,7 +438,7 @@ class TestExactCommand:
     def test_graph_file_n70(self, tmp_path):
         path = tmp_path / "p70.edges"
         write_edge_list(make_path(70), path)
-        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        res = invoke("exact", "--graph-file", str(path), "--k", "0.8")
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         assert int(row["n"]) == int(row["n_exact"]) == 70
@@ -414,7 +448,7 @@ class TestExactCommand:
         # both relative errors vanish as N grows, the lower bound's at
         # least like 1/N. Which bound is closer is not part of the claim:
         # at p = 0.9 the upper bound is, for every N here.
-        res = invoke("exact", "--graph", "star", "--n-range", "5:25", "--k", "0.8")
+        res = invoke("exact", "--graph", "star", "--n", "5:25", "--k", "0.8")
         rows = parse_csv(res.output)
         n = np.array([int(r["n"]) for r in rows])
         rel_lb = np.array([as_float(r["rel_lb"]) for r in rows])
@@ -470,7 +504,7 @@ class TestSweepN:
             lines = (report / f"{family}_sweep_n.csv").read_text().splitlines()
             seeded = (("--seed", self.SEED, "--p-er", "0.8") if family == "erdos-renyi"
                       else ())
-            res = invoke("exact", "--graph", family, "--n-range", "14:24", "--k", "0.8",
+            res = invoke("exact", "--graph", family, "--n", "14:24", "--k", "0.8",
                          "--p", "0.9", *seeded)
             assert res.exit_code == 0
             exact_lines = res.output.splitlines()
@@ -528,7 +562,7 @@ class TestSweepP:
         # 5x6 has 30 nodes, above EXACT_MAX_N: a file graph is solved at its own N
         path = tmp_path / "g.edges"
         write_edge_list(make_grid(list(dims)), path)
-        res = invoke("exact", "--graph", "file", "--graph-file", str(path), "--k", "0.8",
+        res = invoke("exact", "--graph-file", str(path), "--k", "0.8",
                      *P_GRID)
         assert res.exit_code == 0
         rows = parse_csv(res.output)
@@ -567,7 +601,7 @@ class TestSweepP:
         assert all(int(r["n"]) == 16 and r["dims"] == "4x4" for r in rows)
 
     def test_n_range_rows_in_n_then_p_order(self):
-        res = invoke("exact", "--graph", "star", "--graph", "path", "--n-range", "5:7",
+        res = invoke("exact", "--graph", "star", "--graph", "path", "--n", "5:7",
                      "--k", "0.8", *p_args(0.6, 0.5))
         assert res.exit_code == 0
         rows = parse_csv(res.output)
@@ -830,8 +864,10 @@ class TestReportCommand:
          "activation probability must lie in (0, 1], got nan"),
         (("--n-range", "3:5", "--sweep-p-n", "5", "--sigma2", "nan"),
          "--sigma2 must be finite, got nan"),
-    ], ids=["k", "n-range", "seed", "p-nan", "sigma2-nan"])
-    def test_validation_error_leaves_nothing(self, tmp_path, args, message):
+        (("--n-range", "3:5", "--sweep-p-n", "5", "--realizations", "99999999999999999999"),
+         "--realizations is too large for this platform, got 99999999999999999999"),
+    ], ids=["k", "n-range", "seed", "p-nan", "sigma2-nan", "realizations-oversized"])
+    def test_validation_error_leaves_nothing(self, tmp_path, args, message, bounded_rows):
         res = invoke("report", "--output", str(tmp_path / "rep"), *args)
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
@@ -857,7 +893,7 @@ class TestIoErrors:
          "{file}/x.csv"),
         (("report", "--n-range", "3:5", "--sweep-p-n", "5", "--output", "{file}/rep"),
          "{file}/rep"),
-        (("bounds", "--graph", "file", "--k", "0.8", "--graph-file", "{dir}"), "{dir}"),
+        (("bounds", "--k", "0.8", "--graph-file", "{dir}"), "{dir}"),
     ], ids=["table-output-under-file", "report-output-under-file", "graph-file-directory"])
     def test_exit_4_names_the_path(self, tmp_path, args, culprit):
         paths = {"file": tmp_path / "plain", "dir": tmp_path / "folder"}
@@ -917,7 +953,8 @@ class TestRemovedOptions:
         ("simulate", "--workers"), ("report", "--workers"),
         ("simulate", "--exact-cap"), ("report", "--exact-cap"), ("report", "--exact-n"),
         ("bounds", "--strict"), ("exact", "--strict"), ("simulate", "--realizations"),
-        ("simulate", "--noise"),
+        ("simulate", "--noise"), ("bounds", "--n-range"), ("exact", "--n-range"),
+        ("simulate", "--n-range"),
     ]
     @pytest.mark.parametrize("command,option", REMOVED,
                              ids=[f"{c}{o}" for c, o in REMOVED])
@@ -928,8 +965,17 @@ class TestRemovedOptions:
         # whole names: --p is a prefix of --p-er
         assert option not in re.findall(r"--[\w-]+", invoke(command, "--help").output)
 
+    @pytest.mark.parametrize("command", ["bounds", "exact", "simulate"])
+    def test_graph_file_is_not_a_family(self, command, tmp_path):
+        # --graph file --graph-file P is now --graph-file P alone
+        path = tmp_path / "g.edges"
+        write_edge_list(make_path(4), path)
+        res = invoke(command, "--graph", "file", "--graph-file", str(path), "--k", "0.8")
+        assert res.exit_code == 2
+        assert "Invalid value for '--graph': 'file' is not one of" in res.stderr
+
     def test_sweep_n_command_exits_2(self):
-        # it was exact with an N <= 24 cap; exact --n-range gives every row
+        # it was exact with an N <= 24 cap; exact --n A:B gives every row
         res = invoke("sweep-n", "--graph", "path", "--n-range", "3:5", "--k", "0.8")
         assert res.exit_code == 2
         assert "No such command" in res.stderr
@@ -947,7 +993,7 @@ class TestCommandOptions:
     """Each command offers exactly the options it reads, so an option
     group shared between commands cannot add one that is ignored."""
 
-    GRAPH = ["--graph", "--graph-file", "--n", "--n-range", "--dims", "--p-er", "--seed"]
+    GRAPH = ["--graph", "--graph-file", "--n", "--dims", "--p-er", "--seed"]
     STEP = ["--eps", "--k", "--sigma2"]
     OUTPUT = ["--output", "--format"]
     OFFERED = {
@@ -966,8 +1012,8 @@ class TestCommandOptions:
         }
         assert offered == self.OFFERED
         counts = {name: len(opts) for name, opts in offered.items()}
-        assert counts == {"bounds": 14, "exact": 14, "simulate": 16, "report": 9}
-        assert sum(counts.values()) == 53
+        assert counts == {"bounds": 13, "exact": 13, "simulate": 15, "report": 9}
+        assert sum(counts.values()) == 50
 
 
 class TestPublicApi:
@@ -1041,6 +1087,14 @@ class TestBenchCommandsParse:
                     parsed += 1
         assert parsed >= len(workloads.WORKLOADS) * len(workloads.SIZES)
 
+    def test_family_floors_match_the_cli(self, workloads):
+        # the bench predicts each report CSV's row count from its own copy
+        # of the smallest N per family; a drifted copy would read as failures
+        from ridlnoise.cli import _FAMILY_MIN_N
+
+        named = {family: n for family, n in _FAMILY_MIN_N.items() if family != "file"}
+        assert workloads.FAMILY_MIN_N == named
+
 
 class TestOneSpectrumPerGraph:
     """Each built graph gets one spectrum, however many rows and
@@ -1087,7 +1141,7 @@ class TestOneSpectrumPerGraph:
         assert spectra == {"values": [], "pairs": [n], "syevd": []}
 
     def test_bounds_rows_solve_eigenvalues_only(self, spectra):
-        res = invoke("bounds", "--graph", "path", "--n-range", "30:32", "--k", "0.8")
+        res = invoke("bounds", "--graph", "path", "--n", "30:32", "--k", "0.8")
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 3
         assert spectra == {"values": [30, 31, 32], "pairs": [], "syevd": []}
@@ -1105,7 +1159,7 @@ class TestOneSpectrumPerGraph:
         assert spectra["syevd"] == [] and len(spectra["values"]) == 5
         path = tmp_path / "g.edges"
         write_edge_list(make_path(12), path)
-        for args in (("--graph", "file", "--graph-file", str(path)),
+        for args in (("--graph-file", str(path)),
                      ("--graph", "erdos-renyi", "--n", "14", "--p-er", "0.5")):
             res = invoke("exact", *args, "--k", "0.8")
             assert res.exit_code == 0
@@ -1130,7 +1184,7 @@ class TestEigenvalueCertificate:
             return syevd(solver, lap) * (1.0 + 1e-6)
 
         monkeypatch.setattr(graphs, "_syevd", perturbed)
-        res = invoke("bounds", "--graph", "file", "--graph-file", self.edge_file(tmp_path),
+        res = invoke("bounds", "--graph-file", self.edge_file(tmp_path),
                      "--k", "0.8")
         assert res.exit_code == 3
         assert res.stderr.strip().count("\n") == 0
