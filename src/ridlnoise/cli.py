@@ -24,18 +24,23 @@ values at any N, run ``exact --n N`` or ``exact --n A:B``.
 
 Output is CSV (12 significant digits, stable column order) or JSON with
 identical field names. Every input is a command-line option; no
-environment variable changes a run. Exit codes: 0 success, 2 validation
-error, 3 numerical failure (including an eigensolver that does not
-converge, and running out of memory), 4 I/O failure. A validation error,
-whether a bad option value (a nan, an infinity, or an integer too large
-for the platform among them), a ``--sigma2`` and step whose index bounds
-fall outside the floating-point range (overflow, or underflow to 0), an
-option that the chosen families would ignore (``--p-er``, and
-``--seed`` but on ``simulate``, with no Erdos-Renyi family), a
-``--graph-file`` beside ``--graph``, ``--n`` or ``--dims``, or invalid
-graph input such as a malformed or disconnected ``--graph-file``
-edge list or an Erdos-Renyi draw that never comes out connected, exits 2
-with a one-line message on stderr.
+environment variable changes a run. ``--help`` shows each numeric
+option's range, such as 0<x<=1 for ``--p``; a value outside it, a nan or
+an infinity exits 2.
+
+Exit codes: 0 success, 2 validation error, 3 numerical failure
+(including an eigensolver that does not converge, and running out of
+memory), 4 I/O failure. Every failure prints one line on stderr, click's
+own parse errors (an unknown option or command, a missing or malformed
+value) included; only ``ridlnoise`` with no arguments prints the help
+(and exits 2). Beside a bad option value, a ``--sigma2`` and step whose
+index bounds fall outside the floating-point range (overflow, or
+underflow to 0), an option that the chosen families would ignore
+(``--p-er``, and ``--seed`` but on ``simulate``, with no Erdos-Renyi
+family), a ``--graph-file`` beside ``--graph``, ``--n`` or ``--dims``,
+an ``--n`` range too long to hold in memory, and invalid graph input such
+as a malformed or disconnected ``--graph-file`` edge list or an
+Erdos-Renyi draw that never comes out connected exit 2.
 """
 from __future__ import annotations
 
@@ -122,7 +127,7 @@ class ExperimentSpec:
     p_values: tuple[float, ...]
     dims: tuple[int, ...] | None
     graph: UndirectedGraph | None  # the parsed --graph-file
-    p_er: float | None
+    p_er: float
     realizations: int
     epsilon: float | None
     k: float | None
@@ -146,15 +151,18 @@ def _platform_int(value: int, name: str) -> int:
     return value
 
 
-def _parse_range(text: str, name: str) -> tuple[int, int]:
-    """The inclusive node range of ``N`` (N:N) or ``A:B``."""
+def _node_counts(text: str, name: str) -> tuple[int, ...]:
+    """The node counts of ``N`` (N:N) or of the inclusive range ``A:B``."""
     if not re.fullmatch(f"{_INT}(?::{_INT})?", text):
         raise click.UsageError(f"{name} must look like N or A:B, got {text!r}")
     parts = [_platform_int(int(part), name) for part in text.split(":")]
     lo, hi = parts[0], parts[-1]
     if lo > hi:
         raise click.UsageError(f"{name} must satisfy A <= B, got {text!r}")
-    return lo, hi
+    try:  # a range too long to hold fails its size check before allocating
+        return tuple(range(lo, hi + 1))
+    except MemoryError:
+        raise click.UsageError(f"{name} {text} does not fit in memory") from None
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -174,46 +182,22 @@ def _grid_dims_near(family: str, n: int) -> tuple[int, ...]:
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
-    """Check every option against every graph and p of the spec."""
-    families = {family for family, _ in spec.graphs}
+    """Check the rules that span options or the graph list; each option's
+    own range is its click type's."""
     if (spec.epsilon is None) == (spec.k is None):
         raise click.UsageError("provide exactly one of --eps or --k")
-    for name, value in (("--eps", spec.epsilon), ("--sigma2", spec.sigma2)):
-        if value is not None and not math.isfinite(value):
-            raise click.UsageError(f"{name} must be finite, got {value}")
-    if spec.epsilon is not None and not spec.epsilon > 0:
-        raise click.UsageError(f"--eps must be positive, got {spec.epsilon}")
-    if spec.k is not None and not (0 < spec.k < 1):
-        raise click.UsageError(f"--k must lie in (0, 1), got {spec.k}")
     name, step = ("--eps", spec.epsilon) if spec.k is None else ("--k", spec.k)
     for p in spec.p_values:
-        if not 0 < p <= 1:
-            raise click.UsageError(f"activation probability must lie in (0, 1], got {p}")
         # eps p^2 <= k p^2; RidlConfig rejects the rest once d_max is known
         if step * p**2 < np.finfo(float).tiny:
             raise click.UsageError(
                 f"step size is too small: {name} * p^2 = {step * p**2:.6g} underflows at p={p}"
             )
-    if not spec.sigma2 >= 0:
-        raise click.UsageError(f"--sigma2 must be >= 0, got {spec.sigma2}")
-    if spec.seed < 0:
-        raise click.UsageError(f"--seed must be >= 0, got {spec.seed}")
-    if "erdos-renyi" in families:
-        if spec.p_er is None or not (0 < spec.p_er <= 1):
-            raise click.UsageError("--p-er in (0, 1] is required for erdos-renyi graphs")
-    if spec.realizations < 1:
-        raise click.UsageError("--realizations must be >= 1")
-    if spec.realizations > 1 and families != {"erdos-renyi"}:
+    if spec.realizations > 1 and {family for family, _ in spec.graphs} != {"erdos-renyi"}:
         raise click.UsageError("--realizations only applies to erdos-renyi graphs")
-    if (spec.ensemble is not None and spec.ensemble < 1) or (
-        spec.horizon is not None and spec.horizon < 1
-    ):
-        raise click.UsageError("--ensemble and --horizon must be >= 1")
     for family, n in spec.graphs:
         if n < _FAMILY_MIN_N[family]:
-            raise click.UsageError(
-                f"{family} graphs need n >= {_FAMILY_MIN_N[family]}, got {n}"
-            )
+            raise click.UsageError(f"{family} graphs need n >= {_FAMILY_MIN_N[family]}, got {n}")
 
 
 def _warn_slow_mixing(p_values) -> None:
@@ -232,8 +216,7 @@ def _resolve_sizes(
     if (params["n"] is None) == (params["dims"] is None):
         raise click.UsageError("give either --dims or --n")
     if params["n"] is not None:
-        lo, hi = _parse_range(params["n"], "--n")
-        return tuple(range(lo, hi + 1)), None, None
+        return _node_counts(params["n"], "--n"), None, None
     dims = _parse_dims(params["dims"])
     for fam in families:
         if fam not in ("grid2d", "grid3d"):
@@ -246,10 +229,6 @@ def _resolve_sizes(
 
 def _build_spec(params: dict) -> ExperimentSpec:
     """The validated spec of a table command's options."""
-    # counts that size loops, checked before any graph is built
-    for name in ("realizations", "horizon", "ensemble"):
-        if params.get(name) is not None:
-            _platform_int(params[name], f"--{name}")
     ctx = click.get_current_context()
     families = params["graph"]
     if params["graph_file"]:
@@ -442,34 +421,59 @@ def _emit(text: str, output: str | None) -> None:
     path.write_text(text)
 
 
-def _guard(fn):
-    """Map every failure to its documented exit code: the one place that
-    does, so a command raises and never exits on an error itself."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (NumericalError, MemoryError) as exc:
-            # numpy's MemoryError names the allocation; a bare one says nothing
-            click.echo(f"numerical failure: {str(exc) or 'out of memory'}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except OSError as exc:
-            click.echo(f"I/O failure: {exc}", err=True)
-            sys.exit(EXIT_IO)
-        except (click.UsageError, ValueError, OverflowError, RuntimeError) as exc:
-            # option checks, and library input rejections such as a
-            # disconnected graph, a malformed --graph-file, or an
-            # Erdos-Renyi resampling budget that runs out
-            click.echo(f"invalid input: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # click wiring
+
+_NO_ARGS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+class _Cli(click.Group):
+    """The command group whose ``main`` maps every failure, click's own
+    parse errors included, to its documented exit code and one line on
+    stderr: the one place that does, so a command raises and never exits
+    on an error itself."""
+
+    def main(self, args=None, prog_name=None, **extra):
+        try:
+            # None from a command, or 0 after --help and --version
+            sys.exit(super().main(args, prog_name, **{**extra, "standalone_mode": False}) or 0)
+        except _NO_ARGS_HELP as exc:  # bare ``ridlnoise``, from click 8.2 on
+            exc.show()
+            sys.exit(exc.exit_code)
+        except (NumericalError, MemoryError) as exc:
+            # numpy's MemoryError names the allocation; a bare one says nothing
+            line, code = f"numerical failure: {str(exc) or 'out of memory'}", EXIT_NUMERICAL
+        except OSError as exc:
+            line, code = f"I/O failure: {exc}", EXIT_IO
+        except click.ClickException as exc:
+            # the option types and checks, and click's parse errors
+            line, code = f"invalid input: {exc.format_message()}", exc.exit_code
+        except (ValueError, OverflowError) as exc:
+            # library input rejections such as a disconnected graph, a malformed
+            # --graph-file, or an Erdos-Renyi resampling budget that runs out
+            line, code = f"invalid input: {exc}", EXIT_VALIDATION
+        except click.Abort:
+            line, code = "Aborted!", 1
+        click.echo(line, err=True)
+        sys.exit(code)
+
+
+class _Interval(click.FloatRange):
+    """A range of finite floats: click's own lets nan through, and
+    infinity past an open end."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not in the range {self._describe_range()}.", param, ctx)
+        return value
+
+
+_PROBABILITY = _Interval(0, 1, min_open=True)
+_K = _Interval(0, 1, min_open=True, max_open=True)
+_SIGMA2 = _Interval(0)
+_SEED = click.IntRange(min=0)
+_COUNT = click.IntRange(1, sys.maxsize)  # sizes a loop, so within the platform's index range
 
 
 def _options(*decorators):
@@ -492,24 +496,24 @@ _GRAPH_OPTIONS = (
                       "first line 'n m', then 'i j' lines."),
     click.option("--n", default=None, help="Node count N, or an inclusive range A:B."),
     click.option("--dims", default=None, help="Grid sides AxB or AxBxC."),
-    click.option("--p-er", type=float, default=0.8, show_default=True,
+    click.option("--p-er", type=_PROBABILITY, default=0.8, show_default=True,
                  help="Erdos-Renyi edge probability."),
-    click.option("--seed", type=int, default=0, show_default=True,
+    click.option("--seed", type=_SEED, default=0, show_default=True,
                  help="Master seed for graph draws and simulation."),
 )
 _REALIZATIONS_OPTION = click.option(
-    "--realizations", type=int, default=1, show_default=True,
+    "--realizations", type=_COUNT, default=1, show_default=True,
     help="Erdos-Renyi draws per N (mean and spread reported).",
 )
-_P_OPTION = click.option("--p", type=float, multiple=True, default=(0.9,), show_default=True,
-                         help="Per-node activation probability, repeatable: each graph "
-                              "gets one row per --p, in the given order.")
+_P_OPTION = click.option("--p", type=_PROBABILITY, multiple=True, default=(0.9,),
+                         show_default=True, help="Per-node activation probability, "
+                         "repeatable: each graph gets one row per --p, in the given order.")
 _STEP_OPTIONS = (
-    click.option("--eps", type=float, default=None,
+    click.option("--eps", type=_Interval(0, min_open=True), default=None,
                  help="Step size (exactly one of --eps/--k)."),
-    click.option("--k", type=float, default=None,
+    click.option("--k", type=_K, default=None,
                  help="Normalized step size eps*d_max in (0,1)."),
-    click.option("--sigma2", type=float, default=1.0, show_default=True,
+    click.option("--sigma2", type=_SIGMA2, default=1.0, show_default=True,
                  help="Noise variance."),
 )
 _OUTPUT_OPTIONS = (
@@ -534,7 +538,7 @@ def _run_table(command: str, params: dict) -> None:
     _warn_slow_mixing(spec.p_values)
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.version_option(version=__version__)
 def cli() -> None:
     """Noise index of randomized consensus with sampled Laplacian updates."""
@@ -542,7 +546,6 @@ def cli() -> None:
 
 @cli.command("bounds")
 @_options(*_TABLE_OPTIONS)
-@_guard
 def bounds_cmd(**params) -> None:
     """Spectral and resistance bounds for each configuration."""
     _run_table("bounds", params)
@@ -550,7 +553,6 @@ def bounds_cmd(**params) -> None:
 
 @cli.command("exact")
 @_options(*_TABLE_OPTIONS)
-@_guard
 def exact_cmd(**params) -> None:
     """Exact index plus bound relative errors."""
     _run_table("exact", params)
@@ -560,11 +562,10 @@ def exact_cmd(**params) -> None:
 @_options(*_GRAPH_OPTIONS, _P_OPTION, *_STEP_OPTIONS, *_OUTPUT_OPTIONS)
 @click.option("--strict", is_flag=True,
               help="Exit 3 when a Monte Carlo run fails the drift test.")
-@click.option("--horizon", type=int, default=None,
+@click.option("--horizon", type=_COUNT, default=None,
               help="Horizon T of the dynamics (default: spectral-gap rule).")
-@click.option("--ensemble", type=int, default=10000, show_default=True,
+@click.option("--ensemble", type=_COUNT, default=10000, show_default=True,
               help="Independent replications.")
-@_guard
 def simulate_cmd(**params) -> None:
     """Monte Carlo estimate with standard error and convergence flag.
 
@@ -611,16 +612,15 @@ def _runtime() -> dict:
 
 @cli.command("report")
 @click.option("--output", required=True, help="Output directory for CSVs and manifest.")
-@click.option("--p", type=float, default=0.9, show_default=True)
-@click.option("--k", type=float, default=0.8, show_default=True)
-@click.option("--sigma2", type=float, default=1.0, show_default=True)
-@click.option("--p-er", type=float, default=0.8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--p", type=_PROBABILITY, default=0.9, show_default=True)
+@click.option("--k", type=_K, default=0.8, show_default=True)
+@click.option("--sigma2", type=_SIGMA2, default=1.0, show_default=True)
+@click.option("--p-er", type=_PROBABILITY, default=0.8, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--n-range", default="3:100", show_default=True)
-@click.option("--sweep-p-n", type=int, default=100, show_default=True,
-              help="Fixed N for the activation-probability sweeps.")
-@click.option("--realizations", type=int, default=1, show_default=True)
-@_guard
+@click.option("--sweep-p-n", type=click.IntRange(max=sys.maxsize), default=100,
+              show_default=True, help="Fixed N for the activation-probability sweeps.")
+@click.option("--realizations", type=_COUNT, default=1, show_default=True)
 def report_cmd(**params) -> None:
     """Full reproduction suite: per-family sweep-n CSVs and one sweep-p CSV
     plus a JSON manifest with seeds, versions, and wall-clock times. Its
@@ -642,23 +642,21 @@ def report_cmd(**params) -> None:
     listed under the manifest's "skipped" key, and a note goes to stderr.
     """
     t_start = time.time()
-    n_lo, n_hi = _parse_range(params["n_range"], "--n-range")
-    realizations = _platform_int(params["realizations"], "--realizations")
+    n_values = _node_counts(params["n_range"], "--n-range")
     shared = dict(dims=None, graph=None, p_er=params["p_er"], epsilon=None, k=params["k"],
                   sigma2=params["sigma2"], seed=params["seed"])
     # a family whose smallest graph lies above the range has no sweep-n rows
-    skipped = [family for family in SWEEP_FAMILIES if _FAMILY_MIN_N[family] > n_hi]
+    skipped = [family for family in SWEEP_FAMILIES if _FAMILY_MIN_N[family] > n_values[-1]]
     tables = {  # file name -> (largest exact N, its spec)
         f"{family}_sweep_n.csv": (EXACT_MAX_N, ExperimentSpec(
-            graphs=tuple((family, n) for n in range(max(n_lo, _FAMILY_MIN_N[family]), n_hi + 1)),
+            graphs=tuple((family, n) for n in n_values if n >= _FAMILY_MIN_N[family]),
             p_values=(params["p"],),
-            realizations=realizations if family == "erdos-renyi" else 1, **shared,
+            realizations=params["realizations"] if family == "erdos-renyi" else 1, **shared,
         ))
         for family in SWEEP_FAMILIES if family not in skipped
     }
-    sweep_p_n = _platform_int(params["sweep_p_n"], "--sweep-p-n")
     tables["sweep_p.csv"] = (math.inf, ExperimentSpec(
-        graphs=tuple((family, max(sweep_p_n, _FAMILY_MIN_N[family]))
+        graphs=tuple((family, max(params["sweep_p_n"], _FAMILY_MIN_N[family]))
                      for family in SWEEP_FAMILIES),
         p_values=REPORT_P_GRID, realizations=1, **shared,
     ))

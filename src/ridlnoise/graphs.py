@@ -326,9 +326,9 @@ def draw_erdos_renyi(
 
     Each unordered pair is present independently with probability
     ``p_er``; fresh draws come from the same seeded stream, so a fixed
-    seed yields the same sequence of attempts. Fails with a diagnostic
-    once the budget of ``_ER_MAX_RESAMPLES`` (1000) attempts is
-    exhausted (p_er too small for connectivity at this n).
+    seed yields the same sequence of attempts. Raises ValueError once
+    the budget of ``_ER_MAX_RESAMPLES`` (1000) attempts is exhausted
+    (p_er too small for connectivity at this n).
     """
     if n < 2:
         raise ValueError(f"Erdos-Renyi graph needs n >= 2, got {n}")
@@ -341,7 +341,7 @@ def draw_erdos_renyi(
         g = _build(n, np.column_stack((iu[mask], ju[mask])))
         if is_connected(g):
             return ErdosRenyiDraw(graph=g, attempts=attempt)
-    raise RuntimeError(
+    raise ValueError(
         f"no connected Erdos-Renyi draw in {_ER_MAX_RESAMPLES} attempts "
         f"(n={n}, p_er={p_er}); increase p_er"
     )

@@ -254,16 +254,19 @@ class TestValidationErrors:
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p-er", "0.5"),
          "--p-er only applies to erdos-renyi graphs"),
         (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--seed", "-1"),
-         "--seed must be >= 0"),
+         "'--seed': -1 is not in the range"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "nan"),
-         "--sigma2 must be finite, got nan"),
+         "'--sigma2': nan is not in the range"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "inf"),
-         "--sigma2 must be finite, got inf"),
-        (("exact", "--graph", "path", "--n", "5", "--eps", "nan"), "--eps must be finite, got nan"),
-        (("bounds", "--graph", "path", "--n", "5", "--eps", "inf"), "--eps must be finite, got inf"),
+         "'--sigma2': inf is not in the range"),
+        (("exact", "--graph", "path", "--n", "5", "--eps", "nan"),
+         "'--eps': nan is not in the range"),
+        (("bounds", "--graph", "path", "--n", "5", "--eps", "inf"),
+         "'--eps': inf is not in the range"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p", "nan"),
-         "activation probability must lie in (0, 1], got nan"),
-        (("bounds", "--graph", "path", "--n", "5", "--k", "nan"), "--k must lie in (0, 1), got nan"),
+         "'--p': nan is not in the range"),
+        (("bounds", "--graph", "path", "--n", "5", "--k", "nan"),
+         "'--k': nan is not in the range"),
         (("bounds", "--graph", "grid2d", "--n", "3:99999999999999999999", "--k", "0.8"),
          "--n is too large for this platform, got 99999999999999999999"),
         (("bounds", "--graph", "path", "--n", "99999999999999999999", "--k", "0.8"),
@@ -272,7 +275,7 @@ class TestValidationErrors:
         (("bounds", "--graph", "grid2d", "--dims", "4294967296x4294967296", "--k", "0.8"),
          "--dims is too large for this platform, got 18446744073709551616"),
         (("report", "--output", "/nonexistent/report", "--sweep-p-n", "99999999999999999999"),
-         "--sweep-p-n is too large for this platform"),
+         "'--sweep-p-n': 99999999999999999999 is not in the range"),
         # eps p^2 underflows: at p = 0.01 it is 0, at p = 0.9 subnormal
         (("bounds", "--graph", "path", "--n", "5", "--eps", "1e-320", "--p", "0.01"),
          "step size is too small"),
@@ -304,19 +307,20 @@ class TestValidationErrors:
         # a sweep over p on two families, neither of them Erdos-Renyi
         (("exact", "--graph", "path", "--graph", "star", "--n", "5", "--k", "0.8",
           "--p", "0.5", "--p", "0.9", "--seed", "3"), "--seed only applies to erdos-renyi graphs"),
-        (("bounds", "--graph", "path", "--n", "5", "--eps", "-0.1"), "--eps must be positive"),
+        (("bounds", "--graph", "path", "--n", "5", "--eps", "-0.1"),
+         "'--eps': -0.1 is not in the range"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--sigma2", "-1"),
-         "--sigma2 must be >= 0"),
+         "'--sigma2': -1.0 is not in the range"),
         (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--p-er", "1.5"),
-         "--p-er in (0, 1] is required"),
+         "'--p-er': 1.5 is not in the range"),
         (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8", "--realizations", "0"),
-         "--realizations must be >= 1"),
+         "'--realizations': 0 is not in the range"),
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--realizations", "2"),
          "--realizations only applies to erdos-renyi"),
         (("simulate", "--graph", "path", "--n", "5", "--k", "0.8", "--ensemble", "0"),
-         "--ensemble and --horizon must be >= 1"),
+         "'--ensemble': 0 is not in the range"),
         (("simulate", "--graph", "path", "--n", "5", "--k", "0.8", "--horizon", "0"),
-         "--ensemble and --horizon must be >= 1"),
+         "'--horizon': 0 is not in the range"),
         # the file alone names the graph and its N; it is not even opened
         (("bounds", "--graph-file", "/nonexistent.edges", "--n", "5", "--k", "0.8"),
          "--graph-file takes no --graph/--n/--dims"),
@@ -327,7 +331,7 @@ class TestValidationErrors:
          "--graph-file takes no --graph/--n/--dims"),
         # every p of a list is checked, every family of a list too
         (("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--p", "0.5", "--p", "1.5"),
-         "activation probability must lie in (0, 1], got 1.5"),
+         "'--p': 1.5 is not in the range"),
         (("bounds", "--graph", "grid2d", "--graph", "path", "--dims", "3x3", "--k", "0.8"),
          "--dims only applies to grid graphs"),
         (("bounds", "--graph", "erdos-renyi", "--graph", "path", "--n", "5", "--k", "0.8",
@@ -343,13 +347,13 @@ class TestValidationErrors:
         # no run starts that cannot end (bounded_rows fails the test if one does)
         (("simulate", "--graph", "path", "--n", "5", "--k", "0.8",
           "--horizon", "99999999999999999999"),
-         "--horizon is too large for this platform, got 99999999999999999999"),
+         "'--horizon': 99999999999999999999 is not in the range"),
         (("simulate", "--graph", "path", "--n", "5", "--k", "0.8",
           "--ensemble", "99999999999999999999"),
-         "--ensemble is too large for this platform, got 99999999999999999999"),
+         "'--ensemble': 99999999999999999999 is not in the range"),
         (("bounds", "--graph", "erdos-renyi", "--n", "5", "--k", "0.8",
           "--realizations", "99999999999999999999"),
-         "--realizations is too large for this platform, got 99999999999999999999"),
+         "'--realizations': 99999999999999999999 is not in the range"),
         # the null device reads as an empty file
         (("bounds", "--graph-file", os.devnull, "--k", "0.8"),
          "is missing the 'n m' header"),
@@ -374,6 +378,75 @@ class TestValidationErrors:
         assert res.exit_code == 2
         assert res.stderr.strip().count("\n") == 0
         assert message in res.stderr
+
+
+class TestErrorPath:
+    """The entry point prints every failure as one line with its exit
+    code, click's own parse errors included; only the bare command prints
+    the help."""
+
+    @pytest.mark.parametrize("args", [
+        ("bounds", "--graph", "path", "--n", "5", "--k", "abc"),
+        ("bounds", "--graph", "foo", "--n", "5", "--k", "0.8"),
+        ("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "--workers", "2"),
+        ("report",),
+        ("bounds", "--graph", "path", "--n", "5", "--k", "0.8", "extra"),
+        ("bogus",),
+    ], ids=["malformed-value", "invalid-choice", "unknown-option", "missing-option",
+            "extra-argument", "unknown-command"])
+    def test_click_parse_errors_are_one_line(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 2
+        assert res.stderr.count("\n") == 1
+        assert res.stderr.startswith("invalid input: ")
+        assert res.stdout == ""
+
+    def test_no_arguments_print_the_help_and_exit_2(self):
+        res = invoke()
+        assert res.exit_code == 2
+        assert res.stderr.startswith("Usage: ")
+        assert "Commands:" in res.stderr
+
+    @pytest.mark.parametrize("args", [("--help",), ("--version",), ("bounds", "--help")])
+    def test_help_and_version_exit_0(self, args):
+        res = invoke(*args)
+        assert res.exit_code == 0
+        assert res.stderr == ""
+
+    def test_help_shows_option_ranges(self):
+        text = " ".join(invoke("bounds", "--help").stdout.split())
+        for option, domain in [("--p-er", "0<x<=1"), ("--seed", "x>=0"), ("--eps", "x>0"),
+                               ("--k", "0<x<1"), ("--sigma2", "x>=0"),
+                               ("--realizations", f"1<=x<={sys.maxsize}")]:
+            # the range closes the option's bracketed note
+            assert re.search(fr"{option} [A-Z ]+RANGE [^\[]*\[[^\]]*{re.escape(domain)}\]",
+                             text), option
+
+    @pytest.mark.parametrize("args,option", [
+        (("bounds", "--graph", "path", "--n", f"3:{sys.maxsize}", "--k", "0.8"), "--n"),
+        (("report", "--n-range", f"3:{sys.maxsize}"), "--n-range"),
+    ], ids=["bounds", "report"])
+    def test_range_beyond_memory_exits_2_at_once(self, args, option, tmp_path):
+        # the child's address space is capped, so that a range built step by
+        # step fails the test with exit 3 instead of filling the memory
+        import resource
+        import subprocess
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(ridlnoise.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ridlnoise.cli import main; main()", *args,
+             "--output", str(tmp_path / "out")],
+            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"invalid input: {option} 3:{sys.maxsize} "
+                               "does not fit in memory\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExactCommand:
@@ -857,15 +930,17 @@ class TestReportCommand:
 
     # the 3:6 range skips grid3d, whose note must not come before the error
     @pytest.mark.parametrize("args,message", [
-        (("--n-range", "3:6", "--sweep-p-n", "6", "--k", "1.5"), "--k must lie in (0, 1)"),
+        (("--n-range", "3:6", "--sweep-p-n", "6", "--k", "1.5"),
+         "'--k': 1.5 is not in the range"),
         (("--n-range", "9:3"), "--n-range must satisfy A <= B"),
-        (("--n-range", "3:6", "--sweep-p-n", "6", "--seed", "-1"), "--seed must be >= 0"),
+        (("--n-range", "3:6", "--sweep-p-n", "6", "--seed", "-1"),
+         "'--seed': -1 is not in the range"),
         (("--n-range", "3:5", "--sweep-p-n", "5", "--p", "nan"),
-         "activation probability must lie in (0, 1], got nan"),
+         "'--p': nan is not in the range"),
         (("--n-range", "3:5", "--sweep-p-n", "5", "--sigma2", "nan"),
-         "--sigma2 must be finite, got nan"),
+         "'--sigma2': nan is not in the range"),
         (("--n-range", "3:5", "--sweep-p-n", "5", "--realizations", "99999999999999999999"),
-         "--realizations is too large for this platform, got 99999999999999999999"),
+         "'--realizations': 99999999999999999999 is not in the range"),
     ], ids=["k", "n-range", "seed", "p-nan", "sigma2-nan", "realizations-oversized"])
     def test_validation_error_leaves_nothing(self, tmp_path, args, message, bounded_rows):
         res = invoke("report", "--output", str(tmp_path / "rep"), *args)

@@ -481,7 +481,7 @@ class TestErdosRenyi:
         assert draw.attempts >= 1
 
     def test_budget_exhaustion_is_diagnosed(self):
-        with pytest.raises(RuntimeError, match="attempts"):
+        with pytest.raises(ValueError, match="attempts"):
             draw_erdos_renyi(40, 0.01, 0)
 
     def test_rejects_bad_probability(self):
