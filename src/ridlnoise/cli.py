@@ -6,6 +6,14 @@ index and the relative errors of both bounds), ``simulate`` (Monte Carlo
 estimates) and ``report`` (the full suite as a directory of CSVs plus a
 JSON manifest).
 
+A ``simulate`` row stops the dynamics at a horizon T and reports
+``bias_bound`` = nu_max^T, with nu_max the largest eigenvalue of E[P^2]
+off consensus. As tr E[P X P] = tr(X E[P^2]) <= nu_max tr X for every
+covariance X >= 0 off consensus, and the tail after T steps is one stepped
+T times, 0 <= (J - J_T)/J <= nu_max^T. The default T is the smallest with
+nu_max^T <= 1e-4; ``converged`` is bias_bound < 1e-3, and ``--strict``
+exits 3 when a row is not converged.
+
 ``--graph`` and ``--p`` repeat on ``bounds``, ``exact`` and ``simulate``,
 and every table has one row per family x N x p, in that order, where N
 runs over ``--n``, one count N or an inclusive range A:B. So a sweep over
@@ -75,7 +83,7 @@ from .graphs import (
 )
 from .noise_index import compute_noise_report
 from .ridl import RidlConfig
-from .simulator import SimConfig, default_horizon, estimate_noise_index
+from .simulator import BURN_IN_CHECK, SimConfig, default_horizon, estimate_noise_index
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -98,7 +106,7 @@ _COMMON_COLUMNS = [
 _BOUND_COLUMNS = ["j_lb", "j_ub", "j_res_lb", "j_res_ub", "j_lb_std", "j_ub_std"]
 _EXACT_COLUMNS = ["n_exact", "j_exact", "rel_lb", "rel_ub", "j_exact_std"]
 _SIM_COLUMNS = ["horizon", "ensemble", "noise", "seed", "j_hat", "std_error", "converged",
-                "drift", "mf_corr"]
+                "bias_bound", "mf_corr"]
 
 #: stable per-command CSV schemas (header order is part of the contract)
 COMMAND_COLUMNS = {
@@ -354,7 +362,7 @@ def _estimate_columns(graph: UndirectedGraph, spec: ExperimentSpec, cfg: RidlCon
         j_hat=est.j_hat,
         std_error=est.std_error,
         converged=est.converged,
-        drift=est.drift,
+        bias_bound=est.bias_bound,
         mf_corr=est.mf_corr,
     )
 
@@ -530,9 +538,13 @@ def _run_table(command: str, params: dict) -> None:
     # a command solves every row or none, as its schema says
     rows = _compute_rows(spec, math.inf if "j_exact" in COMMAND_COLUMNS[command] else 0)
     _emit(render_rows(rows, COMMAND_COLUMNS[command], params["fmt"]), params["output"])
-    if params.get("strict") and any(not r["converged"] for r in rows):
+    # only simulate rows, which --strict alone checks, carry converged
+    failed = [r for r in rows if not r["converged"]] if params.get("strict") else []
+    if failed:
+        worst = max(failed, key=lambda r: r["bias_bound"])
         raise NumericalError(
-            "drift test failed for at least one row (strict mode); raise --horizon"
+            f"bias bound {worst['bias_bound']:.3g} >= {BURN_IN_CHECK:g} at horizon "
+            f"{worst['horizon']} for at least one row (strict mode); raise --horizon"
         )
     # last, so that a run that fails writes its one error line alone
     _warn_slow_mixing(spec.p_values)
@@ -561,9 +573,10 @@ def exact_cmd(**params) -> None:
 @cli.command("simulate")
 @_options(*_GRAPH_OPTIONS, _P_OPTION, *_STEP_OPTIONS, *_OUTPUT_OPTIONS)
 @click.option("--strict", is_flag=True,
-              help="Exit 3 when a Monte Carlo run fails the drift test.")
+              help="Exit 3 when a row's bias bound is not below 1e-3.")
 @click.option("--horizon", type=_COUNT, default=None,
-              help="Horizon T of the dynamics (default: spectral-gap rule).")
+              help="Horizon T of the dynamics (default: smallest T with bias bound "
+              "at most 1e-4).")
 @click.option("--ensemble", type=_COUNT, default=10000, show_default=True,
               help="Independent replications.")
 def simulate_cmd(**params) -> None:
@@ -578,10 +591,15 @@ def simulate_cmd(**params) -> None:
     with its mean-field shadow under E[P], whose sum and expected sum are
     both closed forms in the Laplacian eigenpairs, so only the random walk
     is stepped; the difference is a control variate that keeps j_hat
-    unbiased and cuts its standard error. drift is the share of the
-    replications' summed squared disagreement that the last 10% of steps
-    add, at least one step (converged means below 0.001), and mf_corr
-    the correlation between the replications and their shadows. The
+    unbiased and cuts its standard error. Stopping at the horizon T leaves
+    a relative bias 0 <= (J - J_T)/J <= nu_max^T, the bias_bound column,
+    with nu_max the largest eigenvalue of E[P^2] off consensus: the tail
+    after T steps is a covariance X >= 0 off consensus stepped T times by
+    X -> E[P X P], and each step keeps at most nu_max of its trace, as
+    tr E[P X P] = tr(X E[P^2]) <= nu_max tr X. The default horizon is the
+    smallest T with nu_max^T <= 1e-4, and converged means bias_bound <
+    1e-3. mf_corr is the correlation between the replications and their
+    shadows. The
     row's one eigensolve gives both the bounds and the shadow; no row
     solves for the exact index, which ``exact`` gives for the same graph
     and step. An Erdos-Renyi row simulates one draw per N. Every row

@@ -25,9 +25,18 @@ E[Y~] = sigma^2 sum_i g_i is the expected final disagreement of
 x~(t+1) = E[P] x~(t) + n(t) (as T grows it tends to N times the generic
 lower bound j_lb), so Y - Y~ + E[Y~] is an unbiased per-replication value
 with far less spread than Y: a control variate with coefficient one,
-nothing fitted. The same sum stopped at t < T has mean E[d(x_t)], so
-one snapshot of each replication's sum, w = max(1, T // 10) steps before
-the end, is all the drift test needs.
+nothing fitted.
+
+Stopping at T leaves a bias with a closed-form bound. With
+Phi(X) = E[P X P], the disagreement covariance of x_T is
+Sigma_T = sum_{k<T} Phi^k(Omega), so J - J_T = sigma^2/N tr Phi^T(Sigma)
+for the limit Sigma, where J_T = E[d(x_T)] / N. For symmetric P,
+tr Phi(X) = tr(X E[P^2]), and E[P^2] has the eigenvalues nu_i on the
+disagreement subspace 1^perp, so tr Phi(X) <= nu_max tr X for every
+X >= 0 on 1^perp, which Phi maps to itself; T such steps from Sigma give
+0 <= (J - J_T) / J <= nu_max^T, with nu_max = 1 - min(1 - nu_i) from
+:func:`~ridlnoise.ridl.moment_spectra`. The one rate log nu_max sets
+both the default horizon and the convergence flag.
 
 P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
 activation vector and A the sparse (CSR) adjacency, stored as eps A,
@@ -74,10 +83,11 @@ __all__ = [
     "estimate_noise_index",
 ]
 
-# a run is converged when its drift statistic is below this
+# a run is converged when its bias bound nu_max^T is below this
 BURN_IN_CHECK = 1e-3
 
-# target and cap of ``default_horizon``
+# ``default_horizon`` is the smallest T with nu_max^T at most the target,
+# capped
 _HORIZON_TARGET = 1e-4
 _HORIZON_CAP = 100_000
 
@@ -108,6 +118,9 @@ class SimConfig:
 class SimEstimate:
     """Monte Carlo estimate with its across-replication standard error.
 
+    ``bias_bound`` is nu_max^T, which bounds the relative bias
+    (J - J_T) / J of stopping at the horizon T from above, and
+    ``converged`` is ``bias_bound < BURN_IN_CHECK`` (1e-3).
     ``mf_corr`` is the correlation of a replication's Y and its shadow's
     closed-form Y~ = sigma^2 sum_i g_i (v_i^T y_0)^2 across replications,
     which sets the control variate's variance reduction (1 - rho^2 at
@@ -117,22 +130,27 @@ class SimEstimate:
     j_hat: float
     std_error: float
     converged: bool
-    drift: float
+    bias_bound: float
     mf_corr: float
 
 
+def _log_nu_max(lam: np.ndarray, cfg: RidlConfig) -> float:
+    """log nu_max, with nu_max = 1 - min(1 - nu_i) the largest eigenvalue
+    of E[P^2] on 1^perp, over the ascending Laplacian spectrum ``lam``
+    (:func:`~ridlnoise.ridl.moment_spectra`). log1p keeps the rate below 0
+    where nu_max itself would round to 1, and nu_max = 0 gives -inf."""
+    _, _, one_minus_nu = moment_spectra(lam, cfg)
+    with np.errstate(divide="ignore"):
+        return float(np.log1p(-one_minus_nu.min()))
+
+
 def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
-    """Smallest T with (1 - eps p^2 lambda_2)^(2T) below
-    ``_HORIZON_TARGET`` (1e-4), capped at ``_HORIZON_CAP`` (100000); ties
-    the burn-in length to the spectral gap."""
-    delta, _, _ = moment_spectra(laplacian_spectrum(g).eigenvalues, cfg)
-    rho = abs(1.0 - float(delta[0]))
-    if rho <= 0.0:
-        return 1
-    if rho >= 1.0:
-        return _HORIZON_CAP
-    t = math.ceil(math.log(_HORIZON_TARGET) / (2.0 * math.log(rho)))
-    return max(1, min(t, _HORIZON_CAP))
+    """Smallest T >= 1 with nu_max^T <= ``_HORIZON_TARGET`` (1e-4), capped
+    at ``_HORIZON_CAP`` (100000): the horizon whose bias bound
+    (J - J_T) / J <= nu_max^T meets the target."""
+    rate = _log_nu_max(laplacian_spectrum(g).eigenvalues, cfg)
+    # capped before ceil, so a rate near 0 never reaches ceil(inf)
+    return max(1, math.ceil(min(math.log(_HORIZON_TARGET) / rate, _HORIZON_CAP)))
 
 
 def _mean_field_gains(lam: np.ndarray, cfg: RidlConfig, t: int) -> np.ndarray:
@@ -240,7 +258,7 @@ def _run_ensemble(
     sim: SimConfig,
     vecs: np.ndarray,
     gains: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Propagate ``sim.ensemble`` probes through ``sim.horizon - 1`` steps.
 
     Each chunk spawns its replications' seeds from ``root`` as it starts;
@@ -249,8 +267,7 @@ def _run_ensemble(
     once. ``vecs`` holds the Laplacian eigenvectors as columns and
     ``gains`` the :func:`_mean_field_gains` of v_2..v_N. Returns, per
     replication, the sum over k < T of |y_k|^2, its mean-field shadow
-    sum_i g_i (v_i^T y_0)^2, and the sum over k < T - w of |y_k|^2, with
-    w = max(1, T // 10).
+    sum_i g_i (v_i^T y_0)^2.
     """
     n, steps, m = g.n, sim.horizon - 1, sim.ensemble
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
@@ -262,9 +279,6 @@ def _run_ensemble(
     acts = np.empty((min(steps, _DRAW_STEPS), chunk, n), dtype=bool)
     energy_sums = np.empty(m)
     shadow_sums = np.empty(m)
-    # after step T - w - 1 the energy sums k < T - w; at T = 1 it is 0
-    snap = sim.horizon - max(1, sim.horizon // 10) - 1
-    early_sums = np.zeros(m)
     for start in range(0, m, chunk):
         c = min(chunk, m - start)
         rngs = [np.random.default_rng(s) for s in root.spawn(c)]
@@ -278,23 +292,9 @@ def _run_ensemble(
             b = min(_DRAW_STEPS, steps - t0)
             for j, rng in enumerate(rngs):
                 _draw_activations(rng, cfg.p, acts[:b, j])
-            k = snap - t0 if t0 <= snap < t0 + b else b
-            _step_block(y, acts[:k, :c], adj, energy)
-            if k < b:
-                early_sums[start:start + c] = _column_sums(energy)
-                _step_block(y, acts[k:b, :c], adj, energy)
+            _step_block(y, acts[:b, :c], adj, energy)
         energy_sums[start:start + c] = _column_sums(energy)
-    return energy_sums, shadow_sums, early_sums
-
-
-def _drift(d_final: np.ndarray, d_early: np.ndarray) -> float:
-    """(E_T - E_(T-w)) / E_T, with E_t the ensemble's disagreement sums
-    over k < t: the share of the estimate gained over the last w steps;
-    0 when E_T = 0."""
-    total = float(d_final.sum())
-    if total == 0.0:
-        return 0.0
-    return (total - float(d_early.sum())) / total
+    return energy_sums, shadow_sums
 
 
 def estimate_noise_index(
@@ -315,13 +315,10 @@ def estimate_noise_index(
     there is no second ensemble and no fitted coefficient. ``mf_corr`` is
     the correlation of Y and Y~ across replications.
 
-    ``drift`` is (E_T - E_(T-w)) / E_T with w = max(1, T // 10) and
-    E_t = sigma^2 sum over replications of sum_{k<t} |y_k|^2, the
-    ensemble's uncorrected estimate of M E[d(x_t)]: the share of it
-    gained over the last w steps. From x(0) = 0 the expectation rises
-    monotonically to its limit, so a large share means the horizon ended
-    inside the transient. ``converged`` is ``drift < BURN_IN_CHECK``
-    (1e-3); a False value is a flag, not an error (raise the horizon).
+    ``bias_bound`` is nu_max^T, a closed form with no statistic in it:
+    the mean J_T = E[d(x_T)] / N lies in [J (1 - nu_max^T), J] (module
+    docstring). ``converged`` is ``bias_bound < BURN_IN_CHECK`` (1e-3); a
+    False value is a flag, not an error (raise the horizon).
 
     The activations, one random byte each with a uniform for the 1/256 of
     ties, come from the generator that drew the probe, in blocks of 1024
@@ -347,12 +344,12 @@ def estimate_noise_index(
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble
     gains = _mean_field_gains(spectrum.eigenvalues, cfg, sim.horizon)
-    energy, shadow, early = _run_ensemble(
+    energy, shadow = _run_ensemble(
         np.random.SeedSequence(sim.seed), g, cfg, sim, spectrum.eigenvectors, gains)
     d_final = cfg.sigma2 * energy
     d_shadow = cfg.sigma2 * shadow
     per_rep = (d_final - d_shadow + cfg.sigma2 * float(gains.sum())) / n
-    drift = _drift(d_final, cfg.sigma2 * early)
+    bias_bound = math.exp(sim.horizon * _log_nu_max(spectrum.eigenvalues, cfg))
     if m > 1 and d_final.std() > 0.0 and d_shadow.std() > 0.0:
         mf_corr = float(np.corrcoef(d_final, d_shadow)[0, 1])
     else:
@@ -360,7 +357,7 @@ def estimate_noise_index(
     return SimEstimate(
         j_hat=float(per_rep.mean()),
         std_error=float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
-        converged=bool(drift < BURN_IN_CHECK),
-        drift=drift,
+        converged=bias_bound < BURN_IN_CHECK,
+        bias_bound=bias_bound,
         mf_corr=mf_corr,
     )

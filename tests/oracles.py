@@ -35,7 +35,9 @@ evaluates and the tests check the library against:
 * the RIDL samplers ``sample_activation``, ``induced_laplacian`` and
   ``sample_ridl``, and the single-sample ``step`` and ``disagreement``;
 * the expected matrices ``expected_p`` (E[P]) and ``expected_p_squared``
-  (E[P^2]) in closed form;
+  (E[P^2]) in closed form, and ``nu_max``, the largest eigenvalue of the
+  dense E[P^2] on the disagreement subspace, whose T-th power bounds the
+  relative bias of a horizon T;
 * ``generic_bounds``, the bounds on the spectra of any E[P] and E[P^2]
   that ``noise_index.ridl_bounds`` specializes to the Laplacian spectrum;
 * the per-family closed-form bounds (star, path, complete) and their
@@ -166,6 +168,14 @@ def expected_p_squared(g: UndirectedGraph, cfg: RidlConfig) -> np.ndarray:
     lbar = laplacian(g)
     e, p = cfg.epsilon, cfg.p
     return np.eye(g.n) + 2.0 * e * p**2 * (e - e * p - 1.0) * lbar + e**2 * p**3 * (lbar @ lbar)
+
+
+def nu_max(g: UndirectedGraph, cfg: RidlConfig) -> float:
+    """Largest eigenvalue of E[P^2] on 1^perp, from ``eigvalsh`` of the
+    dense Omega E[P^2] Omega: E[P^2] is positive semidefinite, so the 0 that
+    the projection puts on the consensus vector is never the largest."""
+    omega = omega_projector(g.n)
+    return float(np.linalg.eigvalsh(omega @ expected_p_squared(g, cfg) @ omega)[-1])
 
 
 def _perron_excluded(eigenvalues: np.ndarray, label: str) -> np.ndarray:
@@ -638,8 +648,7 @@ def _dense_draws(seed: np.random.SeedSequence, t: int, n: int, p: float, law: st
 def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig, law: str):
     """Final disagreement per replication of the trajectory and of its
     mean-field shadow x~ <- E[P] x~ + n on the same noise, drawn from
-    ``law``, and the per-step disagreement summed over replications, all
-    replications stacked at once."""
+    ``law``, all replications stacked at once."""
     adj = dense_adjacency(g.n, g.edges)
     draws = [_dense_draws(s, sim.horizon, g.n, cfg.p, law, math.sqrt(cfg.sigma2))
              for s in seeds]
@@ -648,21 +657,18 @@ def _dense_dynamics(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig, 
     p_bar = expected_p(g, cfg)
     x = np.zeros((len(seeds), g.n))
     x_mf = np.zeros_like(x)
-    series = np.empty(sim.horizon)
     for t in range(sim.horizon):
         gam = acts[:, t, :].astype(np.float64)
         s1 = gam @ adj
         s2 = (gam * x) @ adj
         x = x - cfg.epsilon * gam * (x * s1 - s2) + noise[:, t, :]
         x_mf = x_mf @ p_bar + noise[:, t, :]
-        dev = x - x.mean(axis=1, keepdims=True)
-        series[t] = (dev * dev).sum()
 
     def final(z):
         dev = z - z.mean(axis=1, keepdims=True)
         return (dev * dev).sum(axis=1)
 
-    return final(x), final(x_mf), series
+    return final(x), final(x_mf)
 
 
 # steps per substream block of a replication's activation draws
@@ -699,8 +705,7 @@ def _byte_activations(rng: np.random.Generator, steps: int, n: int, p: float) ->
 def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     """Per replication, sigma^2 sum_{k<T} |y_k|^2 for the probe
     y_k = P_k y_(k-1) from y_0 = Omega z, and the same for its shadow
-    y~_k = E[P] y~_(k-1); and the per-step sigma^2 |y_k|^2 summed over
-    replications. Each P_k is formed as a dense matrix from the
+    y~_k = E[P] y~_(k-1). Each P_k is formed as a dense matrix from the
     replication's stream: the standard Gaussian z first, then, per block
     of 1024 steps, the activation bytes of each step and the uniforms
     that refine the block's ties."""
@@ -709,7 +714,6 @@ def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
     p_bar = expected_p(g, cfg)
     energy = np.zeros(len(seeds))
     shadow = np.zeros(len(seeds))
-    series = np.zeros(t_steps)
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         y = omega @ rng.standard_normal(n)
@@ -721,8 +725,7 @@ def _dense_reverse(seeds, g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig):
                 ys = p_bar @ ys
             energy[r] += y @ y
             shadow[r] += ys @ ys
-            series[k] += y @ y
-    return cfg.sigma2 * energy, cfg.sigma2 * shadow, cfg.sigma2 * series
+    return cfg.sigma2 * energy, cfg.sigma2 * shadow
 
 
 def mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
@@ -752,14 +755,12 @@ def finite_horizon_index(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
     return cfg.sigma2 * float(np.trace(sigma)) / g.n
 
 
-def _summary(d_final: np.ndarray, d_mf: np.ndarray, trace: np.ndarray,
-             g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
+def _summary(d_final: np.ndarray, d_mf: np.ndarray, g: UndirectedGraph, cfg: RidlConfig,
+             sim: SimConfig) -> dict:
     """The control-variate ``j_hat`` and ``std_error``, the uncorrected
-    ``j_hat_raw`` and ``std_error_raw``, ``drift``, ``converged`` and
-    ``mf_corr`` of per-replication values ``d_final`` with shadows
-    ``d_mf``. ``trace[t - 1]`` is the ensemble's summed d(x_t) for
-    t = 1..T, and ``drift`` the share of trace[-1] gained over the last
-    w = max(1, T // 10) steps."""
+    ``j_hat_raw`` and ``std_error_raw``, and ``mf_corr`` of per-replication
+    values ``d_final`` with shadows ``d_mf``; ``bias_bound``, ``nu_max``
+    to the power T, and ``converged``."""
     n, m = g.n, sim.ensemble
 
     def mean_and_se(values):
@@ -769,17 +770,14 @@ def _summary(d_final: np.ndarray, d_mf: np.ndarray, trace: np.ndarray,
     j_hat, std_error = mean_and_se(
         (d_final - d_mf + mean_field_disagreement(g, cfg, sim.horizon)) / n)
     j_hat_raw, std_error_raw = mean_and_se(d_final / n)
-    back = sim.horizon - max(1, sim.horizon // 10)
-    early = float(trace[back - 1]) if back else 0.0
-    total = float(trace[-1])
-    drift = (total - early) / total if total else 0.0
+    bias_bound = nu_max(g, cfg) ** sim.horizon
     if m > 1 and d_final.std() > 0.0 and d_mf.std() > 0.0:
         mf_corr = float(np.corrcoef(d_final, d_mf)[0, 1])
     else:
         mf_corr = math.nan
     return {"j_hat": j_hat, "std_error": std_error, "j_hat_raw": j_hat_raw,
-            "std_error_raw": std_error_raw, "drift": drift,
-            "converged": bool(drift < BURN_IN_CHECK), "mf_corr": mf_corr}
+            "std_error_raw": std_error_raw, "bias_bound": bias_bound,
+            "converged": bias_bound < BURN_IN_CHECK, "mf_corr": mf_corr}
 
 
 def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
@@ -788,8 +786,7 @@ def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     mean-field control variate's known mean from the propagated noise
     covariance."""
     seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
-    energy, shadow, series = _dense_reverse(seeds, g, cfg, sim)
-    return _summary(energy, shadow, np.cumsum(series), g, cfg, sim)
+    return _summary(*_dense_reverse(seeds, g, cfg, sim), g, cfg, sim)
 
 
 def dense_forward_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig,

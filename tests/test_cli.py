@@ -772,19 +772,20 @@ class TestSimulateCommand:
         assert rows == [single[1] for single in singles]
 
     def test_drift_column_last(self):
-        # the schema's tail is drift, then the control variate's correlation
+        # the schema's tail is the bound on the drift left, bias_bound, then
+        # the control variate's correlation
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--horizon", "40", "--ensemble", "100")
-        assert res.output.splitlines()[0].split(",")[-2:] == ["drift", "mf_corr"]
+        assert res.output.splitlines()[0].split(",")[-2:] == ["bias_bound", "mf_corr"]
         row = parse_csv(res.output)[0]
-        assert row["converged"] == ("true" if as_float(row["drift"]) < BURN_IN_CHECK
+        assert row["converged"] == ("true" if as_float(row["bias_bound"]) < BURN_IN_CHECK
                                     else "false")
         assert 0.0 < as_float(row["mf_corr"]) <= 1.0
         res = invoke("simulate", "--graph", "path", "--n", "6", "--k", "0.8",
                      "--horizon", "40", "--ensemble", "100", "--format", "json")
         record = json.loads(res.output)[0]
-        assert list(record)[-2:] == ["drift", "mf_corr"]
-        assert record["converged"] == (record["drift"] < BURN_IN_CHECK)
+        assert list(record)[-2:] == ["bias_bound", "mf_corr"]
+        assert record["converged"] == (record["bias_bound"] < BURN_IN_CHECK)
         assert record["mf_corr"] == pytest.approx(as_float(row["mf_corr"]), rel=1e-11)
 
     def test_zero_variance(self):
@@ -805,7 +806,23 @@ class TestSimulateCommand:
                      "--horizon", "3", "--ensemble", "200", "--strict")
         assert res.exit_code == 3
         assert res.stderr.strip().count("\n") == 0
-        assert "drift test failed" in res.stderr
+        assert re.search(r"bias bound \S+ >= 0.001 at horizon 3 ", res.stderr)
+
+    def test_default_horizon_reads_every_mode(self):
+        # on the 2x2 grid at p = 1 and k = 0.99 the slowest second moment is
+        # the top Laplacian eigenvalue's, nu_max = 0.96: the default horizon
+        # of 228 steps passes --strict. At p = 1 the walk is deterministic,
+        # the control variate cancels it and std_error is 1e-14, so j_hat
+        # is J_T itself: J (1 - 9.2e-5), inside the certified
+        # [J (1 - bias_bound), J] widened by 3 sigma
+        args = ("--graph", "grid2d", "--dims", "2x2", "--k", "0.99", "--p", "1")
+        res = invoke("simulate", *args, "--ensemble", "200", "--seed", "1", "--strict")
+        assert res.exit_code == 0
+        row = parse_csv(res.output)[0]
+        j_exact = as_float(parse_csv(invoke("exact", *args).output)[0]["j_exact"])
+        j_hat, se = as_float(row["j_hat"]), as_float(row["std_error"])
+        assert j_exact * (1.0 - as_float(row["bias_bound"])) - 3.0 * se <= j_hat
+        assert j_hat <= j_exact + 3.0 * se
 
     def test_soft_mode_exit_zero(self):
         res = invoke("simulate", "--graph", "path", "--n", "10", "--k", "0.8",
@@ -831,10 +848,10 @@ class TestSimulateCommand:
                      "--format", "json", *extra)
         assert res.exit_code == 0
         (record,) = json.loads(res.output, parse_constant=reject)
-        assert {c for c in ("drift", "mf_corr") if record[c] is None} == nulls
+        assert {c for c in ("bias_bound", "mf_corr") if record[c] is None} == nulls
         res = invoke("simulate", "--graph", "path", "--n", "4", "--k", "0.8", *extra)
         row = parse_csv(res.output)[0]
-        assert {c for c in ("drift", "mf_corr") if row[c] in ("inf", "nan")} == nulls
+        assert {c for c in ("bias_bound", "mf_corr") if row[c] in ("inf", "nan")} == nulls
 
 
 class TestErdosRenyiRows:
@@ -1118,7 +1135,7 @@ class TestPublicApi:
         "NoiseReport": ["exact", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
                         "lambda2", "lambda_n"],
         "ExactIndex": ["j", "iterations", "gap"],
-        "SimEstimate": ["j_hat", "std_error", "converged", "drift", "mf_corr"],
+        "SimEstimate": ["j_hat", "std_error", "converged", "bias_bound", "mf_corr"],
         "SimConfig": ["horizon", "ensemble", "seed"],
         "RidlConfig": ["p", "epsilon", "sigma2", "d_max"],
     }

@@ -31,6 +31,7 @@ from oracles import (
     finite_horizon_index,
     make_erdos_renyi,
     mean_field_disagreement,
+    nu_max,
     sample_ridl,
     step,
 )
@@ -81,16 +82,17 @@ class TestDisagreement:
 
 class TestDefaultHorizon:
     def test_contraction_rule(self):
-        g = make_path(6)
-        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        t = default_horizon(g, cfg)
-        lam2 = 2.0 - 2.0 * np.cos(np.pi / 6)
-        rho = 1.0 - cfg.epsilon * cfg.p**2 * lam2
-        assert rho ** (2 * t) < 1e-4
-        assert rho ** (2 * (t - 1)) >= 1e-4
+        # the smallest T with nu_max^T <= 1e-4, nu_max from the dense E[P^2]
+        for g, p, k in ((make_path(6), 0.9, 0.8),
+                        (K2, 0.3, 0.8),                  # nu_max 0.94, mu_2^2 0.73
+                        (make_grid((2, 2)), 1.0, 0.99)):  # nu_max 0.96 at lambda_N
+            cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
+            t = default_horizon(g, cfg)
+            nu = nu_max(g, cfg)
+            assert nu**t <= 1e-4 < nu ** (t - 1), g.family
 
     def test_cap(self):
-        # the contraction rule asks for about 9e6 steps here
+        # the contraction rule asks for about 1e7 steps here
         g = make_path(100)
         cfg = RidlConfig.for_graph(g, p=0.1, sigma2=1.0, k=0.1)
         assert default_horizon(g, cfg) == simulator._HORIZON_CAP == 100_000
@@ -169,8 +171,8 @@ class TestEstimator:
         est = estimate_noise_index(K2, K2_CFG, SimConfig(horizon=20, ensemble=1, seed=0))
         assert est.std_error == 0.0
         assert np.isnan(est.mf_corr)
-        # one replication's share of its sum gained over the last 2 steps
-        assert 0.0 < est.drift < 1.0
+        # the bound reads the spectrum alone, not the replications
+        assert est.bias_bound == pytest.approx(nu_max(K2, K2_CFG) ** 20, rel=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +210,7 @@ class TestDenseOracle:
         assert est.j_hat == pytest.approx(ref["j_hat"], rel=1e-12)
         assert est.std_error == pytest.approx(ref["std_error"], rel=1e-12)
         assert est.converged == ref["converged"]
-        assert est.drift == pytest.approx(ref["drift"], rel=1e-9, abs=1e-15)
+        assert est.bias_bound == pytest.approx(ref["bias_bound"], rel=1e-9, abs=1e-15)
         assert est.mf_corr == pytest.approx(ref["mf_corr"], rel=1e-9)
         if horizon < 10:
             assert not est.converged
@@ -280,7 +282,7 @@ class TestChunking:
         est = estimate_noise_index(g, cfg, sim)
         assert est.j_hat == base.j_hat
         assert est.std_error == base.std_error
-        assert est.drift == base.drift
+        assert est.bias_bound == base.bias_bound
         assert est.converged == base.converged
 
     def test_seeds_spawn_per_chunk(self, monkeypatch):
@@ -312,7 +314,7 @@ class TestChunking:
         assert spawned == [7] * 7 + [1]
         monkeypatch.setattr(np.random, "SeedSequence", OneShot)
         one_shot = estimate_noise_index(g, cfg, sim)
-        for name in ("j_hat", "std_error", "drift", "mf_corr"):
+        for name in ("j_hat", "std_error", "bias_bound", "mf_corr"):
             assert getattr(per_chunk, name).hex() == getattr(one_shot, name).hex(), name
 
     def test_peak_memory_within_chunk_budget(self):
@@ -366,7 +368,7 @@ simulator.laplacian_eigenpairs = lambda graph: fixed
 g = make_grid((16, 16))
 cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
 est = simulator.estimate_noise_index(g, cfg, SimConfig(horizon=300, ensemble=64, seed=5))
-print(np.float64(est.drift).tobytes().hex())
+print(np.float64(est.bias_bound).tobytes().hex())
 print(np.float64(est.j_hat).tobytes().hex(), np.float64(est.std_error).tobytes().hex())
 """
 
@@ -425,42 +427,45 @@ class TestControlVariate:
         assert est.mf_corr > 0.9
 
 
+# graphs of the bias certificate's check, by id
+CERTIFICATE_GRAPHS = {"path6": make_path(6), "path12": make_path(12), "star8": make_star(8),
+                      "grid3x4": make_grid((3, 4)), "C4": make_grid((2, 2)), "K2": K2,
+                      "K5": make_complete(5)}
+
+
 class TestDrift:
-    @pytest.mark.parametrize(
-        "horizon,sigma2,drift",
-        [(1, 1.0, 1.0), (3, 1.0, None), (40, 1.0, None), (40, 0.0, 0.0)],
-    )
-    def test_converged_is_drift_below_threshold(self, horizon, sigma2, drift):
+    """How far J_T, the mean at horizon T, may still drift below J: a
+    share of at most bias_bound = nu_max^T, since each step keeps at most
+    nu_max of the remaining tail's trace."""
+
+    @pytest.mark.parametrize("horizon,sigma2", [(1, 1.0), (3, 1.0), (40, 1.0), (40, 0.0)])
+    def test_converged_is_bound_below_threshold(self, horizon, sigma2):
+        # the bound depends on the spectrum and T, not on the noise
         g = make_path(6)
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=sigma2, k=0.8)
-        sim = SimConfig(horizon=horizon, ensemble=100, seed=6)
-        est = estimate_noise_index(g, cfg, sim)
-        assert isinstance(est.drift, float)
-        assert est.drift >= 0.0
-        if drift is not None:
-            assert est.drift == drift
-        assert est.converged == (est.drift < simulator.BURN_IN_CHECK)
+        est = estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=100, seed=6))
+        assert est.bias_bound == pytest.approx(nu_max(g, cfg) ** horizon, rel=1e-12)
+        assert est.converged == (est.bias_bound < simulator.BURN_IN_CHECK)
 
-    @pytest.mark.parametrize("g,p,horizon", [
-        (make_path(6), 0.9, 40),  # exact share 3.971e-4
-        (K2, 0.3, 30),            # exact share 3.953e-2
-    ], ids=["path6", "K2"])
-    def test_matches_the_exact_share(self, g, p, horizon):
-        # drift estimates (J_T - J_(T-w)) / J_T, w = max(1, T // 10), the
-        # share of E[d(x_T)] gained over the last w steps. Over 20 seeds
-        # the mean lies within 4 standard errors of the exact share, the
-        # error taken from the seeds' own spread; that spread is 2-4% of
-        # the share at 2000 replications, so 10% bounds it
-        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
-        w = max(1, horizon // 10)
-        j_t = finite_horizon_index(g, cfg, horizon)
-        share = (j_t - finite_horizon_index(g, cfg, horizon - w)) / j_t
-        drifts = [estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=2000,
-                                                         seed=seed)).drift
-                  for seed in range(20)]
-        sd = float(np.std(drifts, ddof=1))
-        assert sd <= 0.1 * share
-        assert abs(np.mean(drifts) - share) <= 4.0 * sd / math.sqrt(len(drifts))
+    @pytest.mark.parametrize("name", CERTIFICATE_GRAPHS)
+    def test_matches_the_exact_share(self, name):
+        # the exact share (J - J_T) / J, J_T from the propagated covariance,
+        # is at most nu_max^T over p, k and T; on K2 and K5 it equals it
+        g = CERTIFICATE_GRAPHS[name]
+        lam = laplacian_eigenpairs(g).eigenvalues
+        for p in (0.1, 0.3, 0.7, 1.0):
+            for k in (0.3, 0.8, 0.99):
+                cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
+                j = exact_noise_index(g, cfg).j
+                rate = simulator._log_nu_max(lam, cfg)
+                for t in (1, 2, 5, 20, 80, 300):
+                    share = (j - finite_horizon_index(g, cfg, t)) / j
+                    bound = math.exp(t * rate)
+                    case = f"p={p} k={k} T={t}"
+                    assert share <= bound * (1.0 + 1e-6) + 1e-13, case
+                    # below 1e-8 the share is lost in J's rounding
+                    if name in ("K2", "K5") and bound > 1e-8:
+                        assert share >= bound * (1.0 - 1e-6), case
 
     @pytest.mark.parametrize("g,p,horizon,ensemble,converged", [
         (make_grid((16, 16)), 0.9, 76, 300, False),
@@ -470,7 +475,17 @@ class TestDrift:
     ], ids=["grid16-76", "grid16-150", "K2-30", "grid16-738"])
     def test_truncated_runs_are_flagged(self, g, p, horizon, ensemble, converged):
         # j_hat is 77, 27 and 8.7 standard errors below J on the three
-        # short horizons; the bench's horizon of 738 reaches steady state
+        # short horizons, whose bounds are 0.395, 0.160 and 0.169; the
+        # bench's horizon of 738 gives 1.2e-4
         cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=horizon, ensemble=ensemble, seed=1)
         assert estimate_noise_index(g, cfg, sim).converged is converged
+
+    def test_default_horizon_covers_the_slow_second_moment(self):
+        # on K2 at p = 0.3, nu_max = 0.94 while mu_2^2 = 0.73: the default
+        # horizon of 156 steps is converged and j_hat within 3 sigma of J
+        cfg = RidlConfig.for_graph(K2, p=0.3, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=default_horizon(K2, cfg), ensemble=2000, seed=1)
+        est = estimate_noise_index(K2, cfg, sim)
+        assert est.converged
+        assert abs(est.j_hat - exact_noise_index(K2, cfg).j) <= 3.0 * est.std_error
