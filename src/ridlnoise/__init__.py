@@ -33,6 +33,6 @@ from .noise_index import (
     ridl_bounds,
 )
 from .ridl import RidlConfig, omega_projector, stein_operator
-from .simulator import SimConfig, SimEstimate, default_horizon, estimate_noise_index
+from .simulator import SimConfig, SimEstimate, estimate_noise_index
 
 __version__ = "0.1.0"

@@ -6,22 +6,15 @@ index and the relative errors of both bounds), ``simulate`` (Monte Carlo
 estimates) and ``report`` (the full suite as a directory of CSVs plus a
 JSON manifest).
 
-A ``simulate`` row stops the dynamics at a horizon T and reports
-``bias_bound`` = nu_max^T, with nu_max the largest eigenvalue of E[P^2]
-off consensus. As tr E[P X P] = tr(X E[P^2]) <= nu_max tr X for every
-covariance X >= 0 off consensus, and the tail after T steps is one stepped
-T times, 0 <= (J - J_T)/J <= nu_max^T. The default T is the smallest with
-nu_max^T <= 1e-4; ``converged`` is bias_bound < 1e-3, and ``--strict``
-exits 3 when a row is not converged.
+A ``simulate`` row runs the dynamics to a horizon T, by default the
+smallest with ``bias_bound`` = nu_max^T <= 1e-4, where nu_max^T bounds the
+estimate's relative bias (``ridlnoise.simulator``); ``converged`` is
+bias_bound < 1e-3, and ``--strict`` exits 3 when a row is not.
 
 ``--graph`` and ``--p`` repeat on ``bounds``, ``exact`` and ``simulate``,
 and every table has one row per family x N x p, in that order, where N
 runs over ``--n``, one count N or an inclusive range A:B. So a sweep over
-N is ``--n A:B`` and a sweep over p is one ``--p`` per point. Migration:
-``--n-range A:B`` is ``--n A:B``; ``--graph file --graph-file P`` is
-``--graph-file P``, whose rows keep the family ``file``; ``sweep-p
---families A,B --p-grid ...`` is ``exact --graph A --graph B --n N --p
-... --p ...``.
+N is ``--n A:B`` and a sweep over p is one ``--p`` per point.
 
 The command decides which rows carry the exact index, and its schema
 shows it: ``exact``, whose columns include ``j_exact``, solves every row,
@@ -74,7 +67,6 @@ from .graphs import (
     UndirectedGraph,
     draw_erdos_renyi,
     laplacian_eigenpairs,
-    laplacian_spectrum,
     make_complete,
     make_grid,
     make_path,
@@ -83,7 +75,7 @@ from .graphs import (
 )
 from .noise_index import compute_noise_report
 from .ridl import RidlConfig
-from .simulator import BURN_IN_CHECK, SimConfig, default_horizon, estimate_noise_index
+from .simulator import BURN_IN_CHECK, SimConfig, estimate_noise_index
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -105,7 +97,7 @@ _COMMON_COLUMNS = [
 ]
 _BOUND_COLUMNS = ["j_lb", "j_ub", "j_res_lb", "j_res_ub", "j_lb_std", "j_ub_std"]
 _EXACT_COLUMNS = ["n_exact", "j_exact", "rel_lb", "rel_ub", "j_exact_std"]
-_SIM_COLUMNS = ["horizon", "ensemble", "noise", "seed", "j_hat", "std_error", "converged",
+_SIM_COLUMNS = ["horizon", "ensemble", "seed", "j_hat", "std_error", "converged",
                 "bias_bound", "mf_corr"]
 
 #: stable per-command CSV schemas (header order is part of the contract)
@@ -351,13 +343,11 @@ def _aggregate(rows: list[dict]) -> dict:
 
 
 def _estimate_columns(graph: UndirectedGraph, spec: ExperimentSpec, cfg: RidlConfig) -> dict:
-    horizon = spec.horizon or default_horizon(graph, cfg)
-    sim = SimConfig(horizon=horizon, ensemble=spec.ensemble, seed=spec.seed)
+    sim = SimConfig(horizon=spec.horizon, ensemble=spec.ensemble, seed=spec.seed)
     est = estimate_noise_index(graph, cfg, sim)
     return dict(
-        horizon=horizon,
+        horizon=est.horizon,
         ensemble=spec.ensemble,
-        noise="gaussian",  # the probe law, kept as a column for the schema
         seed=spec.seed,
         j_hat=est.j_hat,
         std_error=est.std_error,
@@ -586,21 +576,16 @@ def simulate_cmd(**params) -> None:
     probe and sums its squared disagreement while the sampled update
     matrices act on it, an unbiased estimate of the final disagreement of
     x <- P x + n from 0, which depends on the noise only through its
-    variance; the noise column records the probe law, always gaussian.
-    Each node's activation takes one random byte. The probe is paired
-    with its mean-field shadow under E[P], whose sum and expected sum are
-    both closed forms in the Laplacian eigenpairs, so only the random walk
-    is stepped; the difference is a control variate that keeps j_hat
-    unbiased and cuts its standard error. Stopping at the horizon T leaves
-    a relative bias 0 <= (J - J_T)/J <= nu_max^T, the bias_bound column,
-    with nu_max the largest eigenvalue of E[P^2] off consensus: the tail
-    after T steps is a covariance X >= 0 off consensus stepped T times by
-    X -> E[P X P], and each step keeps at most nu_max of its trace, as
-    tr E[P X P] = tr(X E[P^2]) <= nu_max tr X. The default horizon is the
-    smallest T with nu_max^T <= 1e-4, and converged means bias_bound <
-    1e-3. mf_corr is the correlation between the replications and their
-    shadows. The
-    row's one eigensolve gives both the bounds and the shadow; no row
+    variance. Each node's activation takes one random byte. The probe is
+    paired with its mean-field shadow under E[P], a closed form in the
+    Laplacian eigenpairs whose infinite-horizon mean is N j_lb, so only the
+    random walk is stepped; the difference is a control variate that cuts
+    the standard error. horizon is the T the row ran (by default the
+    smallest with nu_max^T <= 1e-4), bias_bound = nu_max^T bounds j_hat's
+    relative bias, with nu_max the largest eigenvalue of E[P^2] off
+    consensus, and converged means bias_bound < 1e-3. mf_corr is the
+    correlation between the replications and their shadows. The row's one
+    eigensolve gives both the bounds and the shadow; no row
     solves for the exact index, which ``exact`` gives for the same graph
     and step. An Erdos-Renyi row simulates one draw per N. Every row
     runs from the same --seed, so it equals the run of its graph and p

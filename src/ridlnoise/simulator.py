@@ -20,12 +20,14 @@ Each probe has a mean-field shadow, the sum Y~ = sigma^2 sum_{k<T}
 the Laplacian eigenpairs (lambda_i, v_i), it is
 sigma^2 sum_{i>=2} g_i (v_i^T y_0)^2, g_i = (1 - mu_i^(2T)) / (1 - mu_i^2)
 and mu_i = 1 - eps p^2 lambda_i, the deterministic part of the
-second-moment recursion (Fagnani & Zampieri, IEEE JSAC 2008). Its mean
-E[Y~] = sigma^2 sum_i g_i is the expected final disagreement of
-x~(t+1) = E[P] x~(t) + n(t) (as T grows it tends to N times the generic
-lower bound j_lb), so Y - Y~ + E[Y~] is an unbiased per-replication value
-with far less spread than Y: a control variate with coefficient one,
-nothing fitted.
+second-moment recursion (Fagnani & Zampieri, IEEE JSAC 2008). As T
+grows, its mean sigma^2 sum_i g_i tends to sigma^2 sum_i 1 / (1 - mu_i^2)
+= N j_lb, N times the generic lower bound. Each replication contributes
+Y - Y~ + N j_lb, a control variate with a known mean (Glasserman, "Monte
+Carlo Methods in Financial Engineering", 2003, ch. 4), coefficient one,
+nothing fitted: Y - Y~ has far less spread than Y, and the shadow's
+truncation cancels the share of the walk's that their modes have in
+common.
 
 Stopping at T leaves a bias with a closed-form bound. With
 Phi(X) = E[P X P], the disagreement covariance of x_T is
@@ -34,9 +36,15 @@ for the limit Sigma, where J_T = E[d(x_T)] / N. For symmetric P,
 tr Phi(X) = tr(X E[P^2]), and E[P^2] has the eigenvalues nu_i on the
 disagreement subspace 1^perp, so tr Phi(X) <= nu_max tr X for every
 X >= 0 on 1^perp, which Phi maps to itself; T such steps from Sigma give
-0 <= (J - J_T) / J <= nu_max^T, with nu_max = 1 - min(1 - nu_i) from
-:func:`~ridlnoise.ridl.moment_spectra`. The one rate log nu_max sets
-both the default horizon and the convergence flag.
+0 <= J - J_T <= J nu_max^T, with nu_max = 1 - min(1 - nu_i) from
+:func:`~ridlnoise.ridl.moment_spectra`. The shadow's tail is the same
+with E[P] for P: j_lb - E[Y~]/N = sigma^2/N sum_i mu_i^(2T) / (1 - mu_i^2)
+lies in [0, j_lb nu_max^T], as mu_i^2 <= nu_i and j_lb <= J. A
+replication's value over N has the mean J_T - E[Y~]/N + j_lb = J - e_T,
+e_T the difference of the two tails, so |e_T| <= J nu_max^T. At p = 1,
+P = E[P], the tails agree and e_T = 0. The one rate log nu_max sets the
+default horizon, the smallest T with nu_max^T <= 1e-4, capped at 100000,
+and the convergence flag, nu_max^T < 1e-3.
 
 P(t) = I - eps L(active subgraph) is never formed. With gamma the 0/1
 activation vector and A the sparse (CSR) adjacency, stored as eps A,
@@ -72,21 +80,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse  # loaded at start-up, not inside the first Monte Carlo run
 
-from .graphs import UndirectedGraph, laplacian_eigenpairs, laplacian_spectrum, spectrum_disconnected
+from .graphs import UndirectedGraph, laplacian_eigenpairs, spectrum_disconnected
 from .ridl import RidlConfig, moment_spectra
 
 __all__ = [
     "BURN_IN_CHECK",
     "SimConfig",
     "SimEstimate",
-    "default_horizon",
     "estimate_noise_index",
 ]
 
 # a run is converged when its bias bound nu_max^T is below this
 BURN_IN_CHECK = 1e-3
 
-# ``default_horizon`` is the smallest T with nu_max^T at most the target,
+# the default horizon is the smallest T with nu_max^T at most the target,
 # capped
 _HORIZON_TARGET = 1e-4
 _HORIZON_CAP = 100_000
@@ -101,14 +108,14 @@ _STATE_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble simulation parameters."""
+    """Ensemble simulation parameters; ``horizon`` None picks the default T."""
 
-    horizon: int
+    horizon: int | None
     ensemble: int
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
+        if self.horizon is not None and self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.ensemble < 1:
             raise ValueError(f"ensemble must be >= 1, got {self.ensemble}")
@@ -118,8 +125,8 @@ class SimConfig:
 class SimEstimate:
     """Monte Carlo estimate with its across-replication standard error.
 
-    ``bias_bound`` is nu_max^T, which bounds the relative bias
-    (J - J_T) / J of stopping at the horizon T from above, and
+    ``horizon`` is the T the estimate ran, ``bias_bound`` is nu_max^T,
+    which bounds its relative bias |J - E[j_hat]| / J from above, and
     ``converged`` is ``bias_bound < BURN_IN_CHECK`` (1e-3).
     ``mf_corr`` is the correlation of a replication's Y and its shadow's
     closed-form Y~ = sigma^2 sum_i g_i (v_i^T y_0)^2 across replications,
@@ -127,6 +134,7 @@ class SimEstimate:
     best); nan with fewer than two replications or zero variance.
     """
 
+    horizon: int
     j_hat: float
     std_error: float
     converged: bool
@@ -134,32 +142,25 @@ class SimEstimate:
     mf_corr: float
 
 
-def _log_nu_max(lam: np.ndarray, cfg: RidlConfig) -> float:
-    """log nu_max, with nu_max = 1 - min(1 - nu_i) the largest eigenvalue
-    of E[P^2] on 1^perp, over the ascending Laplacian spectrum ``lam``
-    (:func:`~ridlnoise.ridl.moment_spectra`). log1p keeps the rate below 0
-    where nu_max itself would round to 1, and nu_max = 0 gives -inf."""
-    _, _, one_minus_nu = moment_spectra(lam, cfg)
+def _horizon(one_minus_nu: np.ndarray, horizon: int | None) -> tuple[int, float]:
+    """The horizon T, ``horizon`` or if None the smallest T >= 1 with
+    nu_max^T <= ``_HORIZON_TARGET``, capped at ``_HORIZON_CAP``, and its
+    bias bound nu_max^T, with nu_max = 1 - min(1 - nu_i) over
+    ``one_minus_nu``. log1p keeps the rate below 0 where nu_max itself
+    would round to 1, and nu_max = 0 gives -inf."""
     with np.errstate(divide="ignore"):
-        return float(np.log1p(-one_minus_nu.min()))
+        rate = float(np.log1p(-one_minus_nu.min()))
+    if horizon is None:
+        # capped before ceil, so a rate near 0 never reaches ceil(inf)
+        horizon = max(1, math.ceil(min(math.log(_HORIZON_TARGET) / rate, _HORIZON_CAP)))
+    return horizon, math.exp(horizon * rate)
 
 
-def default_horizon(g: UndirectedGraph, cfg: RidlConfig) -> int:
-    """Smallest T >= 1 with nu_max^T <= ``_HORIZON_TARGET`` (1e-4), capped
-    at ``_HORIZON_CAP`` (100000): the horizon whose bias bound
-    (J - J_T) / J <= nu_max^T meets the target."""
-    rate = _log_nu_max(laplacian_spectrum(g).eigenvalues, cfg)
-    # capped before ceil, so a rate near 0 never reaches ceil(inf)
-    return max(1, math.ceil(min(math.log(_HORIZON_TARGET) / rate, _HORIZON_CAP)))
-
-
-def _mean_field_gains(lam: np.ndarray, cfg: RidlConfig, t: int) -> np.ndarray:
-    """g_i = sum_{k<t} mu_i^(2k) = (1 - mu_i^(2t)) / (1 - mu_i^2) over the
-    nonzero Laplacian eigenvalues lam[1:], with mu_i = 1 - delta_i the
-    eigenvalues of E[P] (:func:`~ridlnoise.ridl.moment_spectra`): a unit
-    probe's squared coefficient on v_i summed over t mean-field steps.
-    sigma^2 sum_i g_i is E[d(x~_t)] for x~ <- E[P] x~ + n from x~(0) = 0."""
-    delta, one_minus_mu_sq, _ = moment_spectra(lam, cfg)
+def _mean_field_gains(delta: np.ndarray, one_minus_mu_sq: np.ndarray, t: int) -> np.ndarray:
+    """g_i = sum_{k<t} mu_i^(2k) = (1 - mu_i^(2t)) / (1 - mu_i^2), with
+    mu_i = 1 - delta_i the eigenvalues of E[P] off consensus
+    (:func:`~ridlnoise.ridl.moment_spectra`): a unit probe's squared
+    coefficient on v_i summed over t mean-field steps."""
     # log|mu| without cancellation at small delta; mu = 0 gives -inf, i.e. mu^(2t) = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs_mu = np.where(delta < 1.0, np.log1p(-delta), np.log(delta - 1.0))
@@ -255,21 +256,22 @@ def _run_ensemble(
     root: np.random.SeedSequence,
     g: UndirectedGraph,
     cfg: RidlConfig,
-    sim: SimConfig,
+    steps: int,
+    m: int,
     vecs: np.ndarray,
     gains: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate ``sim.ensemble`` probes through ``sim.horizon - 1`` steps.
+    """Propagate ``m`` probes through ``steps`` steps.
 
     Each chunk spawns its replications' seeds from ``root`` as it starts;
     numpy counts the children spawned, so they are the ones a single
-    ``root.spawn(sim.ensemble)`` gives, without holding all of them at
+    ``root.spawn(m)`` gives, without holding all of them at
     once. ``vecs`` holds the Laplacian eigenvectors as columns and
     ``gains`` the :func:`_mean_field_gains` of v_2..v_N. Returns, per
-    replication, the sum over k < T of |y_k|^2, its mean-field shadow
-    sum_i g_i (v_i^T y_0)^2.
+    replication, the sum over k <= steps of |y_k|^2, and its mean-field
+    shadow sum_i g_i (v_i^T y_0)^2.
     """
-    n, steps, m = g.n, sim.horizon - 1, sim.ensemble
+    n = g.n
     rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
     cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     adj = sparse.csr_array((np.full(rows.size, cfg.epsilon), (rows, cols)), shape=(n, n))
@@ -304,21 +306,16 @@ def estimate_noise_index(
 
     Runs ``sim.ensemble`` independent replications of the reverse-time
     estimator: one probe y_0 = Omega z, z standard Gaussian, stepped
-    through ``sim.horizon - 1`` fresh update matrices. Every replication
-    contributes Y - Y~ + E[Y~], with Y = sigma^2 sum_{k<T} |y_k|^2 and Y~
-    its mean-field shadow sigma^2 sum_{k<T} |E[P]^k y_0|^2, both Y~ and
-    E[Y~] in closed form from the Laplacian eigenpairs
-    (``laplacian_eigenpairs``, solved once per graph), so its mean is
-    E[d(x_T)] exactly for the forward dynamics
-    x <- P x + n from x(0) = 0: ``j_hat`` is the mean over N and
-    ``std_error`` comes from the spread. Only the random walk is stepped;
-    there is no second ensemble and no fitted coefficient. ``mf_corr`` is
-    the correlation of Y and Y~ across replications.
-
-    ``bias_bound`` is nu_max^T, a closed form with no statistic in it:
-    the mean J_T = E[d(x_T)] / N lies in [J (1 - nu_max^T), J] (module
-    docstring). ``converged`` is ``bias_bound < BURN_IN_CHECK`` (1e-3); a
-    False value is a flag, not an error (raise the horizon).
+    through T - 1 fresh update matrices. Every replication contributes
+    Y - Y~ + N j_lb, with Y = sigma^2 sum_{k<T} |y_k|^2 and Y~ its
+    mean-field shadow, in closed form from the Laplacian eigenpairs
+    (``laplacian_eigenpairs``, solved once per graph). ``j_hat`` is the
+    mean over N and ``std_error`` comes from the spread. One read of
+    :func:`~ridlnoise.ridl.moment_spectra` gives the shadow's gains, the
+    control's mean N j_lb and the rate log nu_max, which sets T when
+    ``sim.horizon`` is None and ``bias_bound`` = nu_max^T, the bound on
+    |J - E[j_hat]| / J (module docstring). ``converged`` False is a flag,
+    not an error (raise the horizon).
 
     The activations, one random byte each with a uniform for the 1/256 of
     ties, come from the generator that drew the probe, in blocks of 1024
@@ -343,18 +340,20 @@ def estimate_noise_index(
     if failures:
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
     n, m = g.n, sim.ensemble
-    gains = _mean_field_gains(spectrum.eigenvalues, cfg, sim.horizon)
-    energy, shadow = _run_ensemble(
-        np.random.SeedSequence(sim.seed), g, cfg, sim, spectrum.eigenvectors, gains)
+    delta, one_minus_mu_sq, one_minus_nu = moment_spectra(spectrum.eigenvalues, cfg)
+    horizon, bias_bound = _horizon(one_minus_nu, sim.horizon)
+    gains = _mean_field_gains(delta, one_minus_mu_sq, horizon)
+    energy, shadow = _run_ensemble(np.random.SeedSequence(sim.seed), g, cfg, horizon - 1, m,
+                                   spectrum.eigenvectors, gains)
     d_final = cfg.sigma2 * energy
     d_shadow = cfg.sigma2 * shadow
-    per_rep = (d_final - d_shadow + cfg.sigma2 * float(gains.sum())) / n
-    bias_bound = math.exp(sim.horizon * _log_nu_max(spectrum.eigenvalues, cfg))
+    per_rep = (d_final - d_shadow + cfg.sigma2 * float(np.sum(1.0 / one_minus_mu_sq))) / n
     if m > 1 and d_final.std() > 0.0 and d_shadow.std() > 0.0:
         mf_corr = float(np.corrcoef(d_final, d_shadow)[0, 1])
     else:
         mf_corr = math.nan
     return SimEstimate(
+        horizon=horizon,
         j_hat=float(per_rep.mean()),
         std_error=float(per_rep.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
         converged=bias_bound < BURN_IN_CHECK,

@@ -14,8 +14,8 @@ library's reverse-time estimator one replication at a time, with each
 update matrix formed densely from the induced Laplacian instead of the
 library's sparse step, each replication's draws taken one block at a
 time into a whole-horizon array instead of into a chunk's buffer, and
-the mean-field control variate's known mean from the propagated noise
-covariance instead of the spectral sum.
+the mean-field control variate's known mean from a dense solve for the
+limit of the mean-field noise covariance instead of the spectral sum.
 ``dense_forward_estimate`` runs the forward noisy dynamics instead, with
 two dense N x N products per step and the noise drawn from a Gaussian,
 Rademacher or uniform law, and ``finite_horizon_index`` gives
@@ -739,6 +739,19 @@ def mean_field_disagreement(g: UndirectedGraph, cfg: RidlConfig, t: int) -> floa
     return cfg.sigma2 * float(np.trace(omega_projector(g.n) @ c))
 
 
+def mean_field_limit(g: UndirectedGraph, cfg: RidlConfig) -> float:
+    """lim_t E[d(x~_t)] = sigma^2 tr(Omega C) for x~ <- E[P] x~ + n, with
+    C = E[P] C E[P] + I on 1^perp from one dense solve:
+    I - E[P]^2 = D (2 I - D), D = eps p^2 L_bar, written without
+    cancellation, plus 11^T/N to make it invertible on the consensus
+    vector, which Omega then removes."""
+    n = g.n
+    d = cfg.epsilon * cfg.p**2 * laplacian(g)
+    system = d @ (2.0 * np.eye(n) - d) + np.full((n, n), 1.0 / n)
+    omega = omega_projector(n)
+    return cfg.sigma2 * float(np.trace(np.linalg.solve(system, omega)))
+
+
 def finite_horizon_index(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
     """E[d(x_t)] / N for x <- P x + n from x(0) = 0, with the disagreement
     covariance propagated exactly: Sigma_0 = 0,
@@ -757,7 +770,8 @@ def finite_horizon_index(g: UndirectedGraph, cfg: RidlConfig, t: int) -> float:
 
 def _summary(d_final: np.ndarray, d_mf: np.ndarray, g: UndirectedGraph, cfg: RidlConfig,
              sim: SimConfig) -> dict:
-    """The control-variate ``j_hat`` and ``std_error``, the uncorrected
+    """The control-variate ``j_hat`` and ``std_error``, whose known mean is
+    the shadow's infinite-horizon one, ``mean_field_limit``; the uncorrected
     ``j_hat_raw`` and ``std_error_raw``, and ``mf_corr`` of per-replication
     values ``d_final`` with shadows ``d_mf``; ``bias_bound``, ``nu_max``
     to the power T, and ``converged``."""
@@ -767,8 +781,7 @@ def _summary(d_final: np.ndarray, d_mf: np.ndarray, g: UndirectedGraph, cfg: Rid
         se = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
         return float(values.mean()), se
 
-    j_hat, std_error = mean_and_se(
-        (d_final - d_mf + mean_field_disagreement(g, cfg, sim.horizon)) / n)
+    j_hat, std_error = mean_and_se((d_final - d_mf + mean_field_limit(g, cfg)) / n)
     j_hat_raw, std_error_raw = mean_and_se(d_final / n)
     bias_bound = nu_max(g, cfg) ** sim.horizon
     if m > 1 and d_final.std() > 0.0 and d_mf.std() > 0.0:
@@ -783,8 +796,7 @@ def _summary(d_final: np.ndarray, d_mf: np.ndarray, g: UndirectedGraph, cfg: Rid
 def dense_estimate(g: UndirectedGraph, cfg: RidlConfig, sim: SimConfig) -> dict:
     """The library's reverse-time estimate with dense update matrices:
     the same seeds and draw order, one replication at a time, and the
-    mean-field control variate's known mean from the propagated noise
-    covariance."""
+    mean-field control variate's known mean from ``mean_field_limit``."""
     seeds = np.random.SeedSequence(sim.seed).spawn(sim.ensemble)
     return _summary(*_dense_reverse(seeds, g, cfg, sim), g, cfg, sim)
 

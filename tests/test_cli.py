@@ -752,6 +752,9 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(noise_index, "exact_noise_index", unused)
         assert "j_exact" not in COMMAND_COLUMNS["simulate"]
+        assert COMMAND_COLUMNS["simulate"][-8:] == [
+            "horizon", "ensemble", "seed", "j_hat", "std_error", "converged", "bias_bound",
+            "mf_corr"]
         args = ("simulate", "--graph", "path", "--n", "10", "--k", "0.8", "--ensemble", "50")
         res = invoke(*args)
         assert res.exit_code == 0
@@ -811,18 +814,16 @@ class TestSimulateCommand:
     def test_default_horizon_reads_every_mode(self):
         # on the 2x2 grid at p = 1 and k = 0.99 the slowest second moment is
         # the top Laplacian eigenvalue's, nu_max = 0.96: the default horizon
-        # of 228 steps passes --strict. At p = 1 the walk is deterministic,
-        # the control variate cancels it and std_error is 1e-14, so j_hat
-        # is J_T itself: J (1 - 9.2e-5), inside the certified
-        # [J (1 - bias_bound), J] widened by 3 sigma
+        # of 228 steps passes --strict. At p = 1 the walk is deterministic
+        # and the control variate cancels it, so j_hat is the control's
+        # mean j_lb, which equals J
         args = ("--graph", "grid2d", "--dims", "2x2", "--k", "0.99", "--p", "1")
         res = invoke("simulate", *args, "--ensemble", "200", "--seed", "1", "--strict")
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
+        assert int(row["horizon"]) == 228
         j_exact = as_float(parse_csv(invoke("exact", *args).output)[0]["j_exact"])
-        j_hat, se = as_float(row["j_hat"]), as_float(row["std_error"])
-        assert j_exact * (1.0 - as_float(row["bias_bound"])) - 3.0 * se <= j_hat
-        assert j_hat <= j_exact + 3.0 * se
+        assert as_float(row["j_hat"]) == pytest.approx(j_exact, rel=1e-12)
 
     def test_soft_mode_exit_zero(self):
         res = invoke("simulate", "--graph", "path", "--n", "10", "--k", "0.8",
@@ -1116,7 +1117,7 @@ class TestPublicApi:
         "ErdosRenyiDraw", "ExactIndex", "NoiseReport",
         "NumericalError", "RidlConfig", "SimConfig", "SimEstimate", "SpectralData",
         "UndirectedGraph", "average_effective_resistance", "compute_noise_report",
-        "default_horizon", "draw_erdos_renyi", "estimate_noise_index",
+        "draw_erdos_renyi", "estimate_noise_index",
         "exact_noise_index", "is_connected", "laplacian", "laplacian_spectrum",
         "make_complete", "make_grid", "make_path", "make_star", "omega_projector",
         "read_edge_list", "resistance_bounds", "ridl_bounds", "stein_operator",
@@ -1135,7 +1136,8 @@ class TestPublicApi:
         "NoiseReport": ["exact", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
                         "lambda2", "lambda_n"],
         "ExactIndex": ["j", "iterations", "gap"],
-        "SimEstimate": ["j_hat", "std_error", "converged", "bias_bound", "mf_corr"],
+        "SimEstimate": ["horizon", "j_hat", "std_error", "converged", "bias_bound",
+                        "mf_corr"],
         "SimConfig": ["horizon", "ensemble", "seed"],
         "RidlConfig": ["p", "epsilon", "sigma2", "d_max"],
     }

@@ -12,7 +12,6 @@ import ridlnoise
 from ridlnoise import (
     RidlConfig,
     SimConfig,
-    default_horizon,
     estimate_noise_index,
     exact_noise_index,
     make_complete,
@@ -22,6 +21,7 @@ from ridlnoise import (
 )
 from ridlnoise import simulator
 from ridlnoise.graphs import _build, laplacian_eigenpairs
+from ridlnoise.ridl import moment_spectra
 
 from oracles import (
     StochasticMatrixSample,
@@ -31,6 +31,7 @@ from oracles import (
     finite_horizon_index,
     make_erdos_renyi,
     mean_field_disagreement,
+    mean_field_limit,
     nu_max,
     sample_ridl,
     step,
@@ -80,33 +81,60 @@ class TestDisagreement:
         assert disagreement(np.array([1.0, 2.0, 3.0])) == pytest.approx(2.0)
 
 
+def _default_horizon(g, cfg):
+    """The estimate's horizon rule and bias bound on the spectrum of ``g``,
+    without running an ensemble."""
+    _, _, one_minus_nu = moment_spectra(laplacian_eigenpairs(g).eigenvalues, cfg)
+    return simulator._horizon(one_minus_nu, None)
+
+
 class TestDefaultHorizon:
     def test_contraction_rule(self):
-        # the smallest T with nu_max^T <= 1e-4, nu_max from the dense E[P^2]
+        # the smallest T with nu_max^T <= 1e-4, nu_max from the dense E[P^2],
+        # is the horizon an estimate without one runs
         for g, p, k in ((make_path(6), 0.9, 0.8),
                         (K2, 0.3, 0.8),                  # nu_max 0.94, mu_2^2 0.73
                         (make_grid((2, 2)), 1.0, 0.99)):  # nu_max 0.96 at lambda_N
             cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
-            t = default_horizon(g, cfg)
+            est = estimate_noise_index(g, cfg, SimConfig(horizon=None, ensemble=2, seed=0))
+            t = est.horizon
             nu = nu_max(g, cfg)
             assert nu**t <= 1e-4 < nu ** (t - 1), g.family
+            assert est.bias_bound == pytest.approx(nu**t, rel=1e-9)
 
     def test_cap(self):
         # the contraction rule asks for about 1e7 steps here
         g = make_path(100)
         cfg = RidlConfig.for_graph(g, p=0.1, sigma2=1.0, k=0.1)
-        assert default_horizon(g, cfg) == simulator._HORIZON_CAP == 100_000
+        assert _default_horizon(g, cfg)[0] == simulator._HORIZON_CAP == 100_000
 
     def test_rate_zero(self):
         # K2 with eps p^2 lambda_2 = 1: one step removes all disagreement,
         # and log(0) is never taken
         cfg = RidlConfig(p=1.0, epsilon=0.5, sigma2=1.0, d_max=1)
-        assert default_horizon(make_complete(2), cfg) == 1
+        assert _default_horizon(make_complete(2), cfg) == (1, 0.0)
 
     def test_rate_rounds_to_one(self):
         # 1 - 2e-17 rounds to 1: the cap, not a division by log(1) = 0
         cfg = RidlConfig(p=1.0, epsilon=1e-17, sigma2=1.0, d_max=1)
-        assert default_horizon(make_complete(2), cfg) == simulator._HORIZON_CAP
+        assert _default_horizon(make_complete(2), cfg)[0] == simulator._HORIZON_CAP
+
+    def test_one_spectra_read_per_estimate(self, monkeypatch):
+        # the horizon, the bias bound, the shadow's gains and the control's
+        # mean all come from one moment_spectra call
+        calls = []
+
+        def counted(lam, cfg):
+            calls.append(lam.shape[0])
+            return moment_spectra(lam, cfg)
+
+        monkeypatch.setattr(simulator, "moment_spectra", counted)
+        g = make_path(6)
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        for horizon in (None, 40):
+            calls.clear()
+            estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=10, seed=1))
+            assert calls == [6]
 
 
 class TestEstimator:
@@ -172,6 +200,7 @@ class TestEstimator:
         assert est.std_error == 0.0
         assert np.isnan(est.mf_corr)
         # the bound reads the spectrum alone, not the replications
+        assert est.horizon == 20
         assert est.bias_bound == pytest.approx(nu_max(K2, K2_CFG) ** 20, rel=1e-12)
 
     def test_config_validation(self):
@@ -179,6 +208,7 @@ class TestEstimator:
             SimConfig(horizon=0, ensemble=10)
         with pytest.raises(ValueError):
             SimConfig(horizon=10, ensemble=0)
+        assert SimConfig(horizon=None, ensemble=10).horizon is None
 
 
 ORACLE_GRAPHS = {
@@ -219,9 +249,12 @@ class TestDenseOracle:
 class TestUnbiased:
     @pytest.mark.parametrize("name", FINITE_HORIZON_CASES)
     def test_pooled_mean_matches_propagated_covariance(self, name):
+        # the mean is J_T with the shadow's finite-horizon mean swapped for
+        # its limit, both from dense propagation and a dense solve
         g, p, horizon = FINITE_HORIZON_CASES[name]
         cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
-        exact = finite_horizon_index(g, cfg, horizon)
+        exact = (finite_horizon_index(g, cfg, horizon)
+                 + (mean_field_limit(g, cfg) - mean_field_disagreement(g, cfg, horizon)) / g.n)
         ests = [estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=2000,
                                                        seed=seed))
                 for seed in range(20)]
@@ -400,19 +433,35 @@ class TestControlVariate:
     def test_closed_form_mean_matches_propagated_covariance(self, horizon):
         g = make_grid((4, 4))
         cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.5, k=0.8)
-        lam = laplacian_eigenpairs(g).eigenvalues
-        gains = simulator._mean_field_gains(lam, cfg, horizon)
+        delta, one_minus_mu_sq, _ = moment_spectra(laplacian_eigenpairs(g).eigenvalues, cfg)
+        gains = simulator._mean_field_gains(delta, one_minus_mu_sq, horizon)
         assert cfg.sigma2 * gains.sum() == pytest.approx(
             mean_field_disagreement(g, cfg, horizon), rel=1e-12)
+
+    @pytest.mark.parametrize("g,k", [(make_grid((2, 2)), 0.99), (make_path(10), 0.8)],
+                             ids=["grid2x2", "path10"])
+    def test_deterministic_step_gives_the_exact_index(self, g, k):
+        # at p = 1, P = E[P]: the walk and its shadow agree, so Y - Y~ is
+        # rounding and j_hat is the control's mean j_lb = J at any horizon
+        cfg = RidlConfig.for_graph(g, p=1.0, sigma2=1.0, k=k)
+        est = estimate_noise_index(g, cfg, SimConfig(horizon=None, ensemble=200, seed=1))
+        assert est.j_hat == pytest.approx(exact_noise_index(g, cfg).j, rel=1e-12)
+
+    def test_short_horizon_within_three_sigma(self):
+        # the shadow's infinite-horizon mean cancels most of the walk's
+        # truncation: at T = 76, bias_bound 0.39, j_hat is 0.73 sigma from J
+        g = make_grid((16, 16))
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        est = estimate_noise_index(g, cfg, SimConfig(horizon=76, ensemble=300, seed=1))
+        assert abs(est.j_hat - exact_noise_index(g, cfg).j) <= 3.0 * est.std_error
 
     def test_two_sigma_coverage(self):
         g = make_grid((3, 3))
         cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.0, k=0.8)
         j_exact = exact_noise_index(g, cfg).j
-        horizon = default_horizon(g, cfg)
         covered = 0
         for seed in range(100):
-            est = estimate_noise_index(g, cfg, SimConfig(horizon=horizon, ensemble=100,
+            est = estimate_noise_index(g, cfg, SimConfig(horizon=None, ensemble=100,
                                                          seed=seed))
             covered += abs(est.j_hat - j_exact) <= 2.0 * est.std_error
         assert covered >= 88
@@ -420,9 +469,9 @@ class TestControlVariate:
     def test_standard_error_below_final_state_estimator(self):
         g = make_grid((8, 8))
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-        sim = SimConfig(horizon=default_horizon(g, cfg), ensemble=200, seed=4)
-        est = estimate_noise_index(g, cfg, sim)
-        ref = dense_forward_estimate(g, cfg, sim)
+        est = estimate_noise_index(g, cfg, SimConfig(horizon=None, ensemble=200, seed=4))
+        ref = dense_forward_estimate(g, cfg, SimConfig(horizon=est.horizon, ensemble=200,
+                                                       seed=4))
         assert est.std_error * 4.0 <= ref["std_error_raw"]
         assert est.mf_corr > 0.9
 
@@ -450,19 +499,24 @@ class TestDrift:
     @pytest.mark.parametrize("name", CERTIFICATE_GRAPHS)
     def test_matches_the_exact_share(self, name):
         # the exact share (J - J_T) / J, J_T from the propagated covariance,
-        # is at most nu_max^T over p, k and T; on K2 and K5 it equals it
+        # is at most nu_max^T over p, k and T; on K2 and K5 it equals it.
+        # The estimate's relative bias, that share less the shadow's, is
+        # within the same bound
         g = CERTIFICATE_GRAPHS[name]
         lam = laplacian_eigenpairs(g).eigenvalues
         for p in (0.1, 0.3, 0.7, 1.0):
             for k in (0.3, 0.8, 0.99):
                 cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
                 j = exact_noise_index(g, cfg).j
-                rate = simulator._log_nu_max(lam, cfg)
+                j_lb = mean_field_limit(g, cfg) / g.n
+                one_minus_nu = moment_spectra(lam, cfg)[2]
                 for t in (1, 2, 5, 20, 80, 300):
                     share = (j - finite_horizon_index(g, cfg, t)) / j
-                    bound = math.exp(t * rate)
+                    shadow_share = (j_lb - mean_field_disagreement(g, cfg, t) / g.n) / j
+                    bound = simulator._horizon(one_minus_nu, t)[1]
                     case = f"p={p} k={k} T={t}"
                     assert share <= bound * (1.0 + 1e-6) + 1e-13, case
+                    assert abs(share - shadow_share) <= bound * (1.0 + 1e-6) + 1e-13, case
                     # below 1e-8 the share is lost in J's rounding
                     if name in ("K2", "K5") and bound > 1e-8:
                         assert share >= bound * (1.0 - 1e-6), case
@@ -474,9 +528,11 @@ class TestDrift:
         (make_grid((16, 16)), 0.9, 738, 300, True),
     ], ids=["grid16-76", "grid16-150", "K2-30", "grid16-738"])
     def test_truncated_runs_are_flagged(self, g, p, horizon, ensemble, converged):
-        # j_hat is 77, 27 and 8.7 standard errors below J on the three
-        # short horizons, whose bounds are 0.395, 0.160 and 0.169; the
-        # bench's horizon of 738 gives 1.2e-4
+        # the bounds are 0.395, 0.160 and 0.169 on the three short horizons
+        # and 1.2e-4 at the bench's 738. j_hat is 0.73 and 0.83 standard
+        # errors above J on the grid, whose shadow takes most of the tail,
+        # and 8.7 below on K2, whose tail is the walk's slow second moment
+        # (nu_max 0.94 against mu_2^2 0.73)
         cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
         sim = SimConfig(horizon=horizon, ensemble=ensemble, seed=1)
         assert estimate_noise_index(g, cfg, sim).converged is converged
@@ -485,7 +541,7 @@ class TestDrift:
         # on K2 at p = 0.3, nu_max = 0.94 while mu_2^2 = 0.73: the default
         # horizon of 156 steps is converged and j_hat within 3 sigma of J
         cfg = RidlConfig.for_graph(K2, p=0.3, sigma2=1.0, k=0.8)
-        sim = SimConfig(horizon=default_horizon(K2, cfg), ensemble=2000, seed=1)
-        est = estimate_noise_index(K2, cfg, sim)
+        est = estimate_noise_index(K2, cfg, SimConfig(horizon=None, ensemble=2000, seed=1))
+        assert est.horizon == 156
         assert est.converged
         assert abs(est.j_hat - exact_noise_index(K2, cfg).j) <= 3.0 * est.std_error
