@@ -9,7 +9,7 @@ JSON manifest).
 A ``simulate`` row runs the dynamics to a horizon T, by default the
 smallest with ``bias_bound`` = nu_max^T <= 1e-4, where nu_max^T bounds the
 estimate's relative bias (``ridlnoise.simulator``); ``converged`` is
-bias_bound < 1e-3, and ``--strict`` exits 3 when a row is not.
+bias_bound < 1e-3.
 
 ``--graph`` and ``--p`` repeat on ``bounds``, ``exact`` and ``simulate``,
 and every table has one row per family x N x p, in that order, where N
@@ -53,7 +53,7 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -66,7 +66,6 @@ from .errors import NumericalError
 from .graphs import (
     UndirectedGraph,
     draw_erdos_renyi,
-    laplacian_eigenpairs,
     make_complete,
     make_grid,
     make_path,
@@ -75,7 +74,7 @@ from .graphs import (
 )
 from .noise_index import compute_noise_report
 from .ridl import RidlConfig
-from .simulator import BURN_IN_CHECK, SimConfig, estimate_noise_index
+from .simulator import SimConfig
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -133,8 +132,7 @@ class ExperimentSpec:
     k: float | None
     sigma2: float
     seed: int
-    horizon: int | None = None  # simulate only
-    ensemble: int | None = None  # simulate only; set, it adds Monte Carlo columns
+    sim: SimConfig | None = None  # simulate only; set, it adds Monte Carlo columns
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,8 @@ def _build_spec(params: dict) -> ExperimentSpec:
         k=params["k"],
         sigma2=params["sigma2"],
         seed=params["seed"],
-        horizon=params.get("horizon"),
-        ensemble=params.get("ensemble"),
+        sim=(SimConfig(horizon=params["horizon"], ensemble=params["ensemble"],
+                       seed=params["seed"]) if "ensemble" in params else None),
     )
     _validate_spec(spec)
     return spec
@@ -291,7 +289,7 @@ def _single_row(
 ) -> dict:
     """The row of one graph at p: its graph cells, then what depends on p.
     Its one RidlConfig also drives the Monte Carlo columns when the spec
-    sets an ensemble."""
+    sets a SimConfig."""
     # the one limit that depends on the built graph: eps < 1/d_max
     if spec.epsilon is not None and not spec.epsilon < 1.0 / graph.d_max:
         raise click.UsageError(
@@ -299,9 +297,7 @@ def _single_row(
             f"1/d_max = {1.0 / graph.d_max:.6g}, got {spec.epsilon}"
         )
     cfg = RidlConfig.for_graph(graph, p=p, sigma2=spec.sigma2, epsilon=spec.epsilon, k=spec.k)
-    if spec.ensemble is not None:  # the shadow's eigenvectors; the bounds read the same solve
-        laplacian_eigenpairs(graph)
-    rep = compute_noise_report(graph, cfg, exact=exact)
+    rep = compute_noise_report(graph, cfg, exact=exact, sim=spec.sim)
     j = rep.exact.j if rep.exact is not None else None
     row = {
         **cells,
@@ -321,8 +317,8 @@ def _single_row(
         "rel_lb": (j - rep.j_lb) / j if j else None,
         "rel_ub": (rep.j_ub - j) / j if j else None,
     }
-    if spec.ensemble is not None:
-        row.update(_estimate_columns(graph, spec, cfg))
+    if rep.estimate is not None:
+        row.update(asdict(rep.estimate), ensemble=spec.sim.ensemble, seed=spec.sim.seed)
     return row
 
 
@@ -342,25 +338,10 @@ def _aggregate(rows: list[dict]) -> dict:
     return agg
 
 
-def _estimate_columns(graph: UndirectedGraph, spec: ExperimentSpec, cfg: RidlConfig) -> dict:
-    sim = SimConfig(horizon=spec.horizon, ensemble=spec.ensemble, seed=spec.seed)
-    est = estimate_noise_index(graph, cfg, sim)
-    return dict(
-        horizon=est.horizon,
-        ensemble=spec.ensemble,
-        seed=spec.seed,
-        j_hat=est.j_hat,
-        std_error=est.std_error,
-        converged=est.converged,
-        bias_bound=est.bias_bound,
-        mf_corr=est.mf_corr,
-    )
-
-
 def _compute_rows(spec: ExperimentSpec, exact_max_n: float) -> list[dict]:
     """One row per graph x p, in that order, with the exact index where
     the built graph has N <= ``exact_max_n`` and the Monte Carlo columns
-    when the spec sets an ensemble. Each graph is built once, and only
+    when the spec sets a SimConfig. Each graph is built once, and only
     the realizations of one family and N are alive at a time."""
     rows = []
     for family, n in spec.graphs:
@@ -381,16 +362,14 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, float):
         return f"{value:.11e}"
     return str(value)
 
 
 def _json_cell(value):
-    if isinstance(value, np.integer):
-        return int(value)
     if isinstance(value, float) and not math.isfinite(value):
         return None  # JSON has no infinity or nan
     return value
@@ -528,14 +507,6 @@ def _run_table(command: str, params: dict) -> None:
     # a command solves every row or none, as its schema says
     rows = _compute_rows(spec, math.inf if "j_exact" in COMMAND_COLUMNS[command] else 0)
     _emit(render_rows(rows, COMMAND_COLUMNS[command], params["fmt"]), params["output"])
-    # only simulate rows, which --strict alone checks, carry converged
-    failed = [r for r in rows if not r["converged"]] if params.get("strict") else []
-    if failed:
-        worst = max(failed, key=lambda r: r["bias_bound"])
-        raise NumericalError(
-            f"bias bound {worst['bias_bound']:.3g} >= {BURN_IN_CHECK:g} at horizon "
-            f"{worst['horizon']} for at least one row (strict mode); raise --horizon"
-        )
     # last, so that a run that fails writes its one error line alone
     _warn_slow_mixing(spec.p_values)
 
@@ -562,8 +533,6 @@ def exact_cmd(**params) -> None:
 
 @cli.command("simulate")
 @_options(*_GRAPH_OPTIONS, _P_OPTION, *_STEP_OPTIONS, *_OUTPUT_OPTIONS)
-@click.option("--strict", is_flag=True,
-              help="Exit 3 when a row's bias bound is not below 1e-3.")
 @click.option("--horizon", type=_COUNT, default=None,
               help="Horizon T of the dynamics (default: smallest T with bias bound "
               "at most 1e-4).")

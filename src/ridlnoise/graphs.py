@@ -145,7 +145,7 @@ class UndirectedGraph:
 
     @cached_property
     def _eigenvalues(self) -> Eigenvalues:
-        # the exact solve's eigenpairs, when already computed, serve here too
+        # the eigenpairs, when already computed, serve here too
         pairs = self.__dict__.get("_eigenpairs")
         if pairs is not None:
             return pairs
@@ -365,10 +365,11 @@ def laplacian_spectrum(g: UndirectedGraph) -> Eigenvalues:
     sum(lambda) = 2m and sum(lambda^2) = sum(d_i^2) + 2m. They are the
     closed forms of the star, path, grid and complete graphs built by the
     named makers, with no N x N matrix, and a values-only LAPACK solve of
-    the dense Laplacian for any other graph. Rows with the exact index or
-    a Monte Carlo estimate ask for :func:`laplacian_eigenpairs` first;
-    this record is then those eigenpairs, carrying their L V residual
-    certificate, and no second solve runs."""
+    the dense Laplacian for any other graph. A
+    :func:`~ridlnoise.noise_index.compute_noise_report` with the exact
+    index or a Monte Carlo estimate asks for :func:`laplacian_eigenpairs`
+    first; this record is then those eigenpairs, carrying their L V
+    residual certificate, and no second solve runs."""
     return g._eigenvalues
 
 
@@ -378,7 +379,9 @@ def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
     for the same graph. The star, path, grid and complete graphs of the
     named makers take them in closed form (DCT-II products, Helmert
     columns); any other graph is eigensolved by LAPACK. The exact solve's
-    preconditioner and the Monte Carlo shadow need the eigenvectors."""
+    preconditioner and the Monte Carlo shadow need the eigenvectors, so
+    :func:`~ridlnoise.noise_index.compute_noise_report` asks for them
+    before the bounds when it runs either, and one solve serves all."""
     return g._eigenpairs
 
 

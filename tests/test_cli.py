@@ -55,7 +55,8 @@ def bounded_rows(monkeypatch):
     compute_rows = ridlnoise.cli._compute_rows
 
     def bounded(spec, exact_max_n):
-        counts = (spec.realizations, spec.horizon or 0, spec.ensemble or 0)
+        sim = spec.sim
+        counts = (spec.realizations, sim.horizon or 0, sim.ensemble) if sim else (spec.realizations,)
         assert max(counts) <= sys.maxsize, f"unchecked count reached the rows: {counts}"
         return compute_rows(spec, exact_max_n)
 
@@ -804,24 +805,18 @@ class TestSimulateCommand:
         j_hat = as_float(row["j_hat"])
         assert as_float(row["j_res_lb"]) <= j_hat <= as_float(row["j_res_ub"])
 
-    def test_strict_mode_exit_code(self):
-        res = invoke("simulate", "--graph", "path", "--n", "10", "--k", "0.8",
-                     "--horizon", "3", "--ensemble", "200", "--strict")
-        assert res.exit_code == 3
-        assert res.stderr.strip().count("\n") == 0
-        assert re.search(r"bias bound \S+ >= 0.001 at horizon 3 ", res.stderr)
-
     def test_default_horizon_reads_every_mode(self):
         # on the 2x2 grid at p = 1 and k = 0.99 the slowest second moment is
         # the top Laplacian eigenvalue's, nu_max = 0.96: the default horizon
-        # of 228 steps passes --strict. At p = 1 the walk is deterministic
+        # of 228 steps is converged. At p = 1 the walk is deterministic
         # and the control variate cancels it, so j_hat is the control's
         # mean j_lb, which equals J
         args = ("--graph", "grid2d", "--dims", "2x2", "--k", "0.99", "--p", "1")
-        res = invoke("simulate", *args, "--ensemble", "200", "--seed", "1", "--strict")
+        res = invoke("simulate", *args, "--ensemble", "200", "--seed", "1")
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         assert int(row["horizon"]) == 228
+        assert row["converged"] == "true"
         j_exact = as_float(parse_csv(invoke("exact", *args).output)[0]["j_exact"])
         assert as_float(row["j_hat"]) == pytest.approx(j_exact, rel=1e-12)
 
@@ -1037,6 +1032,38 @@ class TestNumberFormatting:
         assert row["dims"] == ""
         assert row["p_er"] == ""
 
+    def test_every_cell_is_a_builtin(self, monkeypatch, tmp_path):
+        # the renderers format None, bool, int, float and str alone; a numpy
+        # scalar reaching them fails here, not in json.dumps
+        import ridlnoise.cli
+
+        render_rows = ridlnoise.cli.render_rows
+        kinds = set()
+
+        def spy(rows, columns, fmt):
+            kinds.update(type(row.get(c)) for row in rows for c in columns)
+            return render_rows(rows, columns, fmt)
+
+        monkeypatch.setattr(ridlnoise.cli, "render_rows", spy)
+        path = tmp_path / "g.edges"
+        write_edge_list(make_grid([3, 4]), path)
+        er = ("--graph", "erdos-renyi", "--p-er", "0.6", "--k", "0.8")
+        runs = [
+            ("bounds", *er, "--n", "10:12", "--realizations", "3"),
+            ("exact", *er, "--n", "8", "--realizations", "2", "--format", "json"),
+            ("simulate", *er, "--n", "8", "--ensemble", "20", "--format", "json"),
+            ("bounds", "--graph-file", str(path), "--k", "0.8", "--format", "json"),
+            ("exact", "--graph-file", str(path), "--eps", "0.1"),
+            ("simulate", "--graph", "grid2d", "--dims", "3x3", "--eps", "0.1",
+             "--ensemble", "20"),
+            ("report", "--output", str(tmp_path / "report"), "--n-range", "3:6",
+             "--sweep-p-n", "6", "--realizations", "2"),
+        ]
+        for args in runs:
+            assert invoke(*args).exit_code == 0, args
+        assert kinds <= {type(None), bool, int, float, str}
+        assert {bool, int, float, str} <= kinds
+
 
 class TestRemovedOptions:
     # the options each command had before the exact-size rule became
@@ -1047,7 +1074,7 @@ class TestRemovedOptions:
         ("simulate", "--exact-cap"), ("report", "--exact-cap"), ("report", "--exact-n"),
         ("bounds", "--strict"), ("exact", "--strict"), ("simulate", "--realizations"),
         ("simulate", "--noise"), ("bounds", "--n-range"), ("exact", "--n-range"),
-        ("simulate", "--n-range"),
+        ("simulate", "--n-range"), ("simulate", "--strict"),
     ]
     @pytest.mark.parametrize("command,option", REMOVED,
                              ids=[f"{c}{o}" for c, o in REMOVED])
@@ -1093,7 +1120,7 @@ class TestCommandOptions:
         "bounds": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
         "exact": GRAPH + ["--realizations", "--p"] + STEP + OUTPUT,
         "simulate": GRAPH + ["--p"] + STEP + OUTPUT
-        + ["--strict", "--horizon", "--ensemble"],
+        + ["--horizon", "--ensemble"],
         "report": ["--output", "--p", "--k", "--sigma2", "--p-er", "--seed", "--n-range",
                    "--sweep-p-n", "--realizations"],
     }
@@ -1105,8 +1132,8 @@ class TestCommandOptions:
         }
         assert offered == self.OFFERED
         counts = {name: len(opts) for name, opts in offered.items()}
-        assert counts == {"bounds": 13, "exact": 13, "simulate": 15, "report": 9}
-        assert sum(counts.values()) == 50
+        assert counts == {"bounds": 13, "exact": 13, "simulate": 14, "report": 9}
+        assert sum(counts.values()) == 49
 
 
 class TestPublicApi:
@@ -1133,7 +1160,7 @@ class TestPublicApi:
 
     RECORD_FIELDS = {
         "UndirectedGraph": ["n", "edges", "degrees", "d_max", "family"],
-        "NoiseReport": ["exact", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
+        "NoiseReport": ["exact", "estimate", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
                         "lambda2", "lambda_n"],
         "ExactIndex": ["j", "iterations", "gap"],
         "SimEstimate": ["horizon", "j_hat", "std_error", "converged", "bias_bound",
@@ -1200,7 +1227,7 @@ class TestOneSpectrumPerGraph:
     def spectra(self, monkeypatch):
         """The order of every spectrum computed, by kind and by route:
         the closed forms, or the LAPACK solve ``graphs._syevd``."""
-        calls = {"values": [], "pairs": [], "syevd": []}
+        calls = {"values": [], "pairs": [], "syevd": [], "lapack": []}
         closed_form, syevd = graphs._closed_form, graphs._syevd
 
         def counted_closed_form(g, vectors):
@@ -1214,6 +1241,18 @@ class TestOneSpectrumPerGraph:
 
         monkeypatch.setattr(graphs, "_closed_form", counted_closed_form)
         monkeypatch.setattr(graphs, "_syevd", counted_syevd)
+        # and every LAPACK eigensolve by name, whichever route calls it
+        def counted_lapack(name):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls["lapack"].append(name)
+                return solver(*args, **kwargs)
+
+            return counted
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted_lapack(name))
         return calls
 
     def test_sweep_p_one_eigensolve_per_family(self, spectra):
@@ -1221,30 +1260,58 @@ class TestOneSpectrumPerGraph:
                      *P_GRID)
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 18
-        assert spectra == {"values": [], "pairs": [40, 40], "syevd": []}
+        assert spectra == {"values": [], "pairs": [40, 40], "syevd": [], "lapack": []}
 
-    @pytest.mark.parametrize("n", [6, 30])
-    def test_simulate_solves_eigenpairs_once(self, spectra, n):
+    @pytest.fixture
+    def graph_options(self, tmp_path):
+        """The options naming each graph below; the Erdos-Renyi draw and
+        the --graph-file graph are eigensolved by LAPACK."""
+        path = tmp_path / "g.edges"
+        write_edge_list(make_grid([3, 4]), path)
+        return {"path6": ("--graph", "path", "--n", "6"),
+                "path30": ("--graph", "path", "--n", "30"),
+                "erdos-renyi": ("--graph", "erdos-renyi", "--n", "14", "--p-er", "0.5",
+                                "--seed", "3"),
+                "file": ("--graph-file", str(path))}
+
+    @pytest.mark.parametrize("graph,n,lapack", [
+        ("path6", 6, []), ("path30", 30, []), ("erdos-renyi", 14, ["eigh"]), ("file", 12, ["eigh"]),
+    ], ids=["6", "30", "erdos-renyi", "file"])
+    def test_simulate_solves_eigenpairs_once(self, spectra, graph_options, graph, n, lapack):
         # the shadow's closed form needs the eigenvectors; the bounds and
         # the default horizon read the same record, at N on both sides of
-        # the report's exact cap
-        res = invoke("simulate", "--graph", "path", "--n", str(n), "--k", "0.8",
-                     "--ensemble", "20")
+        # the report's exact cap, and a graph off the named families takes
+        # one eigh and no eigvalsh
+        res = invoke("simulate", *graph_options[graph], "--k", "0.8", "--ensemble", "20")
         assert res.exit_code == 0
         assert int(parse_csv(res.output)[0]["horizon"]) > 1
-        assert spectra == {"values": [], "pairs": [n], "syevd": []}
+        assert spectra == {"values": [], "pairs": [n], "syevd": [n] * len(lapack),
+                           "lapack": lapack}
+
+    @pytest.mark.parametrize("graph", ["erdos-renyi", "file"])
+    def test_simulate_shares_exact_columns_bit_for_bit(self, graph_options, graph):
+        # both read the eigenpairs, so the shared cells are the same floats
+        # (bounds, which reads eigenvalues alone, may differ in the last bits)
+        args = (*graph_options[graph], "--k", "0.8", "--p", "0.4", "--p", "0.9",
+                "--format", "json")
+        sim = json.loads(invoke("simulate", *args, "--ensemble", "20").output)
+        exact = json.loads(invoke("exact", *args).output)
+        shared = COMMAND_COLUMNS["bounds"]
+        assert len(sim) == len(exact) == 2
+        assert [[row[c] for c in shared] for row in sim] == [
+            [row[c] for c in shared] for row in exact]
 
     def test_bounds_rows_solve_eigenvalues_only(self, spectra):
         res = invoke("bounds", "--graph", "path", "--n", "30:32", "--k", "0.8")
         assert res.exit_code == 0
         assert len(parse_csv(res.output)) == 3
-        assert spectra == {"values": [30, 31, 32], "pairs": [], "syevd": []}
+        assert spectra == {"values": [30, 31, 32], "pairs": [], "syevd": [], "lapack": []}
 
     def test_exact_row_solves_eigenpairs_once(self, spectra):
         res = invoke("exact", "--graph", "path", "--n", "30", "--k", "0.8")
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["j_exact"] != ""
-        assert spectra == {"values": [], "pairs": [30], "syevd": []}
+        assert spectra == {"values": [], "pairs": [30], "syevd": [], "lapack": []}
 
     def test_named_families_skip_lapack_other_graphs_use_it(self, spectra, tmp_path):
         for family in ("star", "path", "grid2d", "grid3d", "complete"):
@@ -1259,6 +1326,7 @@ class TestOneSpectrumPerGraph:
             assert res.exit_code == 0
         assert spectra["syevd"] == [12, 14]
         assert spectra["pairs"] == [12, 14]
+        assert spectra["lapack"] == ["eigh", "eigh"]
 
 
 class TestEigenvalueCertificate:

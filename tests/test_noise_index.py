@@ -19,7 +19,7 @@ from ridlnoise import (
     ridl_bounds,
 )
 from ridlnoise import noise_index
-from ridlnoise.ridl import moment_spectra
+from ridlnoise.ridl import moment_spectra, omega_projector, stein_operator
 from ridlnoise.graphs import (
     SpectralData,
     _build,
@@ -201,6 +201,39 @@ class TestStopCertificate:
     def test_iterations_at_n100(self, g, p):
         cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
         assert exact_noise_index(g, cfg).iterations <= 7
+
+    @pytest.mark.parametrize("g,iterations", [(make_path(12), 9), (make_grid([3, 4]), 7)],
+                             ids=["path12", "grid3x4"])
+    def test_restart_from_the_true_residual(self, g, iterations, monkeypatch):
+        # a first apply off by 1e-7 Omega E Omega, E symmetric Gaussian,
+        # leaves the recurrence's residual that far from the true one: the
+        # first confirmation fails, CG restarts from the true residual and
+        # certifies the unperturbed J one iteration later (a kick along
+        # 11^T would not do: the preconditioner drops that direction)
+        cfg = RidlConfig.for_graph(g, p=0.5, sigma2=1.0, k=0.8)
+        reference = exact_noise_index(g, cfg)
+        assert reference.iterations == iterations - 1
+        e = np.random.default_rng(0).standard_normal((g.n, g.n))
+        omega = omega_projector(g.n)
+        kick = 1e-7 * omega @ (e + e.T) @ omega
+        applies = []
+
+        def perturbed(g, cfg):
+            apply = stein_operator(g, cfg)
+
+            def first_apply_kicked(x):
+                applies.append(x)
+                return apply(x) + kick if len(applies) == 1 else apply(x)
+
+            return first_apply_kicked
+
+        monkeypatch.setattr(noise_index, "stein_operator", perturbed)
+        exact = exact_noise_index(g, cfg)
+        # one apply per iteration, one failed confirmation, one that holds
+        assert exact.iterations == iterations
+        assert len(applies) == iterations + 2
+        assert exact.j == pytest.approx(reference.j, rel=1e-12)
+        assert exact.gap <= 1e-13
 
     @pytest.mark.parametrize("sides", [(20, 20), (300,)], ids=["grid20x20", "path300"])
     def test_deterministic_mode_at_large_n(self, sides):
@@ -522,4 +555,14 @@ class TestNoiseReport:
         cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
         rep = compute_noise_report(g, cfg, exact=False)
         assert rep.exact is None
+        assert rep.estimate is None
         assert rep.j_lb > 0 and rep.j_ub > 0
+
+    @pytest.mark.parametrize("g", [make_path(12), make_erdos_renyi(10, 0.5, 3)],
+                             ids=["path12", "erdos-renyi10"])
+    def test_estimate_is_the_monte_carlo_run(self, g):
+        cfg = RidlConfig.for_graph(g, p=0.7, sigma2=1.0, k=0.8)
+        sim = SimConfig(horizon=None, ensemble=50, seed=4)
+        rep = compute_noise_report(g, cfg, exact=False, sim=sim)
+        assert rep.exact is None
+        assert rep.estimate == estimate_noise_index(g, cfg, sim)
