@@ -29,9 +29,10 @@ environment variable changes a run. ``--help`` shows each numeric
 option's range, such as 0<x<=1 for ``--p``; a value outside it, a nan or
 an infinity exits 2.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure
-(including an eigensolver that does not converge, and running out of
-memory), 4 I/O failure. Every failure prints one line on stderr, click's
+Exit codes: 0 success, 1 interrupted (Ctrl-C; stderr is an empty line
+and ``Aborted!``), 2 validation error, 3 numerical failure (including an
+eigensolver that does not converge, and running out of memory), 4 I/O
+failure. Every other failure prints one line on stderr, click's
 own parse errors (an unknown option or command, a missing or malformed
 value) included; only ``ridlnoise`` with no arguments prints the help
 (and exits 2). Beside a bad option value, a ``--sigma2`` and step whose

@@ -26,7 +26,9 @@ once, each with its own certificate:
 Once the eigenpairs exist, the eigenvalue record is taken from them, so
 a graph's spectrum is computed once. Both certificates are relative to
 max(||L||_2, 1) and must stay within ``_EIGEN_RESIDUAL``; a failed check,
-or a LAPACK failure to converge, raises :class:`NumericalError`.
+or a LAPACK failure to converge, raises :class:`NumericalError`. Whether
+the graph is connected is decided once too, exactly and before any
+spectrum (``is_connected``).
 
 The star, path, grid (1 to 3 axes) and complete graphs of the named
 makers have their spectra in closed form (``_closed_form``), recorded in
@@ -74,7 +76,6 @@ __all__ = [
     "laplacian",
     "laplacian_spectrum",
     "laplacian_eigenpairs",
-    "spectrum_disconnected",
     "is_connected",
     "average_effective_resistance",
     "read_edge_list",
@@ -83,9 +84,6 @@ __all__ = [
 
 # bound on both spectral certificates, relative to max(||L||_2, 1)
 _EIGEN_RESIDUAL = 1e-8
-# a graph is disconnected when lambda_2 <= this times max(lambda_N, 1)
-# and <= half the least lambda_2 of a connected graph on N nodes
-_CONNECTIVITY_RTOL = 1e-9
 # connectivity resampling budget of ``draw_erdos_renyi``
 _ER_MAX_RESAMPLES = 1000
 
@@ -117,7 +115,8 @@ class UndirectedGraph:
     of the Laplacian spectrum: ``("star",)``, ``("complete",)`` or
     ``("grid", n_1, ..., n_k)`` for paths and grids, and None for a graph
     that is eigensolved. The certified Laplacian eigenvalues and
-    eigenpairs are computed on first use and kept.
+    eigenpairs, and whether the graph is connected, are computed on first
+    use and kept.
     """
 
     n: int
@@ -125,6 +124,24 @@ class UndirectedGraph:
     degrees: np.ndarray
     d_max: int
     family: tuple | None = None
+
+    @cached_property
+    def _connected(self) -> bool:
+        if self.n < 2:
+            return False
+        if self.family is not None:  # the named makers build connected graphs only
+            return True
+        # one frontier of the breadth-first search from node 0 at a time:
+        # both ends of every edge that leaves the reached set are reached
+        seen = np.zeros(self.n, dtype=bool)
+        seen[0] = True
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        while True:
+            leaving = seen[lo] != seen[hi]
+            if not leaving.any():
+                return bool(seen.all())
+            seen[lo[leaving]] = True
+            seen[hi[leaving]] = True
 
     @cached_property
     def _eigenpairs(self) -> SpectralData:
@@ -385,44 +402,22 @@ def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
     return g._eigenpairs
 
 
-def spectrum_disconnected(lam: np.ndarray) -> bool:
-    """Whether the graph with ascending Laplacian eigenvalues ``lam`` is
-    disconnected: fewer than two nodes, or lambda_2 at most both
-    ``_CONNECTIVITY_RTOL`` * max(lambda_N, 1) and 2 / (N (N - 1)). The
-    second term is half the least lambda_2 of a connected graph on N
-    nodes, 4 / (N diam) >= 4 / (N (N - 1)) (Mohar, "Eigenvalues, diameter,
-    and mean distance in graphs", Graphs Combin. 1991); it is the smaller
-    one only at large N, where a connected graph such as path 10^5
-    (lambda_2 = 9.87e-10) has lambda_2 below the first."""
-    n = lam.shape[0]
-    if n < 2:
-        return True
-    return lam[1] <= min(_CONNECTIVITY_RTOL * max(float(lam[-1]), 1.0), 2.0 / (n * (n - 1.0)))
-
-
 def is_connected(g: UndirectedGraph) -> bool:
-    """Reachability of every node from node 0, one frontier of the
-    breadth-first search at a time: both ends of every edge that leaves
-    the reached set are marked reached."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    lo, hi = g.edges[:, 0], g.edges[:, 1]
-    while True:
-        leaving = seen[lo] != seen[hi]
-        if not leaving.any():
-            return bool(seen.all())
-        seen[lo[leaving]] = True
-        seen[hi[leaving]] = True
+    """Whether every node is reachable from every other, decided once per
+    graph and kept on it: False below two nodes, True for the connected
+    graphs of the named makers (a ``family``), and a breadth-first search
+    on the edges for any other graph. The exact index, the bounds, the
+    effective resistance and the Monte Carlo estimate read it before any
+    spectrum, and an Erdos-Renyi draw keeps its answer."""
+    return g._connected
 
 
 def average_effective_resistance(g: UndirectedGraph) -> float:
     """Average effective resistance (1/N) * sum_{i>=2} 1/lambda_i of the
     Laplacian; requires a connected graph."""
+    if not is_connected(g):
+        raise ValueError("graph is disconnected")
     lam = laplacian_spectrum(g).eigenvalues
-    if spectrum_disconnected(lam):
-        raise ValueError(
-            f"graph is disconnected (lambda_2 = {lam[1] if g.n > 1 else 0.0:.3e})"
-        )
     return float(np.sum(1.0 / lam[1:]) / g.n)
 
 

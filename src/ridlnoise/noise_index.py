@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import NumericalError
 from .graphs import (
-    Eigenvalues,
     UndirectedGraph,
     average_effective_resistance,
+    is_connected,
     laplacian_eigenpairs,
     laplacian_spectrum,
-    spectrum_disconnected,
 )
 from .ridl import RidlConfig, moment_spectra, omega_projector, stein_operator
 from .simulator import SimConfig, SimEstimate, estimate_noise_index
@@ -118,17 +117,18 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     end of the bracket.
 
     Raises :class:`NumericalError` for a disconnected graph (the equation
-    is singular), for a step size too large for the graph, and when the
+    is singular), found by :func:`~ridlnoise.graphs.is_connected` before
+    any eigensolve, for a step size too large for the graph, and when the
     index is not certified within the iteration budget.
     """
-    spectrum = laplacian_eigenpairs(g)
-    lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
-    n = g.n
-    if spectrum_disconnected(lam):
+    if not is_connected(g):
         raise NumericalError(
             "the Stein equation is singular: the graph is disconnected, so "
             "disagreement does not decay"
         )
+    spectrum = laplacian_eigenpairs(g)
+    lam, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    n = g.n
     delta, one_minus_mu_sq, one_minus_nu = moment_spectra(lam, cfg)
     # S >= c M on the disagreement subspace, M(X) = X - E[P] X E[P]: with
     # D = P - E[P], S = M - E[D X D], and <X, D X D> <= (|D X|^2 + |X D|^2)/2
@@ -183,20 +183,21 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     return ExactIndex(j=j, iterations=iterations, gap=gap)
 
 
-def ridl_bounds(
-    laplacian_spectrum: Eigenvalues, cfg: RidlConfig
-) -> tuple[float, float]:
-    """Index bounds for RIDL updates from the Laplacian spectrum of the
-    connected underlying graph:
+def ridl_bounds(g: UndirectedGraph, cfg: RidlConfig) -> tuple[float, float]:
+    """Index bounds for RIDL updates on the connected graph ``g``, from
+    its Laplacian spectrum:
 
     j_lb = sigma^2/N * sum 1/(1 - mu_i^2),  j_ub = sigma^2/N * sum 1/(1 - nu_i)
 
     over the disagreement eigenvalues mu_i of E[P] and nu_i of E[P^2]
-    (:func:`~ridlnoise.ridl.moment_spectra`).
+    (:func:`~ridlnoise.ridl.moment_spectra`). A disconnected ``g``
+    (:func:`~ridlnoise.graphs.is_connected`) raises ValueError before its
+    spectrum, the one record of :func:`~ridlnoise.graphs.laplacian_spectrum`,
+    is read.
     """
-    lam = laplacian_spectrum.eigenvalues
-    if spectrum_disconnected(lam):
+    if not is_connected(g):
         raise ValueError("underlying graph is disconnected; bounds are infinite")
+    lam = laplacian_spectrum(g).eigenvalues
     _, one_minus_mu_sq, one_minus_nu = moment_spectra(lam, cfg)
     pref = cfg.sigma2 / lam.shape[0]
     with np.errstate(over="ignore"):  # an infinite bound fails the report's check
@@ -237,7 +238,7 @@ def compute_noise_report(
     1e-9 max(1, J), and a violation raises :class:`NumericalError`.
     """
     spec = laplacian_eigenpairs(g) if exact or sim is not None else laplacian_spectrum(g)
-    j_lb, j_ub = ridl_bounds(spec, cfg)
+    j_lb, j_ub = ridl_bounds(g, cfg)
     r_ave = average_effective_resistance(g)
     j_res_lb, j_res_ub = resistance_bounds(r_ave, cfg)
     bounds = np.array([j_lb, j_ub, j_res_lb, j_res_ub])

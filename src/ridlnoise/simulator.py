@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse  # loaded at start-up, not inside the first Monte Carlo run
 
-from .graphs import UndirectedGraph, laplacian_eigenpairs, spectrum_disconnected
+from .graphs import UndirectedGraph, is_connected, laplacian_eigenpairs
 from .ridl import RidlConfig, moment_spectra
 
 __all__ = [
@@ -324,21 +324,21 @@ def estimate_noise_index(
 
     Raises ValueError unless both almost-sure consensus conditions hold:
     eps * d_max < 1 on ``g``, so every sampled diagonal stays positive,
-    and ``g`` is connected, so E[P] has a simple consensus eigenvalue;
-    connectivity is the lambda_2 test of ``graphs.spectrum_disconnected``
-    on the eigenpairs the estimate reads.
+    and ``g`` is connected (:func:`~ridlnoise.graphs.is_connected`), so
+    E[P] has a simple consensus eigenvalue; both are checked before the
+    eigenpairs are read.
     """
-    spectrum = laplacian_eigenpairs(g)
     failures = []
     if cfg.epsilon * g.d_max >= 1.0:
         failures.append(
             f"eps * d_max = {cfg.epsilon * g.d_max:.6g} >= 1: sampled diagonals "
             "may hit zero"
         )
-    if spectrum_disconnected(spectrum.eigenvalues):
+    if not is_connected(g):
         failures.append("graph is disconnected")
     if failures:
         raise ValueError("consensus conditions fail: " + "; ".join(failures))
+    spectrum = laplacian_eigenpairs(g)
     n, m = g.n, sim.ensemble
     delta, one_minus_mu_sq, one_minus_nu = moment_spectra(spectrum.eigenvalues, cfg)
     horizon, bias_bound = _horizon(one_minus_nu, sim.horizon)

@@ -358,6 +358,9 @@ class TestValidationErrors:
         # the null device reads as an empty file
         (("bounds", "--graph-file", os.devnull, "--k", "0.8"),
          "is missing the 'n m' header"),
+        # a range whose length fits the platform but not the memory
+        (("bounds", "--graph", "path", "--n", "3:9223372036854775806", "--k", "0.8"),
+         "--n 3:9223372036854775806 does not fit in memory"),
     ], ids=["config", "spec", "n-range-form", "n-form", "n-range-order", "dims-form",
             "dims-sides",
             "graph-file-ignored", "p-er-ignored", "negative-seed", "sigma2-nan", "sigma2-inf",
@@ -373,7 +376,8 @@ class TestValidationErrors:
             "graph-file-not-alone", "p-list-out-of-range", "dims-in-mixed-list",
             "realizations-in-mixed-list", "dims-not-grid",
             "dims-wrong-sides", "dims-and-n", "no-size", "horizon-oversized",
-            "ensemble-oversized", "realizations-oversized", "graph-file-empty"])
+            "ensemble-oversized", "realizations-oversized", "graph-file-empty",
+            "n-range-beyond-memory"])
     def test_usage_errors_are_one_line(self, args, message, bounded_rows):
         res = invoke(*args)
         assert res.exit_code == 2
@@ -400,6 +404,19 @@ class TestErrorPath:
         assert res.exit_code == 2
         assert res.stderr.count("\n") == 1
         assert res.stderr.startswith("invalid input: ")
+        assert res.stdout == ""
+
+    def test_interrupt_exits_1(self, monkeypatch):
+        # click writes a newline before it raises Abort on KeyboardInterrupt
+        import ridlnoise.cli
+
+        def interrupted(spec, exact_max_n):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ridlnoise.cli, "_compute_rows", interrupted)
+        res = invoke("bounds", "--graph", "path", "--n", "5", "--k", "0.8")
+        assert res.exit_code == 1
+        assert res.stderr.strip() == "Aborted!"
         assert res.stdout == ""
 
     def test_no_arguments_print_the_help_and_exit_2(self):
@@ -1215,6 +1232,50 @@ class TestBenchCommandsParse:
 
         named = {family: n for family, n in _FAMILY_MIN_N.items() if family != "file"}
         assert workloads.FAMILY_MIN_N == named
+
+
+class TestBoundsAgreeWithExact:
+    """The spectral columns of a ``bounds`` row, read from the eigenvalues
+    alone, against those of the ``exact`` row of the same graph, read from
+    the eigenpairs: equal bit for bit on the closed-form families, and
+    within rounding on graphs that LAPACK eigensolves, where ``eigvalsh``
+    and ``eigh`` round differently."""
+
+    COLUMNS = ("lambda2", "lambda_n", "r_ave", "j_lb", "j_ub", "j_res_lb", "j_res_ub")
+
+    @staticmethod
+    def rows(command, *args):
+        res = invoke(command, *args, "--k", "0.8", *p_args(0.3, 0.9), "--format", "json")
+        assert res.exit_code == 0, res.stderr
+        return json.loads(res.stdout)
+
+    def assert_agree(self, args, rel):
+        bounds, exact = self.rows("bounds", *args), self.rows("exact", *args)
+        assert len(bounds) == len(exact) == 2
+        for b, e in zip(bounds, exact):
+            for column in self.COLUMNS:
+                if rel == 0.0:
+                    assert b[column] == e[column], column
+                else:
+                    assert b[column] == pytest.approx(e[column], rel=rel, abs=0.0), column
+
+    @pytest.mark.parametrize("args", [
+        ("--graph", "path", "--n", "9"),
+        ("--graph", "star", "--n", "9"),
+        ("--graph", "grid2d", "--dims", "3x4"),
+        ("--graph", "complete", "--n", "7"),
+    ], ids=["path9", "star9", "grid3x4", "complete7"])
+    def test_closed_forms_agree_bit_for_bit(self, args):
+        self.assert_agree(args, 0.0)
+
+    def test_erdos_renyi_agrees_to_rounding(self):
+        self.assert_agree(("--graph", "erdos-renyi", "--n", "14", "--p-er", "0.5",
+                           "--seed", "3"), 1e-13)
+
+    def test_graph_file_agrees_to_rounding(self, tmp_path):
+        path = tmp_path / "g.edges"
+        write_edge_list(graphs.draw_erdos_renyi(12, 0.4, 5).graph, path)
+        self.assert_agree(("--graph-file", str(path)), 1e-13)
 
 
 class TestOneSpectrumPerGraph:

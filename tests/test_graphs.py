@@ -440,7 +440,8 @@ class TestConnectivity:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        assert is_connected(g) == (len(seen) == g.n)
+        # fewer than two nodes is not connected: no consensus to reach
+        assert is_connected(g) == (len(seen) == g.n >= 2)
 
     def test_agrees_with_fiedler_value_on_er_samples(self):
         # G(20, p_er) samples, connected or not
@@ -477,12 +478,18 @@ class TestErdosRenyi:
     def test_resampling_counts_attempts(self):
         # sparse draws at small n usually need several attempts
         draw = draw_erdos_renyi(12, 0.12, 7)
+        # the draw's own search is kept on the accepted graph
+        assert "_connected" in draw.graph.__dict__
         assert is_connected(draw.graph)
         assert draw.attempts >= 1
 
     def test_budget_exhaustion_is_diagnosed(self):
         with pytest.raises(ValueError, match="attempts"):
             draw_erdos_renyi(40, 0.01, 0)
+
+    def test_rejects_fewer_than_two_nodes(self):
+        with pytest.raises(ValueError, match="^Erdos-Renyi graph needs n >= 2, got 1$"):
+            draw_erdos_renyi(1, 0.5, 0)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from ridlnoise import (
     compute_noise_report,
     estimate_noise_index,
     exact_noise_index,
-    laplacian_spectrum,
     make_complete,
     make_grid,
     make_path,
@@ -18,15 +17,13 @@ from ridlnoise import (
     resistance_bounds,
     ridl_bounds,
 )
-from ridlnoise import noise_index
+from ridlnoise import graphs, noise_index
 from ridlnoise.ridl import moment_spectra, omega_projector, stein_operator
 from ridlnoise.graphs import (
-    SpectralData,
     _build,
     average_effective_resistance,
     laplacian,
     laplacian_eigenpairs,
-    spectrum_disconnected,
 )
 
 from oracles import (
@@ -113,7 +110,7 @@ class TestExactIndex:
         with pytest.raises(NumericalError, match=message):
             exact_noise_index(g, cfg)
         with pytest.raises(NumericalError, match=message):
-            ridl_bounds(laplacian_spectrum(g), cfg)
+            ridl_bounds(g, cfg)
 
     def test_scales_linearly_in_sigma2(self):
         g = make_path(5)
@@ -295,7 +292,7 @@ class TestRidlBounds:
     )
     def test_agrees_with_generic_bounds(self, g, p, k):
         cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=k)
-        lb1, ub1 = ridl_bounds(laplacian_spectrum(g), cfg)
+        lb1, ub1 = ridl_bounds(g, cfg)
         lb2, ub2 = generic_bounds(expected_p(g, cfg), expected_p_squared(g, cfg), 1.0)
         assert lb1 == pytest.approx(lb2, abs=1e-10, rel=1e-10)
         assert ub1 == pytest.approx(ub2, abs=1e-10, rel=1e-10)
@@ -304,53 +301,40 @@ class TestRidlBounds:
         g = _build(4, [(0, 1), (2, 3)])
         cfg = RidlConfig(p=0.9, epsilon=0.4, sigma2=1.0, d_max=1)
         with pytest.raises(ValueError, match="disconnected"):
-            ridl_bounds(laplacian_spectrum(g), cfg)
+            ridl_bounds(g, cfg)
 
 
-class TestConnectivityThreshold:
+class TestConnectivityCheck:
     """The exact solve, the spectral bounds, the effective resistance and
-    the Monte Carlo estimate read one lambda_2 test,
-    ``graphs.spectrum_disconnected``: lambda_2 at most
-    1e-9 * max(lambda_N, 1) means disconnected. Each caller keeps its own
+    the Monte Carlo estimate read one exact test, ``graphs.is_connected``,
+    before any spectrum: a disconnected graph, or one of fewer than two
+    nodes, fails without an eigensolve. Each caller keeps its own
     exception."""
 
-    @pytest.mark.parametrize("lam2,disconnected", [(1e-9, True), (1.5e-9, False)])
-    def test_callers_agree_at_the_threshold(self, lam2, disconnected):
-        lam = np.array([0.0, lam2, 1.0, 1.0])
-        assert spectrum_disconnected(lam) == disconnected
-        g = make_path(4)
-        # the graph's spectrum record, replaced by one with this lambda_2
-        g.__dict__["_eigenpairs"] = SpectralData(
-            eigenvalues=lam, eigenvectors=np.eye(4), residual=0.0)
-        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+    @pytest.mark.parametrize("case", [(4, [(0, 1), (2, 3)]), (1, [])],
+                             ids=["two-edges", "one-node"])
+    def test_rejected_before_any_eigensolve(self, case, monkeypatch):
+        solves = []
+        monkeypatch.setattr(graphs, "_syevd", lambda *a: solves.append("syevd"))
+        monkeypatch.setattr(graphs, "_closed_form", lambda *a: solves.append("closed form"))
+        cfg = RidlConfig(p=0.9, epsilon=0.4, sigma2=1.0, d_max=1)
         sim = SimConfig(horizon=5, ensemble=4, seed=0)
-        if disconnected:
-            with pytest.raises(ValueError, match="disconnected"):
-                ridl_bounds(laplacian_spectrum(g), cfg)
-            with pytest.raises(ValueError, match="disconnected"):
-                average_effective_resistance(g)
-            with pytest.raises(NumericalError, match="singular"):
-                exact_noise_index(g, cfg)
-            with pytest.raises(ValueError, match="consensus conditions fail.*disconnected"):
-                estimate_noise_index(g, cfg, sim)
-        else:
-            assert all(np.isfinite(ridl_bounds(laplacian_spectrum(g), cfg)))
-            assert np.isfinite(average_effective_resistance(g))
-            assert np.isfinite(estimate_noise_index(g, cfg, sim).j_hat)
-
-    @pytest.mark.parametrize("lam,disconnected", [
-        ([0.0], True),
-        ([0.0, 5e-9, 5.0], True),
-        ([0.0, 6e-9, 5.0], False),
-        ([0.0, 0.0, 2.0], True),
-        ([0.0, 0.5, 0.5], False),
-        # N = 10^5: path 10^5 has lambda_2 = 9.87e-10 < 1e-9 lambda_N, yet no
-        # connected graph on N nodes has lambda_2 below 4 / (N (N - 1))
-        ([0.0, 9.87e-10] + [4.0] * 99_998, False),
-        ([0.0, 1.9e-10] + [4.0] * 99_998, True),
-    ])
-    def test_threshold_scales_with_lambda_n(self, lam, disconnected):
-        assert spectrum_disconnected(np.array(lam)) == disconnected
+        calls = [
+            (lambda g: ridl_bounds(g, cfg), ValueError,
+             "underlying graph is disconnected; bounds are infinite"),
+            (average_effective_resistance, ValueError, "graph is disconnected"),
+            (lambda g: exact_noise_index(g, cfg), NumericalError,
+             "the Stein equation is singular: the graph is disconnected, so "
+             "disagreement does not decay"),
+            (lambda g: estimate_noise_index(g, cfg, sim), ValueError,
+             "consensus conditions fail: graph is disconnected"),
+        ]
+        for call, exc, message in calls:
+            with pytest.raises(exc) as info:
+                call(_build(*case))
+            assert type(info.value) is exc
+            assert str(info.value) == message
+        assert solves == []
 
 
 class TestResistanceBounds:
@@ -375,8 +359,7 @@ class TestResistanceBounds:
         for g in (make_star(10), make_path(12), make_grid([3, 4]), make_complete(8)):
             for p in (0.3, 0.9):
                 cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
-                spec = laplacian_spectrum(g)
-                j_lb, j_ub = ridl_bounds(spec, cfg)
+                j_lb, j_ub = ridl_bounds(g, cfg)
                 res_lb, res_ub = resistance_bounds(average_effective_resistance(g), cfg)
                 assert res_lb <= j_lb + 1e-12
                 assert j_ub <= res_ub + 1e-12
@@ -404,7 +387,7 @@ class TestClosedFormEvaluators:
         ):
             g = maker(n)
             cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
-            lb_s, ub_s = ridl_bounds(laplacian_spectrum(g), cfg)
+            lb_s, ub_s = ridl_bounds(g, cfg)
             lb_c, ub_c = closed(n, cfg)
             assert lb_s == pytest.approx(lb_c, abs=1e-10, rel=1e-10)
             assert ub_s == pytest.approx(ub_c, abs=1e-10, rel=1e-10)
@@ -505,7 +488,7 @@ class TestGrowthAtLargeN:
                 delta = eps * 4 * mpmath.sin(mpmath.pi * k / 600) ** 2
                 total += 1 / (delta * (2 - delta))
             reference = float(total / 300)
-        j_lb, _ = ridl_bounds(laplacian_spectrum(g), cfg)
+        j_lb, _ = ridl_bounds(g, cfg)
         assert j_lb == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
@@ -549,6 +532,15 @@ class TestNoiseReport:
         with pytest.raises(NumericalError, match="spectral sandwich"):
             noise_index._validate_report(
                 replace(rep, exact=rep.exact._replace(j=rep.j_ub + 2e-9)))
+
+    def test_resistance_sandwich_violation_raises(self, monkeypatch):
+        # a resistance window wholly above the exact index
+        g = make_path(5)
+        cfg = RidlConfig.for_graph(g, p=0.9, sigma2=1.0, k=0.8)
+        j = exact_noise_index(g, cfg).j
+        monkeypatch.setattr(noise_index, "resistance_bounds", lambda r_ave, cfg: (2 * j, 3 * j))
+        with pytest.raises(NumericalError, match="^resistance sandwich violated"):
+            compute_noise_report(g, cfg)
 
     def test_exact_absent_when_not_requested(self):
         g = make_path(12)

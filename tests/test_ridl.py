@@ -59,6 +59,10 @@ class TestRidlConfig:
         with pytest.raises(ValueError):
             RidlConfig.for_graph(g, p=0.9, sigma2=1.0, epsilon=0.1, k=0.5)
 
+    def test_rejects_zero_max_degree(self):
+        with pytest.raises(ValueError, match="^d_max must be >= 1, got 0$"):
+            RidlConfig(p=0.9, epsilon=0.1, sigma2=1.0, d_max=0)
+
     def test_step_size_strictly_inside(self):
         g = make_path(4)  # d_max = 2
         with pytest.raises(ValueError):
