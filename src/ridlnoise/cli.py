@@ -291,8 +291,9 @@ def _single_row(
     """The row of one graph at p: its graph cells, then what depends on p.
     Its one RidlConfig also drives the Monte Carlo columns when the spec
     sets a SimConfig."""
-    # the one limit that depends on the built graph: eps < 1/d_max
-    if spec.epsilon is not None and not spec.epsilon < 1.0 / graph.d_max:
+    # the one limit that depends on the built graph: eps < 1/d_max (an
+    # edgeless graph, d_max = 0, is rejected by RidlConfig.for_graph)
+    if spec.epsilon is not None and graph.d_max and not spec.epsilon < 1.0 / graph.d_max:
         raise click.UsageError(
             f"invalid configuration for n={graph.n}: --eps must be below "
             f"1/d_max = {1.0 / graph.d_max:.6g}, got {spec.epsilon}"

@@ -3,14 +3,14 @@ Laplacian spectra, and effective resistance.
 
 All graphs are simple and undirected (no self-loops, no multi-edges).
 A graph is stored as its integer edge array only: an (m, 2) array of
-pairs (i, j) with i < j in lexicographic order, beside the degrees and
-d_max derived from it. The named makers write that array in order
-directly; other graphs are canonicalised with array operations when
-they are built. No N x N matrix is formed when a graph is built; the
-dense Laplacian is filled from the edges where a caller needs it, for
-an eigensolve, the eigenpair certificate and the exact solve's Stein
-operator. Randomized generators take a caller-owned seeded generator so
-repeated runs are reproducible.
+pairs (i, j) with i < j in lexicographic order; the degrees and d_max
+are derived from it on first use. The named makers and Erdos-Renyi
+draws write that array in order; ``_build`` canonicalises outside input
+(edge-list files) with array operations. No N x N matrix is formed when
+a graph is built; the dense Laplacian is filled from the edges where a
+caller needs it, for an eigensolve, the eigenpair certificate and the
+exact solve's Stein operator. Randomized generators take a caller-owned
+seeded generator so repeated runs are reproducible.
 
 A graph keeps two Laplacian spectral records, each computed at most
 once, each with its own certificate:
@@ -110,20 +110,26 @@ class UndirectedGraph:
     """Simple undirected graph on nodes 0..n-1.
 
     ``edges`` is an (m, 2) int64 array of pairs (i, j) with i < j, rows
-    in lexicographic order; ``degrees`` counts the edges at each node,
-    and ``d_max`` is the maximum degree. ``family`` names the closed form
-    of the Laplacian spectrum: ``("star",)``, ``("complete",)`` or
+    in lexicographic order. ``family`` names the closed form of the
+    Laplacian spectrum: ``("star",)``, ``("complete",)`` or
     ``("grid", n_1, ..., n_k)`` for paths and grids, and None for a graph
-    that is eigensolved. The certified Laplacian eigenvalues and
-    eigenpairs, and whether the graph is connected, are computed on first
-    use and kept.
+    that is eigensolved. The rest is derived from the edges on first use
+    and kept: ``degrees`` (the edges at each node), ``d_max`` (their
+    maximum), the certified Laplacian eigenvalues and eigenpairs, and
+    whether the graph is connected.
     """
 
     n: int
     edges: np.ndarray
-    degrees: np.ndarray
-    d_max: int
     family: tuple | None = None
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64, copy=False)
+
+    @cached_property
+    def d_max(self) -> int:
+        return int(self.degrees.max(initial=0))
 
     @cached_property
     def _connected(self) -> bool:
@@ -228,15 +234,12 @@ def _closed_form(g: UndirectedGraph, vectors: bool) -> tuple[np.ndarray, np.ndar
         return w, None
     v = np.empty((n, n))
     v[:, 0] = 1.0 / math.sqrt(n)
+    v[:, 1:] = _helmert(n)
     if kind == "star":
-        # Helmert columns on the leaves (eigenvalue 1), then the hub
-        # vector (n - 1, -1, ..., -1) (eigenvalue n)
-        v[0, 1:-1] = 0.0
-        v[1:, 1:-1] = _helmert(n - 1)
-        v[:, -1] = -1.0 / math.sqrt(n * (n - 1.0))
-        v[0, -1] = (n - 1.0) / math.sqrt(n * (n - 1.0))
-    else:
-        v[:, 1:] = _helmert(n)
+        # the hub takes the Helmert's last row: columns 1..n-2 then lie on
+        # the leaves (eigenvalue 1), and column n-1 is the hub vector
+        # (-(n - 1), 1, ..., 1) (eigenvalue n)
+        v = np.roll(v, 1, axis=0)
     return w, v
 
 
@@ -260,7 +263,8 @@ class ErdosRenyiDraw:
 
 def _build(n: int, edges) -> UndirectedGraph:
     """Graph on n nodes from an array-like of (i, j) pairs in any order
-    and orientation, duplicates allowed."""
+    and orientation, duplicates allowed: the canonicalisation of outside
+    input, such as an edge-list file."""
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -275,26 +279,21 @@ def _build(n: int, edges) -> UndirectedGraph:
     # one scalar key lo * n + hi per pair: sorted unique keys are the
     # lexicographically sorted canonical edges
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-    lo, hi = np.divmod(keys, n)
-    degrees = np.bincount(np.concatenate((lo, hi)), minlength=n).astype(np.int64)
-    return _graph(n, lo, hi, degrees)
+    return _graph(n, *np.divmod(keys, n))
 
 
-def _graph(n: int, lo, hi, degrees: np.ndarray, family: tuple | None = None) -> UndirectedGraph:
+def _graph(n: int, lo, hi, family: tuple | None = None) -> UndirectedGraph:
     """The graph record of canonical edges (lo[e], hi[e]), lo < hi in
-    lexicographic order, with their degrees."""
+    lexicographic order."""
     edges = np.column_stack((lo, hi)).astype(np.int64, copy=False)
-    return UndirectedGraph(n=n, edges=edges, degrees=degrees.astype(np.int64, copy=False),
-                           d_max=int(degrees.max(initial=0)), family=family)
+    return UndirectedGraph(n=n, edges=edges, family=family)
 
 
 def make_star(n: int) -> UndirectedGraph:
     """Star graph: node 0 is the hub, connected to every other node."""
     if n < 3:
         raise ValueError(f"star graph needs n >= 3, got {n}")
-    degrees = np.ones(n, dtype=np.int64)
-    degrees[0] = n - 1
-    return _graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), degrees, ("star",))
+    return _graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), ("star",))
 
 
 def make_path(n: int) -> UndirectedGraph:
@@ -324,8 +323,7 @@ def make_grid(dims: list[int] | tuple[int, ...]) -> UndirectedGraph:
     hi = np.column_stack([node + math.prod(dims[a + 1:]) for a in axes])
     has = np.column_stack([coords[a] < dims[a] - 1 for a in axes])
     lo = np.broadcast_to(node[:, None], hi.shape)
-    degrees = has.sum(axis=1) + sum((c > 0).astype(np.int64) for c in coords)
-    return _graph(n, lo[has], hi[has], degrees, ("grid", *dims))
+    return _graph(n, lo[has], hi[has], ("grid", *dims))
 
 
 def make_complete(n: int) -> UndirectedGraph:
@@ -333,7 +331,7 @@ def make_complete(n: int) -> UndirectedGraph:
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
     lo, hi = np.triu_indices(n, k=1)
-    return _graph(n, lo, hi, np.full(n, n - 1, dtype=np.int64), ("complete",))
+    return _graph(n, lo, hi, ("complete",))
 
 
 def draw_erdos_renyi(
@@ -352,10 +350,11 @@ def draw_erdos_renyi(
     if not (0.0 < p_er <= 1.0):
         raise ValueError(f"edge probability must be in (0, 1], got {p_er}")
     rng = np.random.default_rng(rng)
+    # triu_indices rows are canonical (i < j, lexicographic); a mask keeps their order
     iu, ju = np.triu_indices(n, k=1)
     for attempt in range(1, _ER_MAX_RESAMPLES + 1):
         mask = rng.random(iu.shape[0]) < p_er
-        g = _build(n, np.column_stack((iu[mask], ju[mask])))
+        g = _graph(n, iu[mask], ju[mask])
         if is_connected(g):
             return ErdosRenyiDraw(graph=g, attempts=attempt)
     raise ValueError(

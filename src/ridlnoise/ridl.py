@@ -91,6 +91,8 @@ class RidlConfig:
         (eps = k / d_max)."""
         if (epsilon is None) == (k is None):
             raise ValueError("provide exactly one of epsilon or k")
+        if g.d_max < 1:
+            raise ValueError("underlying graph is disconnected: it has no edges")
         if epsilon is None:
             epsilon = k / g.d_max
         return cls(p=p, epsilon=float(epsilon), sigma2=float(sigma2), d_max=g.d_max)

@@ -25,7 +25,9 @@ forward dynamics produce, and the noise laws check that the index depends
 on the noise only through its covariance sigma^2 I.
 ``reference_build`` is the set-based graph construction that the
 library's edge-array ``_build`` replaced, kept to check that both give
-the same graphs, and ``reference_laplacian`` fills the Laplacian from an
+the same edges and degrees: it returns its own ``ReferenceGraph``, whose
+degrees are read off an adjacency rather than derived by the library's
+rule. ``reference_laplacian`` fills the Laplacian from an
 adjacency built one edge at a time, to check the library's edge-array
 fill.
 
@@ -304,12 +306,22 @@ def family_asymptotics(family: str, n: int, cfg: RidlConfig) -> PredictedScaling
     return PredictedScaling(family=family, growth="linear")
 
 
-def reference_build(n: int, edges) -> UndirectedGraph:
+@dataclass(frozen=True)
+class ReferenceGraph:
+    """The graph of ``reference_build``: its node count, edges as a tuple
+    of (i, j) tuples, degrees and maximum degree."""
+
+    n: int
+    edges: tuple
+    degrees: np.ndarray
+    d_max: int
+
+
+def reference_build(n: int, edges) -> ReferenceGraph:
     """The set-based graph construction that the edge-array ``_build``
     replaced, kept as written: edges canonicalised one pair at a time
     through a set and ``sorted``, and the degrees read off an adjacency
-    filled per edge. ``edges`` of the result is a tuple of (i, j)
-    tuples."""
+    filled per edge."""
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
     canon = set()
@@ -323,10 +335,10 @@ def reference_build(n: int, edges) -> UndirectedGraph:
     edge_tuple = tuple(sorted(canon))
     degrees = dense_adjacency(n, edge_tuple).sum(axis=1).astype(np.int64)
     d_max = int(degrees.max(initial=0))
-    return UndirectedGraph(n=n, edges=edge_tuple, degrees=degrees, d_max=d_max)
+    return ReferenceGraph(n=n, edges=edge_tuple, degrees=degrees, d_max=d_max)
 
 
-def reference_laplacian(g: UndirectedGraph) -> np.ndarray:
+def reference_laplacian(g: UndirectedGraph | ReferenceGraph) -> np.ndarray:
     """D - A with A filled per edge: the Laplacian that
     ``graphs.laplacian`` reproduces bit for bit from the edge array."""
     return np.diag(g.degrees.astype(np.float64)) - dense_adjacency(g.n, g.edges)

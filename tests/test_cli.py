@@ -175,6 +175,17 @@ class TestValidationErrors:
         assert res.stderr.strip().count("\n") == 0
         assert "disconnected" in res.stderr
 
+    @pytest.mark.parametrize("step", [("--k", "0.8"), ("--eps", "0.1")], ids=["k", "eps"])
+    @pytest.mark.parametrize("command", ["bounds", "exact", "simulate"])
+    def test_edgeless_graph_file(self, tmp_path, command, step):
+        # d_max = 0: neither step form may divide by it
+        path = tmp_path / "none.edges"
+        path.write_text("3 0\n")
+        res = invoke(command, "--graph-file", str(path), *step)
+        assert res.exit_code == 2
+        assert res.stderr.strip().count("\n") == 0
+        assert "disconnected" in res.stderr
+
     @pytest.mark.parametrize("text,line", [("99999999999999999999 1\n0 1\n", 1),
                                            ("3 2\n0 1\n1 99999999999999999999\n", 3)],
                              ids=["node-count", "node-id"])
@@ -1176,7 +1187,7 @@ class TestPublicApi:
         assert exported == self.EXPORTED
 
     RECORD_FIELDS = {
-        "UndirectedGraph": ["n", "edges", "degrees", "d_max", "family"],
+        "UndirectedGraph": ["n", "edges", "family"],
         "NoiseReport": ["exact", "estimate", "j_lb", "j_ub", "j_res_lb", "j_res_ub", "r_ave",
                         "lambda2", "lambda_n"],
         "ExactIndex": ["j", "iterations", "gap"],

@@ -50,6 +50,10 @@ def complete_spectrum(n):
     return np.array([0.0] + [float(n)] * (n - 1))
 
 
+def erdos_renyi_draw(n):
+    return draw_erdos_renyi(n, 0.3, 3).graph
+
+
 class TestGenerators:
     def test_star_shape(self):
         g = make_star(4)
@@ -297,11 +301,29 @@ class TestEdgeArrayBuild:
         assert (len(g.edges), edge_digest(g)) == (m, digest)
 
     @pytest.mark.parametrize("maker,n", [
-        (make_star, 9), (make_path, 11), (make_complete, 8),
+        (make_star, 9), (make_path, 11), (make_complete, 8), (erdos_renyi_draw, 12),
     ])
     def test_generators_match_set_based_build(self, maker, n):
         g = maker(n)
         self.assert_same_graph(g, reference_build(n, g.edges.tolist()[::-1]))
+
+    def test_erdos_renyi_draws_skip_build(self, monkeypatch):
+        # the rows of triu_indices are canonical already, and a draw keeps them
+        def spy(n, edges):
+            raise AssertionError("draw_erdos_renyi canonicalised its edges")
+
+        monkeypatch.setattr(graphs, "_build", spy)
+        assert draw_erdos_renyi(10, 0.1, 0).attempts > 1
+
+    @pytest.mark.parametrize("n,p_er,seed,attempts", [
+        (10, 0.1, 0, 41), (10, 0.1, 2, 134), (10, 0.8, 4, 1), (30, 0.1, 1, 7), (100, 0.1, 3, 1),
+    ])
+    def test_erdos_renyi_draws_match_set_based_build(self, n, p_er, seed, attempts):
+        draw = draw_erdos_renyi(n, p_er, seed)
+        assert draw.attempts == attempts
+        # the same pairs, reversed in order and orientation
+        pairs = [(j, i) for i, j in draw.graph.edges.tolist()[::-1]]
+        self.assert_same_graph(draw.graph, reference_build(n, pairs))
 
 
 class TestLaplacian:

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,22 +189,19 @@ class TestSymEigvals:
     def test_wrong_power_sums_rejected(self, monkeypatch):
         g = make_path(6)
         assert laplacian_spectrum(copy_of(g)).residual <= 1e-14
-        # degrees that disagree with the edges: tr L is no longer 2m
-        wrong = replace(g, degrees=g.degrees + np.eye(1, g.n, dtype=np.int64)[0])
-        with pytest.raises(NumericalError, match="power-sum"):
-            laplacian_spectrum(wrong)
-        # eigenvalues with the right sum and the wrong sum of squares
         eigvalsh = np.linalg.eigvalsh
+        # the zero eigenvalue moved: a wrong sum (tr L is no longer 2m) with
+        # a sum of squares inside the bound; then the top two moved apart:
+        # the right sum and a wrong sum of squares
+        for index, shift in (([0], [1e-5]), ([-2, -1], [-1e-5, 1e-5])):
+            def shifted(a, index=index, shift=shift):
+                w = eigvalsh(a)
+                w[index] += shift
+                return w
 
-        def shifted(a):
-            w = eigvalsh(a)
-            w[-1] += 1e-5
-            w[-2] -= 1e-5
-            return w
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-        with pytest.raises(NumericalError, match="power-sum"):
-            laplacian_spectrum(copy_of(g))
+            monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+            with pytest.raises(NumericalError, match="power-sum"):
+                laplacian_spectrum(copy_of(g))
 
     def test_perturbed_eigenvalues_rejected(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh

@@ -63,6 +63,13 @@ class TestRidlConfig:
         with pytest.raises(ValueError, match="^d_max must be >= 1, got 0$"):
             RidlConfig(p=0.9, epsilon=0.1, sigma2=1.0, d_max=0)
 
+    @pytest.mark.parametrize("step", [{"k": 0.8}, {"epsilon": 0.1}], ids=["k", "eps"])
+    def test_for_graph_rejects_edgeless_graph(self, step):
+        # d_max = 0: eps = k / d_max is undefined, and no eps < 1/d_max exists
+        with pytest.raises(ValueError,
+                           match="^underlying graph is disconnected: it has no edges$"):
+            RidlConfig.for_graph(_build(3, []), p=0.9, sigma2=1.0, **step)
+
     def test_step_size_strictly_inside(self):
         g = make_path(4)  # d_max = 2
         with pytest.raises(ValueError):
