@@ -20,7 +20,7 @@ once, each with its own certificate:
   sum(lambda) = tr L = 2m and sum(lambda^2) = ||L||_F^2 = sum(d_i^2) + 2m;
   the certificate costs O(N).
 * the eigenpairs (``laplacian_eigenpairs``), which the exact solve's
-  preconditioner and the Monte Carlo shadow ask for, certified by the
+  eigenbasis iteration and the Monte Carlo shadow ask for, certified by the
   residual max_i ||L v_i - lambda_i v_i|| from one product L V.
 
 Once the eigenpairs exist, the eigenvalue record is taken from them, so
@@ -115,8 +115,10 @@ class UndirectedGraph:
     ``("grid", n_1, ..., n_k)`` for paths and grids, and None for a graph
     that is eigensolved. The rest is derived from the edges on first use
     and kept: ``degrees`` (the edges at each node), ``d_max`` (their
-    maximum), the certified Laplacian eigenvalues and eigenpairs, and
-    whether the graph is connected.
+    maximum), the certified Laplacian eigenvalues and eigenpairs,
+    whether the graph is connected, and the triples (v, u, w) with u and w
+    neighbours of v that the exact solve's fluctuation term reads on a
+    sparse graph.
     """
 
     n: int
@@ -148,6 +150,26 @@ class UndirectedGraph:
                 return bool(seen.all())
             seen[lo[leaving]] = True
             seen[hi[leaving]] = True
+
+    @cached_property
+    def _triples(self) -> tuple[np.ndarray, np.ndarray]:
+        # every triple (v, u, w) with u and w neighbours of v, u = w
+        # included: sum_v d_v^2 of them. Returned as the flat indices
+        # (rows vv, vw, uv, uw) of the four entries of an N x N matrix that
+        # the triple reads and writes, and whether u = w.
+        n = self.n
+        src = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
+        dst = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        deg = self.degrees
+        # arc (v, u) pairs with each of the d_v arcs (v, w) that start at v
+        reps = deg[src]
+        first = np.repeat(np.arange(src.shape[0]), reps)
+        within = np.arange(first.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+        v, u = src[first], dst[first]
+        w = dst[(np.cumsum(deg) - deg)[v] + within]
+        return np.stack((v * n + v, v * n + w, u * n + v, u * n + w)), u == w
 
     @cached_property
     def _eigenpairs(self) -> SpectralData:
@@ -395,7 +417,7 @@ def laplacian_eigenpairs(g: UndirectedGraph) -> SpectralData:
     for the same graph. The star, path, grid and complete graphs of the
     named makers take them in closed form (DCT-II products, Helmert
     columns); any other graph is eigensolved by LAPACK. The exact solve's
-    preconditioner and the Monte Carlo shadow need the eigenvectors, so
+    eigenbasis iteration and the Monte Carlo shadow need the eigenvectors, so
     :func:`~ridlnoise.noise_index.compute_noise_report` asks for them
     before the bounds when it runs either, and one solve serves all."""
     return g._eigenpairs

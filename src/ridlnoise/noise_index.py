@@ -7,8 +7,9 @@ four ways:
 
 * ``exact_noise_index``  from the steady-state disagreement covariance,
   the solution of the Stein equation Sigma = E[P Sigma P] + Omega,
-  found by preconditioned conjugate gradients on N x N matrices that
-  stop once J itself is bracketed to a relative width of 1e-13,
+  found by conjugate gradients in the Laplacian eigenbasis, where the
+  equation's mean-field part is entrywise, that stop once J itself is
+  bracketed to a relative width of 1e-13 on the node-basis residual,
 * ``ridl_bounds``        lower/upper bounds from the spectra of E[P] and
   E[P^2] on the Laplacian spectrum (``ridl.moment_spectra``),
 * ``resistance_bounds``  an outer sandwich in terms of the average
@@ -35,7 +36,7 @@ from .graphs import (
     laplacian_eigenpairs,
     laplacian_spectrum,
 )
-from .ridl import RidlConfig, moment_spectra, omega_projector, stein_operator
+from .ridl import RidlConfig, _fluctuation, moment_spectra, omega_projector, stein_operator
 from .simulator import SimConfig, SimEstimate, estimate_noise_index
 
 __all__ = [
@@ -98,11 +99,23 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     variance, solves the Stein equation S(Sigma) = Omega with
     S(X) = X - E[P X P]. S is self-adjoint in the trace inner product and
     positive definite on the disagreement subspace of a connected graph,
-    so conjugate gradients on N x N matrices solve it. The preconditioner
-    is the mean-field inverse M^-1: R -> V [(V^T R V) / (1 - mu_i mu_j)] V^T,
-    with V the Laplacian eigenvectors and mu = 1 - eps p^2 lambda the
-    eigenvalues of E[P]; it drops the consensus direction and is exact
-    at p = 1.
+    so conjugate gradients on N x N matrices solve it.
+
+    They iterate on X^ = V^T X V, with V the Laplacian eigenvectors. There
+    :func:`~ridlnoise.ridl.stein_operator`'s S = M - F is the mean-field
+    part M(X) = X - E[P] X E[P], entrywise multiplication by 1 - mu_i mu_j
+    with mu = 1 - eps p^2 lambda the eigenvalues of E[P], minus the
+    fluctuation part F, which stays in the node basis:
+
+        S^(X^) = (1 - mu mu^T) o X^ - V^T F(V X^ V^T) V,
+
+    four N x N products per iteration beside F. F reads and writes only
+    node pairs at distance at most 2, and is evaluated one of two ways by
+    a property of the graph: a gather and a scatter-add over its triples
+    when sum_v d_v^2 <= N^2 (paths, grids, the star), dense N x N products
+    otherwise. The preconditioner is the mean-field inverse M^-1,
+    entrywise 1 / (1 - mu_i mu_j) off the consensus mode, which it drops;
+    it is exact at p = 1. Omega is diag(0, 1, ..., 1) in this basis.
 
     The solve stops on the index, not on the N x N residual. For an
     iterate X with residual R = Omega - S(X),
@@ -112,9 +125,13 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     the last term is at least 0 and at most <R, M^-1 R> / c, with c the
     margin S >= c M derived below. The loop stops once the
     recurrence's <R, M^-1 R> / c is below 1e-13 tr(X), then confirms the
-    bracket on the true residual and restarts from it if the bracket is
-    wider. The returned ``j`` is sigma^2 / N (tr(X) + <X, R>), the lower
-    end of the bracket.
+    bracket on the true residual in the node basis,
+    R = Omega - S(V X^ V^T) with S applied through the Laplacian, and
+    restarts from it if the bracket is wider. The confirmation does not
+    trust V: the eigenvectors LAPACK gives an eigensolved graph are
+    orthonormal only to rounding, which moves the eigenbasis iteration's
+    own J by up to 3e-12 on a path of 200 nodes. The returned ``j`` is
+    sigma^2 / N (tr(X) + <X, R>), the lower end of the bracket.
 
     Raises :class:`NumericalError` for a disconnected graph (the equation
     is singular), found by :func:`~ridlnoise.graphs.is_connected` before
@@ -137,34 +154,43 @@ def exact_noise_index(g: UndirectedGraph, cfg: RidlConfig) -> ExactIndex:
     # (1 - mu_i^2 + 1 - mu_j^2)/2; so c = min_i (1 - nu_i)/(1 - mu_i^2) > 0 serves,
     # at most 1 since moment_spectra caps 1 - nu at 1 - mu^2.
     margin = float(np.min(one_minus_nu / one_minus_mu_sq))
-    # 1 - mu_i mu_j with mu = 1 - delta, written without cancellation
+    # M in the eigenbasis: entrywise 1 - mu_i mu_j with mu = 1 - delta
+    # (delta = 0 on the consensus mode), written without cancellation
+    d = np.concatenate(([0.0], delta))
+    mean_field = d[:, None] + d[None, :] - np.outer(d, d)
     gain = np.zeros((n, n))
-    gain[1:, 1:] = 1.0 / (delta[:, None] + delta[None, :] - np.outer(delta, delta))
-    apply = stein_operator(g, cfg)
+    gain[1:, 1:] = 1.0 / mean_field[1:, 1:]
+    fluctuation = _fluctuation(g, cfg)
+    stein = stein_operator(g, cfg)
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        return vecs @ ((vecs.T @ r @ vecs) * gain) @ vecs.T
+    def apply(x: np.ndarray) -> np.ndarray:
+        return mean_field * x - vecs.T @ fluctuation(vecs @ x @ vecs.T) @ vecs
 
     omega = omega_projector(n)
     x = np.zeros((n, n))
-    r = omega
-    # V^T Omega V = diag(0, 1, ..., 1), so M^-1 Omega is one product
-    direction = (vecs * np.diag(gain)) @ vecs.T
+    # V^T Omega V = diag(0, 1, ..., 1)
+    r = np.eye(n)
+    r[0, 0] = 0.0
+    direction = gain * r
     rz = float(np.vdot(r, direction))
     for iterations in range(1, _CG_MAX_ITER + 1):
         q = apply(direction)
         alpha = rz / float(np.vdot(direction, q))
         x = x + alpha * direction
         r = r - alpha * q
-        z = precondition(r)
+        z = gain * r
         rz_next = float(np.vdot(r, z))
         if rz_next <= _J_GAP * margin * float(np.trace(x)):
-            # the recurrence drifts from the true residual: confirm the
-            # bracket on the true one, and restart from it if it is wider
-            r = omega - apply(x)
-            z = precondition(r)
+            # the recurrence drifts from the true residual, and the
+            # eigenbasis of an eigensolved graph is orthonormal only to
+            # rounding: confirm the bracket on the true residual in the
+            # node basis, and restart from it if the bracket is wider
+            x_node = vecs @ x @ vecs.T
+            r_node = omega - stein(x_node)
+            r = vecs.T @ r_node @ vecs
+            z = gain * r
             rz_next = float(np.vdot(r, z))
-            j_unit = float(np.trace(x) + np.vdot(x, r))
+            j_unit = float(np.trace(x_node) + np.vdot(x_node, r_node))
             gap = rz_next / (margin * j_unit)
             if 0.0 <= gap <= _J_GAP:
                 break
@@ -224,12 +250,13 @@ def compute_noise_report(
 
     The bounds are always present; the exact index is solved when
     ``exact`` is true, and the Monte Carlo estimate runs when ``sim`` is
-    given. The exact solve's preconditioner and the estimate's mean-field
-    shadow both need the Laplacian eigenvectors, so a report with either
-    asks for the eigenpairs first, and one eigensolve serves the bounds
-    too. A bounds-only report reads the eigenvalues alone; on a graph
-    that LAPACK eigensolves, its lambda2, lambda_n, j_lb and j_ub may
-    then differ in the last bits from those of a report with eigenpairs.
+    given. The exact solve, which iterates in the Laplacian eigenbasis,
+    and the estimate's mean-field shadow both need the eigenvectors, so
+    a report with either asks for the eigenpairs first, and one
+    eigensolve serves the bounds too. A bounds-only report reads the
+    eigenvalues alone; on a graph that LAPACK eigensolves, its lambda2,
+    lambda_n, j_lb and j_ub may then differ in the last bits from those
+    of a report with eigenpairs.
 
     The bounds are closed forms that scale like sigma^2 / (eps p^2), so
     one that is not finite, or not positive at sigma^2 > 0, is an input

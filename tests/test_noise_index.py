@@ -17,9 +17,10 @@ from ridlnoise import (
     resistance_bounds,
     ridl_bounds,
 )
-from ridlnoise import graphs, noise_index
+from ridlnoise import graphs, noise_index, ridl
 from ridlnoise.ridl import moment_spectra, omega_projector, stein_operator
 from ridlnoise.graphs import (
+    UndirectedGraph,
     _build,
     average_effective_resistance,
     laplacian,
@@ -202,11 +203,14 @@ class TestStopCertificate:
     @pytest.mark.parametrize("g,iterations", [(make_path(12), 9), (make_grid([3, 4]), 7)],
                              ids=["path12", "grid3x4"])
     def test_restart_from_the_true_residual(self, g, iterations, monkeypatch):
-        # a first apply off by 1e-7 Omega E Omega, E symmetric Gaussian,
-        # leaves the recurrence's residual that far from the true one: the
-        # first confirmation fails, CG restarts from the true residual and
-        # certifies the unperturbed J one iteration later (a kick along
-        # 11^T would not do: the preconditioner drops that direction)
+        # a first eigenbasis apply off by 1e-7 V^T (Omega E Omega) V, E
+        # symmetric Gaussian, leaves the recurrence's residual that far from
+        # the true one: the first confirmation fails, CG restarts from the
+        # true residual and certifies the unperturbed J one iteration later
+        # (a kick along 11^T would not do: the preconditioner drops that
+        # direction). The kick enters through the fluctuation term F, which
+        # the eigenbasis apply subtracts, and which the node-basis
+        # confirmation's own Stein operator does not share.
         cfg = RidlConfig.for_graph(g, p=0.5, sigma2=1.0, k=0.8)
         reference = exact_noise_index(g, cfg)
         assert reference.iterations == iterations - 1
@@ -215,22 +219,47 @@ class TestStopCertificate:
         kick = 1e-7 * omega @ (e + e.T) @ omega
         applies = []
 
-        def perturbed(g, cfg):
-            apply = stein_operator(g, cfg)
+        def first_apply_kicked(g, cfg):
+            fluctuation = ridl._fluctuation(g, cfg)
 
-            def first_apply_kicked(x):
-                applies.append(x)
-                return apply(x) + kick if len(applies) == 1 else apply(x)
+            def apply(x):
+                applies.append("eigenbasis")
+                return fluctuation(x) - kick if len(applies) == 1 else fluctuation(x)
 
-            return first_apply_kicked
+            return apply
 
-        monkeypatch.setattr(noise_index, "stein_operator", perturbed)
+        def counted(g, cfg):
+            stein = stein_operator(g, cfg)
+
+            def apply(x):
+                applies.append("node basis")
+                return stein(x)
+
+            return apply
+
+        monkeypatch.setattr(noise_index, "_fluctuation", first_apply_kicked)
+        monkeypatch.setattr(noise_index, "stein_operator", counted)
         exact = exact_noise_index(g, cfg)
         # one apply per iteration, one failed confirmation, one that holds
         assert exact.iterations == iterations
         assert len(applies) == iterations + 2
+        assert applies.count("node basis") == 2
         assert exact.j == pytest.approx(reference.j, rel=1e-12)
         assert exact.gap <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    @pytest.mark.parametrize("named", [make_path(100), make_path(200), make_grid([8, 8])],
+                             ids=["path100", "path200", "grid8x8"])
+    def test_eigensolved_graphs_confirmed_in_the_node_basis(self, named, p):
+        # LAPACK's eigenvectors are orthonormal only to rounding, so CG in
+        # their eigenbasis alone misses J by up to 3e-12 on path 200; its
+        # bracket, confirmed on the node-basis residual, matches the closed
+        # form's basis
+        solved = UndirectedGraph(named.n, named.edges)
+        assert solved.family is None
+        cfg = RidlConfig.for_graph(named, p=p, sigma2=1.0, k=0.8)
+        reference = exact_noise_index(named, cfg).j
+        assert exact_noise_index(solved, cfg).j == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("sides", [(20, 20), (300,)], ids=["grid20x20", "path300"])
     def test_deterministic_mode_at_large_n(self, sides):

@@ -14,7 +14,12 @@ from ridlnoise import (
     stein_operator,
 )
 from ridlnoise.graphs import _build, laplacian_eigenpairs
-from ridlnoise.ridl import moment_spectra
+from ridlnoise.ridl import (
+    _fluctuation,
+    _fluctuation_dense,
+    _fluctuation_triples,
+    moment_spectra,
+)
 
 from oracles import (
     K_VARIANTS,
@@ -27,6 +32,7 @@ from oracles import (
     induced_laplacian,
     k_operator_enumeration,
     k_operator_moments,
+    make_erdos_renyi,
     pattern_weight,
     sample_activation,
     sample_ridl,
@@ -43,6 +49,21 @@ def disagreement_matrix(n, seed):
 
 K2 = make_complete(2)
 K2_CFG = RidlConfig.for_graph(K2, p=0.5, sigma2=1.0, epsilon=0.4)
+
+# graphs on either side of the sum_v d_v^2 <= N^2 rule that picks how the
+# fluctuation term is evaluated: the star has sum_v d_v^2 = N^2 - N
+FLUCTUATION_GRAPHS = [
+    (_build(2, [(0, 1)]), "triples"),
+    (make_complete(2), "triples"),
+    (make_star(6), "triples"),
+    (make_grid([2, 3]), "triples"),
+    (make_complete(3), "dense"),
+    (make_complete(4), "dense"),
+    (make_erdos_renyi(8, 0.3, 4), "triples"),
+    (make_erdos_renyi(8, 0.3, 3), "dense"),
+]
+FLUCTUATION_IDS = ["k2-edge-list", "complete2", "star6", "grid2x3", "complete3", "complete4",
+                   "erdos-renyi8-sparse", "erdos-renyi8-dense"]
 
 
 class TestRidlConfig:
@@ -377,6 +398,39 @@ class TestKOperator:
         assert np.abs(km - ke).max() <= 1e-12
         x = disagreement_matrix(5, 2)
         assert np.abs(stein_operator(g, cfg)(x) - (x - apply_dense(ke, x))).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    @pytest.mark.parametrize("g,route", FLUCTUATION_GRAPHS, ids=FLUCTUATION_IDS)
+    def test_fluctuation_routes_match_enumeration(self, g, route, p):
+        # F(X) = E[P X P] - E[P] X E[P] from the 2^N patterns; the solve's
+        # evaluation of F is picked by sum_v d_v^2 <= N^2, and both ways of
+        # evaluating it hold on every graph
+        cfg = RidlConfig.for_graph(g, p=p, sigma2=1.0, k=0.8)
+        deg = g.degrees
+        assert (int(deg @ deg) <= g.n**2) == (route == "triples")
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((g.n, g.n))
+        x = y + y.T
+        pxp = np.zeros_like(x)
+        for pattern in enumerate_patterns(g.n):
+            p_mat = np.eye(g.n) - cfg.epsilon * induced_laplacian(g, pattern)
+            pxp += pattern_weight(pattern, p) * p_mat @ x @ p_mat
+        p_bar = expected_p(g, cfg)
+        enumerated = pxp - p_bar @ x @ p_bar
+        for fluctuation in (_fluctuation_triples, _fluctuation_dense):
+            assert np.abs(fluctuation(g, cfg)(x) - enumerated).max() <= 1e-13
+        chosen = {"triples": _fluctuation_triples, "dense": _fluctuation_dense}[route]
+        assert np.array_equal(_fluctuation(g, cfg)(x), chosen(g, cfg)(x))
+        assert np.abs(stein_operator(g, cfg)(x) - (x - pxp)).max() <= 1e-13
+
+    def test_fluctuation_routes_agree(self):
+        g = make_erdos_renyi(40, 0.2, 5)
+        cfg = RidlConfig.for_graph(g, p=0.6, sigma2=1.0, k=0.8)
+        y = np.random.default_rng(4).standard_normal((g.n, g.n))
+        x = y + y.T
+        triples = _fluctuation_triples(g, cfg)(x)
+        dense = _fluctuation_dense(g, cfg)(x)
+        assert np.abs(triples - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_operator_is_symmetric_and_contractive(self):
         for g in (make_path(6), make_star(6), make_complete(6)):
